@@ -24,7 +24,8 @@ use crate::system::System;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -472,6 +473,22 @@ impl RunRecord {
     fn is_failure(&self) -> bool {
         self.violation.is_some() || self.error.is_some()
     }
+
+    /// The record of a run of `spec` at `seed` that has not stepped yet.
+    fn blank(spec: &SchedulerSpec, seed: u64) -> RunRecord {
+        RunRecord {
+            scheduler: spec.to_string(),
+            seed,
+            steps: 0,
+            terminated: false,
+            violation: None,
+            error: None,
+            attempts: 1,
+            pruned: 0,
+            prefilter_hits: 0,
+            static_indep_pairs: 0,
+        }
+    }
 }
 
 /// Per-scheduler aggregate.
@@ -651,11 +668,66 @@ fn json_string(s: &str) -> String {
 /// its deadline by at most a few microseconds of stepping.
 const TIMEOUT_POLL_STEPS: usize = 64;
 
-/// Executes one run and records its outcome. The final configuration is
-/// validated with `check`; intermediate configurations are fingerprinted
-/// into `cache` when one is supplied; when a `cell_timeout` is set, the
-/// wall clock is polled every [`TIMEOUT_POLL_STEPS`] steps and an
-/// expired cell aborts with a structured [`ModelError::CellTimeout`].
+/// The one step loop behind plain and fault runs: steps `system` under
+/// `scheduler` until every process terminates, the scheduler yields
+/// nothing, or `budget` steps are taken. Every configuration reached is
+/// fingerprinted into `cache` when one is supplied. With a `timeout`
+/// (limit plus the cell's replay coordinates), the wall clock is polled
+/// every [`TIMEOUT_POLL_STEPS`] steps and an expired cell aborts with a
+/// structured [`ModelError::CellTimeout`] naming them. With neither, the
+/// run takes the [`System::run`] fast path.
+///
+/// Returns the steps taken and, when the run aborted, the error text.
+/// An aborted fast-path run reports 0 steps, as [`System::run`] does not
+/// say how far it got.
+fn drive(
+    system: &mut System,
+    scheduler: &mut dyn Scheduler,
+    budget: usize,
+    cache: Option<&FingerprintCache>,
+    timeout: Option<(Duration, String)>,
+) -> (usize, Option<String>) {
+    if cache.is_none() && timeout.is_none() {
+        return match system.run(scheduler, budget) {
+            Ok(steps) => (steps, None),
+            Err(err) => (0, Some(err.to_string())),
+        };
+    }
+    let deadline =
+        timeout.map(|(limit, context)| (Instant::now() + limit, limit, context));
+    if let Some(cache) = cache {
+        cache.insert_fingerprint(system.config_fingerprint());
+    }
+    let mut steps = 0;
+    while steps < budget && !system.all_terminated() {
+        if let Some((at, limit, context)) = &deadline {
+            if steps.is_multiple_of(TIMEOUT_POLL_STEPS) && Instant::now() >= *at {
+                let err = ModelError::CellTimeout {
+                    limit_ms: limit.as_millis(),
+                    context: context.clone(),
+                };
+                return (steps, Some(err.to_string()));
+            }
+        }
+        let Some(pid) = scheduler.next(system) else { break };
+        if system.is_terminated(pid) {
+            continue;
+        }
+        if let Err(err) = system.step(pid) {
+            return (steps, Some(err.to_string()));
+        }
+        steps += 1;
+        if let Some(cache) = cache {
+            cache.insert_fingerprint(system.config_fingerprint());
+        }
+    }
+    (steps, None)
+}
+
+/// Executes one run with [`drive`] and records its outcome. The final
+/// configuration is validated with `check`, its schedule is audited
+/// against the static interference matrix and its commuting inversions
+/// are counted.
 fn execute_run(
     spec: &SchedulerSpec,
     seed: u64,
@@ -665,18 +737,7 @@ fn execute_run(
     cache: Option<&FingerprintCache>,
     cell_timeout: Option<Duration>,
 ) -> RunRecord {
-    let mut record = RunRecord {
-        scheduler: spec.to_string(),
-        seed,
-        steps: 0,
-        terminated: false,
-        violation: None,
-        error: None,
-        attempts: 1,
-        pruned: 0,
-        prefilter_hits: 0,
-        static_indep_pairs: 0,
-    };
+    let mut record = RunRecord::blank(spec, seed);
     // The static interference matrix of the pristine entry system: it
     // never mutates `system`, and every schedule pair it proves
     // independent is audited against the dynamic oracle once the run's
@@ -687,47 +748,13 @@ fn execute_run(
     );
     record.static_indep_pairs = matrix.indep_pairs();
     let trace_start = system.trace().len();
-    let mut scheduler = spec.build(seed);
-    let deadline = cell_timeout.map(|limit| (Instant::now() + limit, limit));
-    if cache.is_some() || deadline.is_some() {
-        if let Some(cache) = cache {
-            cache.insert_fingerprint(system.config_fingerprint());
-        }
-        while record.steps < budget && !system.all_terminated() {
-            if let Some((at, limit)) = deadline {
-                if record.steps.is_multiple_of(TIMEOUT_POLL_STEPS) && Instant::now() >= at
-                {
-                    record.error = Some(
-                        ModelError::CellTimeout {
-                            limit_ms: limit.as_millis(),
-                            context: format!("campaign run `{spec}` seed {seed}"),
-                        }
-                        .to_string(),
-                    );
-                    return record;
-                }
-            }
-            let Some(pid) = scheduler.next(system) else { break };
-            if system.is_terminated(pid) {
-                continue;
-            }
-            if let Err(err) = system.step(pid) {
-                record.error = Some(err.to_string());
-                return record;
-            }
-            record.steps += 1;
-            if let Some(cache) = cache {
-                cache.insert_fingerprint(system.config_fingerprint());
-            }
-        }
-    } else {
-        match system.run(scheduler.as_mut(), budget) {
-            Ok(steps) => record.steps = steps,
-            Err(err) => {
-                record.error = Some(err.to_string());
-                return record;
-            }
-        }
+    let timeout =
+        cell_timeout.map(|limit| (limit, format!("campaign run `{spec}` seed {seed}")));
+    let (steps, error) = drive(system, spec.build(seed).as_mut(), budget, cache, timeout);
+    record.steps = steps;
+    if error.is_some() {
+        record.error = error;
+        return record;
     }
     record.terminated = system.all_terminated();
     record.violation = check(system);
@@ -821,56 +848,40 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// Executes one run with panic isolation: a panicking run (factory,
-/// scheduler, or check) becomes a structured
-/// [`ModelError::WorkerPanic`] record carrying its replay coordinates
-/// instead of tearing down the worker.
-fn run_one_guarded<F>(
-    spec: &SchedulerSpec,
-    seed: u64,
-    budget: usize,
-    factory: &F,
-    check: &(dyn Fn(&System) -> Option<String> + Sync),
-    cache: Option<&FingerprintCache>,
-    cell_timeout: Option<Duration>,
-) -> RunRecord
-where
-    F: Fn(u64) -> System + Sync,
-{
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        let mut system = factory(seed);
-        execute_run(spec, seed, budget, &mut system, check, cache, cell_timeout)
-    }));
-    match attempt {
-        Ok(record) => record,
-        Err(payload) => RunRecord {
-            scheduler: spec.to_string(),
-            seed,
-            steps: 0,
-            terminated: false,
-            violation: None,
-            error: Some(
-                ModelError::WorkerPanic {
-                    context: format!("campaign run `{spec}` seed {seed}"),
-                    message: panic_message(payload.as_ref()),
-                }
-                .to_string(),
-            ),
-            attempts: 1,
-            pruned: 0,
-            prefilter_hits: 0,
-            static_indep_pairs: 0,
-        },
+/// What the supervisor needs of a run record, so one retry loop serves
+/// both [`RunRecord`] and [`FaultRunRecord`].
+trait Supervised {
+    /// The run's error text, if it aborted.
+    fn error(&self) -> Option<&str>;
+    /// Records how many attempts the cell took.
+    fn set_attempts(&mut self, attempts: usize);
+}
+
+impl Supervised for RunRecord {
+    fn error(&self) -> Option<&str> {
+        self.error.as_deref()
+    }
+    fn set_attempts(&mut self, attempts: usize) {
+        self.attempts = attempts;
     }
 }
 
-/// Is this record's error a worker panic (the only failure class the
-/// supervisor treats as transient and retries)?
-fn is_transient(record: &RunRecord) -> bool {
-    record
-        .error
-        .as_deref()
-        .is_some_and(|e| e.starts_with("worker panic"))
+impl Supervised for FaultRunRecord {
+    fn error(&self) -> Option<&str> {
+        self.error.as_deref()
+    }
+    fn set_attempts(&mut self, attempts: usize) {
+        self.attempts = attempts;
+    }
+}
+
+/// Executes one run with panic isolation: a panicking run (factory,
+/// scheduler, or check) becomes the record `panicked` builds from the
+/// panic message — a structured [`ModelError::WorkerPanic`] carrying
+/// the run's replay coordinates — instead of tearing down the worker.
+fn run_one_guarded<R>(run: impl FnOnce() -> R, panicked: impl FnOnce(String) -> R) -> R {
+    catch_unwind(AssertUnwindSafe(run))
+        .unwrap_or_else(|payload| panicked(panic_message(payload.as_ref())))
 }
 
 /// Bounded exponential backoff for retry attempt `attempt` (1-based).
@@ -878,41 +889,96 @@ fn backoff_for(base: Duration, attempt: usize) -> Duration {
     base.saturating_mul(1u32 << attempt.min(10) as u32)
 }
 
-/// Supervises one cell: runs it with panic isolation and re-attempts
-/// transient worker panics up to `retries` times (with bounded
-/// exponential backoff) before recording the failure. The returned
-/// record's [`RunRecord::attempts`] says how many tries the cell took.
-fn run_cell_supervised<F>(
-    spec: &SchedulerSpec,
-    seed: u64,
-    budget: usize,
-    factory: &F,
-    check: &(dyn Fn(&System) -> Option<String> + Sync),
-    cache: Option<&FingerprintCache>,
+/// Supervises one cell: runs it with panic isolation
+/// ([`run_one_guarded`]) and re-attempts transient worker panics up to
+/// [`CampaignOptions::retries`] times (with bounded exponential backoff)
+/// before recording the failure. Worker panics are the only failure
+/// class treated as transient. The returned record says how many tries
+/// the cell took.
+fn run_cell_supervised<R: Supervised>(
     options: &CampaignOptions,
-) -> RunRecord
-where
-    F: Fn(u64) -> System + Sync,
-{
+    run: impl Fn() -> R,
+    panicked: impl Fn(String) -> R,
+) -> R {
     let mut attempt = 1;
     loop {
-        let mut record = run_one_guarded(
-            spec,
-            seed,
-            budget,
-            factory,
-            check,
-            cache,
-            options.cell_timeout,
-        );
-        record.attempts = attempt;
-        if is_transient(&record) && attempt <= options.retries {
+        let mut record = run_one_guarded(&run, &panicked);
+        record.set_attempts(attempt);
+        let transient = record.error().is_some_and(|e| e.starts_with("worker panic"));
+        if transient && attempt <= options.retries {
             std::thread::sleep(backoff_for(options.retry_backoff, attempt));
             attempt += 1;
             continue;
         }
         return record;
     }
+}
+
+/// Resolves a configured worker count (`0` = one per available core).
+fn worker_threads(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    }
+}
+
+/// The campaign worker pool, shared by plain and fault matrices:
+/// `threads` scoped workers claim chunks of `0..total` (a chunk is
+/// `total.div_ceil(threads * 8).clamp(1, 256)` cells) and pass each
+/// index to `cell`. `Continue(record)` keeps going; `Break(record)`
+/// stops every worker from claiming further cells; either may carry
+/// no record (a resumed or skipped cell). Each chunk's records are
+/// merged into `resumed` as it completes, and `merged` sees every
+/// record merged so far, under the merge lock (the checkpoint hook).
+/// Returns every record sorted by matrix index, so the result is
+/// independent of the thread count.
+fn run_pool<R: Send>(
+    total: usize,
+    threads: usize,
+    resumed: Vec<(usize, R)>,
+    cell: impl Fn(usize) -> ControlFlow<Option<R>, Option<R>> + Sync,
+    merged: impl Fn(&[(usize, R)]) + Sync,
+) -> Vec<(usize, R)> {
+    let records = Mutex::new(resumed);
+    let cursor = AtomicUsize::new(0);
+    let stopped = AtomicBool::new(false);
+    let chunk = total.div_ceil(threads * 8).clamp(1, 256);
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(total.max(1)) {
+            scope.spawn(|| loop {
+                if stopped.load(Ordering::Relaxed) {
+                    break;
+                }
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= total {
+                    break;
+                }
+                let mut local: Vec<(usize, R)> = Vec::new();
+                for index in start..(start + chunk).min(total) {
+                    if stopped.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    match cell(index) {
+                        ControlFlow::Continue(record) => {
+                            local.extend(record.map(|r| (index, r)));
+                        }
+                        ControlFlow::Break(record) => {
+                            local.extend(record.map(|r| (index, r)));
+                            stopped.store(true, Ordering::Relaxed);
+                            break;
+                        }
+                    }
+                }
+                let mut records = records.lock().expect("records lock");
+                records.extend(local);
+                merged(&records);
+            });
+        }
+    });
+    let mut records = records.into_inner().expect("records lock");
+    records.sort_by_key(|(index, _)| *index);
+    records
 }
 
 /// Writes a checkpoint atomically (tmp file + rename). A failed write
@@ -995,11 +1061,7 @@ where
     F: Fn(u64) -> System + Sync,
 {
     let total = config.schedulers.len() * config.runs;
-    let threads = if config.threads > 0 {
-        config.threads
-    } else {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    };
+    let threads = worker_threads(config.threads);
     let cache = FingerprintCache::for_threads_bounded(threads, options.cache_budget);
 
     // Restore resume state: completed runs keep their records and are
@@ -1026,113 +1088,82 @@ where
     // before cells get skipped outright at the hard stop.
     let soft_deadline = options.wall_limit.map(|limit| now + limit / 5 * 4);
     let degraded_budget = (config.budget / 4).max(1);
-    let records: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(resumed);
-    let cursor = AtomicUsize::new(0);
     let stop = AtomicUsize::new(STOP_NONE);
     let executed = AtomicUsize::new(0);
     let degraded = AtomicUsize::new(0);
-    let last_checkpoint = Mutex::new(0usize);
-    let chunk = total.div_ceil(threads * 8).clamp(1, 256);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(total.max(1)) {
-            scope.spawn(|| {
-                loop {
-                    if stop.load(Ordering::Relaxed) != STOP_NONE {
-                        break;
-                    }
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= total {
-                        break;
-                    }
-                    let mut local: Vec<(usize, RunRecord)> = Vec::new();
-                    // `index` is a matrix coordinate (spec, seed), not
-                    // just a subscript into `already`.
-                    #[allow(clippy::needless_range_loop)]
-                    for index in start..(start + chunk).min(total) {
-                        if already[index] {
-                            continue;
-                        }
-                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                            let _ = stop.compare_exchange(
-                                STOP_NONE,
-                                STOP_WALL,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            );
-                            break;
-                        }
-                        if stop.load(Ordering::Relaxed) != STOP_NONE {
-                            break;
-                        }
-                        // Matrix order: scheduler-major, then seed.
-                        let spec = &config.schedulers[index / config.runs];
-                        let seed =
-                            config.seed_start + (index % config.runs) as u64;
-                        let budget = if soft_deadline
-                            .is_some_and(|d| Instant::now() >= d)
-                        {
-                            degraded.fetch_add(1, Ordering::Relaxed);
-                            degraded_budget
-                        } else {
-                            config.budget
-                        };
-                        let record = run_cell_supervised(
-                            spec,
-                            seed,
-                            budget,
-                            &factory,
-                            check,
-                            Some(&cache),
-                            options,
-                        );
-                        local.push((index, record));
-                        let done = executed.fetch_add(1, Ordering::Relaxed) + 1;
-                        if options.stop_after.is_some_and(|cap| done >= cap) {
-                            let _ = stop.compare_exchange(
-                                STOP_NONE,
-                                STOP_COUNT,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            );
-                            break;
-                        }
-                    }
-                    // Merge the chunk, then checkpoint if a full period
-                    // of runs completed since the last write.
-                    let to_checkpoint = {
-                        let mut recs = records.lock().expect("records lock");
-                        recs.extend(local);
-                        match (options.checkpoint_every, &options.checkpoint_path) {
-                            (Some(every), Some(_path)) if every > 0 => {
-                                let mut last = last_checkpoint
-                                    .lock()
-                                    .expect("checkpoint counter lock");
-                                if recs.len() >= *last + every {
-                                    *last = recs.len();
-                                    Some(recs.clone())
-                                } else {
-                                    None
-                                }
-                            }
-                            _ => None,
-                        }
-                    };
-                    if let (Some(completed), Some(path)) =
-                        (to_checkpoint, &options.checkpoint_path)
-                    {
-                        write_checkpoint(
-                            path,
-                            options.spec_id.as_deref(),
-                            completed,
-                            &cache,
-                        );
-                    }
-                }
-            });
+    let cell = |index: usize| {
+        if already[index] {
+            return ControlFlow::Continue(None);
         }
-    });
-    let mut records = records.into_inner().expect("records lock");
-    records.sort_by_key(|(index, _)| *index);
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            let _ = stop.compare_exchange(
+                STOP_NONE,
+                STOP_WALL,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+            return ControlFlow::Break(None);
+        }
+        // Matrix order: scheduler-major, then seed.
+        let spec = &config.schedulers[index / config.runs];
+        let seed = config.seed_start + (index % config.runs) as u64;
+        let budget = if soft_deadline.is_some_and(|d| Instant::now() >= d) {
+            degraded.fetch_add(1, Ordering::Relaxed);
+            degraded_budget
+        } else {
+            config.budget
+        };
+        let record = run_cell_supervised(
+            options,
+            || {
+                let mut system = factory(seed);
+                execute_run(
+                    spec,
+                    seed,
+                    budget,
+                    &mut system,
+                    check,
+                    Some(&cache),
+                    options.cell_timeout,
+                )
+            },
+            |message| RunRecord {
+                error: Some(
+                    ModelError::WorkerPanic {
+                        context: format!("campaign run `{spec}` seed {seed}"),
+                        message,
+                    }
+                    .to_string(),
+                ),
+                ..RunRecord::blank(spec, seed)
+            },
+        );
+        let done = executed.fetch_add(1, Ordering::Relaxed) + 1;
+        if options.stop_after.is_some_and(|cap| done >= cap) {
+            let _ = stop.compare_exchange(
+                STOP_NONE,
+                STOP_COUNT,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+            return ControlFlow::Break(Some(record));
+        }
+        ControlFlow::Continue(Some(record))
+    };
+    // Checkpoint whenever a full period of runs has merged since the
+    // last write.
+    let every = options.checkpoint_every.filter(|&every| every > 0);
+    let last_checkpoint = AtomicUsize::new(0);
+    let merged = |records: &[(usize, RunRecord)]| {
+        if let (Some(every), Some(path)) = (every, &options.checkpoint_path) {
+            if records.len() >= last_checkpoint.load(Ordering::Relaxed) + every {
+                last_checkpoint.store(records.len(), Ordering::Relaxed);
+                let spec_id = options.spec_id.as_deref();
+                write_checkpoint(path, spec_id, records.to_vec(), &cache);
+            }
+        }
+    };
+    let records = run_pool(total, threads, resumed, cell, merged);
 
     // A final checkpoint captures everything this session completed, so
     // a watchdog-truncated campaign is always resumable.
@@ -1292,6 +1323,25 @@ impl FaultRunRecord {
     fn is_failure(&self) -> bool {
         !self.survivors_terminated || self.violation.is_some() || self.error.is_some()
     }
+
+    /// The record of a fault run that has not stepped yet.
+    fn blank(
+        config: &FaultCampaignConfig,
+        plan: &FaultPlan,
+        seed: u64,
+    ) -> FaultRunRecord {
+        FaultRunRecord {
+            plan: plan.to_string(),
+            scheduler: config.base.to_string(),
+            seed,
+            steps: 0,
+            crashed: 0,
+            survivors_terminated: false,
+            violation: None,
+            error: None,
+            attempts: 1,
+        }
+    }
 }
 
 /// Serialises one completed `(matrix index, fault record)` pair as the
@@ -1415,8 +1465,10 @@ impl FaultCampaignReport {
     }
 }
 
-/// Executes one fault run (no panic guard; see
-/// [`run_fault_campaign`] for the guarded path).
+/// Executes one fault run with [`drive`], the base scheduler wrapped in
+/// a [`FaultScheduler`] (no panic guard; see [`run_fault_campaign`] for
+/// the guarded path), and records which processes crashed, whether the
+/// survivors terminated, and what `check` says given the crashed set.
 fn execute_fault_run<F>(
     config: &FaultCampaignConfig,
     plan: &FaultPlan,
@@ -1428,53 +1480,16 @@ fn execute_fault_run<F>(
 where
     F: Fn(u64) -> System + Sync,
 {
-    let mut record = FaultRunRecord {
-        plan: plan.to_string(),
-        scheduler: config.base.to_string(),
-        seed,
-        steps: 0,
-        crashed: 0,
-        survivors_terminated: false,
-        violation: None,
-        error: None,
-        attempts: 1,
-    };
+    let mut record = FaultRunRecord::blank(config, plan, seed);
     let mut system = factory(seed);
     let mut sched = FaultScheduler::new(config.base.build(seed), plan.clone());
-    if let Some(limit) = cell_timeout {
-        // Manual stepping so the wall clock can be polled; the
-        // FaultScheduler never picks terminated or crashed processes,
-        // so this loop is step-for-step what `System::run` would do.
-        let at = Instant::now() + limit;
-        while record.steps < config.budget && !system.all_terminated() {
-            if record.steps.is_multiple_of(TIMEOUT_POLL_STEPS) && Instant::now() >= at {
-                record.error = Some(
-                    ModelError::CellTimeout {
-                        limit_ms: limit.as_millis(),
-                        context: format!("fault run plan `{plan}` seed {seed}"),
-                    }
-                    .to_string(),
-                );
-                return record;
-            }
-            let Some(pid) = sched.next(&system) else { break };
-            if system.is_terminated(pid) {
-                continue;
-            }
-            if let Err(err) = system.step(pid) {
-                record.error = Some(err.to_string());
-                return record;
-            }
-            record.steps += 1;
-        }
-    } else {
-        match system.run(&mut sched, config.budget) {
-            Ok(steps) => record.steps = steps,
-            Err(err) => {
-                record.error = Some(err.to_string());
-                return record;
-            }
-        }
+    let timeout =
+        cell_timeout.map(|limit| (limit, format!("fault run plan `{plan}` seed {seed}")));
+    let (steps, error) = drive(&mut system, &mut sched, config.budget, None, timeout);
+    record.steps = steps;
+    if error.is_some() {
+        record.error = error;
+        return record;
     }
     record.crashed = sched.crashed().len();
     record.survivors_terminated = sched
@@ -1518,11 +1533,14 @@ where
     run_fault_campaign_with(config, &CampaignOptions::default(), factory, check)
 }
 
-/// [`run_fault_campaign`] with supervisor options. Only the supervisor
-/// knobs of [`CampaignOptions`] apply here —
+/// [`run_fault_campaign`] with supervisor options. Fault matrices run
+/// on the same worker pool and supervisor as [`run_campaign_with`], but
+/// only the supervisor knobs of [`CampaignOptions`] apply here —
 /// [`CampaignOptions::retries`], [`CampaignOptions::retry_backoff`] and
-/// [`CampaignOptions::cell_timeout`]; the watchdog and checkpoint
-/// fields are for [`run_campaign_with`] and are ignored.
+/// [`CampaignOptions::cell_timeout`]. A fault report has no truncation,
+/// distinct-configuration or checkpoint fields, so the watchdogs
+/// (`wall_limit`, `stop_after`), `cache_budget` and the checkpoint and
+/// resume fields are for [`run_campaign_with`] only and are ignored.
 pub fn run_fault_campaign_with<F>(
     config: &FaultCampaignConfig,
     options: &CampaignOptions,
@@ -1557,91 +1575,39 @@ where
     F: Fn(u64) -> System + Sync,
 {
     let total = config.plans.len() * config.runs;
-    let threads = if config.threads > 0 {
-        config.threads
-    } else {
-        std::thread::available_parallelism().map_or(1, usize::from)
+    let cell = |index: usize| {
+        // Matrix order: plan-major, then seed.
+        let plan = &config.plans[index / config.runs];
+        let seed = config.seed_start + (index % config.runs) as u64;
+        let record = run_cell_supervised(
+            options,
+            || {
+                execute_fault_run(
+                    config,
+                    plan,
+                    seed,
+                    &factory,
+                    check,
+                    options.cell_timeout,
+                )
+            },
+            |message| FaultRunRecord {
+                error: Some(
+                    ModelError::WorkerPanic {
+                        context: format!("fault run plan `{plan}` seed {seed}"),
+                        message,
+                    }
+                    .to_string(),
+                ),
+                ..FaultRunRecord::blank(config, plan, seed)
+            },
+        );
+        ControlFlow::Continue(Some(record))
     };
-    let records: Mutex<Vec<(usize, FaultRunRecord)>> =
-        Mutex::new(Vec::with_capacity(total));
-    let cursor = AtomicUsize::new(0);
-    let chunk = total.div_ceil(threads * 8).clamp(1, 256);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(total.max(1)) {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, FaultRunRecord)> = Vec::new();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= total {
-                        break;
-                    }
-                    for index in start..(start + chunk).min(total) {
-                        // Matrix order: plan-major, then seed.
-                        let plan = &config.plans[index / config.runs];
-                        let seed =
-                            config.seed_start + (index % config.runs) as u64;
-                        // Supervised cell: transient panics are retried
-                        // with backoff before the failure is recorded.
-                        let mut attempt_no = 1;
-                        let record = loop {
-                            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                                execute_fault_run(
-                                    config,
-                                    plan,
-                                    seed,
-                                    &factory,
-                                    check,
-                                    options.cell_timeout,
-                                )
-                            }));
-                            let mut record = attempt.unwrap_or_else(|payload| {
-                                FaultRunRecord {
-                                    plan: plan.to_string(),
-                                    scheduler: config.base.to_string(),
-                                    seed,
-                                    steps: 0,
-                                    crashed: 0,
-                                    survivors_terminated: false,
-                                    violation: None,
-                                    error: Some(
-                                        ModelError::WorkerPanic {
-                                            context: format!(
-                                                "fault run plan `{plan}` seed {seed}"
-                                            ),
-                                            message: panic_message(
-                                                payload.as_ref(),
-                                            ),
-                                        }
-                                        .to_string(),
-                                    ),
-                                    attempts: 1,
-                                }
-                            });
-                            record.attempts = attempt_no;
-                            let transient = record
-                                .error
-                                .as_deref()
-                                .is_some_and(|e| e.starts_with("worker panic"));
-                            if transient && attempt_no <= options.retries {
-                                std::thread::sleep(backoff_for(
-                                    options.retry_backoff,
-                                    attempt_no,
-                                ));
-                                attempt_no += 1;
-                                continue;
-                            }
-                            break record;
-                        };
-                        local.push((index, record));
-                    }
-                }
-                records.lock().expect("records lock").extend(local);
-            });
-        }
-    });
-    let mut records = records.into_inner().expect("records lock");
-    records.sort_by_key(|(index, _)| *index);
-    records.into_iter().map(|(_, record)| record).collect()
+    run_pool(total, worker_threads(config.threads), Vec::new(), cell, |_| {})
+        .into_iter()
+        .map(|(_, record)| record)
+        .collect()
 }
 
 /// Folds index-sorted fault records into a [`FaultCampaignReport`].
@@ -2339,6 +2305,93 @@ mod tests {
             assert_eq!(replayed.steps, record.steps);
             assert_eq!(replayed.crashed, record.crashed);
             assert_eq!(replayed.survivors_terminated, record.survivors_terminated);
+        }
+    }
+
+    #[test]
+    fn fault_run_cell_timeout_names_plan_and_seed() {
+        let config = FaultCampaignConfig {
+            base: SchedulerSpec::RoundRobin,
+            plans: vec![FaultPlan::none()],
+            seed_start: 0,
+            runs: 1,
+            budget: usize::MAX,
+            threads: 1,
+        };
+        let spinner = |_seed: u64| {
+            System::new(
+                vec![Object::snapshot(1)],
+                vec![Box::new(SnapshotProcess::new(Spinner, ObjectId(0)))
+                    as Box<dyn Process>],
+            )
+        };
+        let options = CampaignOptions {
+            cell_timeout: Some(Duration::from_millis(20)),
+            ..CampaignOptions::default()
+        };
+        let report = run_fault_campaign_with(&config, &options, spinner, &|_, _| None);
+        assert_eq!(report.total_runs, 1, "the cell is recorded, not lost");
+        assert_eq!(report.failures.len(), 1);
+        let err = report.failures[0].error.as_deref().unwrap();
+        assert!(err.contains("cell timeout"), "error was: {err}");
+        assert!(err.contains("fault run plan `none` seed 0"), "error was: {err}");
+        assert_eq!(report.retried_runs, 0, "timeouts must not be retried");
+    }
+
+    #[test]
+    fn empty_fault_plan_matches_the_plain_campaign_run_for_run() {
+        // Seed-dependent run lengths against a tight budget, so some runs
+        // terminate and some are cut off.
+        let varied = |seed: u64| {
+            let procs: Vec<Box<dyn Process>> = (0..3)
+                .map(|i| {
+                    let n = 1 + (seed as usize + i) % 5;
+                    Box::new(SnapshotProcess::new(Stepper { n }, ObjectId(0)))
+                        as Box<dyn Process>
+                })
+                .collect();
+            System::new(vec![Object::snapshot(1)], procs)
+        };
+        // Flag every run with its final outputs so each record surfaces
+        // in the report's failure list, in matrix order.
+        let outputs = |sys: &System| Some(format!("{:?}", sys.outputs()));
+        for base in [SchedulerSpec::RoundRobin, SchedulerSpec::Random] {
+            let plain = run_campaign(
+                &CampaignConfig {
+                    schedulers: vec![base.clone()],
+                    seed_start: 5,
+                    runs: 12,
+                    budget: 16,
+                    threads: 2,
+                },
+                varied,
+                &outputs,
+            );
+            let faults = run_fault_campaign(
+                &FaultCampaignConfig {
+                    base: base.clone(),
+                    plans: vec![FaultPlan::none()],
+                    seed_start: 5,
+                    runs: 12,
+                    budget: 16,
+                    threads: 2,
+                },
+                varied,
+                &|sys, _crashed| outputs(sys),
+            );
+            assert!(
+                (1..12).contains(&plain.terminated_runs),
+                "{base}: want both terminated and cut-off runs"
+            );
+            assert_eq!(plain.failures.len(), 12);
+            assert_eq!(faults.failures.len(), 12);
+            for (p, f) in plain.failures.iter().zip(&faults.failures) {
+                assert_eq!((p.seed, p.steps), (f.seed, f.steps), "{base}");
+                let seed = p.seed;
+                assert_eq!(p.terminated, f.survivors_terminated, "{base} seed {seed}");
+                assert_eq!(p.violation, f.violation, "{base} seed {seed}");
+                assert_eq!(f.crashed, 0);
+            }
         }
     }
 }

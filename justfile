@@ -1,7 +1,7 @@
 # Developer task runner. `just ci` mirrors .github/workflows/ci.yml.
 
 # Build, test, lint — the full gate.
-ci: build test clippy
+ci: build test clippy perfbench-test
 
 build:
     cargo build --release
@@ -11,6 +11,13 @@ test:
 
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+
+# The benchmark package's own tests (it is a separate workspace, so
+# `cargo test --workspace` does not reach it). Its shadow drivers copy
+# the campaign, explore, service and fuzz run loops; these tests fail
+# when an engine change leaves a shadow behind (mirrors CI's test job).
+perfbench-test:
+    cargo test -q --manifest-path perfbench/Cargo.toml
 
 # Quick seeded campaign: 5 schedulers x 200 seeds over phased racing.
 smoke-campaign:

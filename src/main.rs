@@ -201,11 +201,23 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
+/// Reads the numeric flag `--key`: `None` when it is absent. A
+/// malformed value is never read as the default — it ends the process
+/// with exit code 1 and a message naming the flag and the value.
+fn num<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T> {
+    let raw = flags.get(key)?;
+    match raw.parse() {
+        Ok(value) => Some(value),
+        Err(_) => {
+            eprintln!("bad --{key} `{raw}` (expected a non-negative integer)");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// [`num`] with a default for an absent flag.
 fn get(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    flags
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    num(flags, key).unwrap_or(default)
 }
 
 fn cmd_bounds(args: &[String]) -> ExitCode {
@@ -410,6 +422,10 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// A boxed seeded system factory for a campaign protocol family.
+type ProtocolFactory =
+    Box<dyn Fn(u64) -> revisionist_simulations::smr::system::System + Sync>;
+
 /// Builds the seeded system factory for a campaign protocol family.
 /// Shared by `campaign` (finding violations) and `replay` (reproducing
 /// them from a bundle), so a bundle's `system` description rebuilds
@@ -419,7 +435,7 @@ fn protocol_factory(
     procs: usize,
     m: usize,
     rounds: usize,
-) -> Option<Box<dyn Fn(u64) -> revisionist_simulations::smr::system::System + Sync>> {
+) -> Option<ProtocolFactory> {
     use revisionist_simulations::protocols::contrarian::contrarian_system;
     use revisionist_simulations::protocols::illformed::illformed_system;
     use revisionist_simulations::protocols::ladder::ladder_system;
@@ -540,37 +556,57 @@ fn minimized_bundle(
     })
 }
 
-/// [`minimized_bundle`], writing the result to a `--bundle PATH` when
-/// one was given.
-fn shrink_failure_to_bundle(
-    bundle: Option<(&str, &[(String, String)])>,
-    spec: &revisionist_simulations::smr::campaign::SchedulerSpec,
-    seed: u64,
+/// The tail every campaign report shares, plain or `--faults`: writes
+/// `--json-out`, then shrinks the first violating run, given as its
+/// `(scheduler, fault plan, seed)` cell. A raw violating schedule is
+/// replayable but noisy; the ddmin-minimized trace (and, with
+/// `--bundle PATH`, its portable artifact) is the useful reproducer.
+/// Returns false only when `--json-out` could not be written.
+fn publish_campaign_report(
+    flags: &HashMap<String, String>,
+    json: &str,
+    first_violation: Option<Result<FailingCell, String>>,
     budget: usize,
-    plan: &revisionist_simulations::smr::fault::FaultPlan,
+    bundle_system: &[(String, String)],
     factory: &dyn Fn(u64) -> revisionist_simulations::smr::system::System,
     check: revisionist_simulations::smr::shrink::CexCheck,
 ) -> bool {
-    let system = bundle.map_or(&[][..], |(_, s)| s);
-    let Some(minimized) =
-        minimized_bundle(system, spec, seed, budget, plan, factory, check)
-    else {
+    if !write_json_out(flags, json) {
         return false;
+    }
+    let (spec, plan, seed) = match first_violation {
+        Some(Ok(cell)) => cell,
+        Some(Err(e)) => {
+            eprintln!("  cannot shrink failure: {e}");
+            return true;
+        }
+        None => {
+            if flags.contains_key("bundle") {
+                eprintln!("  no violation to bundle (bundles record violations only)");
+            }
+            return true;
+        }
     };
-    let Some((path, _)) = bundle else {
+    let Some(minimized) =
+        minimized_bundle(bundle_system, &spec, seed, budget, &plan, factory, check)
+    else {
         return true;
     };
-    match minimized.store(std::path::Path::new(path)) {
-        Ok(()) => {
-            eprintln!("  replay bundle written to {path}");
-            true
-        }
-        Err(e) => {
-            eprintln!("  cannot write bundle {path}: {e}");
-            false
+    if let Some(path) = flags.get("bundle") {
+        match minimized.store(std::path::Path::new(path)) {
+            Ok(()) => eprintln!("  replay bundle written to {path}"),
+            Err(e) => eprintln!("  cannot write bundle {path}: {e}"),
         }
     }
+    true
 }
+
+/// A failing run's replay coordinates: scheduler, fault plan, seed.
+type FailingCell = (
+    revisionist_simulations::smr::campaign::SchedulerSpec,
+    revisionist_simulations::smr::fault::FaultPlan,
+    u64,
+);
 
 /// Writes a JSON report atomically when `--json-out PATH` was given.
 fn write_json_out(flags: &HashMap<String, String>, json: &str) -> bool {
@@ -607,7 +643,7 @@ fn cmd_explore(flags: &HashMap<String, String>) -> ExitCode {
     let threads = get(flags, "threads", 1).max(1);
     let dpor = !flags.contains_key("no-dpor");
     let statics = !flags.contains_key("no-static");
-    let seed: u64 = flags.get("seed").and_then(|v| v.parse().ok()).unwrap_or(0);
+    let seed: u64 = num(flags, "seed").unwrap_or(0);
 
     let Some(factory) = protocol_factory(protocol, procs, m, rounds) else {
         eprintln!("unknown protocol: {protocol}");
@@ -717,56 +753,62 @@ fn cmd_explore(flags: &HashMap<String, String>) -> ExitCode {
     }
 }
 
-fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
-    use revisionist_simulations::smr::campaign::{
-        replay_run, run_campaign_with, CampaignCheckpoint, CampaignConfig,
-        CampaignOptions, FaultCampaignConfig, SchedulerSpec,
-    };
-    use revisionist_simulations::smr::fault::FaultPlan;
-    use std::time::Duration;
+/// The set-up `campaign` and `campaign-service` share: parses the
+/// `--sched` mix — exactly one spec under `--faults`, whose matrix runs
+/// every plan on one base scheduler — builds the protocol factory, and
+/// runs the mandatory pre-flight, which lints the system before any
+/// run burns exploration time. Warnings go to stderr (stdout stays
+/// machine-parseable for `--json`); deny-level findings reject the
+/// `what` unless `--no-preflight`. Errors are printed; `None` means
+/// exit 1.
+fn campaign_setup(
+    flags: &HashMap<String, String>,
+    protocol: &str,
+    procs: usize,
+    m: usize,
+    rounds: usize,
+    what: &str,
+) -> Option<(
+    Vec<revisionist_simulations::smr::campaign::SchedulerSpec>,
+    ProtocolFactory,
+)> {
+    use revisionist_simulations::smr::analyze::LintConfig;
+    use revisionist_simulations::smr::campaign::{preflight_campaign, SchedulerSpec};
 
-    let protocol = flags.get("protocol").map_or("racing", String::as_str);
-    let procs = get(flags, "procs", 3);
-    let m = get(flags, "m", 2);
-    let rounds = get(flags, "rounds", 3);
-    let specs: Vec<SchedulerSpec> = {
-        let raw = flags.get("sched").map_or("random", String::as_str);
-        let mut parsed = Vec::new();
-        for part in raw.split(',').filter(|p| !p.is_empty()) {
-            match SchedulerSpec::parse(part) {
-                Ok(spec) => parsed.push(spec),
-                Err(e) => {
-                    eprintln!("{e}");
-                    eprintln!(
-                        "valid --sched specs: rr | random | solo:P | quantum:Q \
-                         | obstruction:X | crash:C (comma-separated)"
-                    );
-                    return ExitCode::FAILURE;
-                }
+    let raw = flags.get("sched").map_or("random", String::as_str);
+    let mut specs = Vec::new();
+    for part in raw.split(',').filter(|p| !p.is_empty()) {
+        match SchedulerSpec::parse(part) {
+            Ok(spec) => specs.push(spec),
+            Err(e) => {
+                eprintln!("{e}");
+                eprintln!(
+                    "valid --sched specs: rr | random | quantum:Q | obstruction:X \
+                     | crash:C (comma-separated)"
+                );
+                return None;
             }
         }
-        parsed
-    };
+    }
     if specs.is_empty() {
         eprintln!("--sched needs at least one scheduler spec");
-        return ExitCode::FAILURE;
+        return None;
     }
-
+    if specs.len() > 1 && flags.contains_key("faults") {
+        eprintln!(
+            "--faults takes exactly one --sched spec (the base scheduler), \
+             got `{raw}`"
+        );
+        return None;
+    }
     let Some(factory) = protocol_factory(protocol, procs, m, rounds) else {
         eprintln!(
             "unknown --protocol {protocol} (racing, contrarian, ladder, illformed, \
              serializable, gen:SEED[:MUTATION])"
         );
-        return ExitCode::FAILURE;
+        return None;
     };
-
-    // Mandatory pre-flight: lint the campaign's system before any run
-    // burns exploration time. Warnings go to stderr (stdout stays
-    // machine-parseable for --json); deny-level findings reject the
-    // campaign unless --no-preflight.
     if !flags.contains_key("no-preflight") {
-        use revisionist_simulations::smr::analyze::LintConfig;
-        use revisionist_simulations::smr::campaign::preflight_campaign;
         let base_seed = get(flags, "seed-start", 0) as u64;
         match preflight_campaign(&factory, base_seed, &LintConfig::default()) {
             Ok(report) => {
@@ -777,48 +819,65 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
             }
             Err(e) => {
                 eprintln!("{e}");
-                eprintln!("(--no-preflight runs the campaign anyway)");
-                return ExitCode::FAILURE;
+                eprintln!("(--no-preflight runs the {what} anyway)");
+                return None;
             }
         }
     }
+    Some((specs, factory))
+}
 
-    let check = protocol_check(protocol, procs);
-
-    let budget = get(flags, "budget", 2_000);
-    // The ordered system description stamped into replay bundles: how
-    // `replay` rebuilds exactly this campaign's system and check.
-    let bundle_system: Vec<(String, String)> = vec![
+/// The ordered system description stamped into replay bundles and
+/// service work units: how `replay` and `campaign-worker` rebuild
+/// exactly this campaign's system and check.
+fn campaign_system(
+    protocol: &str,
+    procs: usize,
+    m: usize,
+    rounds: usize,
+) -> Vec<(String, String)> {
+    vec![
         ("kind".into(), "campaign".into()),
         ("protocol".into(), protocol.to_string()),
         ("procs".into(), procs.to_string()),
         ("m".into(), m.to_string()),
         ("rounds".into(), rounds.to_string()),
-    ];
+    ]
+}
+
+fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
+    use revisionist_simulations::smr::campaign::{
+        replay_run, run_campaign_with, CampaignCheckpoint, CampaignConfig,
+        CampaignOptions, SchedulerSpec,
+    };
+    use revisionist_simulations::smr::fault::FaultPlan;
+    use std::time::Duration;
+
+    let protocol = flags.get("protocol").map_or("racing", String::as_str);
+    let procs = get(flags, "procs", 3);
+    let m = get(flags, "m", 2);
+    let rounds = get(flags, "rounds", 3);
+    let Some((specs, factory)) =
+        campaign_setup(flags, protocol, procs, m, rounds, "campaign")
+    else {
+        return ExitCode::FAILURE;
+    };
+    let budget = get(flags, "budget", 2_000);
+    let bundle_system = campaign_system(protocol, procs, m, rounds);
 
     if let Some(faults_raw) = flags.get("faults") {
         return cmd_campaign_faults(
             flags,
             faults_raw,
-            FaultCampaignConfig {
-                base: specs[0].clone(),
-                plans: Vec::new(),
-                seed_start: get(flags, "seed-start", 0) as u64,
-                runs: get(flags, "runs", 100),
-                budget,
-                threads: get(flags, "threads", 0),
-            },
-            procs,
+            &specs[0],
             protocol,
+            procs,
             &factory,
-            bundle_system,
+            &bundle_system,
         );
     }
-    if let Some(seed) = flags.get("seed") {
-        let Ok(seed) = seed.parse::<u64>() else {
-            eprintln!("bad --seed");
-            return ExitCode::FAILURE;
-        };
+    let check = protocol_check(protocol, procs);
+    if let Some(seed) = num::<u64>(flags, "seed") {
         let record = replay_run(&specs[0], seed, budget, &factory, &check);
         println!(
             "replay {} seed {}: {} steps, {}",
@@ -848,13 +907,10 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
     let spec_id =
         revisionist_simulations::smr::campaign::campaign_spec_id(protocol, &config);
     let mut options = CampaignOptions {
-        wall_limit: flags
-            .get("wall-limit")
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(Duration::from_secs),
-        stop_after: flags.get("stop-after").and_then(|v| v.parse().ok()),
-        cache_budget: flags.get("cache-budget").and_then(|v| v.parse().ok()),
-        checkpoint_every: flags.get("checkpoint-every").and_then(|v| v.parse().ok()),
+        wall_limit: num(flags, "wall-limit").map(Duration::from_secs),
+        stop_after: num(flags, "stop-after"),
+        cache_budget: num(flags, "cache-budget"),
+        checkpoint_every: num(flags, "checkpoint-every"),
         checkpoint_path: flags.get("checkpoint").map(std::path::PathBuf::from),
         resume_from: None,
         spec_id: Some(spec_id.clone()),
@@ -880,31 +936,21 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
         }
     }
     let report = run_campaign_with(&config, &options, &factory, &check);
-    if !write_json_out(flags, &report.to_json()) {
+    let first_violation = report.failures.iter().find(|r| r.violation.is_some()).map(|r| {
+        SchedulerSpec::parse(&r.scheduler)
+            .map(|spec| (spec, FaultPlan::none(), r.seed))
+            .map_err(|e| e.to_string())
+    });
+    if !publish_campaign_report(
+        flags,
+        &report.to_json(),
+        first_violation,
+        budget,
+        &bundle_system,
+        &|seed| factory(seed),
+        &|sys, _crashed| check(sys),
+    ) {
         return ExitCode::FAILURE;
-    }
-    // The first failure shrinks automatically: a raw violating schedule
-    // is replayable but noisy; the ddmin-minimized trace (and, with
-    // --bundle, its portable artifact) is the useful reproducer.
-    if let Some(failure) = report.failures.iter().find(|r| r.violation.is_some()) {
-        match SchedulerSpec::parse(&failure.scheduler) {
-            Ok(spec) => {
-                shrink_failure_to_bundle(
-                    flags
-                        .get("bundle")
-                        .map(|p| (p.as_str(), bundle_system.as_slice())),
-                    &spec,
-                    failure.seed,
-                    budget,
-                    &FaultPlan::none(),
-                    &|seed| factory(seed),
-                    &|sys, _crashed| check(sys),
-                );
-            }
-            Err(e) => eprintln!("  cannot shrink failure: {e}"),
-        }
-    } else if flags.contains_key("bundle") {
-        eprintln!("  no violation to bundle (bundles record violations only)");
     }
     if flags.contains_key("json") {
         print!("{}", report.to_json());
@@ -922,6 +968,17 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
         config.seed_start,
         config.seed_start + config.runs as u64,
     );
+    print_campaign_outcome(&report);
+    ExitCode::SUCCESS
+}
+
+/// The human-readable body of a campaign report, shared by `campaign`
+/// and `campaign-service`: aggregates, truncation and degradation
+/// notices, per-scheduler tallies, and the first failing runs with
+/// their replay flags.
+fn print_campaign_outcome(
+    report: &revisionist_simulations::smr::campaign::CampaignReport,
+) {
     println!(
         "  {} runs: {} terminated, {} distinct configs, {} total steps",
         report.total_runs,
@@ -936,6 +993,12 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
         println!(
             "  note: fingerprint cache hit its budget; distinct configs is a \
              lower bound"
+        );
+    }
+    if report.degraded_runs > 0 {
+        println!(
+            "  {} runs executed at a quarter budget past the wall-clock soft deadline",
+            report.degraded_runs
         );
     }
     for tally in &report.per_scheduler {
@@ -960,7 +1023,6 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
             println!("    ... and {} more", report.failures.len() - 10);
         }
     }
-    ExitCode::SUCCESS
 }
 
 /// The `analyze` subcommand: Pass 1 (static lint of the protocol's
@@ -1253,19 +1315,21 @@ fn fault_validity_check(
     }
 }
 
+/// `campaign --faults`: runs the fault matrix (plans × seeds on the one
+/// base scheduler) and certifies it; exits 1 unless every run certified.
 fn cmd_campaign_faults(
     flags: &HashMap<String, String>,
     faults_raw: &str,
-    mut config: revisionist_simulations::smr::campaign::FaultCampaignConfig,
-    procs: usize,
+    base: &revisionist_simulations::smr::campaign::SchedulerSpec,
     protocol: &str,
-    factory: &(dyn Fn(u64) -> revisionist_simulations::smr::system::System + Sync),
-    bundle_system: Vec<(String, String)>,
+    procs: usize,
+    factory: &ProtocolFactory,
+    bundle_system: &[(String, String)],
 ) -> ExitCode {
-    use revisionist_simulations::smr::campaign::run_fault_campaign;
+    use revisionist_simulations::smr::campaign::{run_fault_campaign, FaultCampaignConfig};
     use revisionist_simulations::smr::fault::FaultPlan;
 
-    config.plans = match parse_fault_plans(faults_raw, procs) {
+    let plans = match parse_fault_plans(faults_raw, procs) {
         Ok(plans) => plans,
         Err(e) => {
             eprintln!("{e}");
@@ -1273,36 +1337,34 @@ fn cmd_campaign_faults(
             return ExitCode::FAILURE;
         }
     };
-
+    let config = FaultCampaignConfig {
+        base: base.clone(),
+        plans,
+        seed_start: get(flags, "seed-start", 0) as u64,
+        runs: get(flags, "runs", 100),
+        budget: get(flags, "budget", 2_000),
+        threads: get(flags, "threads", 0),
+    };
     let check = fault_validity_check(protocol, procs);
     let report = run_fault_campaign(&config, factory, &check);
-
-    if !write_json_out(flags, &report.to_json()) {
+    // As in the plain campaign, the first violating run shrinks — here
+    // over its decisions *and* its fault plan.
+    let first_violation = report.failures.iter().find(|r| r.violation.is_some()).map(|r| {
+        FaultPlan::parse(&r.plan)
+            .map(|plan| (config.base.clone(), plan, r.seed))
+            .map_err(|e| e.to_string())
+    });
+    if !publish_campaign_report(
+        flags,
+        &report.to_json(),
+        first_violation,
+        config.budget,
+        bundle_system,
+        &|seed| factory(seed),
+        &check,
+    ) {
         return ExitCode::FAILURE;
     }
-    // As in the plain campaign: the first violating run shrinks
-    // automatically (decisions *and* fault plan), bundling on request.
-    if let Some(failure) = report.failures.iter().find(|r| r.violation.is_some()) {
-        match FaultPlan::parse(&failure.plan) {
-            Ok(plan) => {
-                shrink_failure_to_bundle(
-                    flags
-                        .get("bundle")
-                        .map(|p| (p.as_str(), bundle_system.as_slice())),
-                    &config.base,
-                    failure.seed,
-                    config.budget,
-                    &plan,
-                    &|seed| factory(seed),
-                    &check,
-                );
-            }
-            Err(e) => eprintln!("  cannot shrink failure: {e}"),
-        }
-    } else if flags.contains_key("bundle") {
-        eprintln!("  no violation to bundle (bundles record violations only)");
-    }
-
     if flags.contains_key("json") {
         print!("{}", report.to_json());
         return if report.is_certified() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
@@ -1314,45 +1376,62 @@ fn cmd_campaign_faults(
         config.seed_start,
         config.seed_start + config.runs as u64,
     );
+    print_fault_outcome(&report)
+}
+
+/// The human-readable body of a fault report, shared by `campaign
+/// --faults` and `campaign-service --faults`; exits 1 unless certified.
+fn print_fault_outcome(
+    report: &revisionist_simulations::smr::campaign::FaultCampaignReport,
+) -> ExitCode {
     println!(
         "  {} runs, {} certified, {} total steps",
         report.total_runs, report.certified_runs, report.total_steps,
     );
+    if report.missing_runs > 0 {
+        println!(
+            "  {} runs missing (quarantined units veto certification)",
+            report.missing_runs
+        );
+    }
     if report.is_certified() {
         println!("  CERTIFIED: survivors made progress under every fault plan");
-        ExitCode::SUCCESS
-    } else {
-        println!("  {} failing runs (each replayable):", report.failures.len());
-        for r in report.failures.iter().take(10) {
-            let why = r
-                .violation
-                .as_deref()
-                .or(r.error.as_deref())
-                .unwrap_or("survivors did not terminate");
-            println!("    --faults {} --seed-start {} --runs 1: {}", r.plan, r.seed, why);
-        }
-        if report.failures.len() > 10 {
-            println!("    ... and {} more", report.failures.len() - 10);
-        }
-        ExitCode::FAILURE
+        return ExitCode::SUCCESS;
     }
+    println!("  {} failing runs (each replayable):", report.failures.len());
+    for r in report.failures.iter().take(10) {
+        let why = r
+            .violation
+            .as_deref()
+            .or(r.error.as_deref())
+            .unwrap_or("survivors did not terminate");
+        println!("    --faults {} --seed-start {} --runs 1: {}", r.plan, r.seed, why);
+    }
+    if report.failures.len() > 10 {
+        println!("    ... and {} more", report.failures.len() - 10);
+    }
+    ExitCode::FAILURE
 }
 
 /// Executes one leased work unit inside a `campaign-worker` process:
 /// rebuilds the protocol from the unit's system description, runs its
-/// seed range single-threaded with a per-run checkpoint (so a SIGKILL
-/// loses at most the uncommitted run), resumes a dead predecessor's
-/// partial checkpoint when its spec id matches, publishes every
-/// violation as a deduplicated corpus bundle, and returns the shard
-/// result in global matrix coordinates.
+/// seed range single-threaded, and returns the shard result in global
+/// matrix coordinates. A scheduler unit runs with a per-run checkpoint
+/// (so a SIGKILL loses at most the uncommitted run), resumes a dead
+/// predecessor's partial checkpoint when its spec id matches, and
+/// publishes every violation as a deduplicated corpus bundle. A fault
+/// unit (non-empty plan) runs the same record runner and certificate as
+/// `campaign --faults`; fault runs are deterministic and cheap, so it
+/// keeps no checkpoint — a retried unit simply reruns, and the merge
+/// layer's first-wins dedup cannot tell the difference.
 fn worker_execute_unit(
     unit: &revisionist_simulations::smr::service::WorkUnit,
     state_dir: &std::path::Path,
     corpus_dir: &std::path::Path,
 ) -> Result<revisionist_simulations::smr::service::ShardResult, String> {
     use revisionist_simulations::smr::campaign::{
-        run_campaign_with, CampaignCheckpoint, CampaignConfig, CampaignOptions,
-        SchedulerSpec,
+        run_campaign_with, run_fault_records, CampaignCheckpoint, CampaignConfig,
+        CampaignOptions, FaultCampaignConfig, SchedulerSpec,
     };
     use revisionist_simulations::smr::fault::FaultPlan;
     use revisionist_simulations::smr::service::ShardResult;
@@ -1370,143 +1449,110 @@ fn worker_execute_unit(
     let rounds = num("rounds", 3);
     let factory = protocol_factory(&protocol, procs, m, rounds)
         .ok_or_else(|| format!("unknown protocol `{protocol}`"))?;
-    // A non-empty fault plan switches the unit to the fault matrix.
-    if !unit.plan.is_empty() {
-        return worker_execute_fault_unit(unit, &protocol, procs, &factory);
-    }
-    let check = protocol_check(&protocol, procs);
     let sched =
         SchedulerSpec::parse(&unit.scheduler).map_err(|e| e.to_string())?;
-
-    let config = CampaignConfig {
-        schedulers: vec![sched.clone()],
-        seed_start: unit.seed_start,
-        runs: unit.runs,
-        budget: unit.budget,
-        threads: 1,
-    };
-    let spec_id = unit.spec_id();
-    let checkpoint_path =
-        state_dir.join(format!("unit-{}.checkpoint.json", unit.id));
-    let mut options = CampaignOptions {
-        checkpoint_every: Some(1),
-        checkpoint_path: Some(checkpoint_path.clone()),
-        spec_id: Some(spec_id.clone()),
-        ..CampaignOptions::default()
-    };
-    // A killed predecessor's partial checkpoint resumes — but only if it
-    // was written for exactly this unit of this campaign.
-    if let Ok(checkpoint) = CampaignCheckpoint::load(&checkpoint_path) {
-        if checkpoint.ensure_matches(&spec_id).is_ok() {
-            options.resume_from = Some(checkpoint);
-        }
-    }
-    let report = run_campaign_with(&config, &options, &factory, &check);
-
-    // The terminal checkpoint is the shard payload: every completed
-    // record plus the fingerprint set, durable before the result frame.
-    let checkpoint = CampaignCheckpoint::load(&checkpoint_path)
-        .map_err(|e| format!("unit checkpoint unreadable after run: {e}"))?;
-    if checkpoint.completed.len() < unit.runs {
-        return Err(format!(
-            "unit incomplete: {} of {} runs recorded",
-            checkpoint.completed.len(),
-            unit.runs
-        ));
-    }
-
-    // Every violating run becomes a minimized, deduplicated corpus
-    // bundle; dedup is by violation fingerprint, so crash/retry replays
-    // of the same failure collapse to one artifact.
-    for (_, record) in checkpoint.completed.iter().filter(|(_, r)| r.violation.is_some())
-    {
-        let Some(bundle) = minimized_bundle(
-            &unit.system,
-            &sched,
-            record.seed,
-            unit.budget,
-            &FaultPlan::none(),
-            &|seed| factory(seed),
-            &|sys, _crashed| check(sys),
-        ) else {
-            continue;
-        };
-        match bundle.store_dedup(corpus_dir) {
-            Ok(true) => eprintln!(
-                "  corpus: new bundle {} (seed {})",
-                bundle.corpus_file_name(),
-                record.seed
-            ),
-            Ok(false) => {}
-            Err(e) => return Err(format!("cannot write corpus bundle: {e}")),
-        }
-    }
-
-    Ok(ShardResult {
-        unit: unit.id,
-        records: checkpoint
-            .completed
-            .into_iter()
-            .map(|(local, record)| (unit.index_base + local, record))
-            .collect(),
-        fault_records: Vec::new(),
-        fingerprints: checkpoint.fingerprints,
-        degraded_runs: report.degraded_runs,
-        cache_truncated: report.cache_truncated,
-    })
-}
-
-/// Executes one leased *fault* unit: a contiguous seed range under one
-/// crash/stall placement, using the same record runner and certificate
-/// as `campaign --faults`. Fault runs are deterministic and cheap per
-/// unit, so there is no per-run checkpoint — a retried unit simply
-/// reruns, and the merge layer's first-wins dedup cannot tell the
-/// difference.
-fn worker_execute_fault_unit(
-    unit: &revisionist_simulations::smr::service::WorkUnit,
-    protocol: &str,
-    procs: usize,
-    factory: &(dyn Fn(u64) -> revisionist_simulations::smr::system::System + Sync),
-) -> Result<revisionist_simulations::smr::service::ShardResult, String> {
-    use revisionist_simulations::smr::campaign::{
-        run_fault_records, CampaignOptions, FaultCampaignConfig, SchedulerSpec,
-    };
-    use revisionist_simulations::smr::fault::FaultPlan;
-    use revisionist_simulations::smr::service::ShardResult;
-
-    let base =
-        SchedulerSpec::parse(&unit.scheduler).map_err(|e| e.to_string())?;
-    let plan = FaultPlan::parse(&unit.plan).map_err(|e| e.to_string())?;
-    let config = FaultCampaignConfig {
-        base,
-        plans: vec![plan],
-        seed_start: unit.seed_start,
-        runs: unit.runs,
-        budget: unit.budget,
-        threads: 1,
-    };
-    let check = fault_validity_check(protocol, procs);
-    let records =
-        run_fault_records(&config, &CampaignOptions::default(), factory, &check);
-    if records.len() != unit.runs {
-        return Err(format!(
-            "fault unit incomplete: {} of {} runs recorded",
-            records.len(),
-            unit.runs
-        ));
-    }
-    Ok(ShardResult {
+    let mut shard = ShardResult {
         unit: unit.id,
         records: Vec::new(),
-        fault_records: records
-            .into_iter()
-            .enumerate()
-            .map(|(local, record)| (unit.index_base + local, record))
-            .collect(),
+        fault_records: Vec::new(),
         fingerprints: Vec::new(),
         degraded_runs: 0,
         cache_truncated: false,
-    })
+    };
+
+    if !unit.plan.is_empty() {
+        let plan = FaultPlan::parse(&unit.plan).map_err(|e| e.to_string())?;
+        let config = FaultCampaignConfig {
+            base: sched,
+            plans: vec![plan],
+            seed_start: unit.seed_start,
+            runs: unit.runs,
+            budget: unit.budget,
+            threads: 1,
+        };
+        let check = fault_validity_check(&protocol, procs);
+        let records =
+            run_fault_records(&config, &CampaignOptions::default(), &factory, &check);
+        shard.fault_records = records
+            .into_iter()
+            .enumerate()
+            .map(|(local, record)| (unit.index_base + local, record))
+            .collect();
+    } else {
+        let check = protocol_check(&protocol, procs);
+        let config = CampaignConfig {
+            schedulers: vec![sched.clone()],
+            seed_start: unit.seed_start,
+            runs: unit.runs,
+            budget: unit.budget,
+            threads: 1,
+        };
+        let spec_id = unit.spec_id();
+        let checkpoint_path =
+            state_dir.join(format!("unit-{}.checkpoint.json", unit.id));
+        let mut options = CampaignOptions {
+            checkpoint_every: Some(1),
+            checkpoint_path: Some(checkpoint_path.clone()),
+            spec_id: Some(spec_id.clone()),
+            ..CampaignOptions::default()
+        };
+        // A killed predecessor's partial checkpoint resumes — but only if
+        // it was written for exactly this unit of this campaign.
+        if let Ok(checkpoint) = CampaignCheckpoint::load(&checkpoint_path) {
+            if checkpoint.ensure_matches(&spec_id).is_ok() {
+                options.resume_from = Some(checkpoint);
+            }
+        }
+        let report = run_campaign_with(&config, &options, &factory, &check);
+
+        // The terminal checkpoint is the shard payload: every completed
+        // record plus the fingerprint set, durable before the result
+        // frame.
+        let checkpoint = CampaignCheckpoint::load(&checkpoint_path)
+            .map_err(|e| format!("unit checkpoint unreadable after run: {e}"))?;
+
+        // Every violating run becomes a minimized, deduplicated corpus
+        // bundle; dedup is by violation fingerprint, so crash/retry
+        // replays of the same failure collapse to one artifact.
+        for (_, record) in
+            checkpoint.completed.iter().filter(|(_, r)| r.violation.is_some())
+        {
+            let Some(bundle) = minimized_bundle(
+                &unit.system,
+                &sched,
+                record.seed,
+                unit.budget,
+                &FaultPlan::none(),
+                &|seed| factory(seed),
+                &|sys, _crashed| check(sys),
+            ) else {
+                continue;
+            };
+            match bundle.store_dedup(corpus_dir) {
+                Ok(true) => eprintln!(
+                    "  corpus: new bundle {} (seed {})",
+                    bundle.corpus_file_name(),
+                    record.seed
+                ),
+                Ok(false) => {}
+                Err(e) => return Err(format!("cannot write corpus bundle: {e}")),
+            }
+        }
+        shard.records = checkpoint
+            .completed
+            .into_iter()
+            .map(|(local, record)| (unit.index_base + local, record))
+            .collect();
+        shard.fingerprints = checkpoint.fingerprints;
+        shard.degraded_runs = report.degraded_runs;
+        shard.cache_truncated = report.cache_truncated;
+    }
+
+    let recorded = shard.records.len() + shard.fault_records.len();
+    if recorded < unit.runs {
+        return Err(format!("unit incomplete: {recorded} of {} runs recorded", unit.runs));
+    }
+    Ok(shard)
 }
 
 /// The `campaign-worker` subcommand: a service worker process. Without
@@ -1526,7 +1572,7 @@ fn cmd_campaign_worker(flags: &HashMap<String, String>) -> ExitCode {
     use std::time::Duration;
 
     if let Some(addr) = flags.get("connect") {
-        let tag = flags.get("tag").and_then(|v| v.parse().ok());
+        let tag = num(flags, "tag");
         return campaign_worker_remote(addr, tag);
     }
 
@@ -1727,7 +1773,7 @@ fn campaign_worker_remote(addr: &str, tag: Option<u64>) -> ExitCode {
 /// results into a report byte-identical to a single-process
 /// `campaign` run of the same spec.
 fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
-    use revisionist_simulations::smr::campaign::{CampaignConfig, SchedulerSpec};
+    use revisionist_simulations::smr::campaign::CampaignConfig;
     use revisionist_simulations::smr::service::{
         run_service, run_service_with_transport, ChaosPlan, MergedReport,
         ServiceOptions, ServiceSpec, Transport,
@@ -1739,64 +1785,18 @@ fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
     let procs = get(flags, "procs", 3);
     let m = get(flags, "m", 2);
     let rounds = get(flags, "rounds", 3);
-    let specs: Vec<SchedulerSpec> = {
-        let raw = flags.get("sched").map_or("random", String::as_str);
-        let mut parsed = Vec::new();
-        for part in raw.split(',').filter(|p| !p.is_empty()) {
-            match SchedulerSpec::parse(part) {
-                Ok(spec) => parsed.push(spec),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        parsed
-    };
-    if specs.is_empty() {
-        eprintln!("--sched needs at least one scheduler spec");
-        return ExitCode::FAILURE;
-    }
-    let Some(factory) = protocol_factory(protocol, procs, m, rounds) else {
-        eprintln!(
-            "unknown --protocol {protocol} (racing, contrarian, ladder, illformed, \
-             gen:SEED[:MUTATION])"
-        );
-        return ExitCode::FAILURE;
-    };
-    // Same mandatory pre-flight as `campaign`: lint once in the
+    // Same set-up and pre-flight as `campaign`: lint once in the
     // coordinator rather than once per worker process.
-    if !flags.contains_key("no-preflight") {
-        use revisionist_simulations::smr::analyze::LintConfig;
-        use revisionist_simulations::smr::campaign::preflight_campaign;
-        let base_seed = get(flags, "seed-start", 0) as u64;
-        match preflight_campaign(&factory, base_seed, &LintConfig::default()) {
-            Ok(report) => {
-                if report.warn_count() > 0 {
-                    eprintln!("{}", report.render());
-                }
-                eprintln!("preflight: ok ({} warnings)", report.warn_count());
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                eprintln!("(--no-preflight runs the service anyway)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    drop(factory);
+    let Some((specs, _)) = campaign_setup(flags, protocol, procs, m, rounds, "service")
+    else {
+        return ExitCode::FAILURE;
+    };
 
     let spec = ServiceSpec {
         // The same ordered description `campaign` stamps into replay
         // bundles — workers rebuild the system from it, and corpus
         // bundles replay under the stock `replay` subcommand.
-        system: vec![
-            ("kind".into(), "campaign".into()),
-            ("protocol".into(), protocol.to_string()),
-            ("procs".into(), procs.to_string()),
-            ("m".into(), m.to_string()),
-            ("rounds".into(), rounds.to_string()),
-        ],
+        system: campaign_system(protocol, procs, m, rounds),
         config: CampaignConfig {
             schedulers: specs,
             seed_start: get(flags, "seed-start", 0) as u64,
@@ -1806,7 +1806,7 @@ fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
         },
         unit_runs: get(flags, "unit-runs", 8).max(1),
         // A fault matrix shards across workers exactly like a
-        // scheduler matrix: plans × seeds under the first scheduler.
+        // scheduler matrix: plans × seeds under the one base scheduler.
         faults: match flags.get("faults") {
             Some(raw) => match parse_fault_plans(raw, procs) {
                 Ok(plans) => plans.iter().map(|p| p.to_string()).collect(),
@@ -1847,7 +1847,7 @@ fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
         get(flags, "workers", 2).max(1)
     };
     opts.max_lease_attempts = get(flags, "max-lease-attempts", 3).max(1);
-    if let Some(secs) = flags.get("lease-timeout").and_then(|v| v.parse().ok()) {
+    if let Some(secs) = num(flags, "lease-timeout") {
         opts.lease_timeout = Duration::from_secs(secs);
     }
     if let Some(raw) = flags.get("chaos") {
@@ -1979,50 +1979,7 @@ fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
                 report.config.seed_start + report.config.runs as u64,
                 opts.workers,
             );
-            println!(
-                "  {} runs: {} terminated, {} distinct configs, {} total steps",
-                report.total_runs,
-                report.terminated_runs,
-                report.distinct_configs,
-                report.total_steps,
-            );
-            if let Some(notice) = &report.truncation {
-                println!(
-                    "  TRUNCATED: {notice} ({} runs skipped)",
-                    report.skipped_runs
-                );
-            }
-            if report.degraded_runs > 0 {
-                println!(
-                    "  {} runs completed only after retries (degraded)",
-                    report.degraded_runs
-                );
-            }
-            for tally in &report.per_scheduler {
-                println!(
-                    "  {:<14} {} runs, {} terminated, {} failures",
-                    tally.scheduler, tally.runs, tally.terminated, tally.failures
-                );
-            }
-            if report.failures.is_empty() {
-                println!("  no violations or errors");
-            } else {
-                println!(
-                    "  {} failing runs (each replayable):",
-                    report.failures.len()
-                );
-                for r in report.failures.iter().take(10) {
-                    println!(
-                        "    --sched {} --seed {}: {}",
-                        r.scheduler,
-                        r.seed,
-                        r.violation.as_deref().or(r.error.as_deref()).unwrap_or("?")
-                    );
-                }
-                if report.failures.len() > 10 {
-                    println!("    ... and {} more", report.failures.len() - 10);
-                }
-            }
+            print_campaign_outcome(report);
             ExitCode::SUCCESS
         }
         MergedReport::Faults(report) => {
@@ -2035,42 +1992,7 @@ fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
                 spec.config.seed_start + spec.config.runs as u64,
                 opts.workers,
             );
-            println!(
-                "  {} runs, {} certified, {} total steps",
-                report.total_runs, report.certified_runs, report.total_steps,
-            );
-            if report.missing_runs > 0 {
-                println!(
-                    "  {} runs missing (quarantined units veto certification)",
-                    report.missing_runs
-                );
-            }
-            if report.is_certified() {
-                println!(
-                    "  CERTIFIED: survivors made progress under every fault plan"
-                );
-                ExitCode::SUCCESS
-            } else {
-                println!(
-                    "  {} failing runs (each replayable):",
-                    report.failures.len()
-                );
-                for r in report.failures.iter().take(10) {
-                    let why = r
-                        .violation
-                        .as_deref()
-                        .or(r.error.as_deref())
-                        .unwrap_or("survivors did not terminate");
-                    println!(
-                        "    --faults {} --seed-start {} --runs 1: {}",
-                        r.plan, r.seed, why
-                    );
-                }
-                if report.failures.len() > 10 {
-                    println!("    ... and {} more", report.failures.len() - 10);
-                }
-                ExitCode::FAILURE
-            }
+            print_fault_outcome(report)
         }
     }
 }

@@ -202,3 +202,53 @@ fn campaign_resume_refuses_a_checkpoint_from_another_campaign() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn campaign_faults_rejects_several_schedulers() {
+    let (stdout, stderr, ok) = run(&[
+        "campaign", "--procs", "3", "--runs", "2", "--faults", "sweep:2", "--sched",
+        "rr,random", "--json",
+    ]);
+    assert!(!ok, "a fault matrix runs under one base scheduler");
+    assert!(stdout.is_empty(), "no report may be printed: {stdout}");
+    assert!(
+        stderr.contains("--faults takes exactly one --sched spec"),
+        "stderr was: {stderr}"
+    );
+}
+
+#[test]
+fn campaign_service_faults_rejects_several_schedulers() {
+    let dir = std::env::temp_dir()
+        .join(format!("rsim-cli-svc-faults-{}", std::process::id()));
+    let state = dir.join("state");
+    let (stdout, stderr, ok) = run(&[
+        "campaign-service", "--procs", "3", "--runs", "2", "--faults", "sweep:2",
+        "--sched", "rr,random", "--state", state.to_str().unwrap(), "--json",
+    ]);
+    assert!(!ok, "a fault matrix runs under one base scheduler");
+    assert!(stdout.is_empty(), "no report may be printed: {stdout}");
+    assert!(
+        stderr.contains("--faults takes exactly one --sched spec"),
+        "stderr was: {stderr}"
+    );
+    assert!(!state.exists(), "rejected before any service state is written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_numeric_flags_fail_naming_flag_and_value() {
+    for (args, flag) in [
+        (&["explore", "--threads", "four"][..], "--threads `four`"),
+        (&["campaign", "--runs", "5", "--seed", "x"][..], "--seed `x`"),
+        (&["campaign", "--runs", "5", "--wall-limit", "1m"][..], "--wall-limit `1m`"),
+        (&["campaign", "--runs", "5", "--stop-after", "-3"][..], "--stop-after `-3`"),
+        (&["campaign", "--cache-budget", "lots"][..], "--cache-budget `lots`"),
+        (&["sweep", "--n", "4", "--runs", "1e3"][..], "--runs `1e3`"),
+    ] {
+        let (stdout, stderr, ok) = run(args);
+        assert!(!ok, "{args:?} must fail, stdout was: {stdout}");
+        let want = format!("bad {flag}");
+        assert!(stderr.contains(&want), "{args:?}: stderr was: {stderr}");
+    }
+}
