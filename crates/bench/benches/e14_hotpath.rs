@@ -2,7 +2,12 @@
 //!
 //! Measures the costs the explorer pays per visited configuration —
 //! fingerprinting, forking, terminal dedup, linearizability memoing —
-//! plus end-to-end serial/parallel exploration throughput. Each arm is
+//! plus end-to-end exploration throughput of the serial DFS engine and
+//! the parallel engine at `min(4, available_parallelism())` threads
+//! (the thread count is printed and written to the summary). The
+//! fingerprint arm is also compared with its floor: FNV-1a over the
+//! pre-rendered key bytes, which no byte-identical encoding can beat
+//! because FNV-1a consumes one byte at a time. Each arm is
 //! reported next to the pre-optimisation baseline (measured on the same
 //! workloads before the streaming-hash/copy-on-write rework, commit
 //! `7b8e998`), and where the legacy code path still exists in-tree
@@ -120,8 +125,9 @@ fn main() {
     println!("e14_hotpath: exploration hot-path microbenchmarks");
     println!("{}", "-".repeat(72));
 
-    // -- fingerprint: streamed vs legacy string --------------------------
+    // -- fingerprint: streamed vs legacy string vs FNV floor --------------
     let sys = system_at_depth(12);
+    let key = sys.config_key();
     let n = samples(200_000);
     let legacy_fp_ns = time_ns(n, || {
         black_box(fingerprint(&black_box(&sys).config_key()));
@@ -129,14 +135,27 @@ fn main() {
     let streamed_fp_ns = time_ns(n, || {
         black_box(black_box(&sys).config_fingerprint());
     });
+    let floor_fp_ns = time_ns(n, || {
+        black_box(fingerprint(black_box(&key)));
+    });
     println!("fingerprint/legacy_string   {legacy_fp_ns:>12.1} ns/op");
     println!(
         "fingerprint/streamed        {streamed_fp_ns:>12.1} ns/op  ({:.2}x vs legacy, {:.2}x vs baseline)",
         legacy_fp_ns / streamed_fp_ns,
         baseline::FINGERPRINT_NS / streamed_fp_ns,
     );
+    println!(
+        "fingerprint/fnv_floor       {floor_fp_ns:>12.1} ns/op  ({} key bytes; streamed is {:.2}x the floor)",
+        key.len(),
+        streamed_fp_ns / floor_fp_ns,
+    );
     json.push(format!("    \"fingerprint_legacy_ns\": {legacy_fp_ns:.1}"));
     json.push(format!("    \"fingerprint_streamed_ns\": {streamed_fp_ns:.1}"));
+    json.push(format!("    \"fingerprint_fnv_floor_ns\": {floor_fp_ns:.1}"));
+    json.push(format!(
+        "    \"fingerprint_streamed_to_floor\": {:.2}",
+        streamed_fp_ns / floor_fp_ns
+    ));
 
     // -- fork cost vs depth: CoW clone vs deep copy ----------------------
     let n = samples(50_000);
@@ -163,7 +182,7 @@ fn main() {
         }
     }
 
-    // -- serial exploration ---------------------------------------------
+    // -- serial exploration (the DFS engine) ----------------------------
     let initial = racing_system(2, &ints(3));
     let limits = Limits { max_depth: 64, max_configs: 20_000 };
     let explorer = Explorer::new(limits);
@@ -175,15 +194,17 @@ fn main() {
     });
     let serial_rate = states as f64 / (serial_ns / 1e9);
     println!(
-        "explore/serial              {:>12.1} ms/run  ({states} states, {serial_rate:.0} states/s, {:.2}x vs baseline)",
+        "explore/serial_dfs          {:>12.1} ms/run  ({states} states, {serial_rate:.0} states/s, {:.2}x vs baseline)",
         serial_ns / 1e6,
         serial_rate / baseline::SERIAL_STATES_PER_SEC,
     );
     json.push(format!("    \"serial_states\": {states}"));
     json.push(format!("    \"serial_states_per_sec\": {serial_rate:.0}"));
 
-    // -- parallel exploration (4 threads) -------------------------------
-    let par = Explorer::new(limits).with_threads(4);
+    // -- parallel exploration ---------------------------------------------
+    // More threads than cores only measures oversubscription.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
+    let par = Explorer::new(limits).with_threads(threads);
     let preport = par.explore_parallel(&initial, &|_| None).expect("explore");
     let pstates = preport.configs_visited;
     let n = samples(10);
@@ -192,10 +213,11 @@ fn main() {
     });
     let par_rate = pstates as f64 / (par_ns / 1e9);
     println!(
-        "explore/parallel_4          {:>12.1} ms/run  ({pstates} states, {par_rate:.0} states/s, {:.2}x vs baseline)",
+        "explore/parallel_{threads}          {:>12.1} ms/run  ({pstates} states, {par_rate:.0} states/s, {:.2}x vs baseline)",
         par_ns / 1e6,
         par_rate / baseline::PARALLEL_STATES_PER_SEC,
     );
+    json.push(format!("    \"threads\": {threads}"));
     json.push(format!("    \"parallel_states\": {pstates}"));
     json.push(format!("    \"parallel_states_per_sec\": {par_rate:.0}"));
 

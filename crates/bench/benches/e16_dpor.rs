@@ -10,7 +10,9 @@
 //! Depth-bounded limits with no config cap keep that comparison exact
 //! (a mid-level cap cuts in visit order and is legitimately
 //! order-dependent). Also re-runs the E14 hot-path workloads with the
-//! reduction on, so states-per-second stays comparable against the
+//! reduction on (the serial DFS engine and the parallel engine at
+//! `min(4, available_parallelism())` threads, written to the summary as
+//! `threads`), so states-per-second stays comparable against the
 //! `BENCH_e14.json` baselines. Emits `BENCH_e16.json` (path override
 //! via `BENCH_E16_OUT`) for the `just bench-smoke` target.
 
@@ -243,12 +245,13 @@ fn main() {
     });
     let serial_rate = states as f64 / (serial_ns / 1e9);
     println!(
-        "explore/serial_dpor         {:>12.1} ms/run  ({states} states, {serial_rate:.0} states/s, {:.2}x vs e14 baseline)",
+        "explore/serial_dfs_dpor     {:>12.1} ms/run  ({states} states, {serial_rate:.0} states/s, {:.2}x vs e14 baseline)",
         serial_ns / 1e6,
         serial_rate / baseline::E14_SERIAL_STATES_PER_SEC,
     );
 
-    let par = Explorer::new(limits).with_threads(4);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
+    let par = Explorer::new(limits).with_threads(threads);
     let pstates =
         par.explore_parallel(&initial, &|_| None).expect("explore").configs_visited;
     let par_ns = time_ns(n, || {
@@ -256,7 +259,7 @@ fn main() {
     });
     let par_rate = pstates as f64 / (par_ns / 1e9);
     println!(
-        "explore/parallel_4_dpor     {:>12.1} ms/run  ({pstates} states, {par_rate:.0} states/s, {:.2}x vs e14 baseline)",
+        "explore/parallel_{threads}_dpor     {:>12.1} ms/run  ({pstates} states, {par_rate:.0} states/s, {:.2}x vs e14 baseline)",
         par_ns / 1e6,
         par_rate / baseline::E14_PARALLEL_STATES_PER_SEC,
     );
@@ -264,7 +267,7 @@ fn main() {
     // -- JSON summary ----------------------------------------------------
     let out = std::env::var("BENCH_E16_OUT").unwrap_or_else(|_| "BENCH_e16.json".into());
     let body = format!(
-        "{{\n  \"experiment\": \"e16_dpor\",\n  \"baseline_commit\": \"61aecfe\",\n  \"family\": [\n{}\n  ],\n  \"static_seeding\": [\n{}\n  ],\n  \"headline_reduction_factor\": {headline_factor:.4},\n  \"serializable_reduction_factor\": {serializable_fork_reduction:.4},\n  \"serial_states\": {states},\n  \"serial_states_per_sec\": {serial_rate:.0},\n  \"parallel_states\": {pstates},\n  \"parallel_states_per_sec\": {par_rate:.0},\n  \"e14_serial_ratio\": {:.2},\n  \"e14_parallel_ratio\": {:.2}\n}}\n",
+        "{{\n  \"experiment\": \"e16_dpor\",\n  \"baseline_commit\": \"61aecfe\",\n  \"family\": [\n{}\n  ],\n  \"static_seeding\": [\n{}\n  ],\n  \"headline_reduction_factor\": {headline_factor:.4},\n  \"serializable_reduction_factor\": {serializable_fork_reduction:.4},\n  \"serial_states\": {states},\n  \"serial_states_per_sec\": {serial_rate:.0},\n  \"threads\": {threads},\n  \"parallel_states\": {pstates},\n  \"parallel_states_per_sec\": {par_rate:.0},\n  \"e14_serial_ratio\": {:.2},\n  \"e14_parallel_ratio\": {:.2}\n}}\n",
         json.join(",\n"),
         static_json.join(",\n"),
         serial_rate / baseline::E14_SERIAL_STATES_PER_SEC,

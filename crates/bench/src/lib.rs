@@ -14,6 +14,15 @@
 //! * `e8_solo` — shortest-solo-path search and determinized runs.
 //! * `e10_sperner` — subdivisions, Sperner verification, exhaustive
 //!   search.
+//! * `fault` — E12: fault-injection overhead and the exhaustive
+//!   single-crash certification.
+//! * `parallel_explore` — parallel explorer scaling across thread
+//!   counts and campaign runs per second.
+//! * `e14_hotpath` — exploration hot path: fingerprint (against its
+//!   FNV-1a floor), fork, serial DFS and parallel throughput,
+//!   linearizability memo; writes `BENCH_e14.json`.
+//! * `e16_dpor` — partial-order reduction: forks pruned, on/off report
+//!   equality, reduced throughput; writes `BENCH_e16.json`.
 //!
 //! Run with `cargo bench --workspace`; per-bench with
 //! `cargo bench -p rsim-bench --bench e4_simulation`.

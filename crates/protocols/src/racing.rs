@@ -50,8 +50,10 @@
 //!   counterexamples. For the reduction, only obstruction-freedom of Π
 //!   matters — which holds for every `m`.
 
+use rsim_smr::fingerprint::{write_i64, write_u64};
 use rsim_smr::process::{ProtocolStep, SnapshotProtocol};
 use rsim_smr::value::Value;
+use std::fmt;
 
 /// Entry in a component: `(round, phase, value)`; ⊥ is "no entry".
 fn parse(entry: &Value) -> Option<(i64, i64, &Value)> {
@@ -134,6 +136,23 @@ impl PhasedRacing {
     pub fn phase(&self) -> i64 {
         self.phase
     }
+
+    /// The derived `Debug` rendering, written without `core::fmt`.
+    fn write_debug(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        out.write_str("PhasedRacing { m: ")?;
+        write_u64(out, self.m as u64)?;
+        out.write_str(", round: ")?;
+        write_i64(out, self.round)?;
+        out.write_str(", phase: ")?;
+        write_i64(out, self.phase)?;
+        out.write_str(", value: ")?;
+        self.value.write_key(out)?;
+        out.write_str(if self.escalation {
+            ", escalation: true }"
+        } else {
+            ", escalation: false }"
+        })
+    }
 }
 
 impl SnapshotProtocol for PhasedRacing {
@@ -207,6 +226,12 @@ impl SnapshotProtocol for PhasedRacing {
     fn components(&self) -> usize {
         self.m
     }
+
+    // Campaigns and the explorer fingerprint every step; this writes
+    // the same bytes as the default `{self:?}` without `core::fmt`.
+    fn write_key(&self, out: &mut dyn fmt::Write) {
+        let _ = self.write_debug(out);
+    }
 }
 
 /// Builds an n-process phased-racing system over `m` components, with
@@ -239,6 +264,23 @@ mod tests {
 
     fn ints(vals: &[i64]) -> Vec<Value> {
         vals.iter().map(|&v| Value::Int(v)).collect()
+    }
+
+    #[test]
+    fn write_key_matches_debug() {
+        let mut states = vec![
+            PhasedRacing::new(3, Value::Int(-7)),
+            PhasedRacing::without_escalation(12, Value::Nil),
+            PhasedRacing::new(1, Value::pair(Value::Bool(true), Value::Int(i64::MIN))),
+        ];
+        let mut advanced = PhasedRacing::new(2, Value::Int(4));
+        advanced.on_scan(&[encode(3, 2, &Value::Int(9)), Value::Nil]);
+        states.push(advanced);
+        for p in states {
+            let mut written = String::new();
+            p.write_key(&mut written);
+            assert_eq!(written, format!("{p:?}"));
+        }
     }
 
     #[test]

@@ -47,12 +47,17 @@ pub fn fingerprint(key: &str) -> u64 {
 
 /// A streaming FNV-1a hasher that doubles as a [`fmt::Write`] sink.
 ///
-/// `write!(stream, "{value:?}")` feeds the `Debug` rendering of a value
-/// through the hash byte-for-byte without materialising a `String`, so
-/// a fingerprint streamed through `FnvStream` is bit-identical to
-/// [`fingerprint`] of the equivalent formatted key — that identity is
-/// what lets [`crate::system::System::config_fingerprint`] replace
-/// `fingerprint(&config_key())` with zero allocation.
+/// Bytes written into the stream hash exactly as the same bytes
+/// concatenated into one string, so a fingerprint streamed through
+/// `FnvStream` is bit-identical to [`fingerprint`] of the equivalent
+/// formatted key. That identity is what lets
+/// [`crate::system::System::config_fingerprint`] replace
+/// `fingerprint(&config_key())` with zero allocation. Any writer may
+/// feed it: `write!(stream, "{value:?}")` works, and the hot types
+/// ([`crate::value::Value::write_key`], [`crate::object::Object::write_key`],
+/// the snapshot process adapter) write the same bytes as literal pieces
+/// and [`write_u64`]/[`write_i64`] integers without going through
+/// `core::fmt`.
 #[derive(Clone, Debug)]
 pub struct FnvStream {
     state: u64,
@@ -88,14 +93,40 @@ impl fmt::Write for FnvStream {
     }
 }
 
+/// Writes `n` in decimal — exactly the bytes `format!("{n}")` renders —
+/// straight into `out`, without going through `core::fmt`.
+pub fn write_u64<W: fmt::Write + ?Sized>(out: &mut W, mut n: u64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"))
+}
+
+/// Writes `n` in decimal — exactly the bytes `format!("{n}")` renders,
+/// `i64::MIN` included — straight into `out`, without `core::fmt`.
+pub fn write_i64<W: fmt::Write + ?Sized>(out: &mut W, n: i64) -> fmt::Result {
+    if n < 0 {
+        out.write_str("-")?;
+    }
+    write_u64(out, n.unsigned_abs())
+}
+
 /// Structural configuration hashing: feed the identity-relevant state of
 /// a value into an [`FnvStream`].
 ///
-/// The canonical encoding is the value's `Debug` rendering (streamed,
-/// never allocated), which keeps structural fingerprints bit-identical
-/// to the legacy string-keyed `fingerprint(&config_key())` scheme —
-/// checked by the golden regression tests — while the explorer hot path
-/// pays no `String` allocation per visited configuration.
+/// The reference encoding is the value's `Debug` rendering, as
+/// materialised by [`crate::system::System::config_key`]. Implementations
+/// stream the same bytes without allocating; the hot types write them
+/// directly instead of formatting. The golden regression tests and the
+/// stream-equals-string property tests check the two against each other,
+/// so fingerprints stay bit-identical to `fingerprint(&config_key())`.
 pub trait ConfigHash {
     /// Streams this value's configuration identity into `h`.
     fn hash_config(&self, h: &mut FnvStream);
@@ -289,6 +320,21 @@ mod tests {
         write!(h, "{:?};{}", vec![1, 2], 7).unwrap();
         assert_eq!(h.finish(), fingerprint("[1, 2];7"));
         assert_eq!(FnvStream::new().finish(), FNV_OFFSET);
+    }
+
+    #[test]
+    fn decimal_writers_match_display() {
+        let ints = [0, 1, -1, 9, 10, -10, 4_096, i64::MAX, i64::MIN, i64::MIN + 1];
+        for n in ints {
+            let mut out = String::new();
+            write_i64(&mut out, n).unwrap();
+            assert_eq!(out, n.to_string());
+        }
+        for n in [0u64, 7, 10, 99, 100, u64::MAX] {
+            let mut out = String::new();
+            write_u64(&mut out, n).unwrap();
+            assert_eq!(out, n.to_string());
+        }
     }
 
     #[test]

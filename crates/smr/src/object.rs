@@ -124,9 +124,20 @@ pub enum Object {
 
 impl crate::fingerprint::ConfigHash for Object {
     fn hash_config(&self, h: &mut crate::fingerprint::FnvStream) {
-        use fmt::Write;
-        let _ = write!(h, "{self:?}");
+        let _ = self.write_key(h);
     }
+}
+
+/// Writes the derived `Debug` rendering of a value list, `[a, b]`.
+fn write_list<W: fmt::Write + ?Sized>(out: &mut W, values: &[Value]) -> fmt::Result {
+    out.write_str("[")?;
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        v.write_key(out)?;
+    }
+    out.write_str("]")
 }
 
 impl Object {
@@ -144,6 +155,38 @@ impl Object {
     /// minimum of the value order).
     pub fn max_register(m: usize) -> Object {
         Object::MaxRegister { components: vec![Value::Nil; m] }
+    }
+
+    /// Writes exactly the bytes of `format!("{self:?}")` (the derived
+    /// `Debug` rendering) into `out`, without going through `core::fmt`.
+    pub fn write_key<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        match self {
+            Object::Register { value } => {
+                out.write_str("Register { value: ")?;
+                value.write_key(out)?;
+            }
+            Object::Snapshot { components } => {
+                out.write_str("Snapshot { components: ")?;
+                write_list(out, components)?;
+            }
+            Object::MaxRegister { components } => {
+                out.write_str("MaxRegister { components: ")?;
+                write_list(out, components)?;
+            }
+            Object::FetchAndIncrement { counter } => {
+                out.write_str("FetchAndIncrement { counter: ")?;
+                crate::fingerprint::write_i64(out, *counter)?;
+            }
+            Object::Swap { value } => {
+                out.write_str("Swap { value: ")?;
+                value.write_key(out)?;
+            }
+            Object::Cas { value } => {
+                out.write_str("Cas { value: ")?;
+                value.write_key(out)?;
+            }
+        }
+        out.write_str(" }")
     }
 
     /// Number of registers this object counts as (paper §2: an

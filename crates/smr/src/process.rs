@@ -68,6 +68,14 @@ pub trait Process: fmt::Debug + Send + Sync {
     /// What the process is poised to do in its current state.
     fn poised(&self) -> Poised;
 
+    /// Has the process terminated (is it poised to output)? Must agree
+    /// with [`Process::poised`]. The default asks `poised`, which clones
+    /// the next operation; implementations that can answer from their
+    /// state directly override it, since the runtime asks on every step.
+    fn terminated(&self) -> bool {
+        matches!(self.poised(), Poised::Output(_))
+    }
+
     /// Delivers the response of the operation the process was poised to
     /// perform, advancing its state.
     ///
@@ -96,13 +104,6 @@ pub trait Process: fmt::Debug + Send + Sync {
     /// fingerprints would disagree with the legacy string-keyed scheme.
     fn write_state_key(&self, out: &mut dyn fmt::Write) {
         let _ = out.write_str(&self.state_key());
-    }
-}
-
-impl crate::fingerprint::ConfigHash for Poised {
-    fn hash_config(&self, h: &mut crate::fingerprint::FnvStream) {
-        use fmt::Write;
-        let _ = write!(h, "{self:?}");
     }
 }
 
@@ -139,6 +140,15 @@ pub trait SnapshotProtocol: Clone + fmt::Debug + Send + Sync {
 
     /// The number of snapshot components the protocol uses.
     fn components(&self) -> usize;
+
+    /// Streams exactly the bytes of `format!("{self:?}")` into `out`;
+    /// [`SnapshotProcess`] embeds them in its configuration state key.
+    /// Hot protocols override this to write the same bytes without
+    /// `core::fmt`; an override that writes anything else changes every
+    /// fingerprint of the protocol.
+    fn write_key(&self, out: &mut dyn fmt::Write) {
+        let _ = write!(out, "{self:?}");
+    }
 }
 
 /// Phase of a [`SnapshotProcess`]: scan → update → scan → … → output.
@@ -205,6 +215,33 @@ impl<P: SnapshotProtocol> SnapshotProcess<P> {
     pub fn is_done(&self) -> bool {
         matches!(self.phase, Phase::Done(_))
     }
+
+    /// Writes the derived `Debug` rendering of `self` (the default
+    /// `state_key`) without going through `core::fmt`.
+    fn write_key(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        use crate::fingerprint::write_u64;
+        out.write_str("SnapshotProcess { protocol: ")?;
+        self.protocol.write_key(out);
+        out.write_str(", object: ObjectId(")?;
+        write_u64(out, self.object.0 as u64)?;
+        out.write_str("), phase: ")?;
+        match &self.phase {
+            Phase::Scan => out.write_str("Scan")?,
+            Phase::Update(c, v) => {
+                out.write_str("Update(")?;
+                write_u64(out, *c as u64)?;
+                out.write_str(", ")?;
+                v.write_key(out)?;
+                out.write_str(")")?;
+            }
+            Phase::Done(v) => {
+                out.write_str("Done(")?;
+                v.write_key(out)?;
+                out.write_str(")")?;
+            }
+        }
+        out.write_str(" }")
+    }
 }
 
 impl<P: SnapshotProtocol + 'static> Process for SnapshotProcess<P> {
@@ -218,6 +255,10 @@ impl<P: SnapshotProtocol + 'static> Process for SnapshotProcess<P> {
             }),
             Phase::Done(v) => Poised::Output(v.clone()),
         }
+    }
+
+    fn terminated(&self) -> bool {
+        self.is_done()
     }
 
     fn receive(&mut self, resp: Response) {
@@ -244,7 +285,7 @@ impl<P: SnapshotProtocol + 'static> Process for SnapshotProcess<P> {
     // Zero-allocation stream of the default `state_key` (the derived
     // `Debug` rendering).
     fn write_state_key(&self, out: &mut dyn fmt::Write) {
-        let _ = write!(out, "{self:?}");
+        let _ = self.write_key(out);
     }
 }
 

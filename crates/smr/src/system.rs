@@ -141,12 +141,12 @@ impl System {
 
     /// Has process `pid` terminated (is it poised to output)?
     pub fn is_terminated(&self, pid: ProcessId) -> bool {
-        matches!(self.processes[pid.0].poised(), Poised::Output(_))
+        self.processes[pid.0].terminated()
     }
 
     /// Have all processes terminated?
     pub fn all_terminated(&self) -> bool {
-        (0..self.processes.len()).all(|i| self.is_terminated(ProcessId(i)))
+        self.processes.iter().all(|p| p.terminated())
     }
 
     /// The output of process `pid`, if it has terminated.
@@ -183,7 +183,8 @@ impl System {
         Ok(())
     }
 
-    /// Applies the next step of process `pid`.
+    /// Applies the next step of process `pid` and appends it to the
+    /// trace as an [`Event`]; read it back with [`System::trace`].
     ///
     /// # Errors
     ///
@@ -192,27 +193,25 @@ impl System {
     /// * [`ModelError::WriterViolation`] on single-writer violations.
     /// * [`ModelError::BadOperation`] if the operation does not fit the
     ///   object.
-    pub fn step(&mut self, pid: ProcessId) -> Result<Event, ModelError> {
+    pub fn step(&mut self, pid: ProcessId) -> Result<(), ModelError> {
         let process = self
             .processes
-            .get_mut(pid.0)
+            .get(pid.0)
             .ok_or_else(|| ModelError::BadId(format!("no process {pid}")))?;
         let op = match process.poised() {
             Poised::Step(op) => op,
             Poised::Output(_) => return Err(ModelError::ProcessTerminated(pid.0)),
         };
-        let op_clone = op.clone();
-        self.check_ownership(pid, &op_clone)?;
+        self.check_ownership(pid, &op)?;
         let obj = self
             .objects
-            .get_mut(op_clone.object().0)
-            .ok_or_else(|| ModelError::BadId(format!("no object {}", op_clone.object())))?;
-        let resp = obj.apply(&op_clone)?;
+            .get_mut(op.object().0)
+            .ok_or_else(|| ModelError::BadId(format!("no object {}", op.object())))?;
+        let resp = obj.apply(&op)?;
         self.processes[pid.0].receive(resp.clone());
         self.steps_per_process[pid.0] += 1;
-        let event = Event { pid, op: op_clone, resp };
-        self.trace.push(event.clone());
-        Ok(event)
+        self.trace.push(Event { pid, op, resp });
+        Ok(())
     }
 
     /// Runs the system under `scheduler` until all processes terminate,

@@ -245,6 +245,41 @@ impl Value {
             _ => None,
         }
     }
+
+    /// Writes exactly the bytes of `format!("{self:?}")` into `out`,
+    /// without going through `core::fmt`. Configuration fingerprints
+    /// hash this on every step; the `Debug` impl stays the reference
+    /// encoding it is tested against.
+    pub fn write_key<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        use crate::fingerprint::{write_i64, write_u64};
+        match self {
+            Value::Nil => out.write_str("⊥"),
+            Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Value::Int(n) => write_i64(out, *n),
+            Value::Dyadic(d) => {
+                write_i64(out, d.num)?;
+                out.write_str("/2^")?;
+                write_u64(out, u64::from(d.exp))
+            }
+            Value::Pair(a, b) => {
+                out.write_str("(")?;
+                a.write_key(out)?;
+                out.write_str(",")?;
+                b.write_key(out)?;
+                out.write_str(")")
+            }
+            Value::Tuple(t) => {
+                out.write_str("(")?;
+                for (i, v) in t.iter().enumerate() {
+                    if i > 0 {
+                        out.write_str(",")?;
+                    }
+                    v.write_key(out)?;
+                }
+                out.write_str(")")
+            }
+        }
+    }
 }
 
 impl From<i64> for Value {
@@ -295,8 +330,7 @@ impl fmt::Display for Value {
 
 impl crate::fingerprint::ConfigHash for Value {
     fn hash_config(&self, h: &mut crate::fingerprint::FnvStream) {
-        use fmt::Write;
-        let _ = write!(h, "{self:?}");
+        let _ = self.write_key(h);
     }
 }
 

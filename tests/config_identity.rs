@@ -13,18 +13,23 @@
 //! 2. **Stream/string agreement** — the zero-allocation streaming hash
 //!    ([`System::config_fingerprint`]) must equal FNV-1a over the
 //!    materialised legacy `config_key` string on every configuration an
-//!    exploration visits.
+//!    exploration of every campaign protocol family visits. The same
+//!    walk checks each process's `terminated()` shortcut against its
+//!    `poised()` answer.
 //! 3. **Schedule independence** — different schedules reaching the same
 //!    configuration produce the same fingerprint (the trace is
 //!    excluded from configuration identity).
 
-use revisionist_simulations::protocols::racing_system;
+use revisionist_simulations::protocols::{
+    approx_system, contrarian_system, ladder_system, racing_system, serializable_system,
+};
 use revisionist_simulations::smr::explore::{Explorer, Limits};
 use revisionist_simulations::smr::fingerprint::fingerprint;
-use revisionist_simulations::smr::process::ProcessId;
+use revisionist_simulations::smr::gen::GenSpec;
+use revisionist_simulations::smr::process::{Poised, ProcessId};
 use revisionist_simulations::smr::sched::RoundRobin;
 use revisionist_simulations::smr::system::System;
-use revisionist_simulations::smr::value::Value;
+use revisionist_simulations::smr::value::{Dyadic, Value};
 use revisionist_simulations::solo::convert::determinized_system;
 use revisionist_simulations::solo::machine::RandomizedRacing;
 use std::sync::Arc;
@@ -49,8 +54,11 @@ fn golden_fingerprints_are_stable() {
     assert_eq!(wide.config_fingerprint(), 0x7324_7fb6_025e_9b0f);
 }
 
-/// Walks every configuration of a small exhaustive exploration and
-/// checks the streaming hash against the legacy string path on each.
+/// Walks every configuration of a small exhaustive exploration of each
+/// campaign protocol family (plus the determinized solo system and the
+/// dyadic approximate-agreement system) and checks the streaming hash
+/// against the legacy string path, and `terminated()` against
+/// `poised()`, on each.
 #[test]
 fn streamed_hash_matches_string_path_over_explored_corpus() {
     fn check_all(sys: &System, depth: usize, visited: &mut Vec<u64>) {
@@ -60,6 +68,15 @@ fn streamed_hash_matches_string_path_over_explored_corpus() {
             "stream/string divergence at depth {depth}: {}",
             sys.config_key()
         );
+        for p in 0..sys.process_count() {
+            let process = sys.process(ProcessId(p)).expect("process in range");
+            assert_eq!(
+                process.terminated(),
+                matches!(process.poised(), Poised::Output(_)),
+                "terminated()/poised() disagree for p{p}: {}",
+                sys.config_key()
+            );
+        }
         visited.push(sys.config_fingerprint());
         if depth == 0 || sys.all_terminated() {
             return;
@@ -75,13 +92,32 @@ fn streamed_hash_matches_string_path_over_explored_corpus() {
         }
     }
 
+    let families: Vec<(&str, System, usize)> = vec![
+        ("racing", racing_system(2, &ints(&[1, 2])), 6),
+        ("racing-3", racing_system(2, &ints(&[1, 2, 3])), 5),
+        ("ladder", ladder_system(&ints(&[1, 2]), 2), 7),
+        ("contrarian", contrarian_system(&[true, false, true]), 6),
+        ("serializable", serializable_system(&[1, 2, 3, 4]), 6),
+        ("gen:3", GenSpec::parse_cli("gen:3").expect("gen spec").build_system(), 5),
+        ("gen:11", GenSpec::parse_cli("gen:11").expect("gen spec").build_system(), 5),
+        (
+            "determinized",
+            determinized_system(Arc::new(RandomizedRacing::new(2)), &ints(&[5, 6]), 50),
+            4,
+        ),
+        (
+            "approx",
+            approx_system(&[Dyadic::zero(), Dyadic::new(-3, 1), Dyadic::one()], 2),
+            5,
+        ),
+    ];
     let mut visited = Vec::new();
-    check_all(&racing_system(2, &ints(&[1, 2])), 6, &mut visited);
-    check_all(
-        &determinized_system(Arc::new(RandomizedRacing::new(2)), &ints(&[5, 6]), 50),
-        4,
-        &mut visited,
-    );
+    for (family, sys, depth) in families {
+        let before = visited.len();
+        check_all(&sys, depth, &mut visited);
+        let walked = visited.len() - before;
+        assert!(walked > 20, "{family} corpus too small: {walked}");
+    }
     assert!(visited.len() > 100, "corpus too small: {}", visited.len());
 }
 
