@@ -172,7 +172,7 @@ impl Default for CampaignConfig {
 /// Hardening knobs for [`run_campaign_with`], separate from
 /// [`CampaignConfig`] so the campaign *shape* (which determines the
 /// report) stays distinct from *how defensively* it executes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CampaignOptions {
     /// Wall-clock watchdog: once elapsed, workers stop claiming runs
     /// and the report records how many were skipped. Skipping under a
@@ -198,41 +198,11 @@ pub struct CampaignOptions {
     /// re-executed and the fingerprint set is restored, so the final
     /// aggregates are bit-for-bit those of an uninterrupted campaign.
     pub resume_from: Option<CampaignCheckpoint>,
-    /// Supervisor: re-attempt a cell this many times after a transient
-    /// worker panic before recording it as failed. Only panics are
-    /// retried — violations, runtime errors, and cell timeouts are
-    /// deterministic outcomes and retrying them would just burn the
-    /// deadline.
-    pub retries: usize,
-    /// Supervisor: base delay between retry attempts, doubled per
-    /// attempt (bounded exponential backoff).
-    pub retry_backoff: Duration,
-    /// Supervisor: per-cell wall-clock timeout. A cell that exceeds it
-    /// is recorded as a structured [`ModelError::CellTimeout`] failure
-    /// so one pathological schedule cannot starve the worker fleet.
-    pub cell_timeout: Option<Duration>,
     /// Campaign identity stamped into every checkpoint this session
     /// writes (see [`campaign_spec_id`]), so a later `--resume` can
     /// fail closed instead of merging a checkpoint from a different
     /// campaign.
     pub spec_id: Option<String>,
-}
-
-impl Default for CampaignOptions {
-    fn default() -> Self {
-        CampaignOptions {
-            wall_limit: None,
-            stop_after: None,
-            cache_budget: None,
-            checkpoint_every: None,
-            checkpoint_path: None,
-            resume_from: None,
-            retries: 2,
-            retry_backoff: Duration::from_millis(1),
-            cell_timeout: None,
-            spec_id: None,
-        }
-    }
 }
 
 /// The identity string of a campaign: protocol plus every parameter
@@ -663,18 +633,10 @@ fn json_string(s: &str) -> String {
     crate::json::escape(s)
 }
 
-/// How often the per-cell timeout is polled, in steps: cheap enough to
-/// be negligible, frequent enough that a pathological cell overshoots
-/// its deadline by at most a few microseconds of stepping.
-const TIMEOUT_POLL_STEPS: usize = 64;
-
 /// The one step loop behind plain and fault runs: steps `system` under
 /// `scheduler` until every process terminates, the scheduler yields
 /// nothing, or `budget` steps are taken. Every configuration reached is
-/// fingerprinted into `cache` when one is supplied. With a `timeout`
-/// (limit plus the cell's replay coordinates), the wall clock is polled
-/// every [`TIMEOUT_POLL_STEPS`] steps and an expired cell aborts with a
-/// structured [`ModelError::CellTimeout`] naming them. With neither, the
+/// fingerprinted into `cache` when one is supplied; without a cache the
 /// run takes the [`System::run`] fast path.
 ///
 /// Returns the steps taken and, when the run aborted, the error text.
@@ -685,30 +647,16 @@ fn drive(
     scheduler: &mut dyn Scheduler,
     budget: usize,
     cache: Option<&FingerprintCache>,
-    timeout: Option<(Duration, String)>,
 ) -> (usize, Option<String>) {
-    if cache.is_none() && timeout.is_none() {
+    let Some(cache) = cache else {
         return match system.run(scheduler, budget) {
             Ok(steps) => (steps, None),
             Err(err) => (0, Some(err.to_string())),
         };
-    }
-    let deadline =
-        timeout.map(|(limit, context)| (Instant::now() + limit, limit, context));
-    if let Some(cache) = cache {
-        cache.insert_fingerprint(system.config_fingerprint());
-    }
+    };
+    cache.insert_fingerprint(system.config_fingerprint());
     let mut steps = 0;
     while steps < budget && !system.all_terminated() {
-        if let Some((at, limit, context)) = &deadline {
-            if steps.is_multiple_of(TIMEOUT_POLL_STEPS) && Instant::now() >= *at {
-                let err = ModelError::CellTimeout {
-                    limit_ms: limit.as_millis(),
-                    context: context.clone(),
-                };
-                return (steps, Some(err.to_string()));
-            }
-        }
         let Some(pid) = scheduler.next(system) else { break };
         if system.is_terminated(pid) {
             continue;
@@ -717,9 +665,7 @@ fn drive(
             return (steps, Some(err.to_string()));
         }
         steps += 1;
-        if let Some(cache) = cache {
-            cache.insert_fingerprint(system.config_fingerprint());
-        }
+        cache.insert_fingerprint(system.config_fingerprint());
     }
     (steps, None)
 }
@@ -735,7 +681,6 @@ fn execute_run(
     system: &mut System,
     check: &dyn Fn(&System) -> Option<String>,
     cache: Option<&FingerprintCache>,
-    cell_timeout: Option<Duration>,
 ) -> RunRecord {
     let mut record = RunRecord::blank(spec, seed);
     // The static interference matrix of the pristine entry system: it
@@ -748,9 +693,7 @@ fn execute_run(
     );
     record.static_indep_pairs = matrix.indep_pairs();
     let trace_start = system.trace().len();
-    let timeout =
-        cell_timeout.map(|limit| (limit, format!("campaign run `{spec}` seed {seed}")));
-    let (steps, error) = drive(system, spec.build(seed).as_mut(), budget, cache, timeout);
+    let (steps, error) = drive(system, spec.build(seed).as_mut(), budget, cache);
     record.steps = steps;
     if error.is_some() {
         record.error = error;
@@ -836,7 +779,7 @@ where
     F: Fn(u64) -> System,
 {
     let mut system = factory(seed);
-    execute_run(spec, seed, budget, &mut system, check, None, None)
+    execute_run(spec, seed, budget, &mut system, check, None)
 }
 
 /// Extracts a printable message from a panic payload.
@@ -884,6 +827,15 @@ fn run_one_guarded<R>(run: impl FnOnce() -> R, panicked: impl FnOnce(String) -> 
         .unwrap_or_else(|payload| panicked(panic_message(payload.as_ref())))
 }
 
+/// How many times the supervisor re-attempts a cell after a transient
+/// worker panic before recording it as failed. Only panics are retried:
+/// violations and runtime errors are deterministic outcomes.
+const RETRIES: usize = 2;
+
+/// Base delay between retry attempts, doubled per attempt (bounded
+/// exponential backoff).
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
+
 /// Bounded exponential backoff for retry attempt `attempt` (1-based).
 fn backoff_for(base: Duration, attempt: usize) -> Duration {
     base.saturating_mul(1u32 << attempt.min(10) as u32)
@@ -891,12 +843,11 @@ fn backoff_for(base: Duration, attempt: usize) -> Duration {
 
 /// Supervises one cell: runs it with panic isolation
 /// ([`run_one_guarded`]) and re-attempts transient worker panics up to
-/// [`CampaignOptions::retries`] times (with bounded exponential backoff)
-/// before recording the failure. Worker panics are the only failure
-/// class treated as transient. The returned record says how many tries
-/// the cell took.
+/// [`RETRIES`] times (with bounded exponential backoff) before
+/// recording the failure. Worker panics are the only failure class
+/// treated as transient. The returned record says how many tries the
+/// cell took.
 fn run_cell_supervised<R: Supervised>(
-    options: &CampaignOptions,
     run: impl Fn() -> R,
     panicked: impl Fn(String) -> R,
 ) -> R {
@@ -905,8 +856,8 @@ fn run_cell_supervised<R: Supervised>(
         let mut record = run_one_guarded(&run, &panicked);
         record.set_attempts(attempt);
         let transient = record.error().is_some_and(|e| e.starts_with("worker panic"));
-        if transient && attempt <= options.retries {
-            std::thread::sleep(backoff_for(options.retry_backoff, attempt));
+        if transient && attempt <= RETRIES {
+            std::thread::sleep(backoff_for(RETRY_BACKOFF, attempt));
             attempt += 1;
             continue;
         }
@@ -1114,18 +1065,9 @@ where
             config.budget
         };
         let record = run_cell_supervised(
-            options,
             || {
                 let mut system = factory(seed);
-                execute_run(
-                    spec,
-                    seed,
-                    budget,
-                    &mut system,
-                    check,
-                    Some(&cache),
-                    options.cell_timeout,
-                )
+                execute_run(spec, seed, budget, &mut system, check, Some(&cache))
             },
             |message| RunRecord {
                 error: Some(
@@ -1475,7 +1417,6 @@ fn execute_fault_run<F>(
     seed: u64,
     factory: &F,
     check: FaultCheck,
-    cell_timeout: Option<Duration>,
 ) -> FaultRunRecord
 where
     F: Fn(u64) -> System + Sync,
@@ -1483,9 +1424,7 @@ where
     let mut record = FaultRunRecord::blank(config, plan, seed);
     let mut system = factory(seed);
     let mut sched = FaultScheduler::new(config.base.build(seed), plan.clone());
-    let timeout =
-        cell_timeout.map(|limit| (limit, format!("fault run plan `{plan}` seed {seed}")));
-    let (steps, error) = drive(&mut system, &mut sched, config.budget, None, timeout);
+    let (steps, error) = drive(&mut system, &mut sched, config.budget, None);
     record.steps = steps;
     if error.is_some() {
         record.error = error;
@@ -1512,16 +1451,19 @@ pub fn replay_fault_run<F>(
 where
     F: Fn(u64) -> System + Sync,
 {
-    execute_fault_run(config, plan, seed, &factory, check, None)
+    execute_fault_run(config, plan, seed, &factory, check)
 }
 
 /// Runs the fault-campaign matrix (plan space × seed range) across
 /// worker threads, with the same determinism contract as
 /// [`run_campaign`]: records merge in matrix order, so the report is
 /// identical at any thread count. Worker panics become structured
-/// [`ModelError::WorkerPanic`] records naming the plan and seed.
-/// Equivalent to [`run_fault_campaign_with`] under default
-/// [`CampaignOptions`] (transient panics retried twice).
+/// [`ModelError::WorkerPanic`] records naming the plan and seed, and
+/// transient panics are retried as in [`run_campaign`]. Fault matrices
+/// take no [`CampaignOptions`]: a fault report has no truncation,
+/// distinct-configuration or checkpoint fields, so the watchdogs, the
+/// cache budget and checkpoint/resume are for [`run_campaign_with`]
+/// only.
 pub fn run_fault_campaign<F>(
     config: &FaultCampaignConfig,
     factory: F,
@@ -1530,28 +1472,8 @@ pub fn run_fault_campaign<F>(
 where
     F: Fn(u64) -> System + Sync,
 {
-    run_fault_campaign_with(config, &CampaignOptions::default(), factory, check)
-}
-
-/// [`run_fault_campaign`] with supervisor options. Fault matrices run
-/// on the same worker pool and supervisor as [`run_campaign_with`], but
-/// only the supervisor knobs of [`CampaignOptions`] apply here —
-/// [`CampaignOptions::retries`], [`CampaignOptions::retry_backoff`] and
-/// [`CampaignOptions::cell_timeout`]. A fault report has no truncation,
-/// distinct-configuration or checkpoint fields, so the watchdogs
-/// (`wall_limit`, `stop_after`), `cache_budget` and the checkpoint and
-/// resume fields are for [`run_campaign_with`] only and are ignored.
-pub fn run_fault_campaign_with<F>(
-    config: &FaultCampaignConfig,
-    options: &CampaignOptions,
-    factory: F,
-    check: FaultCheck,
-) -> FaultCampaignReport
-where
-    F: Fn(u64) -> System + Sync,
-{
     let total = config.plans.len() * config.runs;
-    let records = run_fault_records(config, options, factory, check);
+    let records = run_fault_records(config, factory, check);
     assemble_fault_report(
         &config.base.to_string(),
         config.plans.len(),
@@ -1562,12 +1484,11 @@ where
 
 /// Executes the fault matrix and returns its records in matrix order
 /// (plan-major, then seed) — the raw material of
-/// [`run_fault_campaign_with`], exposed so service workers can execute
+/// [`run_fault_campaign`], exposed so service workers can execute
 /// one unit's slice and ship the records to the coordinator for a
 /// byte-identical merged report.
 pub fn run_fault_records<F>(
     config: &FaultCampaignConfig,
-    options: &CampaignOptions,
     factory: F,
     check: FaultCheck,
 ) -> Vec<FaultRunRecord>
@@ -1580,17 +1501,7 @@ where
         let plan = &config.plans[index / config.runs];
         let seed = config.seed_start + (index % config.runs) as u64;
         let record = run_cell_supervised(
-            options,
-            || {
-                execute_fault_run(
-                    config,
-                    plan,
-                    seed,
-                    &factory,
-                    check,
-                    options.cell_timeout,
-                )
-            },
+            || execute_fault_run(config, plan, seed, &factory, check),
             |message| FaultRunRecord {
                 error: Some(
                     ModelError::WorkerPanic {
@@ -1612,7 +1523,7 @@ where
 
 /// Folds index-sorted fault records into a [`FaultCampaignReport`].
 /// Like [`assemble_report`], this is the *single* aggregation routine:
-/// [`run_fault_campaign_with`] feeds it one process's records, the
+/// [`run_fault_campaign`] feeds it one process's records, the
 /// service merge layer feeds it records reassembled from many worker
 /// shards — byte-identical reports by construction. `expected_total`
 /// is the full matrix size; cells with no surviving record (quarantined
@@ -1891,14 +1802,9 @@ mod tests {
             assert!(seed != 1, "persistent failure for seed 1");
             factory(seed)
         };
-        let options = CampaignOptions {
-            retries: 3,
-            retry_backoff: Duration::from_micros(10),
-            ..CampaignOptions::default()
-        };
-        let report = run_campaign_with(&config, &options, exploding, &|_| None);
+        let report = run_campaign(&config, exploding, &|_| None);
         assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].attempts, 4, "1 try + 3 retries");
+        assert_eq!(report.failures[0].attempts, 3, "1 try + RETRIES (2) retries");
         assert_eq!(report.retried_runs, 1);
     }
 
@@ -1926,51 +1832,6 @@ mod tests {
         assert!(report.is_certified(), "failures: {:?}", report.failures);
         assert_eq!(report.retried_runs, 1);
         assert!(report.to_json().contains("\"retried_runs\": 1"));
-    }
-
-    /// Updates forever; never terminates.
-    #[derive(Clone, Debug)]
-    struct Spinner;
-
-    impl SnapshotProtocol for Spinner {
-        fn on_scan(&mut self, _view: &[Value]) -> ProtocolStep {
-            ProtocolStep::Update(0, Value::Int(0))
-        }
-        fn components(&self) -> usize {
-            1
-        }
-    }
-
-    #[test]
-    fn pathological_cell_times_out_with_structured_error() {
-        let config = CampaignConfig {
-            schedulers: vec![SchedulerSpec::RoundRobin],
-            seed_start: 0,
-            runs: 1,
-            budget: usize::MAX,
-            threads: 1,
-        };
-        let spinner = |_seed: u64| {
-            System::new(
-                vec![Object::snapshot(1)],
-                vec![Box::new(SnapshotProcess::new(Spinner, ObjectId(0)))
-                    as Box<dyn Process>],
-            )
-        };
-        let options = CampaignOptions {
-            cell_timeout: Some(Duration::from_millis(20)),
-            ..CampaignOptions::default()
-        };
-        let report = run_campaign_with(&config, &options, spinner, &|_| None);
-        assert_eq!(report.total_runs, 1, "the cell is recorded, not lost");
-        assert_eq!(report.failures.len(), 1);
-        let err = report.failures[0].error.as_deref().unwrap();
-        assert!(err.contains("cell timeout"), "error was: {err}");
-        assert!(err.contains("seed 0"), "error was: {err}");
-        assert_eq!(
-            report.retried_runs, 0,
-            "timeouts are deterministic and must not be retried"
-        );
     }
 
     #[test]
@@ -2306,36 +2167,6 @@ mod tests {
             assert_eq!(replayed.crashed, record.crashed);
             assert_eq!(replayed.survivors_terminated, record.survivors_terminated);
         }
-    }
-
-    #[test]
-    fn fault_run_cell_timeout_names_plan_and_seed() {
-        let config = FaultCampaignConfig {
-            base: SchedulerSpec::RoundRobin,
-            plans: vec![FaultPlan::none()],
-            seed_start: 0,
-            runs: 1,
-            budget: usize::MAX,
-            threads: 1,
-        };
-        let spinner = |_seed: u64| {
-            System::new(
-                vec![Object::snapshot(1)],
-                vec![Box::new(SnapshotProcess::new(Spinner, ObjectId(0)))
-                    as Box<dyn Process>],
-            )
-        };
-        let options = CampaignOptions {
-            cell_timeout: Some(Duration::from_millis(20)),
-            ..CampaignOptions::default()
-        };
-        let report = run_fault_campaign_with(&config, &options, spinner, &|_, _| None);
-        assert_eq!(report.total_runs, 1, "the cell is recorded, not lost");
-        assert_eq!(report.failures.len(), 1);
-        let err = report.failures[0].error.as_deref().unwrap();
-        assert!(err.contains("cell timeout"), "error was: {err}");
-        assert!(err.contains("fault run plan `none` seed 0"), "error was: {err}");
-        assert_eq!(report.retried_runs, 0, "timeouts must not be retried");
     }
 
     #[test]

@@ -48,15 +48,6 @@ pub enum ModelError {
         /// What the re-execution actually produced.
         actual: String,
     },
-    /// A single campaign cell exceeded its per-cell wall-clock timeout
-    /// and was abandoned so one pathological schedule cannot starve the
-    /// worker fleet.
-    CellTimeout {
-        /// The configured limit, in milliseconds.
-        limit_ms: u128,
-        /// The cell's replay coordinates.
-        context: String,
-    },
     /// The pre-flight analyzer rejected the system before any schedule
     /// ran: at least one deny-level lint fired.
     PreflightRejected {
@@ -124,9 +115,6 @@ impl fmt::Display for ModelError {
                 "bundle mismatch: expected violation fingerprint {expected}, \
                  but replay produced {actual}"
             ),
-            ModelError::CellTimeout { limit_ms, context } => {
-                write!(f, "cell timeout after {limit_ms} ms: {context}")
-            }
             ModelError::PreflightRejected { diagnostics } => {
                 write!(f, "pre-flight analysis rejected the system:\n{diagnostics}")
             }
@@ -171,10 +159,6 @@ mod tests {
             ModelError::BundleMismatch {
                 expected: 42,
                 actual: "no violation".into(),
-            },
-            ModelError::CellTimeout {
-                limit_ms: 250,
-                context: "campaign run `rr` seed 9".into(),
             },
             ModelError::PreflightRejected {
                 diagnostics: "error[RS-W001]: p0 writes component 1 owned by p1".into(),

@@ -77,7 +77,6 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Sleep and claim sets are process-id bit masks; systems with more
 /// processes than this fall back to unreduced exploration (the report's
@@ -126,12 +125,11 @@ pub struct ExploreReport {
     /// "independent", each audited and confirmed against the dynamic
     /// oracle. `0` without static seeding.
     pub prefilter_hits: usize,
-    /// Whether exploration was cut off by [`Limits`] or a wall-clock
-    /// watchdog.
+    /// Whether exploration was cut off by [`Limits`].
     pub truncated: bool,
-    /// Set when a wall-clock watchdog cut the exploration short — a
-    /// truncated search is reported, never silently passed off as
-    /// exhaustive.
+    /// A free-text truncation notice, rendered by the CLI when present.
+    /// The explorer itself always leaves it `None`: [`Limits`] cut-offs
+    /// are reported through `truncated` alone.
     pub truncation: Option<String>,
     /// The first violation found, if any: the schedule that produced it
     /// and a description. Sequential mode reports the first violation
@@ -166,8 +164,6 @@ pub type ParallelCheck<'a> = &'a (dyn Fn(&System) -> Option<String> + Sync);
 pub struct Explorer {
     limits: Limits,
     threads: usize,
-    wall_limit: Option<Duration>,
-    soft_wall_limit: Option<Duration>,
     preflight: bool,
     dpor: bool,
     statics: bool,
@@ -178,8 +174,6 @@ impl Default for Explorer {
         Explorer {
             limits: Limits::default(),
             threads: 1,
-            wall_limit: None,
-            soft_wall_limit: None,
             preflight: true,
             dpor: true,
             statics: true,
@@ -199,31 +193,6 @@ impl Explorer {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Arms a wall-clock watchdog: when it fires, exploration stops
-    /// gracefully with `truncated` set and a `truncation` notice in
-    /// the report (results found so far are kept).
-    ///
-    /// The parallel explorer degrades before it dies: once 80% of the
-    /// wall limit has elapsed (the *soft* deadline, tunable via
-    /// [`Explorer::with_soft_wall_limit`]), each frontier level is
-    /// capped to a quarter of its size — keeping the canonical prefix,
-    /// so what *is* explored stays deterministic — which narrows the
-    /// search instead of cutting it off mid-level at the hard stop.
-    #[must_use]
-    pub fn with_wall_limit(mut self, limit: Duration) -> Self {
-        self.wall_limit = Some(limit);
-        self
-    }
-
-    /// Overrides the soft (degradation) deadline used by the parallel
-    /// explorer. Defaults to 80% of the wall limit; has no effect
-    /// without [`Explorer::with_wall_limit`].
-    #[must_use]
-    pub fn with_soft_wall_limit(mut self, limit: Duration) -> Self {
-        self.soft_wall_limit = Some(limit);
         self
     }
 
@@ -265,21 +234,6 @@ impl Explorer {
     pub fn with_static(mut self, statics: bool) -> Self {
         self.statics = statics;
         self
-    }
-
-    /// The configured worker-thread count (`0` = all cores).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Whether partial-order reduction is configured on.
-    pub fn dpor(&self) -> bool {
-        self.dpor
-    }
-
-    /// Whether static interference seeding is configured on.
-    pub fn statics(&self) -> bool {
-        self.statics
     }
 
     fn run_preflight(&self, initial: &System) -> Result<(), ModelError> {
@@ -338,7 +292,6 @@ impl Explorer {
             truncation: None,
             violation: None,
         };
-        let deadline = self.wall_limit.map(|limit| Instant::now() + limit);
         let mut seen: HashMap<u64, StateMeta> = HashMap::new();
         // The schedule so far is not stored per stack entry: it is the
         // suffix of each configuration's (copy-on-write, shared) trace
@@ -349,12 +302,6 @@ impl Explorer {
         let base_depth = initial.trace().len();
         let mut stack: Vec<(System, u32)> = vec![(initial.clone(), 0)];
         while let Some((mut sys, sleep)) = stack.pop() {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                report.truncated = true;
-                report.truncation =
-                    Some("wall-clock limit reached during DFS".into());
-                break;
-            }
             let fp = sys.config_fingerprint();
             let first = !seen.contains_key(&fp);
             if first {
@@ -487,16 +434,6 @@ impl Explorer {
             truncation: None,
             violation: None,
         };
-        let start = Instant::now();
-        let deadline = self.wall_limit.map(|limit| start + limit);
-        // Degradation ladder, rung 1: past the soft deadline (80% of the
-        // wall limit by default) each frontier level keeps only its
-        // canonical prefix — breadth shrinks before the hard stop cuts
-        // the search off entirely.
-        let soft_deadline = self.wall_limit.map(|limit| {
-            start + self.soft_wall_limit.unwrap_or(limit / 5 * 4)
-        });
-        let mut capped_entries = 0usize;
         let mut terminal_outputs: Vec<Vec<Value>> = Vec::new();
         let mut seen_outputs: HashSet<Vec<Value>> = HashSet::new();
 
@@ -526,25 +463,6 @@ impl Explorer {
         }];
 
         while !frontier.is_empty() {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                report.truncated = true;
-                report.truncation = Some(
-                    "wall-clock limit reached between frontier levels".into(),
-                );
-                break;
-            }
-            if frontier.len() > 1
-                && soft_deadline.is_some_and(|d| Instant::now() >= d)
-            {
-                let cap = (frontier.len() / 4).max(1);
-                capped_entries += frontier.len() - cap;
-                frontier.truncate(cap);
-                report.truncated = true;
-                report.truncation = Some(format!(
-                    "soft wall deadline: degraded to canonical frontier \
-                     prefixes ({capped_entries} entries shed so far)"
-                ));
-            }
             let level = self.run_level(
                 &frontier, base_depth, check, &visited, threads, dpor,
                 matrix.as_ref(),
@@ -1507,58 +1425,6 @@ mod tests {
         assert!(
             messages.iter().all(|m| m == &messages[0]),
             "panic report differs across thread counts: {messages:?}"
-        );
-    }
-
-    #[test]
-    fn wall_clock_watchdog_truncates_with_notice() {
-        let explorer = Explorer::default()
-            .with_threads(2)
-            .with_wall_limit(Duration::from_secs(0));
-        let report = explorer
-            .explore_parallel(&two_process_system(), &|_| None)
-            .unwrap();
-        assert!(report.truncated);
-        let notice = report.truncation.as_deref().unwrap();
-        assert!(notice.contains("wall-clock"), "notice was: {notice}");
-
-        let report = explorer
-            .explore(&two_process_system(), &mut |_| None)
-            .unwrap();
-        assert!(report.truncated);
-        assert!(report.truncation.is_some());
-    }
-
-    #[test]
-    fn soft_deadline_degrades_frontier_instead_of_stopping() {
-        // A generous hard limit with an already-expired soft deadline:
-        // every level is capped to its canonical prefix, yet the search
-        // still runs to completion instead of dying at the watchdog.
-        let explorer = Explorer::default()
-            .with_threads(2)
-            .with_wall_limit(Duration::from_secs(60))
-            .with_soft_wall_limit(Duration::from_secs(0));
-        let report = explorer
-            .explore_parallel(&two_process_system(), &|_| None)
-            .unwrap();
-        assert!(report.truncated);
-        let notice = report.truncation.as_deref().unwrap();
-        assert!(
-            notice.contains("soft wall deadline"),
-            "notice was: {notice}"
-        );
-        // The canonical prefix is kept, so the degraded search still
-        // reaches p0's solo terminal run.
-        assert!(report.terminals >= 1);
-        let full = Explorer::default()
-            .with_threads(2)
-            .explore_parallel(&two_process_system(), &|_| None)
-            .unwrap();
-        assert!(
-            report.configs_visited < full.configs_visited,
-            "degradation must actually shed work: {} vs {}",
-            report.configs_visited,
-            full.configs_visited
         );
     }
 

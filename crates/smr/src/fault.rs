@@ -150,11 +150,6 @@ impl Fault {
             | Fault::CrashAfterOp { process, .. } => *process,
         }
     }
-
-    /// Is this fault a (permanent) crash?
-    pub fn is_crash(&self) -> bool {
-        !matches!(self, Fault::StallWindow { .. })
-    }
 }
 
 impl fmt::Display for Fault {
@@ -275,19 +270,6 @@ impl FaultPlan {
     /// Is the plan empty?
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
-    }
-
-    /// Processes this plan will crash (deduplicated, ascending).
-    pub fn crash_victims(&self) -> Vec<ProcessId> {
-        let mut victims: Vec<ProcessId> = self
-            .faults
-            .iter()
-            .filter(|f| f.is_crash())
-            .map(Fault::process)
-            .collect();
-        victims.sort_by_key(|p| p.0);
-        victims.dedup();
-        victims
     }
 
     /// Enumerates every single-crash plan over `processes` processes

@@ -87,24 +87,6 @@ pub enum Response {
     Flag(bool),
 }
 
-impl Response {
-    /// Views the response as a single value.
-    pub fn as_value(&self) -> Option<&Value> {
-        match self {
-            Response::Value(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Views the response as a snapshot view.
-    pub fn as_view(&self) -> Option<&[Value]> {
-        match self {
-            Response::View(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
 /// A base object's current value plus its sequential specification.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Object {

@@ -116,12 +116,6 @@ impl Fixed {
     pub fn new(schedule: Vec<ProcessId>) -> Self {
         Fixed { schedule, cursor: 0 }
     }
-
-    /// Creates a scheduler from raw process indices, as decoded from a
-    /// replay bundle's decision trace.
-    pub fn from_indices(indices: &[usize]) -> Self {
-        Fixed::new(indices.iter().copied().map(ProcessId).collect())
-    }
 }
 
 impl Scheduler for Fixed {

@@ -5,8 +5,9 @@
 //! the machine unit-testable without spawning anything. Each unit is
 //! `Pending` (available once its backoff expires), `Leased` (held by a
 //! worker, kept alive by heartbeats), `Done`, or `Quarantined` (a
-//! poison unit that killed [`LeaseManager::max_attempts`] consecutive
-//! leases; the service completes around it and reports the loss).
+//! poison unit that killed `max_attempts` consecutive leases, the limit
+//! given to [`LeaseManager::new`]; the service completes around it and
+//! reports the loss).
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};

@@ -43,7 +43,7 @@ pub struct ShardResult {
 
 impl ShardResult {
     /// Serialises the shard as JSON. Record entries use the same
-    /// encoding as campaign checkpoints ([`record_entry_json`]); the
+    /// encoding as campaign checkpoints (`record_entry_json`); the
     /// `fault_records` field is emitted only when non-empty so ordinary
     /// shard payloads (and pre-fault journals) keep their exact bytes.
     pub fn to_json(&self) -> String {

@@ -269,8 +269,8 @@ impl ServiceSummary {
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::error::ModelError::Io`] from the atomic
-    /// write path.
+    /// [`crate::error::ModelError::Service`] when the atomic write
+    /// fails.
     pub fn store(&self, dir: &Path) -> Result<(), crate::error::ModelError> {
         write_atomic(&dir.join("summary.json"), &self.to_json()).map_err(|e| {
             crate::error::ModelError::Service {

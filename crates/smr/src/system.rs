@@ -76,14 +76,6 @@ impl System {
         self.owners.insert((obj, component), owner);
     }
 
-    /// Declares the m-component snapshot `obj` single-writer with
-    /// component `i` owned by process `i`.
-    pub fn restrict_single_writer_snapshot(&mut self, obj: ObjectId, m: usize) {
-        for i in 0..m {
-            self.restrict_writer(obj, i, ProcessId(i));
-        }
-    }
-
     /// The declared single-writer owner of `(obj, component)`, if any.
     /// Components without a declared owner are multi-writer. The
     /// pre-flight analyzer keys its single-writer and happens-before

@@ -51,7 +51,7 @@ impl Drop for Segment {
 ///
 /// Forking a configuration used to deep-copy the whole event log,
 /// making every explorer fork O(depth). `Clone` here copies one `Arc`
-/// pointer and at most [`SEAL_THRESHOLD`] tail events; after
+/// pointer and at most `SEAL_THRESHOLD` (32) tail events; after
 /// [`Trace::freeze`] (which the explorer calls before fanning out) a
 /// clone copies nothing at all. Pushes still amortise to O(1): the
 /// tail is sealed into a shared segment once it reaches the threshold.
@@ -251,17 +251,6 @@ pub fn format_op(op: &Operation) -> String {
         Operation::Swap { value, .. } => format!("swap {value}"),
         Operation::Cas { expect, update, .. } => format!("cas {expect}→{update}"),
     }
-}
-
-/// Renders one event as `p<pid>: <op> -> <resp>`; the analyzer's
-/// happens-before diagnostics and the `analyze` CLI use this shape.
-pub fn format_event(event: &crate::system::Event) -> String {
-    format!(
-        "p{}: {} -> {}",
-        event.pid.0,
-        format_op(&event.op),
-        format_resp(&event.resp)
-    )
 }
 
 /// Renders one response compactly.

@@ -1,7 +1,7 @@
 //! Supervisor edge cases at the service boundary: what a worker
 //! process's supervised campaign produces in its shard, and what the
 //! coordinator's merge layer makes of it, when cells panic past the
-//! retry budget or time out on the final unit.
+//! retry budget, including on the final cell of a unit.
 
 use rsim_smr::campaign::{
     run_campaign_with, CampaignCheckpoint, CampaignConfig, CampaignOptions,
@@ -12,7 +12,6 @@ use rsim_smr::process::{Process, ProtocolStep, SnapshotProcess, SnapshotProtocol
 use rsim_smr::service::{merge_report, ShardResult};
 use rsim_smr::system::System;
 use rsim_smr::value::Value;
-use std::time::Duration;
 
 /// Writes once, then outputs: terminates quickly under any scheduler.
 #[derive(Clone, Debug)]
@@ -28,19 +27,6 @@ impl SnapshotProtocol for WriteOnce {
             self.wrote = true;
             ProtocolStep::Update(0, Value::Int(7))
         }
-    }
-    fn components(&self) -> usize {
-        1
-    }
-}
-
-/// Updates forever; never terminates — the pathological cell.
-#[derive(Clone, Debug)]
-struct Spinner;
-
-impl SnapshotProtocol for Spinner {
-    fn on_scan(&mut self, _view: &[Value]) -> ProtocolStep {
-        ProtocolStep::Update(0, Value::Int(0))
     }
     fn components(&self) -> usize {
         1
@@ -72,13 +58,9 @@ fn retry_exhaustion_surfaces_in_the_merged_report() {
         assert!(seed != 1, "persistent failure for seed 1");
         one_process(WriteOnce { wrote: false })
     };
-    let options = CampaignOptions {
-        retries: 2,
-        retry_backoff: Duration::from_micros(10),
-        ..CampaignOptions::default()
-    };
     // This is exactly the worker's execution path for a 3-run unit.
-    let report = run_campaign_with(&config, &options, exploding, &|_| None);
+    let report =
+        run_campaign_with(&config, &CampaignOptions::default(), exploding, &|_| None);
     assert_eq!(report.failures.len(), 1);
     assert_eq!(report.failures[0].attempts, 3, "1 try + 2 retries");
 
@@ -127,14 +109,14 @@ fn retry_exhaustion_surfaces_in_the_merged_report() {
     assert!(json.contains("\"degraded_runs\": 1"), "report: {json}");
 }
 
-/// A cell timeout on the campaign's *final* cell must still flush the
+/// A failure on the campaign's *final* cell must still flush the
 /// terminal checkpoint — the worker's shard payload — containing the
-/// structured timeout record. A lost final flush would strand the last
+/// structured failure record. A lost final flush would strand the last
 /// unit in lease/requeue limbo forever.
 #[test]
-fn cell_timeout_on_final_cell_still_flushes_terminal_checkpoint() {
+fn failing_final_cell_still_flushes_terminal_checkpoint() {
     let dir = std::env::temp_dir().join(format!(
-        "rsim-service-edges-timeout-{}",
+        "rsim-service-edges-final-cell-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -145,42 +127,39 @@ fn cell_timeout_on_final_cell_still_flushes_terminal_checkpoint() {
         schedulers: vec![SchedulerSpec::RoundRobin],
         seed_start: 0,
         runs: 2,
-        budget: usize::MAX,
+        budget: 200,
         threads: 1,
     };
-    // Seed 0 terminates; seed 1 — the final cell — spins until the
-    // timeout fires.
+    // Seed 0 terminates; seed 1 — the final cell — panics on every
+    // attempt, so it fails once the retries are spent.
     let factory = |seed: u64| {
-        if seed == 0 {
-            one_process(WriteOnce { wrote: false })
-        } else {
-            one_process(Spinner)
-        }
+        assert!(seed != 1, "persistent failure for the final cell");
+        one_process(WriteOnce { wrote: false })
     };
     let options = CampaignOptions {
-        cell_timeout: Some(Duration::from_millis(20)),
         checkpoint_every: Some(1),
         checkpoint_path: Some(path.clone()),
         spec_id: Some("unit=0 test".into()),
         ..CampaignOptions::default()
     };
     let report = run_campaign_with(&config, &options, factory, &|_| None);
-    assert_eq!(report.total_runs, 2, "the timed-out cell is recorded");
+    assert_eq!(report.total_runs, 2, "the failed cell is recorded");
 
     let checkpoint = CampaignCheckpoint::load(&path).expect("terminal checkpoint");
     assert_eq!(checkpoint.spec.as_deref(), Some("unit=0 test"));
     assert_eq!(
         checkpoint.completed.len(),
         2,
-        "terminal flush covers every cell, including the timed-out last one"
+        "terminal flush covers every cell, including the failed last one"
     );
     let (_, last) = checkpoint
         .completed
         .iter()
         .find(|(index, _)| *index == 1)
         .expect("final cell present");
-    let err = last.error.as_deref().expect("timeout recorded as error");
-    assert!(err.contains("cell timeout"), "error was: {err}");
+    let err = last.error.as_deref().expect("failure recorded as error");
+    assert!(err.contains("worker panic"), "error was: {err}");
+    assert_eq!(last.attempts, 3, "1 try + 2 retries");
 
     // The shard built from that checkpoint merges with nothing lost.
     let shard = ShardResult {

@@ -1,7 +1,7 @@
 # Developer task runner. `just ci` mirrors .github/workflows/ci.yml.
 
-# Build, test, lint — the full gate.
-ci: build test clippy perfbench-test
+# Build, test, lint, docs — the full gate.
+ci: build test clippy doc perfbench-test
 
 build:
     cargo build --release
@@ -11,6 +11,11 @@ test:
 
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc with warnings as errors: catches intra-doc links left dangling
+# when an item is deleted or made private.
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The benchmark package's own tests (it is a separate workspace, so
 # `cargo test --workspace` does not reach it). Its shadow drivers copy

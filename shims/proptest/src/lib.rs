@@ -8,7 +8,7 @@
 //!   `#![proptest_config(ProptestConfig::with_cases(n))]` header);
 //! * strategies: integer ranges (`0usize..7`, `1..=9`), tuples of
 //!   strategies, [`collection::vec`], [`collection::btree_set`],
-//!   [`strategy::Just`], and [`Strategy::prop_map`];
+//!   [`strategy::Just`], and [`strategy::Strategy::prop_map`];
 //! * [`prop_assert!`], [`prop_assert_eq!`], [`prop_assert_ne!`],
 //!   [`prop_assume!`].
 //!

@@ -34,7 +34,9 @@
 //!   fan the base `--sched` scheduler over a space of deterministic
 //!   fault plans (`sweep` enumerates every single-crash placement) and
 //!   certify non-blocking progress: survivors must terminate under
-//!   every plan, and any outputs must still be valid.
+//!   every plan, and any outputs must still be valid. The plain-campaign
+//!   flags `--seed`, `--wall-limit`, `--stop-after`, `--cache-budget`,
+//!   `--checkpoint`, `--checkpoint-every` and `--resume` are rejected.
 //! * `campaign-service --protocol P [--workers W] [--unit-runs U]
 //!   [--state DIR] [--corpus DIR] [--chaos kill@unit:U,torn@result:U]`
 //!   — the crash-tolerant multi-process campaign service: the matrix is
@@ -853,6 +855,21 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
     use revisionist_simulations::smr::fault::FaultPlan;
     use std::time::Duration;
 
+    // A fault report has no replay mode and no truncation, cache or
+    // checkpoint fields, so these plain-campaign flags would be ignored.
+    const PLAIN_ONLY: [&str; 7] = [
+        "seed", "wall-limit", "stop-after", "cache-budget", "checkpoint",
+        "checkpoint-every", "resume",
+    ];
+    if flags.contains_key("faults") {
+        if let Some(flag) = PLAIN_ONLY.iter().find(|f| flags.contains_key(**f)) {
+            eprintln!("--{flag} does not apply to a --faults campaign");
+            if *flag == "seed" {
+                eprintln!("to replay one fault run: --faults PLAN --seed-start S --runs 1");
+            }
+            return ExitCode::FAILURE;
+        }
+    }
     let protocol = flags.get("protocol").map_or("racing", String::as_str);
     let procs = get(flags, "procs", 3);
     let m = get(flags, "m", 2);
@@ -914,7 +931,6 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
         checkpoint_path: flags.get("checkpoint").map(std::path::PathBuf::from),
         resume_from: None,
         spec_id: Some(spec_id.clone()),
-        ..CampaignOptions::default()
     };
     if let Some(path) = flags.get("resume") {
         match CampaignCheckpoint::load(std::path::Path::new(path)) {
@@ -1471,8 +1487,7 @@ fn worker_execute_unit(
             threads: 1,
         };
         let check = fault_validity_check(&protocol, procs);
-        let records =
-            run_fault_records(&config, &CampaignOptions::default(), &factory, &check);
+        let records = run_fault_records(&config, &factory, &check);
         shard.fault_records = records
             .into_iter()
             .enumerate()

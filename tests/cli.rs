@@ -218,6 +218,41 @@ fn campaign_faults_rejects_several_schedulers() {
 }
 
 #[test]
+fn campaign_faults_rejects_plain_campaign_flags() {
+    let dir = std::env::temp_dir()
+        .join(format!("rsim-cli-faults-plain-{}", std::process::id()));
+    let checkpoint = dir.join("ckpt.json");
+    let checkpoint = checkpoint.to_str().unwrap();
+    for (flag, value) in [
+        ("--seed", "9"),
+        ("--wall-limit", "1"),
+        ("--stop-after", "1"),
+        ("--cache-budget", "8"),
+        ("--checkpoint", checkpoint),
+        ("--checkpoint-every", "1"),
+        ("--resume", "/nonexistent.json"),
+    ] {
+        let (stdout, stderr, ok) = run(&[
+            "campaign", "--faults", "sweep", "--procs", "3", "--runs", "2", "--sched",
+            "rr", flag, value, "--json",
+        ]);
+        assert!(!ok, "{flag} under --faults must fail, not be ignored");
+        assert!(stdout.is_empty(), "no report may be printed for {flag}: {stdout}");
+        assert!(
+            stderr.contains(&format!("{flag} does not apply to a --faults campaign")),
+            "stderr for {flag} was: {stderr}"
+        );
+        if flag == "--seed" {
+            assert!(
+                stderr.contains("--faults PLAN --seed-start S --runs 1"),
+                "stderr was: {stderr}"
+            );
+        }
+    }
+    assert!(!dir.exists(), "rejected before any checkpoint is written");
+}
+
+#[test]
 fn campaign_service_faults_rejects_several_schedulers() {
     let dir = std::env::temp_dir()
         .join(format!("rsim-cli-svc-faults-{}", std::process::id()));
