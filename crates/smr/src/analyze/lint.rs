@@ -37,14 +37,14 @@ pub const DEFAULT_BUDGET: usize = 256;
 /// never contain it — the augmented snapshot construction reserves it
 /// for yielded Block-Updates.
 pub fn yield_symbol() -> Value {
-    Value::Tuple(Vec::new())
+    Value::tuple(Vec::new())
 }
 
 /// `true` when `value` is (or contains) the reserved yield symbol.
 pub fn contains_yield(value: &Value) -> bool {
     match value {
         Value::Tuple(items) => items.is_empty() || items.iter().any(contains_yield),
-        Value::Pair(a, b) => contains_yield(a) || contains_yield(b),
+        Value::Pair(p) => contains_yield(&p.0) || contains_yield(&p.1),
         _ => false,
     }
 }
@@ -404,7 +404,7 @@ mod tests {
     fn yield_detection_sees_nested_values() {
         assert!(contains_yield(&yield_symbol()));
         assert!(contains_yield(&Value::pair(Value::Int(1), yield_symbol())));
-        assert!(contains_yield(&Value::Tuple(vec![Value::Int(1), yield_symbol()])));
+        assert!(contains_yield(&Value::tuple(vec![Value::Int(1), yield_symbol()])));
         assert!(!contains_yield(&Value::Nil));
         assert!(!contains_yield(&Value::triple(
             Value::Int(1),

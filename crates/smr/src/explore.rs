@@ -18,7 +18,10 @@
 //! [`Explorer::explore_parallel`] is a level-synchronised breadth-first
 //! frontier over schedule prefixes: at each depth, worker threads steal
 //! chunks of the frontier, expand and check configurations in parallel,
-//! and pre-filter duplicates through a shared visited-state map. Chunk
+//! and pre-filter duplicates through a shared visited-state map keyed
+//! by [`ExploreKey`], which a worker derives for each child from its
+//! parent's key and the [`System::successor`] step before it builds
+//! the child at all. Chunk
 //! results are merged in frontier order and deduplicated canonically,
 //! which makes every report field — `configs_visited`, `terminals`,
 //! and the first violation — **bit-for-bit identical at every thread
@@ -68,10 +71,11 @@
 
 use crate::analyze::interfere::InterferenceMatrix;
 use crate::error::ModelError;
+use crate::fingerprint::{ConfigHash, FnvStream};
 use crate::hb::independent;
-use crate::object::Operation;
-use crate::process::{Poised, ProcessId};
-use crate::system::System;
+use crate::object::{Object, Operation};
+use crate::process::{Poised, Process, ProcessId};
+use crate::system::{Successor, System};
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -305,12 +309,12 @@ impl Explorer {
             let fp = sys.config_fingerprint();
             let first = !seen.contains_key(&fp);
             if first {
-                seen.insert(fp, StateMeta::default());
-                report.configs_visited += 1;
-                if report.configs_visited > self.limits.max_configs {
+                if report.configs_visited >= self.limits.max_configs {
                     report.truncated = true;
                     break;
                 }
+                seen.insert(fp, StateMeta::default());
+                report.configs_visited += 1;
                 if let Some(msg) = check(&sys) {
                     report.violation = Some((schedule_since(&sys, base_depth), msg));
                     break;
@@ -447,8 +451,9 @@ impl Explorer {
             matrix.as_ref(),
             &mut report.prefilter_hits,
         )?;
+        let root_key = ExploreKey::of(initial);
         visited.insert(
-            initial.config_fingerprint(),
+            root_key.value(),
             StateMeta { expanded: root_masks.enabled, slept: 0 },
         );
         report.configs_visited = 1;
@@ -457,6 +462,7 @@ impl Explorer {
         root.freeze_trace();
         let mut frontier: Vec<Prefix> = vec![Prefix {
             sys: root,
+            key: root_key,
             sleep: 0,
             claim: root_masks.enabled,
             first: true,
@@ -525,7 +531,8 @@ impl Explorer {
             // prefix that is expanded but not re-counted or re-checked.
             let mut next = Vec::new();
             for child in children {
-                let Child { mut sys, fp, sleep, enabled } = child;
+                let Child { mut sys, key, sleep, enabled } = child;
+                let fp = key.value();
                 match visited.get_mut(&fp) {
                     None => {
                         if report.configs_visited >= self.limits.max_configs {
@@ -540,7 +547,7 @@ impl Explorer {
                         // Seal before the next level forks this
                         // configuration.
                         sys.freeze_trace();
-                        next.push(Prefix { sys, sleep, claim, first: true });
+                        next.push(Prefix { sys, key, sleep, claim, first: true });
                     }
                     Some(meta) => {
                         if !dpor {
@@ -557,7 +564,7 @@ impl Explorer {
                         meta.expanded |= claim;
                         if claim != 0 {
                             sys.freeze_trace();
-                            next.push(Prefix { sys, sleep, claim, first: false });
+                            next.push(Prefix { sys, key, sleep, claim, first: false });
                         }
                     }
                 }
@@ -720,6 +727,121 @@ impl Explorer {
     }
 }
 
+/// The parallel explorer's in-memory configuration key, kept per
+/// component so a step re-hashes only what it touched.
+///
+/// The key is the XOR of one term per object and one per process. A
+/// term is the FNV hash of the component's key bytes (the bytes
+/// [`System::config_key`] writes for it), salted with the component's
+/// position and passed through a 64-bit mixer. A step changes one
+/// process and at most one object, so [`ExploreKey::after`] derives a
+/// child's key from its parent's by swapping out those terms, before
+/// the child configuration is built.
+///
+/// The key never leaves memory. [`System::config_fingerprint`] stays
+/// the persisted identity of a configuration: coverage sets, bundles,
+/// checkpoints and the golden tests use it.
+///
+/// # Examples
+///
+/// ```
+/// use rsim_smr::explore::ExploreKey;
+/// use rsim_smr::object::Object;
+/// use rsim_smr::process::{Process, ProcessId, ProtocolStep, SnapshotProcess, SnapshotProtocol};
+/// use rsim_smr::system::System;
+/// use rsim_smr::value::Value;
+///
+/// #[derive(Clone, Debug)]
+/// struct Once;
+/// impl SnapshotProtocol for Once {
+///     fn on_scan(&mut self, _: &[Value]) -> ProtocolStep {
+///         ProtocolStep::Update(0, Value::Int(1))
+///     }
+///     fn components(&self) -> usize { 1 }
+/// }
+///
+/// let p = SnapshotProcess::new(Once, rsim_smr::object::ObjectId(0));
+/// let sys = System::new(vec![Object::snapshot(1)], vec![Box::new(p) as Box<dyn Process>]);
+/// let next = sys.successor(ProcessId(0)).unwrap();
+/// let derived = ExploreKey::of(&sys).after(&next);
+/// assert_eq!(derived, ExploreKey::of(&sys.with_successor(next)));
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ExploreKey {
+    value: u64,
+    /// Number of objects: `terms` holds one term per object, then one
+    /// per process.
+    objects: usize,
+    terms: Box<[u64]>,
+}
+
+impl ExploreKey {
+    /// Computes the key of `sys` from scratch.
+    pub fn of(sys: &System) -> ExploreKey {
+        let objects = sys.objects();
+        let processes = (0..sys.process_count())
+            .map(|i| sys.process(ProcessId(i)).expect("process index in range"));
+        let terms: Box<[u64]> = objects
+            .iter()
+            .enumerate()
+            .map(|(i, o)| object_term(i, o))
+            .chain(processes.enumerate().map(|(i, p)| process_term(objects.len() + i, p)))
+            .collect();
+        ExploreKey {
+            value: terms.iter().fold(0, |acc, t| acc ^ t),
+            objects: objects.len(),
+            terms,
+        }
+    }
+
+    /// The 64-bit key the explorer deduplicates on.
+    pub fn value(&self) -> u64 {
+        self.value
+    }
+
+    /// The key of the configuration `next` leads to, derived from this
+    /// one (the key of the configuration `next` was computed on) by
+    /// re-hashing only the stepped process and the written object.
+    pub fn after(&self, next: &Successor) -> ExploreKey {
+        let mut child = self.clone();
+        let event = next.event();
+        let position = self.objects + event.pid.0;
+        child.swap(position, process_term(position, next.process()));
+        if let Some(object) = next.object() {
+            let position = event.op.object().0;
+            child.swap(position, object_term(position, object));
+        }
+        child
+    }
+
+    fn swap(&mut self, position: usize, term: u64) {
+        self.value ^= self.terms[position] ^ term;
+        self.terms[position] = term;
+    }
+}
+
+fn object_term(position: usize, object: &Object) -> u64 {
+    let mut h = FnvStream::new();
+    object.hash_config(&mut h);
+    salted(position, h.finish())
+}
+
+fn process_term(position: usize, process: &dyn Process) -> u64 {
+    let mut h = FnvStream::new();
+    process.write_state_key(&mut h);
+    salted(position, h.finish())
+}
+
+/// Salts a component hash with its position and mixes it (the
+/// SplitMix64 finalizer), so equal components at different positions,
+/// and small hash differences, give unrelated terms.
+fn salted(position: usize, hash: u64) -> u64 {
+    let mut z = hash ^ (position as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// The set of bits below bit `q`.
 fn low_bits(q: usize) -> u32 {
     (1u32 << q) - 1
@@ -811,6 +933,8 @@ impl StepMasks {
 /// One schedule prefix awaiting expansion in the parallel frontier.
 struct Prefix {
     sys: System,
+    /// Explorer key of `sys`, kept per component for its children.
+    key: ExploreKey,
     /// Sleep set this arrival carries (always 0 with DPOR off).
     sleep: u32,
     /// Processes to branch on from this entry, claimed canonically at
@@ -826,7 +950,7 @@ struct Prefix {
 /// canonical merge.
 struct Child {
     sys: System,
-    fp: u64,
+    key: ExploreKey,
     /// Sleep set the fork inherited (0 with DPOR off).
     sleep: u32,
     /// Live processes of the fork (0 with DPOR off — never read).
@@ -841,7 +965,7 @@ struct LevelChunk {
     truncated: bool,
     /// Lowest-index violation within the chunk.
     violation: Option<(usize, Vec<ProcessId>, String)>,
-    /// Children in (parent index, process id) order, with fingerprints.
+    /// Children in (parent index, process id) order, with their keys.
     children: Vec<Child>,
     /// Output vectors of terminal configurations in this chunk.
     terminal_outputs: Vec<Vec<Value>>,
@@ -925,35 +1049,39 @@ fn expand_chunk(
                 while remaining != 0 {
                     let q = remaining.trailing_zeros() as usize;
                     remaining &= remaining - 1;
-                    let mut fork = sys.clone();
-                    if let Err(err) = fork.step(ProcessId(q)) {
-                        if out.error.is_none() {
-                            out.error = Some((idx, err));
+                    let next = match sys.successor(ProcessId(q)) {
+                        Ok(next) => next,
+                        Err(err) => {
+                            if out.error.is_none() {
+                                out.error = Some((idx, err));
+                            }
+                            continue;
                         }
-                        continue;
-                    }
-                    let fp = fork.config_fingerprint();
+                    };
+                    let key = entry.key.after(&next);
                     let sleep =
                         masks.indep[q] & (entry.sleep | (entry.claim & low_bits(q)));
-                    // Only stepping q can change liveness: the fork's
+                    // Only stepping q can change liveness: the child's
                     // enabled set is the parent's, minus q if it just
                     // terminated.
-                    let enabled = if fork.is_terminated(ProcessId(q)) {
+                    let enabled = if next.process().terminated() {
                         masks.enabled & !(1 << q)
                     } else {
                         masks.enabled
                     };
                     // Concurrent pre-filter against the previous
-                    // levels' visited map: drop the fork only when the
-                    // merge could not possibly claim anything from it.
-                    // (`expanded` can only have grown since the map was
-                    // frozen, so this never drops a live claim.)
-                    if let Some(meta) = visited.get(&fp) {
+                    // levels' visited map: drop the child, before it is
+                    // ever built, when the merge could not possibly
+                    // claim anything from it. (`expanded` can only have
+                    // grown since the map was frozen, so this never
+                    // drops a live claim.)
+                    if let Some(meta) = visited.get(&key.value()) {
                         if enabled & !sleep & !meta.expanded == 0 {
                             continue;
                         }
                     }
-                    out.children.push(Child { sys: fork, fp, sleep, enabled });
+                    let child = sys.with_successor(next);
+                    out.children.push(Child { sys: child, key, sleep, enabled });
                 }
             } else {
                 for i in 0..sys.process_count() {
@@ -961,22 +1089,25 @@ fn expand_chunk(
                     if sys.is_terminated(pid) {
                         continue;
                     }
-                    let mut fork = sys.clone();
-                    if let Err(err) = fork.step(pid) {
-                        if out.error.is_none() {
-                            out.error = Some((idx, err));
+                    let next = match sys.successor(pid) {
+                        Ok(next) => next,
+                        Err(err) => {
+                            if out.error.is_none() {
+                                out.error = Some((idx, err));
+                            }
+                            continue;
                         }
-                        continue;
-                    }
-                    let fp = fork.config_fingerprint();
+                    };
+                    let key = entry.key.after(&next);
                     // Concurrent pre-filter: configurations
-                    // deduplicated at an earlier level never reach the
-                    // merge. Within-level duplicates are resolved
-                    // canonically by the merge itself.
-                    if visited.contains_key(&fp) {
+                    // deduplicated at an earlier level are never built.
+                    // Within-level duplicates are resolved canonically
+                    // by the merge itself.
+                    if visited.contains_key(&key.value()) {
                         continue;
                     }
-                    out.children.push(Child { sys: fork, fp, sleep: 0, enabled: 0 });
+                    let child = sys.with_successor(next);
+                    out.children.push(Child { sys: child, key, sleep: 0, enabled: 0 });
                 }
             }
             true

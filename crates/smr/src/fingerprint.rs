@@ -1,18 +1,19 @@
 //! Sharded configuration-fingerprint cache.
 //!
-//! Exhaustive exploration and campaign runs deduplicate configurations
-//! by a stable 64-bit fingerprint of [`crate::system::System::config_key`].
-//! A single `HashSet` behind one lock serialises every worker thread;
-//! this cache splits the fingerprint space across `2^k` independently
+//! Campaign runs, checkpoints, replay bundles and the serial explorer
+//! identify configurations by a stable 64-bit fingerprint of
+//! [`crate::system::System::config_key`]. (The parallel explorer's
+//! in-memory visited map keys on [`crate::explore::ExploreKey`]
+//! instead, which a step can update incrementally.) A single
+//! `HashSet` behind one lock serialises every worker thread; this
+//! cache splits the fingerprint space across `2^k` independently
 //! locked shards so concurrent inserts from different shards never
 //! contend.
 //!
 //! Determinism: the fingerprint function is a fixed FNV-1a over the
 //! configuration key — no per-process or per-run hash randomisation —
 //! so the set of fingerprints (and therefore every count derived from
-//! it) is identical across runs and thread counts. Set membership is
-//! order-independent, which is what makes the parallel explorer's
-//! `configs_visited` reproducible bit-for-bit.
+//! it) is identical across runs and thread counts.
 //!
 //! # Memory budget
 //!

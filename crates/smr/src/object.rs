@@ -189,10 +189,10 @@ impl Object {
     /// Returns [`ModelError::BadOperation`] if the operation does not
     /// match the object's type or indexes a nonexistent component.
     pub fn apply(&mut self, op: &Operation) -> Result<Response, ModelError> {
+        if !op.is_mutation() {
+            return self.observe(op);
+        }
         match (self, op) {
-            (Object::Register { value }, Operation::Read { .. }) => {
-                Ok(Response::Value(value.clone()))
-            }
             (Object::Register { value }, Operation::Write { value: v, .. }) => {
                 *value = v.clone();
                 Ok(Response::Ack)
@@ -206,9 +206,6 @@ impl Object {
                 *slot = value.clone();
                 Ok(Response::Ack)
             }
-            (Object::Snapshot { components }, Operation::Scan { .. }) => {
-                Ok(Response::View(components.clone()))
-            }
             (Object::MaxRegister { components }, Operation::WriteMax { component, value, .. }) => {
                 let slot = components.get_mut(*component).ok_or_else(|| {
                     ModelError::BadOperation(format!(
@@ -219,9 +216,6 @@ impl Object {
                     *slot = value.clone();
                 }
                 Ok(Response::Ack)
-            }
-            (Object::MaxRegister { components }, Operation::Scan { .. }) => {
-                Ok(Response::View(components.clone()))
             }
             (Object::FetchAndIncrement { counter }, Operation::FetchInc { .. }) => {
                 let old = *counter;
@@ -240,15 +234,37 @@ impl Object {
                     Ok(Response::Flag(false))
                 }
             }
-            (Object::Cas { value }, Operation::Read { .. })
+            (obj, op) => Err(mismatch(obj, op)),
+        }
+    }
+
+    /// Applies a non-mutating operation (a read or a scan) without
+    /// touching the object, so a configuration that shares the object
+    /// never has to copy it for one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::BadOperation`] for a mutating operation or
+    /// one that does not match the object's type.
+    pub fn observe(&self, op: &Operation) -> Result<Response, ModelError> {
+        match (self, op) {
+            (Object::Register { value }, Operation::Read { .. })
+            | (Object::Cas { value }, Operation::Read { .. })
             | (Object::Swap { value }, Operation::Read { .. }) => {
                 Ok(Response::Value(value.clone()))
             }
-            (obj, op) => Err(ModelError::BadOperation(format!(
-                "operation {op:?} does not apply to object {obj:?}"
-            ))),
+            (Object::Snapshot { components }, Operation::Scan { .. })
+            | (Object::MaxRegister { components }, Operation::Scan { .. }) => {
+                Ok(Response::View(components.clone()))
+            }
+            (obj, op) => Err(mismatch(obj, op)),
         }
     }
+}
+
+/// The error for an operation that does not fit the object's type.
+fn mismatch(obj: &Object, op: &Operation) -> ModelError {
+    ModelError::BadOperation(format!("operation {op:?} does not apply to object {obj:?}"))
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //!
 //! Processes must be cloneable behind `dyn` ([`Process::boxed_clone`])
 //! because the revisionist simulation saves, restores, and *locally
-//! simulates* process states, and the exhaustive explorer forks
-//! configurations.
+//! simulates* process states. A [`crate::system::System`] holds each
+//! process behind an `Arc`, so forking a configuration shares every
+//! process state; a state is cloned only when a step writes to it.
 //!
 //! [`SnapshotProcess`] adapts a [`SnapshotProtocol`] — the restricted
 //! protocol shape of Assumption 1 in the paper (alternate `scan` and

@@ -5,6 +5,12 @@
 //! of one process atomically — one base-object operation plus the local
 //! transition — and appends an [`Event`] to the execution trace.
 //!
+//! Configurations are copy-on-write: processes, the object vector and
+//! the writer restrictions are `Arc`-shared, so a clone copies pointers.
+//! A step computes its [`Successor`] against the shared state and then
+//! replaces only the process it stepped and, for a mutating operation,
+//! the object it wrote; a read or a scan copies no object at all.
+//!
 //! Single-writer restrictions (single-writer registers and single-writer
 //! snapshots) are configuration-level invariants installed with
 //! [`System::restrict_writer`].
@@ -16,6 +22,7 @@ use crate::process::{Poised, Process, ProcessId};
 use crate::trace::Trace;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One step of an execution: process `pid` performed `op` and received
 /// `resp`.
@@ -43,8 +50,8 @@ pub struct Event {
 /// ```
 #[derive(Clone, Debug)]
 pub struct System {
-    objects: Vec<Object>,
-    processes: Vec<Box<dyn Process>>,
+    objects: Arc<Vec<Object>>,
+    processes: Vec<Arc<dyn Process>>,
     trace: Trace,
     /// Steps taken per process, maintained on [`System::step`] so fault
     /// triggers and schedulers can read them in O(1) instead of
@@ -52,7 +59,35 @@ pub struct System {
     steps_per_process: Vec<usize>,
     /// `(object, component) -> owner` restrictions; `component` is 0 for
     /// plain registers.
-    owners: HashMap<(ObjectId, usize), ProcessId>,
+    owners: Arc<HashMap<(ObjectId, usize), ProcessId>>,
+}
+
+/// The next step of one process, computed against a configuration
+/// without forking it ([`System::successor`]): everything the step
+/// changes, ready to install with [`System::with_successor`].
+#[derive(Clone, Debug)]
+pub struct Successor {
+    process: Arc<dyn Process>,
+    object: Option<Object>,
+    event: Event,
+}
+
+impl Successor {
+    /// The stepped process's new state.
+    pub fn process(&self) -> &dyn Process {
+        self.process.as_ref()
+    }
+
+    /// The object the step wrote, in its new state; `None` for a read
+    /// or a scan. Its id is `event().op.object()`.
+    pub fn object(&self) -> Option<&Object> {
+        self.object.as_ref()
+    }
+
+    /// The step itself, as the trace records it.
+    pub fn event(&self) -> &Event {
+        &self.event
+    }
 }
 
 impl System {
@@ -60,11 +95,11 @@ impl System {
     pub fn new(objects: Vec<Object>, processes: Vec<Box<dyn Process>>) -> Self {
         let n = processes.len();
         System {
-            objects,
-            processes,
+            objects: Arc::new(objects),
+            processes: processes.into_iter().map(Arc::from).collect(),
             trace: Trace::new(),
             steps_per_process: vec![0; n],
-            owners: HashMap::new(),
+            owners: Arc::default(),
         }
     }
 
@@ -73,7 +108,7 @@ impl System {
     /// Installing ownership for every component of a snapshot makes it a
     /// single-writer snapshot.
     pub fn restrict_writer(&mut self, obj: ObjectId, component: usize, owner: ProcessId) {
-        self.owners.insert((obj, component), owner);
+        Arc::make_mut(&mut self.owners).insert((obj, component), owner);
     }
 
     /// The declared single-writer owner of `(obj, component)`, if any.
@@ -176,7 +211,24 @@ impl System {
     }
 
     /// Applies the next step of process `pid` and appends it to the
-    /// trace as an [`Event`]; read it back with [`System::trace`].
+    /// trace as an [`Event`]; read it back with [`System::trace`]. This
+    /// is [`System::successor`] installed in place.
+    ///
+    /// # Errors
+    ///
+    /// As [`System::successor`]; on error the configuration is
+    /// unchanged.
+    pub fn step(&mut self, pid: ProcessId) -> Result<(), ModelError> {
+        let next = self.successor(pid)?;
+        self.install(next);
+        Ok(())
+    }
+
+    /// Computes the next step of process `pid` without changing or
+    /// forking the configuration: the stepped process, the written
+    /// object (if the operation mutates one) and the [`Event`]. Only
+    /// the stepped process and the written object are copied; a read
+    /// or a scan copies no object.
     ///
     /// # Errors
     ///
@@ -185,25 +237,67 @@ impl System {
     /// * [`ModelError::WriterViolation`] on single-writer violations.
     /// * [`ModelError::BadOperation`] if the operation does not fit the
     ///   object.
-    pub fn step(&mut self, pid: ProcessId) -> Result<(), ModelError> {
-        let process = self
+    pub fn successor(&self, pid: ProcessId) -> Result<Successor, ModelError> {
+        let current = self
             .processes
             .get(pid.0)
             .ok_or_else(|| ModelError::BadId(format!("no process {pid}")))?;
-        let op = match process.poised() {
+        let op = match current.poised() {
             Poised::Step(op) => op,
             Poised::Output(_) => return Err(ModelError::ProcessTerminated(pid.0)),
         };
         self.check_ownership(pid, &op)?;
-        let obj = self
+        let target = self
             .objects
-            .get_mut(op.object().0)
+            .get(op.object().0)
             .ok_or_else(|| ModelError::BadId(format!("no object {}", op.object())))?;
-        let resp = obj.apply(&op)?;
-        self.processes[pid.0].receive(resp.clone());
-        self.steps_per_process[pid.0] += 1;
-        self.trace.push(Event { pid, op, resp });
-        Ok(())
+        let (object, resp) = if op.is_mutation() {
+            let mut written = target.clone();
+            let resp = written.apply(&op)?;
+            (Some(written), resp)
+        } else {
+            (None, target.observe(&op)?)
+        };
+        let mut process: Arc<dyn Process> = Arc::from(current.boxed_clone());
+        Arc::get_mut(&mut process)
+            .expect("a fresh clone is unshared")
+            .receive(resp.clone());
+        Ok(Successor { process, object, event: Event { pid, op, resp } })
+    }
+
+    /// The configuration `next` leads to: a copy-on-write fork of this
+    /// one with the step installed. `next` must come from
+    /// [`System::successor`] on this configuration.
+    pub fn with_successor(&self, next: Successor) -> System {
+        let mut child = self.clone();
+        child.install(next);
+        child
+    }
+
+    /// Installs a successor: swaps in the stepped process and the
+    /// written object, counts the step and records the event.
+    fn install(&mut self, next: Successor) {
+        let Successor { process, object, event } = next;
+        let pid = event.pid.0;
+        if let Some(object) = object {
+            let id = event.op.object().0;
+            match Arc::get_mut(&mut self.objects) {
+                Some(objects) => objects[id] = object,
+                // Shared with another configuration: copy every object
+                // but the one being replaced.
+                None => {
+                    let shared = &self.objects;
+                    let mut objects = Vec::with_capacity(shared.len());
+                    objects.extend_from_slice(&shared[..id]);
+                    objects.push(object);
+                    objects.extend_from_slice(&shared[id + 1..]);
+                    self.objects = Arc::new(objects);
+                }
+            }
+        }
+        self.processes[pid] = process;
+        self.steps_per_process[pid] += 1;
+        self.trace.push(event);
     }
 
     /// Runs the system under `scheduler` until all processes terminate,
@@ -264,7 +358,7 @@ impl System {
     pub fn config_key(&self) -> String {
         use std::fmt::Write;
         let mut key = String::new();
-        for o in &self.objects {
+        for o in self.objects.iter() {
             let _ = write!(key, "{o:?};");
         }
         for p in &self.processes {
@@ -314,7 +408,7 @@ impl ConfigHash for System {
     /// terminated by `;`.
     fn hash_config(&self, h: &mut FnvStream) {
         use std::fmt::Write;
-        for o in &self.objects {
+        for o in self.objects.iter() {
             o.hash_config(h);
             let _ = h.write_str(";");
         }

@@ -7,8 +7,14 @@
 //!
 //! Approximate agreement needs exact real arithmetic on midpoints, so
 //! [`Value::Dyadic`] stores dyadic rationals `num / 2^exp` exactly.
+//!
+//! Compound values ([`Value::Pair`], [`Value::Tuple`]) are immutable and
+//! `Arc`-shared: cloning one — for a scan's view, a poised update, or a
+//! forked configuration — bumps a reference count instead of copying
+//! the tree.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A dyadic rational `num / 2^exp`, the value domain of the approximate
 /// agreement protocols (midpoint computations stay exact).
@@ -185,20 +191,25 @@ pub enum Value {
     /// An exact dyadic rational (approximate agreement).
     Dyadic(Dyadic),
     /// An ordered pair, e.g. `(value, timestamp)`.
-    Pair(Box<Value>, Box<Value>),
+    Pair(Arc<(Value, Value)>),
     /// An arbitrary-width tuple.
-    Tuple(Vec<Value>),
+    Tuple(Arc<[Value]>),
 }
 
 impl Value {
     /// Convenience constructor for a pair.
     pub fn pair(a: Value, b: Value) -> Value {
-        Value::Pair(Box::new(a), Box::new(b))
+        Value::Pair(Arc::new((a, b)))
     }
 
     /// Convenience constructor for a triple.
     pub fn triple(a: Value, b: Value, c: Value) -> Value {
-        Value::Tuple(vec![a, b, c])
+        Value::Tuple(Arc::new([a, b, c]))
+    }
+
+    /// Convenience constructor for a tuple of any width.
+    pub fn tuple(items: Vec<Value>) -> Value {
+        Value::Tuple(items.into())
     }
 
     /// Is this the undefined value ⊥?
@@ -233,7 +244,7 @@ impl Value {
     /// Views the value as a pair, if it is one.
     pub fn as_pair(&self) -> Option<(&Value, &Value)> {
         match self {
-            Value::Pair(a, b) => Some((a, b)),
+            Value::Pair(p) => Some((&p.0, &p.1)),
             _ => None,
         }
     }
@@ -261,11 +272,11 @@ impl Value {
                 out.write_str("/2^")?;
                 write_u64(out, u64::from(d.exp))
             }
-            Value::Pair(a, b) => {
+            Value::Pair(p) => {
                 out.write_str("(")?;
-                a.write_key(out)?;
+                p.0.write_key(out)?;
                 out.write_str(",")?;
-                b.write_key(out)?;
+                p.1.write_key(out)?;
                 out.write_str(")")
             }
             Value::Tuple(t) => {
@@ -307,7 +318,7 @@ impl fmt::Debug for Value {
             Value::Bool(b) => write!(f, "{b}"),
             Value::Int(n) => write!(f, "{n}"),
             Value::Dyadic(d) => write!(f, "{d:?}"),
-            Value::Pair(a, b) => write!(f, "({a:?},{b:?})"),
+            Value::Pair(p) => write!(f, "({:?},{:?})", p.0, p.1),
             Value::Tuple(t) => {
                 write!(f, "(")?;
                 for (i, v) in t.iter().enumerate() {
@@ -380,7 +391,7 @@ mod tests {
             Value::Int(0),
             Value::Dyadic(Dyadic::zero()),
             Value::pair(Value::Nil, Value::Nil),
-            Value::Tuple(vec![])];
+            Value::tuple(vec![])];
         for w in vals.windows(2) {
             assert!(w[0] < w[1], "{:?} !< {:?}", w[0], w[1]);
         }

@@ -50,7 +50,7 @@ fn build(ops: &[Op]) -> Value {
             4 => Value::Nil,
             _ => {
                 let take = usize::from(selector % 4).min(stack.len());
-                Value::Tuple(stack.split_off(stack.len() - take))
+                Value::tuple(stack.split_off(stack.len() - take))
             }
         };
         stack.push(value);
@@ -58,7 +58,7 @@ fn build(ops: &[Op]) -> Value {
     if stack.len() == 1 {
         stack.pop().expect("one on the stack")
     } else {
-        Value::Tuple(stack)
+        Value::tuple(stack)
     }
 }
 
@@ -116,7 +116,7 @@ proptest! {
     ) {
         let (x, y) = (build(&a), build(&b));
         let components = match &x {
-            Value::Tuple(items) => items.clone(),
+            Value::Tuple(items) => items.to_vec(),
             other => vec![other.clone(), y.clone()],
         };
         let objects = [

@@ -29,6 +29,28 @@ smoke-campaign:
     cargo run --release -- campaign --procs 3 --runs 200 \
         --sched rr,random,quantum:2,obstruction:2,crash:1 --json
 
+# The paper's bound machine-checked at full size: a breadth-first
+# search of 3 racing processes on 2 registers, fewer than the
+# ⌊(n−1)/k⌋+1 = 3 the bound needs, must stop at the canonical 21-step
+# consensus violation (exit code 1) with the same counts at 1 and 2
+# threads (mirrors CI's smoke-explore job).
+smoke-explore:
+    #!/usr/bin/env bash
+    set -uo pipefail
+    cargo build --release --quiet || exit 1
+    for t in 1 2; do
+        out="explore-racing3-t$t.json"
+        target/release/revisionist-simulations explore --protocol racing --procs 3 \
+            --m 2 --depth 64 --max-configs 400000 --threads "$t" --json > "$out"
+        code=$?
+        [ "$code" -eq 1 ] || { echo "threads $t: exit code $code, expected 1"; exit 1; }
+        for want in '"configs_visited": 210751,' '"terminals": 24,' '"pruned": 59144,' \
+            '"schedule": [0, 1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 2, 1, 1, 1, 1, 1, 1, 1, 2]'; do
+            grep -qF "$want" "$out" || { echo "threads $t: missing $want"; exit 1; }
+        done
+    done
+    echo "smoke-explore: canonical violation at 1 and 2 threads"
+
 # Fault-injection certificate: the exhaustive single-crash sweep plus
 # the §3 non-blocking certification (mirrors CI's smoke-faults job).
 smoke-faults:

@@ -168,6 +168,44 @@ fn dpor_on_off_reports_identical_over_protocol_families() {
 }
 
 #[test]
+fn racing6_counts_are_pinned_across_thread_counts() {
+    // The explore-racing6 benchmark workload: six racing processes on
+    // two registers, cut at depth 7 before any process can decide.
+    let inputs: Vec<Value> = (1..=6).map(Value::Int).collect();
+    let sys = racing_system(2, &inputs);
+    let limits = Limits { max_depth: 7, max_configs: 8_000_000 };
+    for threads in [1, 2] {
+        let report = Explorer::new(limits)
+            .with_threads(threads)
+            .explore_parallel(&sys, &|_| None)
+            .unwrap();
+        assert_eq!(report.configs_visited, 29_689, "threads={threads}");
+        assert_eq!(report.terminals, 0, "threads={threads}");
+        assert_eq!(report.pruned, 36_080, "threads={threads}");
+        assert!(report.truncated, "threads={threads}");
+        assert!(report.violation.is_none(), "threads={threads}");
+    }
+}
+
+#[test]
+fn config_budget_counts_alike_sequential_and_parallel() {
+    // A run cut by `max_configs` reports exactly that many visited
+    // configurations in both modes.
+    for max_configs in [1, 10, 1_000] {
+        let limits = Limits { max_depth: 64, max_configs };
+        let seq = Explorer::new(limits).explore(&racing3(), &mut |_| None).unwrap();
+        let par = Explorer::new(limits)
+            .with_threads(2)
+            .explore_parallel(&racing3(), &|_| None)
+            .unwrap();
+        for (mode, report) in [("sequential", &seq), ("parallel", &par)] {
+            assert!(report.truncated, "{mode} max_configs={max_configs}");
+            assert_eq!(report.configs_visited, max_configs, "{mode} max_configs={max_configs}");
+        }
+    }
+}
+
+#[test]
 fn solo_termination_check_identical_across_thread_counts() {
     let limits = Limits { max_depth: 8, max_configs: 5_000 };
     let base = Explorer::new(limits)
