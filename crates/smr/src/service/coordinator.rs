@@ -877,6 +877,18 @@ impl Supervisor<'_> {
 
     fn handle(&mut self, event: Event) -> Result<(), ModelError> {
         match event {
+            // A session the coordinator killed was charged for its
+            // lease at the kill; whatever its reader still delivers (a
+            // beat, or a result flushed before the signal landed) is
+            // stale and must not also complete or refresh the unit.
+            Event::Msg(sid, epoch, _)
+                if self
+                    .sessions
+                    .get(sid)
+                    .is_some_and(|s| !s.alive && s.epoch != epoch) =>
+            {
+                Ok(())
+            }
             Event::Msg(sid, _epoch, WorkerMsg::Heartbeat { unit }) => {
                 self.lease.heartbeat(unit, Instant::now());
                 if self.chaos.take_kill(unit) {
@@ -896,30 +908,35 @@ impl Supervisor<'_> {
         }
     }
 
-    /// A chaos `kill@unit` fired on this heartbeat: SIGKILL the
-    /// worker's process, or for an externally managed TCP worker sever
-    /// the connection and charge the lease attempt directly.
+    /// A chaos `kill@unit` fired on this heartbeat. A coordinator-spawned
+    /// worker is SIGKILLed and its session ends here, charging the lease
+    /// attempt exactly once: the epoch bump makes the reader's later
+    /// `Gone`, and any result frame already in flight, stale. An
+    /// externally managed TCP worker has its connection severed and
+    /// the attempt charged; its session stays open for a reconnect.
     fn chaos_kill(&mut self, sid: usize, unit: u64) -> Result<(), ModelError> {
+        let now = Instant::now();
         let Some(sess) = self.sessions.get_mut(sid) else { return Ok(()) };
-        if let Some(child) = &mut sess.child {
-            let _ = child.kill();
-            if self.tcp {
-                // Reap now so the reader's Gone sees a dead process
-                // and requeues immediately instead of via expiry.
-                let _ = child.wait();
-            }
-            return Ok(());
+        if let Some(Link::Tcp(stream)) = sess.link.take() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        if self.tcp {
-            if let Some(Link::Tcp(stream)) = sess.link.take() {
-                let _ = stream.shutdown(Shutdown::Both);
+        sess.epoch += 1;
+        sess.current = None;
+        let events = match &mut sess.child {
+            Some(child) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                sess.alive = false;
+                self.lease.worker_died(sid, now, "killed by chaos")
             }
-            sess.epoch += 1;
-            sess.current = None;
-            if let Some(ev) = self.lease.fail_lease(unit, Instant::now(), "killed by chaos")
-            {
-                journal_lease_event(self.queue, self.stats, &ev)?;
-            }
+            None => self
+                .lease
+                .fail_lease(unit, now, "killed by chaos")
+                .into_iter()
+                .collect(),
+        };
+        for ev in events {
+            journal_lease_event(self.queue, self.stats, &ev)?;
         }
         Ok(())
     }
@@ -1248,6 +1265,7 @@ fn journal_lease_event(
 mod tests {
     use super::*;
     use crate::campaign::{CampaignConfig, SchedulerSpec};
+    use crate::service::proto::encode_frame;
 
     fn tiny_spec() -> ServiceSpec {
         ServiceSpec {
@@ -1329,6 +1347,48 @@ mod tests {
             other => panic!("expected ResumeMismatch, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(state.parent().unwrap());
+    }
+
+    /// `kill@unit` charges exactly one attempt even when the worker's
+    /// result frame is already in the pipe as the signal lands. This
+    /// worker writes its beat and its result in one atomic pipe write,
+    /// so the coordinator always reads the result after it has killed
+    /// the sender: the result must be dropped, not complete the unit.
+    #[test]
+    fn chaos_kill_charges_one_attempt_with_the_result_in_flight() {
+        let (state, corpus) = dirs("killrace");
+        let base = state.parent().unwrap().to_path_buf();
+        std::fs::create_dir_all(&base).unwrap();
+        let shard = ShardResult {
+            unit: 0,
+            records: Vec::new(),
+            fault_records: Vec::new(),
+            fingerprints: Vec::new(),
+            degraded_runs: 0,
+            cache_truncated: false,
+        };
+        let burst = base.join("burst");
+        std::fs::write(
+            &burst,
+            encode_frame(&WorkerMsg::Heartbeat { unit: 0 }.to_json())
+                + &encode_frame(&WorkerMsg::Result { unit: 0, shard }.to_json()),
+        )
+        .unwrap();
+        // Wait for the lease, burst, then idle until stdin closes.
+        let script = format!(
+            "head -c 1 >/dev/null; cat '{}'; exec cat >/dev/null",
+            burst.display()
+        );
+        let mut opts = ServiceOptions::new(state, corpus, vec!["sh".into(), "-c".into(), script]);
+        opts.workers = 1;
+        opts.retry_backoff = Duration::from_millis(1);
+        opts.chaos = ChaosPlan::parse("kill@unit:0").unwrap();
+        let mut spec = tiny_spec();
+        spec.config.runs = 1;
+        let outcome = run_service(&spec, &opts).unwrap();
+        assert_eq!(outcome.stats.kills_injected, 1);
+        assert_eq!((outcome.stats.leases, outcome.stats.requeues), (2, 1));
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]

@@ -74,10 +74,12 @@ smoke-replay:
 # service run with a worker SIGKILLed mid-unit and a torn journal
 # write injected must merge to a report byte-identical to the
 # single-process no-fault reference, every corpus bundle must replay,
-# and a second run over the same state dir must converge from the
-# journal alone (mirrors CI's smoke-service job).
+# a second run over the same state dir must converge from the journal
+# alone, and the E17 soak (three kills, one on the very first lease,
+# plus two torn writes) must merge to the same bytes as its reference
+# (mirrors CI's smoke-service job).
 smoke-service:
-    rm -rf svc-state
+    rm -rf svc-state soak-state
     cargo run --release -- campaign --protocol racing --procs 3 --m 2 \
         --sched rr,random --runs 40 --threads 1 --json-out svc-ref.json
     cargo run --release -- campaign-service --protocol racing --procs 3 --m 2 \
@@ -90,6 +92,17 @@ smoke-service:
     cargo run --release -- campaign-service --protocol racing --procs 3 --m 2 \
         --sched rr,random --runs 40 --state svc-state --json-out svc-rerun.json
     cmp svc-ref.json svc-rerun.json
+    cargo run --release -- campaign --protocol racing --procs 3 --m 2 \
+        --sched rr,random,obstruction:1 --runs 60 --threads 1 \
+        --json-out soak-ref.json
+    cargo run --release -- campaign-service --protocol racing --procs 3 --m 2 \
+        --sched rr,random,obstruction:1 --runs 60 --workers 3 --unit-runs 8 \
+        --state soak-state \
+        --chaos kill@unit:0,kill@unit:7,kill@unit:16,torn@result:3,torn@result:12 \
+        --json-out soak-merged.json 2> soak.log
+    cat soak.log
+    grep -q '3 worker kills, 2 torn journal writes injected' soak.log
+    cmp soak-ref.json soak-merged.json
 
 # TCP transport determinism gate: workers dial the coordinator over a
 # real socket while the chaos proxy drops, delays, duplicates,

@@ -46,9 +46,13 @@
 //!   single-process `campaign` run of the same spec, regardless of
 //!   worker count, crashes, or chaos injection, and violation bundles
 //!   land deduplicated in one corpus replayable by `replay`.
-//! * `campaign-worker` — internal: a service worker process speaking
-//!   length-prefixed JSON on stdio. Spawned by `campaign-service`, not
-//!   meant for direct use.
+//! * `campaign-worker [--connect ADDR [--tag T]]` — internal: a service
+//!   worker process. Without `--connect` it speaks length-prefixed,
+//!   checksummed JSON frames on stdin/stdout; with `--connect ADDR` it
+//!   dials a `campaign-service --listen` coordinator over TCP (`--tag`
+//!   is the spawn ordinal it echoes in the handshake). One lease loop
+//!   serves both transports. Spawned by `campaign-service`, not meant
+//!   for direct use.
 //! * `aug --f F --m M [--ops K] [--seed S]` — drive the augmented
 //!   snapshot under a random contended schedule and specification-check
 //!   the run. With `--certify`, instead check every single-crash *and*
@@ -1572,210 +1576,154 @@ fn worker_execute_unit(
 
 /// The `campaign-worker` subcommand: a service worker process. Without
 /// `--connect` it reads length-prefixed [`CoordMsg`] frames from stdin
-/// (the spawned-process transport); with `--connect ADDR` it dials the
-/// coordinator over TCP instead ([`campaign_worker_remote`]). Either
-/// way it heartbeats on a background thread while executing a leased
-/// unit and sends the shard result back as a frame. Exits nonzero on
-/// any error — the coordinator's lease machinery treats a dead worker
-/// as a requeue.
+/// and writes its own to stdout (the spawned-process transport); with
+/// `--connect ADDR` it dials the coordinator over TCP instead
+/// ([`campaign_worker_remote`]). Both transports feed the same
+/// [`serve_leases`] loop. Exits nonzero on any error — the
+/// coordinator's lease machinery treats a dead worker as a requeue.
+///
+/// [`CoordMsg`]: revisionist_simulations::smr::service::CoordMsg
 fn cmd_campaign_worker(flags: &HashMap<String, String>) -> ExitCode {
-    use revisionist_simulations::smr::service::{
-        read_frame, write_frame, CoordMsg, WorkerMsg,
-    };
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
-    use std::time::Duration;
+    use revisionist_simulations::smr::service::{read_frame, write_frame, CoordMsg};
 
     if let Some(addr) = flags.get("connect") {
         let tag = num(flags, "tag");
         return campaign_worker_remote(addr, tag);
     }
 
-    let stdin = std::io::stdin();
-    let mut reader = stdin.lock();
-    // Frames must hit the pipe whole; stdout writes go through one
-    // mutex so heartbeats never interleave with a result frame.
-    let out = Arc::new(Mutex::new(std::io::stdout()));
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
+    let mut stdin = std::io::stdin().lock();
+    serve_leases(
+        || match read_frame(&mut stdin) {
+            Ok(Some(frame)) => CoordMsg::parse(&frame).map_err(|e| {
+                eprintln!("campaign-worker: {e}");
+                ExitCode::FAILURE
+            }),
             // Clean EOF between frames: the coordinator went away.
-            Ok(None) => return ExitCode::SUCCESS,
+            Ok(None) => Err(ExitCode::SUCCESS),
             Err(e) => {
                 eprintln!("campaign-worker: bad frame: {e}");
-                return ExitCode::FAILURE;
+                Err(ExitCode::FAILURE)
             }
-        };
-        let msg = match CoordMsg::parse(&frame) {
-            Ok(msg) => msg,
-            Err(e) => {
-                eprintln!("campaign-worker: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let (unit, state_dir, corpus_dir, heartbeat_ms) = match msg {
-            CoordMsg::Shutdown => return ExitCode::SUCCESS,
-            CoordMsg::Lease { unit, state_dir, corpus_dir, heartbeat_ms } => {
-                (unit, state_dir, corpus_dir, heartbeat_ms)
-            }
-            // Handshake frames never arrive over stdio; tolerate strays.
-            CoordMsg::Welcome { .. } | CoordMsg::Reject { .. } => continue,
-        };
-
-        // Heartbeat immediately (the lease is live before the first run
-        // finishes), then keep beating from a background thread for the
-        // duration of the unit.
-        let stop = Arc::new(AtomicBool::new(false));
-        let beats = {
-            let out = Arc::clone(&out);
-            let stop = Arc::clone(&stop);
-            let unit_id = unit.id;
-            let period = Duration::from_millis(heartbeat_ms.max(1));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let beat = WorkerMsg::Heartbeat { unit: unit_id }.to_json();
-                    let sent = {
-                        let mut out = out.lock().expect("stdout lock");
-                        write_frame(&mut *out, &beat).is_ok()
-                    };
-                    if !sent {
-                        // Closed pipe: the coordinator died or revoked
-                        // the lease; executing to completion is still
-                        // useful (the checkpoint survives).
-                        break;
-                    }
-                    std::thread::sleep(period);
-                }
-            })
-        };
-        let result = worker_execute_unit(
-            &unit,
-            std::path::Path::new(&state_dir),
-            std::path::Path::new(&corpus_dir),
-        );
-        stop.store(true, Ordering::Relaxed);
-        let _ = beats.join();
-        match result {
-            Ok(shard) => {
-                let msg = WorkerMsg::Result { unit: unit.id, shard };
-                let mut out = out.lock().expect("stdout lock");
-                if let Err(e) = write_frame(&mut *out, &msg.to_json()) {
-                    eprintln!("campaign-worker: cannot send result: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            Err(e) => {
-                eprintln!("campaign-worker: unit {}: {e}", unit.id);
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+        },
+        // The stdout lock is held for the whole frame, so a heartbeat
+        // never interleaves with a result frame in the pipe.
+        |payload| write_frame(&mut std::io::stdout().lock(), payload),
+    )
 }
 
-/// The TCP worker loop: dial and handshake through a self-healing
+/// The TCP worker: dial and handshake through a self-healing
 /// [`Remote`], then serve leases until the coordinator says shutdown.
 /// Wire hiccups heal transparently — the session token presented on
 /// reconnect keeps the current lease alive — and a coordinator that
 /// stays gone past the bounded reconnect budget ends the worker
 /// cleanly (its lease has been requeued by then anyway).
+///
+/// [`Remote`]: revisionist_simulations::smr::service::Remote
 fn campaign_worker_remote(addr: &str, tag: Option<u64>) -> ExitCode {
-    use revisionist_simulations::smr::service::{
-        read_frame, CoordMsg, Remote, RemoteError, WorkerMsg,
-    };
+    use revisionist_simulations::smr::service::{read_frame, CoordMsg, Remote, RemoteError};
     use std::io::BufReader;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+
+    let remote = Remote::new(addr, tag);
+    let mut link = None;
+    let next = || loop {
+        let (reader, generation) = match &mut link {
+            Some(link) => link,
+            None => match remote.ensure() {
+                Ok((stream, generation)) => link.insert((BufReader::new(stream), generation)),
+                Err(RemoteError::Fatal(e)) => {
+                    eprintln!("campaign-worker: {e}");
+                    return Err(ExitCode::FAILURE);
+                }
+                Err(RemoteError::Unreachable(e)) => {
+                    // After a completed handshake, a coordinator gone
+                    // past the reconnect budget is a normal end of
+                    // service (the lease is requeued by then); before
+                    // one it's a startup failure.
+                    if remote.session().is_some() {
+                        eprintln!("campaign-worker: coordinator gone ({e}), exiting");
+                        return Err(ExitCode::SUCCESS);
+                    }
+                    eprintln!("campaign-worker: {e}");
+                    return Err(ExitCode::FAILURE);
+                }
+            },
+        };
+        let generation = *generation;
+        // EOF or a read error (including the idle timeout) ends this
+        // connection; so does a corrupt coordinator frame, rather than
+        // act on garbage. Either way: reconnect and resume.
+        if let Ok(Some(frame)) = read_frame(reader) {
+            match CoordMsg::parse(&frame) {
+                Ok(msg) => return Ok(msg),
+                Err(e) => eprintln!("campaign-worker: bad frame: {e}"),
+            }
+        }
+        remote.disconnect(generation);
+        link = None;
+    };
+    // `send` reconnects on its own; a hard failure means the
+    // coordinator is past saving.
+    serve_leases(next, |payload| remote.send(payload))
+}
+
+/// The worker loop both transports share: take the next coordinator
+/// message from `next` (`Err` carries the exit code that ends the
+/// worker), execute each leased unit, and send frames through `send`.
+///
+/// While a unit runs, a beat thread sends a heartbeat at once (the
+/// lease is live before the first run finishes, and chaos
+/// `kill@unit` fires on it), then one per period. It ends the moment
+/// the unit does: dropping `done` wakes its `recv_timeout`. A failed
+/// beat send ends it too; executing to completion is still useful,
+/// since the checkpoint survives. The result frame goes out after the
+/// last beat.
+fn serve_leases<E: std::fmt::Display>(
+    mut next: impl FnMut() -> Result<revisionist_simulations::smr::service::CoordMsg, ExitCode>,
+    send: impl Fn(&str) -> Result<(), E> + Sync,
+) -> ExitCode {
+    use revisionist_simulations::smr::service::{CoordMsg, WorkerMsg};
+    use std::sync::mpsc::{self, RecvTimeoutError};
     use std::time::Duration;
 
-    let remote = Arc::new(Remote::new(addr, tag));
     loop {
-        let (stream, generation) = match remote.ensure() {
-            Ok(pair) => pair,
-            Err(RemoteError::Fatal(e)) => {
-                eprintln!("campaign-worker: {e}");
-                return ExitCode::FAILURE;
+        let (unit, state_dir, corpus_dir, heartbeat_ms) = match next() {
+            Err(code) => return code,
+            Ok(CoordMsg::Shutdown) => return ExitCode::SUCCESS,
+            Ok(CoordMsg::Lease { unit, state_dir, corpus_dir, heartbeat_ms }) => {
+                (unit, state_dir, corpus_dir, heartbeat_ms)
             }
-            Err(RemoteError::Unreachable(e)) => {
-                // After a completed handshake, a coordinator gone past
-                // the reconnect budget is a normal end of service (the
-                // lease is requeued by then); before one it's a
-                // startup failure.
-                if remote.session().is_some() {
-                    eprintln!("campaign-worker: coordinator gone ({e}), exiting");
-                    return ExitCode::SUCCESS;
-                }
-                eprintln!("campaign-worker: {e}");
-                return ExitCode::FAILURE;
-            }
+            // Handshake frames carry no work; tolerate strays.
+            Ok(CoordMsg::Welcome { .. } | CoordMsg::Reject { .. }) => continue,
         };
-        let mut reader = BufReader::new(stream);
-        loop {
-            let msg = match read_frame(&mut reader) {
-                Ok(Some(frame)) => match CoordMsg::parse(&frame) {
-                    Ok(msg) => msg,
-                    Err(e) => {
-                        // A corrupt coordinator frame: drop the link
-                        // and re-handshake rather than act on garbage.
-                        eprintln!("campaign-worker: bad frame: {e}");
-                        remote.disconnect(generation);
-                        break;
-                    }
-                },
-                // EOF or a read error (including the idle timeout):
-                // this connection is done, reconnect and resume.
-                Ok(None) | Err(_) => {
-                    remote.disconnect(generation);
-                    break;
-                }
-            };
-            let (unit, state_dir, corpus_dir, heartbeat_ms) = match msg {
-                CoordMsg::Shutdown => return ExitCode::SUCCESS,
-                CoordMsg::Lease { unit, state_dir, corpus_dir, heartbeat_ms } => {
-                    (unit, state_dir, corpus_dir, heartbeat_ms)
-                }
-                // Stray handshake frames carry no work.
-                CoordMsg::Welcome { .. } | CoordMsg::Reject { .. } => continue,
-            };
-            let stop = Arc::new(AtomicBool::new(false));
-            let beats = {
-                let remote = Arc::clone(&remote);
-                let stop = Arc::clone(&stop);
-                let unit_id = unit.id;
-                let period = Duration::from_millis(heartbeat_ms.max(1));
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        let beat =
-                            WorkerMsg::Heartbeat { unit: unit_id }.to_json();
-                        // `send` reconnects on its own; a hard failure
-                        // means the coordinator is past saving, and the
-                        // result send will surface that.
-                        if remote.send(&beat).is_err() {
-                            break;
-                        }
-                        std::thread::sleep(period);
-                    }
-                })
-            };
+        let period = Duration::from_millis(heartbeat_ms.max(1));
+        let beat = WorkerMsg::Heartbeat { unit: unit.id }.to_json();
+        let result = std::thread::scope(|scope| {
+            let (done, finished) = mpsc::channel::<()>();
+            let send = &send;
+            let beat = &beat;
+            scope.spawn(move || {
+                while send(beat).is_ok()
+                    && finished.recv_timeout(period) == Err(RecvTimeoutError::Timeout)
+                {}
+            });
             let result = worker_execute_unit(
                 &unit,
                 std::path::Path::new(&state_dir),
                 std::path::Path::new(&corpus_dir),
             );
-            stop.store(true, Ordering::Relaxed);
-            let _ = beats.join();
-            match result {
-                Ok(shard) => {
-                    let msg = WorkerMsg::Result { unit: unit.id, shard };
-                    if let Err(e) = remote.send(&msg.to_json()) {
-                        eprintln!("campaign-worker: cannot send result: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                Err(e) => {
-                    eprintln!("campaign-worker: unit {}: {e}", unit.id);
-                    return ExitCode::FAILURE;
-                }
+            drop(done);
+            result
+        });
+        let shard = match result {
+            Ok(shard) => shard,
+            Err(e) => {
+                eprintln!("campaign-worker: unit {}: {e}", unit.id);
+                return ExitCode::FAILURE;
             }
+        };
+        if let Err(e) = send(&WorkerMsg::Result { unit: unit.id, shard }.to_json()) {
+            eprintln!("campaign-worker: cannot send result: {e}");
+            return ExitCode::FAILURE;
         }
     }
 }

@@ -287,3 +287,76 @@ fn malformed_numeric_flags_fail_naming_flag_and_value() {
         assert!(stderr.contains(&want), "{args:?}: stderr was: {stderr}");
     }
 }
+
+/// A stdio `campaign-worker` must send one heartbeat at once, its result
+/// the moment the unit finishes, and exit on EOF — never wait out the
+/// rest of a heartbeat period (here a minute) before replying.
+#[test]
+fn campaign_worker_replies_without_waiting_out_its_heartbeat() {
+    use revisionist_simulations::smr::service::{
+        read_frame, write_frame, CoordMsg, WorkUnit, WorkerMsg,
+    };
+    use std::io::BufReader;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let dir = std::env::temp_dir().join(format!("rsim-cli-worker-loop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let system = [
+        ("kind", "campaign"),
+        ("protocol", "racing"),
+        ("procs", "3"),
+        ("m", "2"),
+    ]
+    .map(|(k, v)| (k.to_string(), v.to_string()))
+    .to_vec();
+    let lease = CoordMsg::Lease {
+        unit: WorkUnit {
+            id: 5,
+            index_base: 0,
+            scheduler: "rr".into(),
+            plan: String::new(),
+            seed_start: 0,
+            runs: 2,
+            budget: 2000,
+            system,
+        },
+        state_dir: dir.display().to_string(),
+        corpus_dir: dir.join("corpus").display().to_string(),
+        heartbeat_ms: 60_000,
+    };
+
+    let start = Instant::now();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_revisionist-simulations"))
+        .arg("campaign-worker")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("worker spawns");
+    let mut stdin = child.stdin.take().unwrap();
+    write_frame(&mut stdin, &lease.to_json()).unwrap();
+    drop(stdin);
+    let mut out = BufReader::new(child.stdout.take().unwrap());
+    let mut next = || {
+        let frame = read_frame(&mut out).unwrap().expect("a frame before EOF");
+        WorkerMsg::parse(&frame).unwrap()
+    };
+    assert!(
+        matches!(next(), WorkerMsg::Heartbeat { unit: 5 }),
+        "first frame is a beat"
+    );
+    match next() {
+        WorkerMsg::Result { unit, shard } => {
+            assert_eq!(unit, 5);
+            assert_eq!(shard.records.len(), 2, "both runs recorded");
+        }
+        other => panic!("expected the unit's result, got {other:?}"),
+    }
+    let status = child.wait().unwrap();
+    assert!(status.success(), "worker exits cleanly on EOF: {status}");
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(20), "worker took {elapsed:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}

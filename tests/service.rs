@@ -95,7 +95,12 @@ fn chaos_service_matches_single_process_reference_byte_for_byte() {
         stderr.contains("1 worker kills, 1 torn journal writes injected"),
         "chaos must actually fire: {stderr}"
     );
-    assert!(stderr.contains("requeues"), "stats line missing: {stderr}");
+    // Each injection charges exactly one lease attempt: the kill even
+    // when the unit's result frame was already in flight.
+    assert!(
+        stderr.contains("10 units (0 recovered), 12 leases, 2 requeues"),
+        "each injection must cost one requeue: {stderr}"
+    );
 
     let ref_bytes = std::fs::read(&reference).unwrap();
     let svc_bytes = std::fs::read(&merged).unwrap();
