@@ -2,9 +2,10 @@
 //!
 //! Measures the costs the explorer pays per visited configuration —
 //! fingerprinting, forking, terminal dedup, linearizability memoing —
-//! plus end-to-end exploration throughput of the serial DFS engine and
-//! the parallel engine at `min(4, available_parallelism())` threads
-//! (the thread count is printed and written to the summary). The
+//! plus end-to-end exploration throughput of the explorer at one worker
+//! thread (the `serial_*` keys) and at `min(4, available_parallelism())`
+//! threads (the `parallel_*` keys; the thread count is printed and
+//! written to the summary). The
 //! fingerprint arm is also compared with its floor: FNV-1a over the
 //! pre-rendered key bytes, which no byte-identical encoding can beat
 //! because FNV-1a consumes one byte at a time. Each arm is
@@ -37,6 +38,8 @@ mod baseline {
     pub const FINGERPRINT_NS: f64 = 1065.8;
     pub const FORK_NS: [(usize, f64); 4] =
         [(16, 697.4), (64, 2575.3), (256, 9921.9), (1024, 49600.3)];
+    /// Measured on the sequential DFS explorer, since removed; the
+    /// serial arm now runs the frontier engine at one thread.
     pub const SERIAL_STATES_PER_SEC: f64 = 42_682.0;
     pub const PARALLEL_STATES_PER_SEC: f64 = 23_457.0;
     pub const LIN_CHECK_NS: f64 = 2_300.0;
@@ -182,19 +185,19 @@ fn main() {
         }
     }
 
-    // -- serial exploration (the DFS engine) ----------------------------
+    // -- serial exploration (one worker thread) -------------------------
     let initial = racing_system(2, &ints(3));
     let limits = Limits { max_depth: 64, max_configs: 20_000 };
-    let explorer = Explorer::new(limits);
-    let report = explorer.explore(&initial, &mut |_| None).expect("explore");
+    let explorer = Explorer::new(limits).with_threads(1);
+    let report = explorer.explore_parallel(&initial, &|_| None).expect("explore");
     let states = report.configs_visited;
     let n = samples(10);
     let serial_ns = time_ns(n, || {
-        black_box(explorer.explore(&initial, &mut |_| None).expect("explore"));
+        black_box(explorer.explore_parallel(&initial, &|_| None).expect("explore"));
     });
     let serial_rate = states as f64 / (serial_ns / 1e9);
     println!(
-        "explore/serial_dfs          {:>12.1} ms/run  ({states} states, {serial_rate:.0} states/s, {:.2}x vs baseline)",
+        "explore/serial_1            {:>12.1} ms/run  ({states} states, {serial_rate:.0} states/s, {:.2}x vs baseline)",
         serial_ns / 1e6,
         serial_rate / baseline::SERIAL_STATES_PER_SEC,
     );

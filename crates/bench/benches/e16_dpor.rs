@@ -10,7 +10,7 @@
 //! Depth-bounded limits with no config cap keep that comparison exact
 //! (a mid-level cap cuts in visit order and is legitimately
 //! order-dependent). Also re-runs the E14 hot-path workloads with the
-//! reduction on (the serial DFS engine and the parallel engine at
+//! reduction on (the explorer at one worker thread and at
 //! `min(4, available_parallelism())` threads, written to the summary as
 //! `threads`), so states-per-second stays comparable against the
 //! `BENCH_e14.json` baselines. Emits `BENCH_e16.json` (path override
@@ -28,6 +28,7 @@ use std::time::Instant;
 /// The E14 hot-path anchors (states/sec at the pre-optimisation seed
 /// commit) — the reduction must not regress the raw exploration rate.
 mod baseline {
+    /// Measured on the sequential DFS explorer, since removed.
     pub const E14_SERIAL_STATES_PER_SEC: f64 = 42_682.0;
     pub const E14_PARALLEL_STATES_PER_SEC: f64 = 23_457.0;
 }
@@ -237,15 +238,16 @@ fn main() {
     // -- E14 hot-path workloads with the reduction on --------------------
     let initial = racing_system(2, &ints(3));
     let limits = Limits { max_depth: 64, max_configs: 20_000 };
-    let explorer = Explorer::new(limits);
-    let states = explorer.explore(&initial, &mut |_| None).expect("explore").configs_visited;
+    let explorer = Explorer::new(limits).with_threads(1);
+    let states =
+        explorer.explore_parallel(&initial, &|_| None).expect("explore").configs_visited;
     let n = samples(10);
     let serial_ns = time_ns(n, || {
-        black_box(explorer.explore(&initial, &mut |_| None).expect("explore"));
+        black_box(explorer.explore_parallel(&initial, &|_| None).expect("explore"));
     });
     let serial_rate = states as f64 / (serial_ns / 1e9);
     println!(
-        "explore/serial_dfs_dpor     {:>12.1} ms/run  ({states} states, {serial_rate:.0} states/s, {:.2}x vs e14 baseline)",
+        "explore/serial_1_dpor       {:>12.1} ms/run  ({states} states, {serial_rate:.0} states/s, {:.2}x vs e14 baseline)",
         serial_ns / 1e6,
         serial_rate / baseline::E14_SERIAL_STATES_PER_SEC,
     );

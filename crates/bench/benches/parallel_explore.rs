@@ -51,7 +51,7 @@ fn bench_solo_termination_threads(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         explorer
-                            .check_solo_termination_parallel(&sys, 60)
+                            .check_solo_termination(&sys, 60)
                             .unwrap(),
                     )
                 })

@@ -19,7 +19,7 @@
 //! * `parallel_explore` — parallel explorer scaling across thread
 //!   counts and campaign runs per second.
 //! * `e14_hotpath` — exploration hot path: fingerprint (against its
-//!   FNV-1a floor), fork, serial DFS and parallel throughput,
+//!   FNV-1a floor), fork, 1-thread and parallel throughput,
 //!   linearizability memo; writes `BENCH_e14.json`.
 //! * `e16_dpor` — partial-order reduction: forks pruned, on/off report
 //!   equality, reduced throughput; writes `BENCH_e16.json`.

@@ -150,7 +150,7 @@ mod tests {
     fn explorer_refuses_the_fixture_unless_preflight_is_disabled() {
         let explorer = Explorer::new(Limits { max_depth: 4, max_configs: 100 });
         let err = explorer
-            .explore(&illformed_system(), &mut |_| None)
+            .explore_parallel(&illformed_system(), &|_| None)
             .unwrap_err();
         assert!(matches!(err, ModelError::PreflightRejected { .. }), "{err}");
 
@@ -158,7 +158,7 @@ mod tests {
         // runtime's own WriterViolation instead).
         let err = Explorer::new(Limits { max_depth: 4, max_configs: 100 })
             .with_preflight(false)
-            .explore(&illformed_system(), &mut |_| None)
+            .explore_parallel(&illformed_system(), &|_| None)
             .unwrap_err();
         assert!(matches!(err, ModelError::WriterViolation { .. }), "{err}");
     }

@@ -260,7 +260,7 @@ mod tests {
     use rsim_smr::sched::{Obstruction, Random};
     use rsim_tasks::agreement::{consensus, KSetAgreement};
     use rsim_tasks::task::ColorlessTask;
-    use rsim_tasks::violation::{search_exhaustive, search_random};
+    use rsim_tasks::violation::{search_exhaustive, search_random, Violation};
 
     fn ints(vals: &[i64]) -> Vec<Value> {
         vals.iter().map(|&v| Value::Int(v)).collect()
@@ -306,8 +306,14 @@ mod tests {
             Limits { max_depth: 40, max_configs: 500_000 },
         )
         .unwrap();
-        assert!(v.is_some(), "expected the known adversarial interleaving");
-        // The violating schedule is long: no *short* schedule breaks it.
+        // The search is breadth-first, so the witness is the canonical
+        // shortest violating schedule.
+        match v {
+            Some(Violation::Task { schedule, .. }) => assert_eq!(schedule.len(), 22),
+            other => panic!("expected the known adversarial interleaving, got {other:?}"),
+        }
+        // The violating schedule is long: no *short* schedule breaks it
+        // (every configuration within 20 steps is checked).
         let quick = search_exhaustive(
             &sys,
             &ints(&[1, 2]),

@@ -105,7 +105,7 @@ mod tests {
     #[test]
     fn exploration_is_clean_and_fully_prefiltered() {
         let sys = serializable_system(&[1, 2, 3]);
-        let report = Explorer::default().explore(&sys, &mut |_| None).unwrap();
+        let report = Explorer::default().explore_parallel(&sys, &|_| None).unwrap();
         assert!(report.is_clean());
         assert!(report.static_seed);
         assert_eq!(report.static_indep_pairs, 3);
@@ -120,10 +120,10 @@ mod tests {
     #[test]
     fn static_seeding_on_and_off_agree() {
         let sys = serializable_system(&[5, 7]);
-        let on = Explorer::default().explore(&sys, &mut |_| None).unwrap();
+        let on = Explorer::default().explore_parallel(&sys, &|_| None).unwrap();
         let off = Explorer::default()
             .with_static(false)
-            .explore(&sys, &mut |_| None)
+            .explore_parallel(&sys, &|_| None)
             .unwrap();
         assert_eq!(on.configs_visited, off.configs_visited);
         assert_eq!(on.terminals, off.terminals);

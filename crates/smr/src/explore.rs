@@ -5,33 +5,33 @@
 //! machine-check protocol properties the paper assumes of Π:
 //!
 //! * validity/agreement on all reachable terminal configurations
-//!   ([`Explorer::explore`] with a terminal predicate);
+//!   ([`Explorer::explore_parallel`] with a check,
+//!   [`Explorer::terminal_outputs`]);
 //! * obstruction-freedom: from every reachable configuration, every solo
 //!   execution terminates ([`Explorer::check_solo_termination`]);
 //! * x-obstruction-freedom via [`Explorer::check_group_termination`].
 //!
-//! # Sequential and parallel modes
+//! # The frontier engine
 //!
-//! [`Explorer::explore`] is the classic single-threaded DFS with a
-//! mutable check; it stops at the first violation in DFS order.
-//!
-//! [`Explorer::explore_parallel`] is a level-synchronised breadth-first
-//! frontier over schedule prefixes: at each depth, worker threads steal
-//! chunks of the frontier, expand and check configurations in parallel,
-//! and pre-filter duplicates through a shared visited-state map keyed
-//! by [`ExploreKey`], which a worker derives for each child from its
-//! parent's key and the [`System::successor`] step before it builds
-//! the child at all. Chunk
+//! Every entry point runs one engine: a level-synchronised breadth-first
+//! frontier over schedule prefixes. At each depth, worker threads (one
+//! by default, see [`Explorer::with_threads`]) steal chunks of the
+//! frontier, expand and check configurations, and pre-filter
+//! duplicates through a visited-state map keyed by [`ExploreKey`],
+//! which a worker derives for each child from its parent's key and the
+//! [`System::successor`] step before it builds the child at all. Chunk
 //! results are merged in frontier order and deduplicated canonically,
 //! which makes every report field — `configs_visited`, `terminals`,
 //! and the first violation — **bit-for-bit identical at every thread
 //! count**. The violation reported is the first in canonical schedule
 //! order (shortest schedule first, then lexicographic by process id),
-//! independent of which thread happened to find it.
+//! independent of which thread happened to find it. Because levels are
+//! explored in depth order, every configuration reachable within the
+//! depth bound is visited (unless the configuration budget runs out).
 //!
 //! # Partial-order reduction
 //!
-//! Both modes apply **happens-before-guided dynamic partial-order
+//! The explorer applies **happens-before-guided dynamic partial-order
 //! reduction** (on by default, see [`Explorer::with_dpor`]): sleep sets
 //! over schedule prefixes, driven by the exact step-commutation oracle
 //! in [`crate::hb`]. Processes are deterministic, so every
@@ -136,9 +136,8 @@ pub struct ExploreReport {
     /// are reported through `truncated` alone.
     pub truncation: Option<String>,
     /// The first violation found, if any: the schedule that produced it
-    /// and a description. Sequential mode reports the first violation
-    /// in DFS order; parallel mode reports the first in canonical
-    /// (breadth-first, lexicographic) schedule order.
+    /// and a description: the first in canonical (shortest, then
+    /// lexicographic) schedule order.
     pub violation: Option<(Vec<ProcessId>, String)>,
 }
 
@@ -159,8 +158,9 @@ impl ExploreReport {
     }
 }
 
-/// A check evaluated on every visited configuration by the parallel
-/// explorer; returns a violation description to flag the configuration.
+/// A check evaluated on every visited configuration, possibly on
+/// several worker threads at once; returns a violation description to
+/// flag the configuration.
 pub type ParallelCheck<'a> = &'a (dyn Fn(&System) -> Option<String> + Sync);
 
 /// Bounded exhaustive explorer over schedules of a [`System`].
@@ -192,8 +192,9 @@ impl Explorer {
         Explorer { limits, ..Explorer::default() }
     }
 
-    /// Sets the worker-thread count used by the `*_parallel` methods.
-    /// `0` means one worker per available CPU core.
+    /// Sets the worker-thread count every exploration runs on (1 by
+    /// default). `0` means one worker per available CPU core. Reports
+    /// are identical at every thread count.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -269,139 +270,20 @@ impl Explorer {
             .then(|| InterferenceMatrix::build(initial, crate::analyze::DEFAULT_BUDGET))
     }
 
-    /// Explores all schedules from `initial`, invoking `check` on every
-    /// visited configuration (with the schedule so far). `check` returns
-    /// a violation description to stop the search.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors from stepping the system.
-    pub fn explore(
-        &self,
-        initial: &System,
-        check: &mut dyn FnMut(&System) -> Option<String>,
-    ) -> Result<ExploreReport, ModelError> {
-        self.run_preflight(initial)?;
-        let dpor = self.dpor_for(initial);
-        let matrix = self.matrix_for(initial, dpor);
-        let mut report = ExploreReport {
-            configs_visited: 0,
-            terminals: 0,
-            pruned: 0,
-            dpor,
-            static_seed: matrix.is_some(),
-            static_indep_pairs: matrix.as_ref().map_or(0, InterferenceMatrix::indep_pairs),
-            prefilter_hits: 0,
-            truncated: false,
-            truncation: None,
-            violation: None,
-        };
-        let mut seen: HashMap<u64, StateMeta> = HashMap::new();
-        // The schedule so far is not stored per stack entry: it is the
-        // suffix of each configuration's (copy-on-write, shared) trace
-        // past the initial configuration, recovered only when a
-        // violation needs reporting. Each entry carries only its sleep
-        // set — the processes whose next step is a commuting swap of a
-        // branch already taken elsewhere.
-        let base_depth = initial.trace().len();
-        let mut stack: Vec<(System, u32)> = vec![(initial.clone(), 0)];
-        while let Some((mut sys, sleep)) = stack.pop() {
-            let fp = sys.config_fingerprint();
-            let first = !seen.contains_key(&fp);
-            if first {
-                if report.configs_visited >= self.limits.max_configs {
-                    report.truncated = true;
-                    break;
-                }
-                seen.insert(fp, StateMeta::default());
-                report.configs_visited += 1;
-                if let Some(msg) = check(&sys) {
-                    report.violation = Some((schedule_since(&sys, base_depth), msg));
-                    break;
-                }
-                if sys.all_terminated() {
-                    report.terminals += 1;
-                    continue;
-                }
-                if sys.trace().len() - base_depth >= self.limits.max_depth {
-                    report.truncated = true;
-                    continue;
-                }
-            } else {
-                // Re-arrival. Without DPOR a duplicate has nothing
-                // left to offer (every live process was branched on at
-                // first arrival); with it, state matching may wake
-                // processes the first arrival's sleep set suppressed —
-                // but only from a prefix that can still expand at all.
-                if !dpor {
-                    continue;
-                }
-                if sys.all_terminated() {
-                    continue;
-                }
-                if sys.trace().len() - base_depth >= self.limits.max_depth {
-                    report.truncated = true;
-                    continue;
-                }
-            }
-            let masks = StepMasks::of(
-                &sys,
-                dpor,
-                matrix.as_ref(),
-                &mut report.prefilter_hits,
-            )?;
-            let meta = seen.get_mut(&fp).expect("visited entry exists");
-            let claim = masks.enabled & !sleep & !meta.expanded;
-            if dpor {
-                let newly_slept = masks.enabled & sleep & !meta.expanded & !meta.slept;
-                meta.slept |= newly_slept;
-                report.pruned += newly_slept.count_ones() as usize;
-                let reclaimed = claim & meta.slept;
-                meta.slept &= !reclaimed;
-                report.pruned -= reclaimed.count_ones() as usize;
-            }
-            meta.expanded |= claim;
-            if claim == 0 {
-                continue;
-            }
-            // Seal the trace so each fork below copies zero events, and
-            // move the parent into its last child instead of cloning it
-            // one extra time.
-            sys.freeze_trace();
-            let mut remaining = claim;
-            while remaining != 0 {
-                let q = remaining.trailing_zeros() as usize;
-                remaining &= remaining - 1;
-                let child_sleep = if dpor {
-                    masks.indep[q] & (sleep | (claim & low_bits(q)))
-                } else {
-                    0
-                };
-                if remaining == 0 {
-                    sys.step(ProcessId(q))?;
-                    stack.push((sys, child_sleep));
-                    break;
-                }
-                let mut fork = sys.clone();
-                fork.step(ProcessId(q))?;
-                stack.push((fork, child_sleep));
-            }
-        }
-        Ok(report)
-    }
-
-    /// Parallel exhaustive exploration: a level-synchronised frontier
-    /// over schedule prefixes, with worker threads stealing chunks of
-    /// each level and a shared visited-state map deduplicating
+    /// Explores all schedules from `initial` up to the [`Limits`],
+    /// evaluating `check` once on every distinct configuration visited;
+    /// a check that returns a description stops the search with that
+    /// violation. The exploration is a level-synchronised frontier over
+    /// schedule prefixes, with worker threads stealing chunks of each
+    /// level and a shared visited-state map deduplicating
     /// configurations.
     ///
     /// Every field of the returned report is deterministic — identical
     /// at 1, 2, or N threads — because chunk results are merged in
     /// frontier order and the violation chosen is the canonically first
-    /// (shortest schedule, then lexicographically smallest).
-    ///
-    /// Unlike [`Explorer::explore`], the check must be `Fn + Sync`; it
-    /// runs concurrently on many configurations.
+    /// (shortest schedule, then lexicographically smallest). The check
+    /// must be `Fn + Sync`: it may run concurrently on many
+    /// configurations.
     ///
     /// # Errors
     ///
@@ -620,7 +502,8 @@ impl Explorer {
     }
 
     /// Collects the set of output vectors over all reachable terminal
-    /// configurations. Each vector is indexed by process.
+    /// configurations, in canonical first-reached order. Each vector is
+    /// indexed by process.
     ///
     /// # Errors
     ///
@@ -629,40 +512,15 @@ impl Explorer {
         &self,
         initial: &System,
     ) -> Result<(Vec<Vec<Value>>, ExploreReport), ModelError> {
-        let mut outputs: Vec<Vec<Value>> = Vec::new();
-        let mut seen_outputs: HashSet<Vec<Value>> = HashSet::new();
-        let report = self.explore(initial, &mut |sys| {
-            if sys.all_terminated() {
-                let outs: Vec<Value> =
-                    sys.outputs().into_iter().map(Option::unwrap).collect();
-                if seen_outputs.insert(outs.clone()) {
-                    outputs.push(outs);
-                }
-            }
-            None
-        })?;
-        Ok((outputs, report))
-    }
-
-    /// Parallel [`Explorer::terminal_outputs`]: same output set, same
-    /// report determinism guarantees as [`Explorer::explore_parallel`].
-    /// Outputs are returned in canonical first-reached order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors from stepping the system.
-    pub fn terminal_outputs_parallel(
-        &self,
-        initial: &System,
-    ) -> Result<(Vec<Vec<Value>>, ExploreReport), ModelError> {
         let (report, outputs) =
             self.explore_parallel_inner(initial, &|_| None, true)?;
         Ok((outputs, report))
     }
 
-    /// Checks obstruction-freedom empirically: from every reachable
-    /// configuration (within limits), every live process terminates when
-    /// run solo for at most `solo_budget` steps.
+    /// Checks obstruction-freedom empirically (Theorem 35's
+    /// hypothesis): from every reachable configuration (within limits),
+    /// every live process terminates when run solo for at most
+    /// `solo_budget` steps.
     ///
     /// # Errors
     ///
@@ -675,47 +533,19 @@ impl Explorer {
         self.check_group_termination(initial, 1, solo_budget)
     }
 
-    /// Parallel [`Explorer::check_solo_termination`] (Theorem 35's
-    /// hypothesis checked across all cores).
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors from stepping the system.
-    pub fn check_solo_termination_parallel(
-        &self,
-        initial: &System,
-        solo_budget: usize,
-    ) -> Result<ExploreReport, ModelError> {
-        self.check_group_termination_parallel(initial, 1, solo_budget)
-    }
-
     /// Checks x-obstruction-freedom empirically: from every reachable
     /// configuration, for every group of at most `x` live processes
     /// (rotations of the live set) and for several round-robin quanta
     /// (each member taking 1, 2, or 3 consecutive steps per turn —
     /// step-level and operation-level alternation differ for snapshot
     /// protocols), running only that group for `budget` steps
-    /// terminates all of them.
+    /// terminates all of them. The group runs — the expensive part —
+    /// fan out across the worker threads.
     ///
     /// # Errors
     ///
     /// Propagates runtime errors from stepping the system.
     pub fn check_group_termination(
-        &self,
-        initial: &System,
-        x: usize,
-        budget: usize,
-    ) -> Result<ExploreReport, ModelError> {
-        self.explore(initial, &mut |sys| group_termination_check(sys, x, budget))
-    }
-
-    /// Parallel [`Explorer::check_group_termination`]: the group-run
-    /// check — the expensive part — fans out across worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors from stepping the system.
-    pub fn check_group_termination_parallel(
         &self,
         initial: &System,
         x: usize,
@@ -727,7 +557,7 @@ impl Explorer {
     }
 }
 
-/// The parallel explorer's in-memory configuration key, kept per
+/// The explorer's in-memory configuration key, kept per
 /// component so a step re-hashes only what it touched.
 ///
 /// The key is the XOR of one term per object and one per process. A
@@ -848,8 +678,8 @@ fn low_bits(q: usize) -> u32 {
 }
 
 /// Per-configuration bookkeeping for sleep-set pruning with state
-/// matching, keyed by configuration fingerprint.
-#[derive(Clone, Copy, Default)]
+/// matching, keyed by [`ExploreKey`] value.
+#[derive(Clone, Copy)]
 struct StateMeta {
     /// Processes already branched on from this configuration, over all
     /// arrivals.
@@ -930,7 +760,7 @@ impl StepMasks {
     }
 }
 
-/// One schedule prefix awaiting expansion in the parallel frontier.
+/// One schedule prefix awaiting expansion in the frontier.
 struct Prefix {
     sys: System,
     /// Explorer key of `sys`, kept per component for its children.
@@ -1147,8 +977,9 @@ fn schedule_since(sys: &System, base_depth: usize) -> Vec<ProcessId> {
 
 /// The x-obstruction-freedom check run on one configuration: every
 /// rotation-group of at most `x` live processes, under quanta 1/2/3,
-/// must terminate within `budget` steps. Shared by the sequential and
-/// parallel explorer paths.
+/// must terminate within `budget` steps. The check behind
+/// [`Explorer::check_solo_termination`] and
+/// [`Explorer::check_group_termination`].
 fn group_termination_check(sys: &System, x: usize, budget: usize) -> Option<String> {
     let n = sys.process_count();
     let quanta: &[usize] = if x == 1 { &[1] } else { &[1, 2, 3] };
@@ -1326,31 +1157,29 @@ mod tests {
     }
 
     #[test]
-    fn parallel_terminal_outputs_match_sequential() {
-        let explorer = Explorer::default().with_threads(4);
-        let (seq, seq_report) =
+    fn terminal_outputs_are_thread_count_invariant() {
+        let (base, base_report) =
             Explorer::default().terminal_outputs(&two_process_system()).unwrap();
-        let (par, par_report) =
-            explorer.terminal_outputs_parallel(&two_process_system()).unwrap();
-        let mut seq_sorted: Vec<String> =
-            seq.iter().map(|o| format!("{o:?}")).collect();
-        let mut par_sorted: Vec<String> =
-            par.iter().map(|o| format!("{o:?}")).collect();
-        seq_sorted.sort();
-        par_sorted.sort();
-        assert_eq!(seq_sorted, par_sorted);
-        assert_eq!(seq_report.configs_visited, par_report.configs_visited);
-        assert_eq!(seq_report.terminals, par_report.terminals);
+        for threads in [2, 4] {
+            let (outputs, report) = Explorer::default()
+                .with_threads(threads)
+                .terminal_outputs(&two_process_system())
+                .unwrap();
+            // Canonical first-reached order, not merely the same set.
+            assert_eq!(outputs, base, "t={threads}");
+            assert_eq!(report.configs_visited, base_report.configs_visited);
+            assert_eq!(report.terminals, base_report.terminals);
+        }
     }
 
     #[test]
     fn dpor_visits_the_same_states_and_verdicts() {
         // The cornerstone contract: sleep sets prune forks, never
         // configurations. On and off must agree on every count except
-        // `pruned`, in both modes.
+        // `pruned`.
         for sys in [two_process_system(), independent_writers(3)] {
-            let on = Explorer::default();
-            let off = Explorer::default().with_dpor(false);
+            let on = Explorer::default().with_threads(4);
+            let off = Explorer::default().with_threads(4).with_dpor(false);
             let (out_on, rep_on) = on.terminal_outputs(&sys).unwrap();
             let (out_off, rep_off) = off.terminal_outputs(&sys).unwrap();
             assert_eq!(rep_on.configs_visited, rep_off.configs_visited);
@@ -1364,13 +1193,6 @@ mod tests {
             assert!(rep_on.dpor);
             assert!(!rep_off.dpor);
             assert_eq!(rep_off.pruned, 0);
-
-            let par_on = on.with_threads(4).explore_parallel(&sys, &|_| None).unwrap();
-            let par_off =
-                off.with_threads(4).explore_parallel(&sys, &|_| None).unwrap();
-            assert_eq!(par_on.configs_visited, par_off.configs_visited);
-            assert_eq!(par_on.terminals, par_off.terminals);
-            assert_eq!(par_off.pruned, 0);
         }
     }
 
@@ -1379,15 +1201,10 @@ mod tests {
         // Three writers to three different components: almost every
         // adjacent pair commutes, so the reduction must actually fire.
         let sys = independent_writers(3);
-        let report = Explorer::default().explore(&sys, &mut |_| None).unwrap();
+        let report = Explorer::default().explore_parallel(&sys, &|_| None).unwrap();
         assert!(report.dpor);
         assert!(report.pruned > 0, "no forks pruned: {report:?}");
         assert!(report.reduction_factor() > 1.0);
-        let par = Explorer::default()
-            .with_threads(4)
-            .explore_parallel(&sys, &|_| None)
-            .unwrap();
-        assert!(par.pruned > 0);
     }
 
     #[test]
@@ -1410,20 +1227,13 @@ mod tests {
 
     #[test]
     fn solo_termination_holds_for_terminating_protocol() {
-        let explorer = Explorer::default();
-        let report = explorer
-            .check_solo_termination(&two_process_system(), 10)
-            .unwrap();
-        assert!(report.is_clean(), "violation: {:?}", report.violation);
-    }
-
-    #[test]
-    fn parallel_solo_termination_holds() {
-        let explorer = Explorer::default().with_threads(0);
-        let report = explorer
-            .check_solo_termination_parallel(&two_process_system(), 10)
-            .unwrap();
-        assert!(report.is_clean(), "violation: {:?}", report.violation);
+        for threads in [1, 0] {
+            let report = Explorer::default()
+                .with_threads(threads)
+                .check_solo_termination(&two_process_system(), 10)
+                .unwrap();
+            assert!(report.is_clean(), "violation: {:?}", report.violation);
+        }
     }
 
     #[test]
@@ -1446,21 +1256,20 @@ mod tests {
             vec![Object::snapshot(1)],
             vec![Box::new(SnapshotProcess::new(Spinner { i: 0 }, ObjectId(0)))],
         );
-        let explorer = Explorer::new(Limits { max_depth: 3, max_configs: 1000 });
-        let report = explorer.check_solo_termination(&sys, 20).unwrap();
-        assert!(!report.is_clean());
-        let report = explorer
-            .with_threads(2)
-            .check_solo_termination_parallel(&sys, 20)
-            .unwrap();
-        assert!(!report.is_clean());
+        for threads in [1, 2] {
+            let report = Explorer::new(Limits { max_depth: 3, max_configs: 1000 })
+                .with_threads(threads)
+                .check_solo_termination(&sys, 20)
+                .unwrap();
+            assert!(!report.is_clean(), "t={threads}");
+        }
     }
 
     #[test]
     fn violation_reports_schedule() {
         let explorer = Explorer::default();
         let report = explorer
-            .explore(&two_process_system(), &mut |sys| {
+            .explore_parallel(&two_process_system(), &|sys| {
                 sys.output(ProcessId(0)).map(|v| format!("p0 output {v}"))
             })
             .unwrap();
@@ -1498,7 +1307,7 @@ mod tests {
     fn dedup_bounds_visited_configs() {
         let explorer = Explorer::default();
         let report = explorer
-            .explore(&two_process_system(), &mut |_| None)
+            .explore_parallel(&two_process_system(), &|_| None)
             .unwrap();
         // Without dedup the tree has hundreds of nodes; with dedup the
         // distinct-configuration count is small.
@@ -1562,7 +1371,7 @@ mod tests {
     #[test]
     fn unlimited_explorations_carry_no_truncation_notice() {
         let report = Explorer::default()
-            .explore(&two_process_system(), &mut |_| None)
+            .explore_parallel(&two_process_system(), &|_| None)
             .unwrap();
         assert!(!report.truncated);
         assert!(report.truncation.is_none());
@@ -1572,15 +1381,14 @@ mod tests {
     fn static_seeding_leaves_reports_identical() {
         // The audit contract: the matrix is a prefilter only, the
         // masks used are always the dynamic oracle's — every verdict
-        // and count must match with the seeding on or off, in both
-        // explorer modes.
+        // and count must match with the seeding on or off.
         for sys in
             [two_process_system(), independent_writers(3), blind_writers(3)]
         {
-            let on = Explorer::default();
-            let off = Explorer::default().with_static(false);
-            let rep_on = on.explore(&sys, &mut |_| None).unwrap();
-            let rep_off = off.explore(&sys, &mut |_| None).unwrap();
+            let on = Explorer::default().with_threads(4);
+            let off = Explorer::default().with_threads(4).with_static(false);
+            let rep_on = on.explore_parallel(&sys, &|_| None).unwrap();
+            let rep_off = off.explore_parallel(&sys, &|_| None).unwrap();
             assert_eq!(rep_on.configs_visited, rep_off.configs_visited);
             assert_eq!(rep_on.terminals, rep_off.terminals);
             assert_eq!(rep_on.pruned, rep_off.pruned);
@@ -1588,14 +1396,6 @@ mod tests {
             assert!(!rep_off.static_seed);
             assert_eq!(rep_off.static_indep_pairs, 0);
             assert_eq!(rep_off.prefilter_hits, 0);
-
-            let par_on =
-                on.with_threads(4).explore_parallel(&sys, &|_| None).unwrap();
-            let par_off =
-                off.with_threads(4).explore_parallel(&sys, &|_| None).unwrap();
-            assert_eq!(par_on.configs_visited, par_off.configs_visited);
-            assert_eq!(par_on.terminals, par_off.terminals);
-            assert_eq!(par_on.pruned, par_off.pruned);
         }
     }
 
@@ -1605,7 +1405,7 @@ mod tests {
         // pairs are statically independent, so the matrix answers (and
         // the audit confirms) at least once per expanded configuration.
         let sys = blind_writers(3);
-        let report = Explorer::default().explore(&sys, &mut |_| None).unwrap();
+        let report = Explorer::default().explore_parallel(&sys, &|_| None).unwrap();
         assert!(report.static_seed);
         assert_eq!(report.static_indep_pairs, 3);
         assert!(report.prefilter_hits > 0, "prefilter never consulted: {report:?}");
@@ -1614,7 +1414,7 @@ mod tests {
         // Scanning protocols are statically dependent on every writer
         // of the object: the matrix is all-dependent and never answers.
         let scanning = Explorer::default()
-            .explore(&independent_writers(3), &mut |_| None)
+            .explore_parallel(&independent_writers(3), &|_| None)
             .unwrap();
         assert!(scanning.static_seed);
         assert_eq!(scanning.static_indep_pairs, 0);
@@ -1643,7 +1443,7 @@ mod tests {
     fn static_seeding_is_inert_without_dpor() {
         let report = Explorer::default()
             .with_dpor(false)
-            .explore(&blind_writers(3), &mut |_| None)
+            .explore_parallel(&blind_writers(3), &|_| None)
             .unwrap();
         assert!(!report.static_seed);
         assert_eq!(report.static_indep_pairs, 0);

@@ -16,8 +16,8 @@
 //! * [`sched`] — adversarial schedulers (round-robin, random, solo,
 //!   fixed, x-obstruction, crash).
 //! * [`explore`] — bounded exhaustive model checking: all interleavings
-//!   of small systems, solo/group termination checks; sequential DFS and
-//!   a deterministic parallel frontier engine.
+//!   of small systems, solo/group termination checks, all on one
+//!   deterministic breadth-first frontier engine.
 //! * [`fault`] — deterministic fault injection: precisely placed
 //!   crashes, stall windows, and trace-keyed triggers composable with
 //!   any scheduler via [`fault::FaultScheduler`].

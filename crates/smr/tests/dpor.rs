@@ -97,13 +97,12 @@ fn canonical_violation_is_reduction_invariant() {
     }
 }
 
-/// Sequential DFS on/off: on non-truncated explorations the visited
+/// Single-threaded on/off gate on exhausted explorations: the visited
 /// set, terminal count, and verdict must agree exactly. The full
 /// generated protocols are obstruction-free (adversarial schedules
 /// run unboundedly, so no finite limits avoid truncation); the
 /// wait-free *scripted* variant of each spec terminates, giving a
-/// finite state space the DFS exhausts completely — which is exactly
-/// the regime where sequential on/off reports must coincide.
+/// finite state space the explorer exhausts completely.
 #[test]
 fn sequential_gate_on_scripted_protocols() {
     use rsim_smr::object::{Object, ObjectId};
@@ -123,10 +122,10 @@ fn sequential_gate_on_scripted_protocols() {
             })
             .collect();
         let sys = rsim_smr::system::System::new(vec![Object::snapshot(m)], processes);
-        let on = Explorer::new(limits).explore(&sys, &mut |_| None).unwrap();
+        let on = Explorer::new(limits).explore_parallel(&sys, &|_| None).unwrap();
         let off = Explorer::new(limits)
             .with_dpor(false)
-            .explore(&sys, &mut |_| None)
+            .explore_parallel(&sys, &|_| None)
             .unwrap();
         assert!(!on.truncated && !off.truncated, "gen:{seed}: truncated");
         assert_eq!(on.configs_visited, off.configs_visited, "gen:{seed}");
@@ -135,5 +134,5 @@ fn sequential_gate_on_scripted_protocols() {
         assert_eq!(off.pruned, 0, "gen:{seed}");
         total_pruned += on.pruned;
     }
-    assert!(total_pruned > 0, "no sequential pruning across the corpus");
+    assert!(total_pruned > 0, "no pruning across the scripted corpus");
 }

@@ -295,6 +295,8 @@ mod tests {
         let explorer = Explorer::new(Limits { max_depth: 14, max_configs: 100_000 });
         let report = explorer.check_solo_termination(&sys, 40).unwrap();
         assert!(report.is_clean(), "violation: {:?}", report.violation);
+        // Every reachable configuration is covered within the bound.
+        assert!(!report.truncated, "{report:?}");
     }
 
     #[test]

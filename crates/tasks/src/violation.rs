@@ -54,6 +54,12 @@ fn partial_outputs(sys: &System) -> Vec<Value> {
 /// Because colorless tasks are subset-closed, validating *partial*
 /// output sets is sound: a bad partial set can never become good.
 ///
+/// The search is breadth-first ([`Explorer::explore_parallel`]), so it
+/// covers every configuration reachable within `limits.max_depth`
+/// steps (unless `limits.max_configs` cuts it short), and the witness
+/// it returns is canonical: a shortest violating schedule, and the
+/// lexicographically least (by process id) among those.
+///
 /// # Errors
 ///
 /// Propagates runtime errors from stepping the system. The explorer's
@@ -70,7 +76,7 @@ pub fn search_exhaustive(
     limits: Limits,
 ) -> Result<Option<Violation>, ModelError> {
     let explorer = Explorer::new(limits);
-    let report = explorer.explore(initial, &mut |sys| {
+    let report = explorer.explore_parallel(initial, &|sys| {
         let outs = partial_outputs(sys);
         task.validate(inputs, &outs).err().map(|v| v.reason)
     })?;

@@ -285,7 +285,7 @@ fn e8_solo_conversion() {
     );
     let explorer = Explorer::new(Limits { max_depth: 12, max_configs: 60_000 })
         .with_threads(0);
-    let report = explorer.check_solo_termination_parallel(&sys, 50).unwrap();
+    let report = explorer.check_solo_termination(&sys, 50).unwrap();
     println!(
         "- Determinized randomized racing (m=2, 2 procs): solo termination from all \
          {} reachable configs: {}",

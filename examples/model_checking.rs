@@ -80,7 +80,7 @@ fn main() {
     ] {
         let explorer = Explorer::new(Limits { max_depth: 18, max_configs: 150_000 })
             .with_threads(0);
-        let report = explorer.check_solo_termination_parallel(&sys, budget).unwrap();
+        let report = explorer.check_solo_termination(&sys, budget).unwrap();
         println!(
             "{name}: solo termination from {} reachable configs: {}{}",
             report.configs_visited,

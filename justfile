@@ -33,7 +33,8 @@ smoke-campaign:
 # search of 3 racing processes on 2 registers, fewer than the
 # ⌊(n−1)/k⌋+1 = 3 the bound needs, must stop at the canonical 21-step
 # consensus violation (exit code 1) with the same counts at 1 and 2
-# threads (mirrors CI's smoke-explore job).
+# threads, and the violation search in `examples/model_checking` must
+# report its shortest witnesses (mirrors CI's smoke-explore job).
 smoke-explore:
     #!/usr/bin/env bash
     set -uo pipefail
@@ -49,7 +50,11 @@ smoke-explore:
             grep -qF "$want" "$out" || { echo "threads $t: missing $want"; exit 1; }
         done
     done
-    echo "smoke-explore: canonical violation at 1 and 2 threads"
+    cargo run --release --quiet --example model_checking > model-checking.txt || exit 1
+    for want in 'racing m=1: VIOLATION after 10 steps' 'racing m=2: VIOLATION after 22 steps'; do
+        grep -qF "$want" model-checking.txt || { echo "model_checking: missing $want"; exit 1; }
+    done
+    echo "smoke-explore: canonical violation at 1 and 2 threads, shortest search witnesses"
 
 # Fault-injection certificate: the exhaustive single-crash sweep plus
 # the §3 non-blocking certification (mirrors CI's smoke-faults job).

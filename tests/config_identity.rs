@@ -121,46 +121,61 @@ fn streamed_hash_matches_string_path_over_explored_corpus() {
     assert!(visited.len() > 100, "corpus too small: {}", visited.len());
 }
 
+/// Configurations reachable from `initial` within `max_depth` steps,
+/// found by a breadth-first walk deduplicated on the materialised
+/// string key — the reference the explorer's [`ExploreKey`] dedup is
+/// checked against. Breadth-first, every configuration is first met at
+/// its shortest distance, so a depth bound cuts nothing it could reach.
+///
+/// [`ExploreKey`]: revisionist_simulations::smr::explore::ExploreKey
+fn string_keyed_reachable(initial: &System, max_depth: usize) -> usize {
+    let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
+    seen.insert(initial.config_key());
+    let mut level = vec![initial.clone()];
+    for _ in 0..max_depth {
+        let mut next = Vec::new();
+        for sys in &level {
+            for p in 0..sys.process_count() {
+                let pid = ProcessId(p);
+                if sys.is_terminated(pid) {
+                    continue;
+                }
+                let mut fork = sys.clone();
+                fork.step(pid).unwrap();
+                if seen.insert(fork.config_key()) {
+                    next.push(fork);
+                }
+            }
+        }
+        level = next;
+    }
+    seen.len()
+}
+
 /// Fingerprint counts from the explorer are a stable public artifact:
-/// the same model explored with the legacy string keys and with
-/// streaming keys must visit the same number of distinct
-/// configurations.
+/// the same model explored with the explorer's keys and walked with
+/// string keys must visit the same distinct configurations — every one
+/// reachable within the depth bound, with the reduction on or off —
+/// and the solo-termination check must cover all of them too.
 #[test]
 fn explorer_fingerprint_count_matches_string_keyed_exploration() {
     let initial = racing_system(2, &ints(&[1, 2]));
-    let limits = Limits { max_depth: 12, max_configs: 50_000 };
-    // Partial-order reduction off: this walk is depth-truncated, and
-    // under truncation the reduced search's first-arrival depths differ
-    // from the reference walk's, so visited counts only match the
-    // string-keyed reference for the unreduced search. (On
-    // non-truncated searches DPOR on/off counts are identical — see
-    // tests/dpor.rs.)
-    let report = Explorer::new(limits)
-        .with_dpor(false)
-        .explore(&initial, &mut |_| None)
-        .unwrap();
-
-    // Reference walk dedup'd on the materialised string key.
-    let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-    let mut stack = vec![initial];
-    while let Some(sys) = stack.pop() {
-        if !seen.insert(sys.config_key()) {
-            continue;
-        }
-        if sys.all_terminated() || sys.trace().len() >= limits.max_depth {
-            continue;
-        }
-        for p in 0..sys.process_count() {
-            let pid = ProcessId(p);
-            if sys.is_terminated(pid) {
-                continue;
-            }
-            let mut fork = sys.clone();
-            fork.step(pid).unwrap();
-            stack.push(fork);
+    for (max_depth, reachable) in [(12, 432), (20, 1_138), (24, 1_577)] {
+        let limits = Limits { max_depth, max_configs: 50_000 };
+        assert_eq!(string_keyed_reachable(&initial, max_depth), reachable, "depth {max_depth}");
+        for dpor in [true, false] {
+            let report = Explorer::new(limits)
+                .with_dpor(dpor)
+                .explore_parallel(&initial, &|_| None)
+                .unwrap();
+            assert_eq!(report.configs_visited, reachable, "depth {max_depth}, dpor {dpor}");
         }
     }
-    assert_eq!(report.configs_visited, seen.len());
+    let solo = Explorer::new(Limits { max_depth: 24, max_configs: 50_000 })
+        .check_solo_termination(&initial, 40)
+        .unwrap();
+    assert!(solo.is_clean(), "{:?}", solo.violation);
+    assert_eq!(solo.configs_visited, 1_577);
 }
 
 /// Two different schedules that land in the same configuration agree on
