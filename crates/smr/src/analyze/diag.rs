@@ -264,15 +264,25 @@ pub fn known_codes() -> String {
 }
 
 /// The known code nearest to `wanted` by case-insensitive Levenshtein
-/// distance, when that distance is small enough (≤ 2) for the
-/// suggestion to be plausible rather than noise.
+/// distance (see [`nearest_match`]).
 fn nearest_code(wanted: &str) -> Option<LintCode> {
-    let wanted = wanted.to_ascii_uppercase();
-    LintCode::all()
-        .iter()
-        .copied()
-        .map(|c| (edit_distance(&wanted, c.id()), c))
-        .min_by_key(|&(d, c)| (d, c.index()))
+    let ids = LintCode::all().iter().map(|c| c.id());
+    let id = nearest_match(&wanted.to_ascii_uppercase(), ids)?;
+    LintCode::all().iter().copied().find(|c| c.id() == id)
+}
+
+/// The candidate nearest to `wanted` by Levenshtein distance, when that
+/// distance is small enough (≤ 2) for a did-you-mean suggestion to be
+/// plausible rather than noise. Ties go to the earliest candidate.
+/// Lint ids and CLI flag names share it.
+pub fn nearest_match<'a>(
+    wanted: &str,
+    candidates: impl IntoIterator<Item = &'a str>,
+) -> Option<&'a str> {
+    candidates
+        .into_iter()
+        .map(|c| (edit_distance(wanted, c), c))
+        .min_by_key(|&(d, _)| d)
         .filter(|&(d, _)| d <= 2)
         .map(|(_, c)| c)
 }

@@ -31,7 +31,9 @@ pub mod hb;
 pub mod interfere;
 pub mod lint;
 
-pub use diag::{known_codes, AnalysisReport, Diagnostic, LintCode, LintConfig, Severity};
+pub use diag::{
+    known_codes, nearest_match, AnalysisReport, Diagnostic, LintCode, LintConfig, Severity,
+};
 pub use hb::{check_block_update_windows, check_execution, LinEvent};
 pub use interfere::{
     covering_budget, interfere_findings, interfere_system, InterferenceMatrix,

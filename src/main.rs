@@ -1,137 +1,169 @@
-//! The `revisionist-simulations` command-line tool.
+//! The `revisionist-simulations` command-line tool: the paper's bounds,
+//! simulations, campaigns, explorer, analyzer, fuzzer and campaign
+//! service. `revisionist-simulations help` lists every subcommand with
+//! its flags.
 //!
-//! Subcommands:
-//!
-//! * `bounds [n] [k] [x]` — print the Corollary 33 bound table (or one
-//!   grid point with the feasibility mechanism).
-//! * `simulate --n N --m M --f F [--d D] [--seed S] [--trace]` — run
-//!   one revisionist simulation over phased racing and report
-//!   everything: outputs, budgets, revisions, replay validation.
-//! * `sweep --n N --m M --f F [--runs R] [--threads T]` — batch
-//!   statistics (the Theorem 21 contradiction frequency among them),
-//!   fanned across cores with a deterministic aggregate.
-//! * `campaign --protocol P --procs N [--sched S1,S2,...] [--runs R]
-//!   [--budget B] [--seed-start S] [--threads T] [--json]` — a seeded
-//!   randomised campaign over a protocol family and scheduler mix;
-//!   every failure records its seed, and `--seed S --sched SPEC`
-//!   replays a single run exactly. Hardening knobs: `--wall-limit SECS`
-//!   and `--stop-after N` watchdogs (truncation is always reported),
-//!   `--cache-budget N` (bounded fingerprint cache), and
-//!   `--checkpoint PATH [--checkpoint-every N]` / `--resume PATH` for
-//!   interruptible campaigns whose resumed aggregates are bit-for-bit
-//!   those of an uninterrupted run.
-//! * `explore --protocol P [--procs N] [--m M] [--depth D]
-//!   [--max-configs C] [--threads T] [--no-dpor] [--seed S] [--json]` —
-//!   bounded exhaustive model checking of one protocol fixture with the
-//!   happens-before-guided partial-order reduction on by default:
-//!   every interleaving up to the limits is covered, commuting-step
-//!   twins cost one exploration, and the report carries the reduction
-//!   metric (configs visited, forks pruned, reduction factor).
-//!   `--no-dpor` is the escape hatch that branches on every enabled
-//!   process (same verdicts, no pruning) — the flag is recorded in the
-//!   report either way. Reports are bit-identical at any `--threads`.
-//! * `campaign --faults PLANS|sweep[:MAXSTEP]` — fault-injection mode:
-//!   fan the base `--sched` scheduler over a space of deterministic
-//!   fault plans (`sweep` enumerates every single-crash placement) and
-//!   certify non-blocking progress: survivors must terminate under
-//!   every plan, and any outputs must still be valid. The plain-campaign
-//!   flags `--seed`, `--wall-limit`, `--stop-after`, `--cache-budget`,
-//!   `--checkpoint`, `--checkpoint-every` and `--resume` are rejected.
-//! * `campaign-service --protocol P [--workers W] [--unit-runs U]
-//!   [--state DIR] [--corpus DIR] [--chaos kill@unit:U,torn@result:U]`
-//!   — the crash-tolerant multi-process campaign service: the matrix is
-//!   partitioned into journaled work units leased to `campaign-worker`
-//!   processes (heartbeats, lease expiry, retry-with-backoff,
-//!   quarantine); the merged report is byte-identical to a
-//!   single-process `campaign` run of the same spec, regardless of
-//!   worker count, crashes, or chaos injection, and violation bundles
-//!   land deduplicated in one corpus replayable by `replay`.
-//! * `campaign-worker [--connect ADDR [--tag T]]` — internal: a service
-//!   worker process. Without `--connect` it speaks length-prefixed,
-//!   checksummed JSON frames on stdin/stdout; with `--connect ADDR` it
-//!   dials a `campaign-service --listen` coordinator over TCP (`--tag`
-//!   is the spawn ordinal it echoes in the handshake). One lease loop
-//!   serves both transports. Spawned by `campaign-service`, not meant
-//!   for direct use.
-//! * `aug --f F --m M [--ops K] [--seed S]` — drive the augmented
-//!   snapshot under a random contended schedule and specification-check
-//!   the run. With `--certify`, instead check every single-crash *and*
-//!   single-stall placement in the Block-Update sequence (§3
-//!   non-blocking certification).
-//! * `replay BUNDLE.json [--threads T]` — load a portable replay
-//!   bundle, re-execute its decision trace (`T` concurrent replays must
-//!   all match), and exit 0 only if the recorded violation reproduces
-//!   bit-for-bit. Campaign failures shrink automatically (ddmin over
-//!   decisions and faults); `--bundle PATH` on `campaign` and
-//!   `aug --certify` writes the minimized counterexample as a bundle.
-//! * `analyze --protocol P [--procs N] [--m M] [--deny CODES] [--warn
-//!   CODES] [--allow CODES] [--budget B] [--seed S] [--steps K]` — the
-//!   pre-flight protocol analyzer: Pass 1 statically lints the
-//!   protocol's footprints (single-writer discipline, ABA-freedom,
-//!   Theorem 21 feasibility, dead steps, yield handling) and Pass 2
-//!   happens-before-checks the trace of a seeded bounded round-robin
-//!   run. Exits nonzero iff a deny-level diagnostic fires. The same
-//!   analysis runs automatically before every `campaign` (skip with
-//!   `--no-preflight`).
-//! * `fuzz [--seeds A..B] [--mutants] [--corpus DIR]` — seeded
-//!   generation of well-formed protocols (`gen:SEED` syntax usable with
-//!   `campaign`/`analyze`/`replay` too) plus the mutation-kill harness:
-//!   analyzer-reject mutants must die at pre-flight, must-violate
-//!   mutants must be killed, shrunk, and bundled into the corpus, and
-//!   must-stay-clean mutants must survive. Exit 0 iff every prediction
-//!   holds; `--json` emits a report that is byte-identical at any
-//!   `--threads`.
-//! * `report` — the full experiments report (same as the
-//!   `experiments_report` example).
-//!
-//! `--json-out PATH` on `campaign` writes the JSON report through the
-//! same atomic tmp+rename path used for checkpoints and bundles.
-//!
-//! All arguments are plain `--key value` pairs; no external argument
-//! parser is used.
+//! Each subcommand declares its flags once, in its entry of `COMMANDS`.
+//! The parser accepts exactly those flags, the usage text is generated
+//! from them, and in debug builds reading an undeclared flag panics.
+//! Flags are `--key value` pairs or bare `--switch`es; no external
+//! argument parser is used.
 
 use revisionist_simulations::core::bounds;
 use revisionist_simulations::core::replay;
 use revisionist_simulations::core::simulation::{Simulation, SimulationConfig};
 use revisionist_simulations::core::stats;
 use revisionist_simulations::protocols::racing::PhasedRacing;
+use revisionist_simulations::smr::analyze::nearest_match;
+use revisionist_simulations::smr::campaign::CampaignConfig;
 use revisionist_simulations::smr::value::Value;
 use revisionist_simulations::snapshot::client::AugOutcome;
 use revisionist_simulations::tasks::agreement::consensus;
 use revisionist_simulations::tasks::task::ColorlessTask;
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
+
+/// One flag-table row: the flag's name without the leading `--`, and
+/// the placeholder of its value. An empty placeholder marks a switch.
+type Flag = (&'static str, &'static str);
+
+/// A subcommand: everything its parser and its usage text know.
+struct Command {
+    name: &'static str,
+    /// The positional synopsis (`BUNDLE.json`); a bracketed one
+    /// (`[N K X]`) may be left out as a whole.
+    args: &'static str,
+    /// The flag table, in slices so that rows several subcommands share
+    /// are declared once.
+    flags: &'static [&'static [Flag]],
+    about: &'static str,
+    run: fn(&Flags) -> ExitCode,
+}
+
+/// The rows of every subcommand that builds a protocol family.
+const PROTOCOL: &[Flag] = &[
+    ("protocol", "racing|contrarian|ladder|illformed|serializable|gen:SEED[:MUT]"),
+    ("procs", "N"), ("m", "M"), ("rounds", "R"),
+];
+
+/// The campaign-matrix rows `campaign` and `campaign-service` share.
+const MATRIX: &[Flag] = &[
+    ("sched", "rr,random,quantum:2,obstruction:1,crash:1"), ("runs", "R"), ("budget", "B"),
+    ("seed-start", "S"), ("faults", "PLANS|sweep[:MAXSTEP]"), ("json", ""),
+    ("json-out", "PATH"), ("no-preflight", ""),
+];
+
+/// The plain-campaign rows. A fault report has no replay mode and no
+/// truncation, cache or checkpoint fields, so `campaign --faults`
+/// rejects these flags rather than ignore them.
+const PLAIN_CAMPAIGN: &[Flag] = &[
+    ("seed", "S"), ("wall-limit", "SECS"), ("stop-after", "N"), ("cache-budget", "N"),
+    ("checkpoint", "PATH"), ("checkpoint-every", "N"), ("resume", "PATH"),
+];
+
+/// Every subcommand, in usage order.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "bounds", args: "[N K X]", run: cmd_bounds, flags: &[],
+        about: "the Corollary 33 bound table, or one grid point and its partition feasibility",
+    },
+    Command {
+        name: "simulate", args: "", run: cmd_simulate,
+        flags: &[&[("n", "N"), ("m", "M"), ("f", "F"), ("d", "D"), ("seed", "S"), ("trace", "")]],
+        about: "one revisionist simulation over phased racing, replay-validated",
+    },
+    Command {
+        name: "sweep", args: "", run: cmd_sweep,
+        flags: &[&[("n", "N"), ("m", "M"), ("f", "F"), ("runs", "R"), ("threads", "T")]],
+        about: "simulation statistics over seeds 0..R, identical at any --threads",
+    },
+    Command {
+        name: "campaign", args: "", run: cmd_campaign,
+        flags: &[PROTOCOL, MATRIX, &[("threads", "T"), ("bundle", "PATH")], PLAIN_CAMPAIGN],
+        about: "seeded randomised campaign; --seed replays one run of the first --sched spec, \
+                --faults certifies progress under fault plans, --bundle shrinks the first \
+                failure into a replay bundle",
+    },
+    Command {
+        name: "explore", args: "", run: cmd_explore,
+        flags: &[PROTOCOL, &[("depth", "D"), ("max-configs", "C"), ("threads", "T"), ("seed", "S")],
+            &[("json", ""), ("no-preflight", ""), ("no-dpor", ""), ("no-static", "")]],
+        about: "bounded exhaustive model checking, exit 1 on a violation; --no-dpor and \
+                --no-static keep the verdicts and drop a reduction",
+    },
+    Command {
+        name: "campaign-service", args: "", run: cmd_campaign_service,
+        flags: &[PROTOCOL, MATRIX,
+            &[("workers", "W"), ("unit-runs", "U"), ("state", "DIR"), ("corpus", "DIR")],
+            &[("listen", "ADDR")],
+            &[("chaos", "kill@unit:U,torn@result:U,drop@N,delay@N,dup@N,corrupt@N,partition@A-B")],
+            &[("max-lease-attempts", "K"), ("lease-timeout", "SECS"), ("summary", "")]],
+        about: "crash-tolerant multi-process campaign, resumable from --state; --listen serves \
+                TCP workers, and --workers 0 leaves the fleet to be managed externally",
+    },
+    Command {
+        name: "campaign-worker", args: "", run: cmd_campaign_worker,
+        flags: &[&[("connect", "ADDR"), ("tag", "K")]],
+        about: "service worker: spawned over stdio pipes, or over TCP via --connect",
+    },
+    Command {
+        name: "analyze", args: "", run: cmd_analyze,
+        flags: &[PROTOCOL, &[("seed", "S"), ("budget", "B"), ("steps", "K")],
+            &[("deny", "CODES"), ("warn", "CODES"), ("allow", "CODES")],
+            &[("matrix", ""), ("explain", "RS-W0NN")]],
+        about: "pre-flight analysis, exit 1 on a deny-level finding; CODES are comma-separated \
+                RS-Wxxx",
+    },
+    Command {
+        name: "fuzz", args: "", run: cmd_fuzz,
+        flags: &[&[("seeds", "A..B"), ("mutants", ""), ("corpus", "DIR")],
+            &[("kill-runs", "R"), ("clean-runs", "R"), ("budget", "B"), ("threads", "T")],
+            &[("json", ""), ("json-out", "PATH")]],
+        about: "generated-protocol mutation-kill fuzzing, exit 0 iff every prediction holds",
+    },
+    Command {
+        name: "replay", args: "BUNDLE.json", run: cmd_replay, flags: &[&[("threads", "T")]],
+        about: "replay a bundle T times at once, exit 0 only if each reproduces it bit-for-bit",
+    },
+    Command {
+        name: "aug", args: "", run: cmd_aug,
+        flags: &[&[("f", "F"), ("m", "M"), ("ops", "K"), ("seed", "S")],
+            &[("certify", ""), ("bundle", "PATH")]],
+        about: "the augmented snapshot's §3 check; --certify tries every crash and stall \
+                placement and --bundle stores the first failed one",
+    },
+    Command {
+        name: "audit", args: "", run: cmd_audit,
+        flags: &[&[("n", "N"), ("k", "K"), ("x", "X"), ("m", "M"), ("schedules", "S")]],
+        about: "Corollary 33 applied to a claimed register count, with evidence",
+    },
+    Command {
+        name: "report", args: "", flags: &[], about: "the full experiments report",
+        run: |_| {
+            println!("run `cargo run --release --example experiments_report`");
+            ExitCode::SUCCESS
+        },
+    },
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let Some(name) = args.first() else {
         print_usage();
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(&args[1..]);
-    match command.as_str() {
-        "bounds" => cmd_bounds(&args[1..]),
-        "simulate" => cmd_simulate(&flags),
-        "sweep" => cmd_sweep(&flags),
-        "campaign" => cmd_campaign(&flags),
-        "explore" => cmd_explore(&flags),
-        "campaign-service" => cmd_campaign_service(&flags),
-        "campaign-worker" => cmd_campaign_worker(&flags),
-        "analyze" => cmd_analyze(&flags),
-        "fuzz" => cmd_fuzz(&flags),
-        "replay" => cmd_replay(&args[1..], &flags),
-        "aug" => cmd_aug(&flags),
-        "audit" => cmd_audit(&flags),
-        "report" => {
-            println!("run `cargo run --release --example experiments_report`");
-            ExitCode::SUCCESS
-        }
-        "help" | "--help" | "-h" => {
+    match COMMANDS.iter().find(|c| c.name == name) {
+        Some(command) => match command.parse(&args[1..]) {
+            Ok(flags) => (command.run)(&flags),
+            Err(e) => usage_error(command, &e),
+        },
+        None if matches!(name.as_str(), "help" | "--help" | "-h") => {
             print_usage();
             ExitCode::SUCCESS
         }
-        other => {
-            eprintln!("unknown command: {other}");
+        None => {
+            eprintln!("unknown command: {name}");
             print_usage();
             ExitCode::FAILURE
         }
@@ -139,95 +171,143 @@ fn main() -> ExitCode {
 }
 
 fn print_usage() {
-    eprintln!(
-        "revisionist-simulations — the PODC 2018 revisionist simulation, runnable\n\
-         \n\
-         USAGE:\n\
-         \x20 revisionist-simulations bounds [N K X]\n\
-         \x20 revisionist-simulations simulate --n N --m M --f F [--d D] [--seed S] [--trace]\n\
-         \x20 revisionist-simulations sweep --n N --m M --f F [--runs R] [--threads T]\n\
-         \x20 revisionist-simulations campaign [--protocol racing|contrarian|ladder|gen:SEED[:MUT]]\n\
-         \x20\x20\x20\x20 [--procs N] [--m M] [--sched rr,random,quantum:2,obstruction:1,crash:1]\n\
-         \x20\x20\x20\x20 [--runs R] [--budget B] [--seed-start S] [--threads T] [--json]\n\
-         \x20\x20\x20\x20 [--seed S]  (replay one run with the first --sched spec)\n\
-         \x20\x20\x20\x20 [--faults PLANS|sweep[:MAXSTEP]]  (fault-injection certification)\n\
-         \x20\x20\x20\x20 [--wall-limit SECS] [--stop-after N] [--cache-budget N]\n\
-         \x20\x20\x20\x20 [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]\n\
-         \x20\x20\x20\x20 [--bundle PATH]  (shrink the first failure into a replay bundle)\n\
-         \x20\x20\x20\x20 [--json-out PATH]  (atomic JSON report)\n\
-         \x20\x20\x20\x20 [--no-preflight]  (skip the mandatory pre-flight analysis)\n\
-         \x20 revisionist-simulations explore [--protocol racing|contrarian|ladder|serializable|gen:SEED[:MUT]]\n\
-         \x20\x20\x20\x20 [--procs N] [--m M] [--rounds R] [--depth D] [--max-configs C]\n\
-         \x20\x20\x20\x20 [--threads T] [--seed S] [--json] [--no-preflight]\n\
-         \x20\x20\x20\x20 [--no-dpor]  (disable partial-order reduction; same verdicts, no pruning)\n\
-         \x20\x20\x20\x20 [--no-static]  (skip the static independence matrix; same verdicts)\n\
-         \x20 revisionist-simulations campaign-service [--protocol P] [--procs N] [--m M]\n\
-         \x20\x20\x20\x20 [--sched S1,S2,...] [--runs R] [--budget B] [--seed-start S]\n\
-         \x20\x20\x20\x20 [--faults PLANS|sweep[:MAXSTEP]]  (shard a fault matrix across workers)\n\
-         \x20\x20\x20\x20 [--workers W] [--unit-runs U] [--state DIR] [--corpus DIR]\n\
-         \x20\x20\x20\x20 [--listen ADDR]  (TCP transport; --workers 0 = externally managed fleet)\n\
-         \x20\x20\x20\x20 [--chaos kill@unit:U,torn@result:U,drop@N,delay@N,dup@N,corrupt@N,partition@A-B]\n\
-         \x20\x20\x20\x20 [--max-lease-attempts K] [--lease-timeout SECS] [--summary]\n\
-         \x20\x20\x20\x20 [--json] [--json-out PATH] [--no-preflight]\n\
-         \x20\x20\x20\x20 (crash-tolerant multi-process campaign; resumes from --state)\n\
-         \x20 revisionist-simulations campaign-worker [--connect ADDR [--tag K]]\n\
-         \x20\x20\x20\x20 (service worker: spawned over stdio pipes, or TCP via --connect)\n\
-         \x20 revisionist-simulations analyze [--protocol racing|contrarian|ladder|illformed|serializable|gen:SEED[:MUT]]\n\
-         \x20\x20\x20\x20 [--procs N] [--m M] [--rounds R] [--seed S] [--budget B] [--steps K]\n\
-         \x20\x20\x20\x20 [--deny CODES] [--warn CODES] [--allow CODES]  (RS-Wxxx, comma-separated)\n\
-         \x20\x20\x20\x20 [--matrix]  (print the static independence matrix and footprints)\n\
-         \x20\x20\x20\x20 [--explain RS-W0NN]  (print the paper rationale for one lint code)\n\
-         \x20 revisionist-simulations fuzz [--seeds A..B] [--mutants] [--corpus DIR]\n\
-         \x20\x20\x20\x20 [--kill-runs R] [--clean-runs R] [--budget B] [--threads T]\n\
-         \x20\x20\x20\x20 [--json] [--json-out PATH]  (generated-protocol mutation-kill fuzzing)\n\
-         \x20 revisionist-simulations replay BUNDLE.json [--threads T]\n\
-         \x20 revisionist-simulations aug --f F --m M [--ops K] [--seed S] [--certify]\n\
-         \x20\x20\x20\x20 [--bundle PATH]  (bundle the first failed placement)\n\
-         \x20 revisionist-simulations audit --n N --k K --x X --m M [--schedules S]\n\
-         \x20 revisionist-simulations report"
-    );
+    let usage: String = COMMANDS.iter().map(Command::usage).collect();
+    eprintln!("revisionist-simulations — the PODC 2018 revisionist simulation, runnable\n");
+    eprintln!("USAGE:\n{usage}");
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                flags.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(key.to_string(), "true".to_string());
-                i += 1;
-            }
-        } else {
-            i += 1;
-        }
+/// Prints `message` to stderr; exit code 1.
+fn fail(message: &str) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::FAILURE
+}
+
+/// Reports a usage error of `command`: the message, then its usage.
+fn usage_error(command: &Command, message: &str) -> ExitCode {
+    fail(&format!("{message}\n\nusage:\n{}", command.usage()))
+}
+
+impl Command {
+    fn rows(&self) -> impl Iterator<Item = &'static Flag> {
+        let flags: &'static [&'static [Flag]] = self.flags;
+        flags.iter().copied().flatten()
     }
-    flags
+
+    /// Parses the subcommand's arguments against its table. A usage
+    /// error is an unknown flag (with a did-you-mean), a value flag
+    /// without its value, a switch given a value, a repeated flag, or
+    /// positionals the synopsis does not take.
+    fn parse(&'static self, args: &[String]) -> Result<Flags, String> {
+        let mut flags = Flags { command: self, given: HashMap::new(), args: Vec::new() };
+        let (mut args, mut last_switch) = (args.iter().peekable(), None);
+        while let Some(arg) = args.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                if let Some(switch) = last_switch {
+                    return Err(format!("--{switch} takes no value (got `{arg}`)"));
+                }
+                flags.args.push(arg.clone());
+                continue;
+            };
+            let Some(&(name, value)) = self.rows().find(|(name, _)| *name == key) else {
+                let hint = nearest_match(key, self.rows().map(|(name, _)| *name))
+                    .map_or(String::new(), |name| format!(" (did you mean --{name}?)"));
+                return Err(format!("unknown flag --{key} for {}{hint}", self.name));
+            };
+            let raw = match value {
+                "" => String::new(),
+                _ => args.next_if(|a| !a.starts_with("--")).cloned()
+                    .ok_or_else(|| format!("--{name} needs a value ({value})"))?,
+            };
+            last_switch = value.is_empty().then_some(name);
+            if flags.given.insert(name, raw).is_some() {
+                return Err(format!("--{name} given twice"));
+            }
+        }
+        let (count, wanted) = (flags.args.len(), self.args.split_whitespace().count());
+        if count != wanted && !(count == 0 && self.args.starts_with('[')) {
+            return Err(match &flags.args[..] {
+                [extra, ..] if wanted == 0 => format!("unexpected argument `{extra}`"),
+                _ => format!("{} takes {} (got {count} arguments)", self.name, self.args),
+            });
+        }
+        Ok(flags)
+    }
+
+    /// The usage block: the command line with every flag, then the
+    /// summary in parentheses, wrapped at 80 columns.
+    fn usage(&self) -> String {
+        let flags = self.rows().map(|&(name, value)| match value {
+            "" => format!("[--{name}]"),
+            _ => format!("[--{name} {value}]"),
+        });
+        let about = format!("({})", self.about);
+        // The empty word breaks the line: the summary starts its own.
+        let words = flags.chain([String::new()]).chain(about.split(' ').map(String::from));
+        let mut out = String::new();
+        let mut line = format!("  revisionist-simulations {} {}", self.name, self.args);
+        line.truncate(line.trim_end().len());
+        for word in words {
+            if word.is_empty() || line.len() + 1 + word.len() > 80 {
+                out += &line;
+                out += "\n";
+                line = "    ".into();
+            }
+            if !word.is_empty() {
+                line += " ";
+                line += &word;
+            }
+        }
+        out + &line + "\n"
+    }
 }
 
-/// Reads the numeric flag `--key`: `None` when it is absent. A
-/// malformed value is never read as the default — it ends the process
-/// with exit code 1 and a message naming the flag and the value.
-fn num<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T> {
-    let raw = flags.get(key)?;
-    match raw.parse() {
-        Ok(value) => Some(value),
-        Err(_) => {
-            eprintln!("bad --{key} `{raw}` (expected a non-negative integer)");
+/// A subcommand's parsed arguments. Every flag read goes through
+/// [`Flags::value`].
+struct Flags {
+    command: &'static Command,
+    /// The given flags; a switch maps to the empty string.
+    given: HashMap<&'static str, String>,
+    /// The positional arguments.
+    args: Vec<String>,
+}
+
+impl Flags {
+    /// The raw value of `--name` (empty for a switch), `None` when the
+    /// flag is absent. Panics in debug builds when the subcommand's
+    /// table does not declare `name`.
+    fn value(&self, name: &str) -> Option<&str> {
+        debug_assert!(self.command.rows().any(|&(row, _)| row == name), "undeclared --{name}");
+        self.given.get(name).map(String::as_str)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.value(name).is_some()
+    }
+
+    /// Reads the numeric flag `--name`: `None` when it is absent. A
+    /// malformed value is never read as the default — it ends the
+    /// process with exit code 1 and a message naming the flag and the
+    /// value.
+    fn num<T: FromStr>(&self, name: &str) -> Option<T> {
+        let raw = self.value(name)?;
+        let value = raw.parse().ok();
+        if value.is_none() {
+            eprintln!("bad --{name} `{raw}` (expected a non-negative integer)");
             std::process::exit(1);
         }
+        value
+    }
+
+    /// [`Flags::num`] with a default for an absent flag.
+    fn get<T: FromStr>(&self, name: &str, default: T) -> T {
+        self.num(name).unwrap_or(default)
     }
 }
 
-/// [`num`] with a default for an absent flag.
-fn get(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    num(flags, key).unwrap_or(default)
-}
-
-fn cmd_bounds(args: &[String]) -> ExitCode {
-    let nums: Vec<usize> = args.iter().filter_map(|a| a.parse().ok()).collect();
+fn cmd_bounds(flags: &Flags) -> ExitCode {
+    let Ok(nums) = flags.args.iter().map(|a| a.parse()).collect::<Result<Vec<usize>, _>>() else {
+        return usage_error(flags.command, "N K X must be non-negative integers");
+    };
     match nums.as_slice() {
         [n, k, x] => {
             if !(1 <= *x && *x <= *k && *k < *n) {
@@ -273,12 +353,12 @@ fn cmd_bounds(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_simulate(flags: &HashMap<String, String>) -> ExitCode {
-    let n = get(flags, "n", 4);
-    let m = get(flags, "m", 2);
-    let f = get(flags, "f", 2);
-    let d = get(flags, "d", 0);
-    let seed = get(flags, "seed", 0) as u64;
+fn cmd_simulate(flags: &Flags) -> ExitCode {
+    let n = flags.get("n", 4);
+    let m = flags.get("m", 2);
+    let f = flags.get("f", 2);
+    let d = flags.get("d", 0);
+    let seed = flags.get::<u64>("seed", 0);
     let config = SimulationConfig::new(n, m, f, d);
     if !config.is_feasible() {
         eprintln!(
@@ -322,7 +402,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> ExitCode {
         report.steps,
         report.hidden_steps
     );
-    if flags.contains_key("trace") {
+    if flags.has("trace") {
         println!("\nM operations:");
         for (idx, rec) in sim.real().oplog().iter().enumerate() {
             match &rec.outcome {
@@ -345,13 +425,13 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_audit(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_audit(flags: &Flags) -> ExitCode {
     use revisionist_simulations::core::audit::{audit_kset, AuditVerdict};
-    let n = get(flags, "n", 4);
-    let k = get(flags, "k", 1);
-    let x = get(flags, "x", 1);
-    let m = get(flags, "m", 2);
-    let schedules = get(flags, "schedules", 300) as u64;
+    let n = flags.get("n", 4);
+    let k = flags.get("k", 1);
+    let x = flags.get("x", 1);
+    let m = flags.get("m", 2);
+    let schedules = flags.get::<u64>("schedules", 300);
     if !(1 <= x && x <= k && k < n) {
         eprintln!("need 1 <= x <= k < n");
         return ExitCode::FAILURE;
@@ -395,17 +475,17 @@ fn cmd_audit(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_sweep(flags: &HashMap<String, String>) -> ExitCode {
-    let n = get(flags, "n", 4);
-    let m = get(flags, "m", 2);
-    let f = get(flags, "f", 2);
-    let runs = get(flags, "runs", 100) as u64;
+fn cmd_sweep(flags: &Flags) -> ExitCode {
+    let n = flags.get("n", 4);
+    let m = flags.get("m", 2);
+    let f = flags.get("f", 2);
+    let runs = flags.get::<u64>("runs", 100);
     let config = SimulationConfig::new(n, m, f, 0);
     if !config.is_feasible() {
         eprintln!("infeasible partition");
         return ExitCode::FAILURE;
     }
-    let threads = get(flags, "threads", 0);
+    let threads = flags.get("threads", 0);
     let inputs: Vec<Value> = (1..=f as i64).map(Value::Int).collect();
     let point = stats::sweep_parallel(
         config,
@@ -428,6 +508,60 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The protocol instance a subcommand builds: from the `PROTOCOL`
+/// rows of its command line, or from the system description of a work
+/// unit or replay bundle.
+struct SystemArgs {
+    protocol: String,
+    procs: usize,
+    m: usize,
+    rounds: usize,
+}
+
+impl SystemArgs {
+    fn from_flags(flags: &Flags) -> SystemArgs {
+        SystemArgs {
+            protocol: flags.value("protocol").unwrap_or("racing").to_string(),
+            procs: flags.get("procs", 3),
+            m: flags.get("m", 2),
+            rounds: flags.get("rounds", 3),
+        }
+    }
+
+    /// The ordered system description stamped into replay bundles and
+    /// service work units: how `replay` and `campaign-worker` rebuild
+    /// exactly this campaign's system and check.
+    fn to_system(&self) -> Vec<(String, String)> {
+        vec![
+            ("kind".into(), "campaign".into()),
+            ("protocol".into(), self.protocol.clone()),
+            ("procs".into(), self.procs.to_string()),
+            ("m".into(), self.m.to_string()),
+            ("rounds".into(), self.rounds.to_string()),
+        ]
+    }
+
+    /// The inverse of [`SystemArgs::to_system`]. It fails closed: a
+    /// missing or malformed field is an error naming it, never a
+    /// default. Only `ladder` reads `rounds`, so other protocols may
+    /// omit it.
+    fn from_system(system: &[(String, String)]) -> Result<SystemArgs, String> {
+        let protocol: String = system_field(system, "protocol")?;
+        let has_rounds = protocol == "ladder" || system.iter().any(|(k, _)| k == "rounds");
+        let rounds = if has_rounds { system_field(system, "rounds")? } else { 0 };
+        let (procs, m) = (system_field(system, "procs")?, system_field(system, "m")?);
+        Ok(SystemArgs { protocol, procs, m, rounds })
+    }
+}
+
+/// Field `key` of a system description, parsed; a missing or malformed
+/// field is an error naming it.
+fn system_field<T: FromStr>(system: &[(String, String)], key: &str) -> Result<T, String> {
+    let missing = || format!("system description lacks `{key}`");
+    let (_, raw) = system.iter().find(|(k, _)| k == key).ok_or_else(missing)?;
+    raw.parse().map_err(|_| format!("bad `{key}` `{raw}` in system description"))
+}
+
 /// A boxed seeded system factory for a campaign protocol family.
 type ProtocolFactory =
     Box<dyn Fn(u64) -> revisionist_simulations::smr::system::System + Sync>;
@@ -435,51 +569,49 @@ type ProtocolFactory =
 /// Builds the seeded system factory for a campaign protocol family.
 /// Shared by `campaign` (finding violations) and `replay` (reproducing
 /// them from a bundle), so a bundle's `system` description rebuilds
-/// exactly the system the campaign ran.
-fn protocol_factory(
-    protocol: &str,
-    procs: usize,
-    m: usize,
-    rounds: usize,
-) -> Option<ProtocolFactory> {
+/// exactly the system the campaign ran. An unknown protocol is an
+/// error naming the known ones.
+fn protocol_factory(sys: &SystemArgs) -> Result<ProtocolFactory, String> {
     use revisionist_simulations::protocols::contrarian::contrarian_system;
     use revisionist_simulations::protocols::illformed::illformed_system;
     use revisionist_simulations::protocols::ladder::ladder_system;
     use revisionist_simulations::protocols::racing::racing_system;
     use revisionist_simulations::protocols::serializable::serializable_system;
+    let (protocol, procs, m, rounds) = (sys.protocol.as_str(), sys.procs, sys.m, sys.rounds);
     let inputs: Vec<Value> = (1..=procs as i64).map(Value::Int).collect();
     // Generated protocols carry their whole configuration in the name
     // (`gen:SEED[:MUTATION]`); --procs/--m/--rounds are ignored.
     if protocol.starts_with("gen:") {
-        return match revisionist_simulations::smr::gen::GenSpec::parse_cli(protocol) {
-            Ok(spec) => Some(Box::new(move |_seed| spec.build_system())),
-            Err(e) => {
-                eprintln!("{e}");
-                None
-            }
-        };
+        let spec = revisionist_simulations::smr::gen::GenSpec::parse_cli(protocol)
+            .map_err(|e| e.to_string())?;
+        return Ok(Box::new(move |_seed| spec.build_system()));
     }
-    match protocol {
-        "racing" => Some(Box::new(move |_seed| racing_system(m, &inputs))),
-        "ladder" => Some(Box::new(move |_seed| ladder_system(&inputs, rounds))),
-        "contrarian" => Some(Box::new(move |seed| {
+    Ok(match protocol {
+        "racing" => Box::new(move |_seed| racing_system(m, &inputs)),
+        "ladder" => Box::new(move |_seed| ladder_system(&inputs, rounds)),
+        "contrarian" => Box::new(move |seed| {
             // Input bits vary with the seed so the campaign covers all
             // 2^procs input assignments (deterministically per seed).
             let bits: Vec<bool> = (0..procs).map(|i| (seed >> i) & 1 == 1).collect();
             contrarian_system(&bits)
-        })),
+        }),
         // The analyzer's acceptance fixture (fixed shape: 4 processes,
         // one 8-component single-writer snapshot). A campaign over it
         // is rejected by the pre-flight unless --no-preflight is given.
-        "illformed" => Some(Box::new(move |_seed| illformed_system())),
+        "illformed" => Box::new(move |_seed| illformed_system()),
         // The statically serializable fixture: n blind max-register
         // writers whose independence matrix is edge-free (RS-W010).
-        "serializable" => Some(Box::new(move |_seed| {
+        "serializable" => Box::new(move |_seed| {
             let stamps: Vec<i64> = (1..=procs as i64).collect();
             serializable_system(&stamps)
-        })),
-        _ => None,
-    }
+        }),
+        _ => {
+            return Err(format!(
+                "unknown --protocol {protocol} (racing, contrarian, ladder, illformed, \
+                 serializable, gen:SEED[:MUTATION])"
+            ))
+        }
+    })
 }
 
 /// A boxed campaign check: inspects a terminated system, returns the
@@ -492,7 +624,8 @@ type ProtocolCheck =
 /// observable Theorem 21 artifact and is recorded with its replayable
 /// seed. The contrarian family has no output task — there the campaign
 /// measures termination only.
-fn protocol_check(protocol: &str, procs: usize) -> ProtocolCheck {
+fn protocol_check(sys: &SystemArgs) -> ProtocolCheck {
+    let (protocol, procs) = (sys.protocol.as_str(), sys.procs);
     // Generated protocols use the fuzz harness's partial-output check —
     // the same message text, so fuzz-corpus bundle fingerprints
     // reproduce under `replay` and `campaign`.
@@ -569,7 +702,7 @@ fn minimized_bundle(
 /// `--bundle PATH`, its portable artifact) is the useful reproducer.
 /// Returns false only when `--json-out` could not be written.
 fn publish_campaign_report(
-    flags: &HashMap<String, String>,
+    flags: &Flags,
     json: &str,
     first_violation: Option<Result<FailingCell, String>>,
     budget: usize,
@@ -587,7 +720,7 @@ fn publish_campaign_report(
             return true;
         }
         None => {
-            if flags.contains_key("bundle") {
+            if flags.has("bundle") {
                 eprintln!("  no violation to bundle (bundles record violations only)");
             }
             return true;
@@ -598,7 +731,7 @@ fn publish_campaign_report(
     else {
         return true;
     };
-    if let Some(path) = flags.get("bundle") {
+    if let Some(path) = flags.value("bundle") {
         match minimized.store(std::path::Path::new(path)) {
             Ok(()) => eprintln!("  replay bundle written to {path}"),
             Err(e) => eprintln!("  cannot write bundle {path}: {e}"),
@@ -615,8 +748,8 @@ type FailingCell = (
 );
 
 /// Writes a JSON report atomically when `--json-out PATH` was given.
-fn write_json_out(flags: &HashMap<String, String>, json: &str) -> bool {
-    let Some(path) = flags.get("json-out") else {
+fn write_json_out(flags: &Flags, json: &str) -> bool {
+    let Some(path) = flags.value("json-out") else {
         return true;
     };
     match revisionist_simulations::smr::json::write_atomic(
@@ -637,43 +770,36 @@ fn write_json_out(flags: &HashMap<String, String>, json: &str) -> bool {
 /// (`--no-dpor` disables it; the active setting is recorded in the
 /// report so artifacts stay self-describing). Exits nonzero on a
 /// violation or an exploration error.
-fn cmd_explore(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_explore(flags: &Flags) -> ExitCode {
     use revisionist_simulations::smr::explore::{Explorer, Limits};
 
-    let protocol = flags.get("protocol").map_or("racing", String::as_str);
-    let procs = get(flags, "procs", 3);
-    let m = get(flags, "m", 2);
-    let rounds = get(flags, "rounds", 3);
-    let depth = get(flags, "depth", 64);
-    let max_configs = get(flags, "max-configs", 200_000);
-    let threads = get(flags, "threads", 1).max(1);
-    let dpor = !flags.contains_key("no-dpor");
-    let statics = !flags.contains_key("no-static");
-    let seed: u64 = num(flags, "seed").unwrap_or(0);
+    let sys = SystemArgs::from_flags(flags);
+    let protocol = sys.protocol.as_str();
+    let depth = flags.get("depth", 64);
+    let max_configs = flags.get("max-configs", 200_000);
+    let threads = flags.get("threads", 1).max(1);
+    let seed = flags.get::<u64>("seed", 0);
 
-    let Some(factory) = protocol_factory(protocol, procs, m, rounds) else {
-        eprintln!("unknown protocol: {protocol}");
-        return ExitCode::FAILURE;
+    let factory = match protocol_factory(&sys) {
+        Ok(factory) => factory,
+        Err(e) => return fail(&e),
     };
     let system = factory(seed);
-    let check = protocol_check(protocol, procs);
+    let check = protocol_check(&sys);
     let explorer = Explorer::new(Limits { max_depth: depth, max_configs })
         .with_threads(threads)
-        .with_dpor(dpor)
-        .with_static(statics)
-        .with_preflight(!flags.contains_key("no-preflight"));
+        .with_dpor(!flags.has("no-dpor"))
+        .with_static(!flags.has("no-static"))
+        .with_preflight(!flags.has("no-preflight"));
     let start = std::time::Instant::now();
     let report = match explorer.explore_parallel(&system, &*check) {
         Ok(report) => report,
-        Err(e) => {
-            eprintln!("exploration failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&format!("exploration failed: {e}")),
     };
     let elapsed = start.elapsed();
     let states_per_sec = report.configs_visited as f64 / elapsed.as_secs_f64().max(1e-9);
 
-    if flags.contains_key("json") {
+    if flags.has("json") {
         let violation = report.violation.as_ref().map_or("null".to_string(), |(sched, msg)| {
             format!(
                 "{{\"schedule\": [{}], \"message\": {}}}",
@@ -759,64 +885,55 @@ fn cmd_explore(flags: &HashMap<String, String>) -> ExitCode {
     }
 }
 
-/// The set-up `campaign` and `campaign-service` share: parses the
-/// `--sched` mix — exactly one spec under `--faults`, whose matrix runs
-/// every plan on one base scheduler — builds the protocol factory, and
-/// runs the mandatory pre-flight, which lints the system before any
-/// run burns exploration time. Warnings go to stderr (stdout stays
-/// machine-parseable for `--json`); deny-level findings reject the
-/// `what` unless `--no-preflight`. Errors are printed; `None` means
-/// exit 1.
+/// The set-up `campaign` and `campaign-service` share: reads the
+/// `MATRIX` rows into a campaign shape (defaults from
+/// `CampaignConfig::default()`, threads left to the caller) whose
+/// `--sched` mix has exactly one spec under `--faults`, since a fault
+/// matrix runs every plan on one base scheduler. It then builds the
+/// protocol factory and runs the mandatory pre-flight, which lints the
+/// system before any run burns exploration time. Warnings go to stderr
+/// (stdout stays machine-parseable for `--json`); deny-level findings
+/// reject the `what` unless `--no-preflight`. Errors are printed;
+/// `None` means exit 1.
 fn campaign_setup(
-    flags: &HashMap<String, String>,
-    protocol: &str,
-    procs: usize,
-    m: usize,
-    rounds: usize,
+    flags: &Flags,
+    sys: &SystemArgs,
     what: &str,
-) -> Option<(
-    Vec<revisionist_simulations::smr::campaign::SchedulerSpec>,
-    ProtocolFactory,
-)> {
+) -> Option<(CampaignConfig, ProtocolFactory)> {
     use revisionist_simulations::smr::analyze::LintConfig;
     use revisionist_simulations::smr::campaign::{preflight_campaign, SchedulerSpec};
 
-    let raw = flags.get("sched").map_or("random", String::as_str);
-    let mut specs = Vec::new();
-    for part in raw.split(',').filter(|p| !p.is_empty()) {
-        match SchedulerSpec::parse(part) {
-            Ok(spec) => specs.push(spec),
+    let mut config = CampaignConfig::default();
+    if let Some(raw) = flags.value("sched") {
+        let specs = raw.split(',').filter(|p| !p.is_empty()).map(SchedulerSpec::parse);
+        config.schedulers = match specs.collect::<Result<Vec<_>, _>>() {
+            Ok(specs) => specs,
             Err(e) => {
-                eprintln!("{e}");
                 eprintln!(
-                    "valid --sched specs: rr | random | quantum:Q | obstruction:X \
+                    "{e}\nvalid --sched specs: rr | random | quantum:Q | obstruction:X \
                      | crash:C (comma-separated)"
                 );
                 return None;
             }
+        };
+        if config.schedulers.is_empty() {
+            eprintln!("--sched needs at least one scheduler spec");
+            return None;
+        }
+        if config.schedulers.len() > 1 && flags.has("faults") {
+            eprintln!(
+                "--faults takes exactly one --sched spec (the base scheduler), \
+                 got `{raw}`"
+            );
+            return None;
         }
     }
-    if specs.is_empty() {
-        eprintln!("--sched needs at least one scheduler spec");
-        return None;
-    }
-    if specs.len() > 1 && flags.contains_key("faults") {
-        eprintln!(
-            "--faults takes exactly one --sched spec (the base scheduler), \
-             got `{raw}`"
-        );
-        return None;
-    }
-    let Some(factory) = protocol_factory(protocol, procs, m, rounds) else {
-        eprintln!(
-            "unknown --protocol {protocol} (racing, contrarian, ladder, illformed, \
-             serializable, gen:SEED[:MUTATION])"
-        );
-        return None;
-    };
-    if !flags.contains_key("no-preflight") {
-        let base_seed = get(flags, "seed-start", 0) as u64;
-        match preflight_campaign(&factory, base_seed, &LintConfig::default()) {
+    let factory = protocol_factory(sys).map_err(|e| eprintln!("{e}")).ok()?;
+    config.seed_start = flags.get("seed-start", config.seed_start);
+    config.runs = flags.get("runs", config.runs);
+    config.budget = flags.get("budget", config.budget);
+    if !flags.has("no-preflight") {
+        match preflight_campaign(&factory, config.seed_start, &LintConfig::default()) {
             Ok(report) => {
                 if report.warn_count() > 0 {
                     eprintln!("{}", report.render());
@@ -830,76 +947,37 @@ fn campaign_setup(
             }
         }
     }
-    Some((specs, factory))
+    Some((config, factory))
 }
 
-/// The ordered system description stamped into replay bundles and
-/// service work units: how `replay` and `campaign-worker` rebuild
-/// exactly this campaign's system and check.
-fn campaign_system(
-    protocol: &str,
-    procs: usize,
-    m: usize,
-    rounds: usize,
-) -> Vec<(String, String)> {
-    vec![
-        ("kind".into(), "campaign".into()),
-        ("protocol".into(), protocol.to_string()),
-        ("procs".into(), procs.to_string()),
-        ("m".into(), m.to_string()),
-        ("rounds".into(), rounds.to_string()),
-    ]
-}
-
-fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_campaign(flags: &Flags) -> ExitCode {
     use revisionist_simulations::smr::campaign::{
-        replay_run, run_campaign_with, CampaignCheckpoint, CampaignConfig,
-        CampaignOptions, SchedulerSpec,
+        replay_run, run_campaign_with, CampaignCheckpoint, CampaignOptions, SchedulerSpec,
     };
     use revisionist_simulations::smr::fault::FaultPlan;
     use std::time::Duration;
 
-    // A fault report has no replay mode and no truncation, cache or
-    // checkpoint fields, so these plain-campaign flags would be ignored.
-    const PLAIN_ONLY: [&str; 7] = [
-        "seed", "wall-limit", "stop-after", "cache-budget", "checkpoint",
-        "checkpoint-every", "resume",
-    ];
-    if flags.contains_key("faults") {
-        if let Some(flag) = PLAIN_ONLY.iter().find(|f| flags.contains_key(**f)) {
-            eprintln!("--{flag} does not apply to a --faults campaign");
-            if *flag == "seed" {
-                eprintln!("to replay one fault run: --faults PLAN --seed-start S --runs 1");
-            }
-            return ExitCode::FAILURE;
+    let plain = PLAIN_CAMPAIGN.iter().find(|(name, _)| flags.has("faults") && flags.has(name));
+    if let Some((flag, _)) = plain {
+        eprintln!("--{flag} does not apply to a --faults campaign");
+        if *flag == "seed" {
+            eprintln!("to replay one fault run: --faults PLAN --seed-start S --runs 1");
         }
+        return ExitCode::FAILURE;
     }
-    let protocol = flags.get("protocol").map_or("racing", String::as_str);
-    let procs = get(flags, "procs", 3);
-    let m = get(flags, "m", 2);
-    let rounds = get(flags, "rounds", 3);
-    let Some((specs, factory)) =
-        campaign_setup(flags, protocol, procs, m, rounds, "campaign")
-    else {
+    let sys = SystemArgs::from_flags(flags);
+    let Some((mut config, factory)) = campaign_setup(flags, &sys, "campaign") else {
         return ExitCode::FAILURE;
     };
-    let budget = get(flags, "budget", 2_000);
-    let bundle_system = campaign_system(protocol, procs, m, rounds);
+    config.threads = flags.get("threads", config.threads);
+    let bundle_system = sys.to_system();
 
-    if let Some(faults_raw) = flags.get("faults") {
-        return cmd_campaign_faults(
-            flags,
-            faults_raw,
-            &specs[0],
-            protocol,
-            procs,
-            &factory,
-            &bundle_system,
-        );
+    if let Some(faults_raw) = flags.value("faults") {
+        return cmd_campaign_faults(flags, faults_raw, &config, &sys, &factory, &bundle_system);
     }
-    let check = protocol_check(protocol, procs);
-    if let Some(seed) = num::<u64>(flags, "seed") {
-        let record = replay_run(&specs[0], seed, budget, &factory, &check);
+    let check = protocol_check(&sys);
+    if let Some(seed) = flags.num::<u64>("seed") {
+        let record = replay_run(&config.schedulers[0], seed, config.budget, &factory, &check);
         println!(
             "replay {} seed {}: {} steps, {}",
             record.scheduler,
@@ -915,33 +993,25 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let config = CampaignConfig {
-        schedulers: specs,
-        seed_start: get(flags, "seed-start", 0) as u64,
-        runs: get(flags, "runs", 100),
-        budget,
-        threads: get(flags, "threads", 0),
-    };
     // The campaign identity stamped into checkpoints; resume refuses a
     // checkpoint from any other campaign instead of silently merging
     // incompatible aggregates.
     let spec_id =
-        revisionist_simulations::smr::campaign::campaign_spec_id(protocol, &config);
+        revisionist_simulations::smr::campaign::campaign_spec_id(&sys.protocol, &config);
     let mut options = CampaignOptions {
-        wall_limit: num(flags, "wall-limit").map(Duration::from_secs),
-        stop_after: num(flags, "stop-after"),
-        cache_budget: num(flags, "cache-budget"),
-        checkpoint_every: num(flags, "checkpoint-every"),
-        checkpoint_path: flags.get("checkpoint").map(std::path::PathBuf::from),
+        wall_limit: flags.num("wall-limit").map(Duration::from_secs),
+        stop_after: flags.num("stop-after"),
+        cache_budget: flags.num("cache-budget"),
+        checkpoint_every: flags.num("checkpoint-every"),
+        checkpoint_path: flags.value("checkpoint").map(std::path::PathBuf::from),
         resume_from: None,
         spec_id: Some(spec_id.clone()),
     };
-    if let Some(path) = flags.get("resume") {
+    if let Some(path) = flags.value("resume") {
         match CampaignCheckpoint::load(std::path::Path::new(path)) {
             Ok(checkpoint) => {
                 if let Err(e) = checkpoint.ensure_matches(&spec_id) {
-                    eprintln!("cannot resume: {e}");
-                    return ExitCode::FAILURE;
+                    return fail(&format!("cannot resume: {e}"));
                 }
                 options.resume_from = Some(checkpoint);
                 // Keep checkpointing to the same file unless overridden.
@@ -949,10 +1019,7 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
                     options.checkpoint_path = Some(std::path::PathBuf::from(path));
                 }
             }
-            Err(e) => {
-                eprintln!("cannot resume: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(&format!("cannot resume: {e}")),
         }
     }
     let report = run_campaign_with(&config, &options, &factory, &check);
@@ -965,20 +1032,21 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
         flags,
         &report.to_json(),
         first_violation,
-        budget,
+        config.budget,
         &bundle_system,
         &|seed| factory(seed),
         &|sys, _crashed| check(sys),
     ) {
         return ExitCode::FAILURE;
     }
-    if flags.contains_key("json") {
+    if flags.has("json") {
         print!("{}", report.to_json());
         return ExitCode::SUCCESS;
     }
     println!(
-        "campaign: protocol={protocol} procs={procs} schedulers=[{}] \
-         seeds={}..{}",
+        "campaign: protocol={} procs={} schedulers=[{}] seeds={}..{}",
+        sys.protocol,
+        sys.procs,
         config
             .schedulers
             .iter()
@@ -1052,7 +1120,7 @@ fn print_campaign_outcome(
 /// marked stuck) instead of aborting — the ill-formed fixture's
 /// trespasser is reportable, not fatal. Exits nonzero iff any
 /// deny-level diagnostic fires.
-fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_analyze(flags: &Flags) -> ExitCode {
     use revisionist_simulations::smr::analyze::{self, LintCode, LintConfig};
     use revisionist_simulations::smr::error::ModelError;
     use revisionist_simulations::smr::process::ProcessId;
@@ -1060,7 +1128,7 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
     // `--explain RS-W0NN` needs no protocol: print the code's summary
     // and paper rationale, exit 1 on an unknown code (with the parser's
     // did-you-mean suggestion on stderr).
-    if let Some(spec) = flags.get("explain") {
+    if let Some(spec) = flags.value("explain") {
         return match LintCode::parse(spec) {
             Ok(code) => {
                 println!("{}: {}", code.id(), code.summary());
@@ -1076,30 +1144,21 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
         };
     }
 
-    let protocol = flags.get("protocol").map_or("racing", String::as_str);
-    let procs = get(flags, "procs", 3);
-    let m = get(flags, "m", 2);
-    let rounds = get(flags, "rounds", 3);
-    let budget = get(flags, "budget", analyze::DEFAULT_BUDGET);
-    let seed = get(flags, "seed", 0) as u64;
-    let steps = get(flags, "steps", 2_000);
+    let sys = SystemArgs::from_flags(flags);
+    let protocol = sys.protocol.as_str();
+    let budget = flags.get("budget", analyze::DEFAULT_BUDGET);
+    let seed = flags.get::<u64>("seed", 0);
+    let steps = flags.get("steps", 2_000);
 
     let mut config = LintConfig::default();
-    let deny = flags.get("deny").map_or("", String::as_str);
-    let warn = flags.get("warn").map_or("", String::as_str);
-    let allow = flags.get("allow").map_or("", String::as_str);
-    if let Err(e) = config.apply_overrides(deny, warn, allow) {
-        eprintln!("{e}");
-        eprintln!("known lint codes: {}", analyze::known_codes());
-        return ExitCode::FAILURE;
+    let codes = |severity| flags.value(severity).unwrap_or("");
+    if let Err(e) = config.apply_overrides(codes("deny"), codes("warn"), codes("allow")) {
+        return fail(&format!("{e}\nknown lint codes: {}", analyze::known_codes()));
     }
 
-    let Some(factory) = protocol_factory(protocol, procs, m, rounds) else {
-        eprintln!(
-            "unknown --protocol {protocol} (racing, contrarian, ladder, illformed, \
-             serializable, gen:SEED[:MUTATION])"
-        );
-        return ExitCode::FAILURE;
+    let factory = match protocol_factory(&sys) {
+        Ok(factory) => factory,
+        Err(e) => return fail(&e),
     };
     let initial = factory(seed);
     let n = initial.process_count();
@@ -1114,7 +1173,7 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
     // Pass 3: static interference over the same covering budget.
     // `--matrix` prints the exact matrix the findings derive from.
     let matrix = analyze::InterferenceMatrix::build(&initial, budget);
-    if flags.contains_key("matrix") {
+    if flags.has("matrix") {
         println!("{}", matrix.render());
     }
     findings.extend(analyze::interfere_findings(&initial, &matrix));
@@ -1144,10 +1203,7 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
                 ));
                 stuck[process] = true;
             }
-            Err(e) => {
-                eprintln!("analyze: driven run failed: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(&format!("analyze: driven run failed: {e}")),
         }
     }
     let events = sys.trace().to_vec();
@@ -1173,33 +1229,27 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
 /// The `fuzz` subcommand: seeded protocol generation plus the
 /// mutation-kill harness. Exit code 0 iff every generated base passed
 /// pre-flight and every mutant matched its paper-predicted verdict.
-fn cmd_fuzz(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_fuzz(flags: &Flags) -> ExitCode {
     use revisionist_simulations::smr::gen::fuzz::MutantResult;
     use revisionist_simulations::smr::gen::{run_fuzz, FuzzConfig};
 
-    let seeds_raw = flags.get("seeds").map_or("0..16", String::as_str);
+    let seeds_raw = flags.value("seeds").unwrap_or("0..16");
     let seeds = match seeds_raw.split_once("..") {
         Some((a, b)) => match (a.parse::<u64>(), b.parse::<u64>()) {
             (Ok(a), Ok(b)) if a < b => a..b,
-            _ => {
-                eprintln!("bad --seeds `{seeds_raw}` (need A..B with A < B)");
-                return ExitCode::FAILURE;
-            }
+            _ => return fail(&format!("bad --seeds `{seeds_raw}` (need A..B with A < B)")),
         },
-        None => {
-            eprintln!("bad --seeds `{seeds_raw}` (need A..B, e.g. 0..100)");
-            return ExitCode::FAILURE;
-        }
+        None => return fail(&format!("bad --seeds `{seeds_raw}` (need A..B, e.g. 0..100)")),
     };
     let defaults = FuzzConfig::default();
     let config = FuzzConfig {
         seeds,
-        mutants: flags.contains_key("mutants"),
-        corpus: flags.get("corpus").map(std::path::PathBuf::from),
-        kill_runs: get(flags, "kill-runs", defaults.kill_runs as usize) as u64,
-        clean_runs: get(flags, "clean-runs", defaults.clean_runs as usize) as u64,
-        budget: get(flags, "budget", defaults.budget),
-        threads: get(flags, "threads", 0),
+        mutants: flags.has("mutants"),
+        corpus: flags.value("corpus").map(std::path::PathBuf::from),
+        kill_runs: flags.get("kill-runs", defaults.kill_runs),
+        clean_runs: flags.get("clean-runs", defaults.clean_runs),
+        budget: flags.get("budget", defaults.budget),
+        threads: flags.get("threads", 0),
     };
 
     let report = run_fuzz(&config);
@@ -1207,7 +1257,7 @@ fn cmd_fuzz(flags: &HashMap<String, String>) -> ExitCode {
     if !write_json_out(flags, &json) {
         return ExitCode::FAILURE;
     }
-    if flags.contains_key("json") {
+    if flags.has("json") {
         print!("{json}");
     } else {
         println!(
@@ -1315,16 +1365,13 @@ fn parse_fault_plans(
 /// some process's input. Agreement need not — obstruction-free
 /// consensus is not crash-tolerant, which is the paper's point — so
 /// the certificate here is non-blocking progress plus validity.
-fn fault_validity_check(
-    protocol: &str,
-    procs: usize,
-) -> impl Fn(
+fn fault_validity_check(sys: &SystemArgs) -> impl Fn(
     &revisionist_simulations::smr::system::System,
     &[revisionist_simulations::smr::process::ProcessId],
 ) -> Option<String>
        + Sync {
-    let inputs: Option<Vec<Value>> = (protocol != "contrarian")
-        .then(|| (1..=procs as i64).map(Value::Int).collect());
+    let inputs: Option<Vec<Value>> = (sys.protocol != "contrarian")
+        .then(|| (1..=sys.procs as i64).map(Value::Int).collect());
     move |sys, _crashed| {
         let inputs = inputs.as_ref()?;
         sys.outputs()
@@ -1338,34 +1385,29 @@ fn fault_validity_check(
 /// `campaign --faults`: runs the fault matrix (plans × seeds on the one
 /// base scheduler) and certifies it; exits 1 unless every run certified.
 fn cmd_campaign_faults(
-    flags: &HashMap<String, String>,
+    flags: &Flags,
     faults_raw: &str,
-    base: &revisionist_simulations::smr::campaign::SchedulerSpec,
-    protocol: &str,
-    procs: usize,
+    matrix: &CampaignConfig,
+    sys: &SystemArgs,
     factory: &ProtocolFactory,
     bundle_system: &[(String, String)],
 ) -> ExitCode {
     use revisionist_simulations::smr::campaign::{run_fault_campaign, FaultCampaignConfig};
     use revisionist_simulations::smr::fault::FaultPlan;
 
-    let plans = match parse_fault_plans(faults_raw, procs) {
+    let plans = match parse_fault_plans(faults_raw, sys.procs) {
         Ok(plans) => plans,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{FAULTS_HINT}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&format!("{e}\n{FAULTS_HINT}")),
     };
     let config = FaultCampaignConfig {
-        base: base.clone(),
+        base: matrix.schedulers[0].clone(),
         plans,
-        seed_start: get(flags, "seed-start", 0) as u64,
-        runs: get(flags, "runs", 100),
-        budget: get(flags, "budget", 2_000),
-        threads: get(flags, "threads", 0),
+        seed_start: matrix.seed_start,
+        runs: matrix.runs,
+        budget: matrix.budget,
+        threads: matrix.threads,
     };
-    let check = fault_validity_check(protocol, procs);
+    let check = fault_validity_check(sys);
     let report = run_fault_campaign(&config, factory, &check);
     // As in the plain campaign, the first violating run shrinks — here
     // over its decisions *and* its fault plan.
@@ -1385,7 +1427,7 @@ fn cmd_campaign_faults(
     ) {
         return ExitCode::FAILURE;
     }
-    if flags.contains_key("json") {
+    if flags.has("json") {
         print!("{}", report.to_json());
         return if report.is_certified() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
@@ -1450,25 +1492,14 @@ fn worker_execute_unit(
     corpus_dir: &std::path::Path,
 ) -> Result<revisionist_simulations::smr::service::ShardResult, String> {
     use revisionist_simulations::smr::campaign::{
-        run_campaign_with, run_fault_records, CampaignCheckpoint, CampaignConfig,
-        CampaignOptions, FaultCampaignConfig, SchedulerSpec,
+        run_campaign_with, run_fault_records, CampaignCheckpoint, CampaignOptions,
+        FaultCampaignConfig, SchedulerSpec,
     };
     use revisionist_simulations::smr::fault::FaultPlan;
     use revisionist_simulations::smr::service::ShardResult;
 
-    let field = |key: &str| {
-        unit.system.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-    };
-    let protocol =
-        field("protocol").ok_or("unit system lacks `protocol`")?.to_string();
-    let num = |key: &str, default: usize| {
-        field(key).and_then(|v| v.parse().ok()).unwrap_or(default)
-    };
-    let procs = num("procs", 3);
-    let m = num("m", 2);
-    let rounds = num("rounds", 3);
-    let factory = protocol_factory(&protocol, procs, m, rounds)
-        .ok_or_else(|| format!("unknown protocol `{protocol}`"))?;
+    let sys = SystemArgs::from_system(&unit.system)?;
+    let factory = protocol_factory(&sys)?;
     let sched =
         SchedulerSpec::parse(&unit.scheduler).map_err(|e| e.to_string())?;
     let mut shard = ShardResult {
@@ -1490,7 +1521,7 @@ fn worker_execute_unit(
             budget: unit.budget,
             threads: 1,
         };
-        let check = fault_validity_check(&protocol, procs);
+        let check = fault_validity_check(&sys);
         let records = run_fault_records(&config, &factory, &check);
         shard.fault_records = records
             .into_iter()
@@ -1498,7 +1529,7 @@ fn worker_execute_unit(
             .map(|(local, record)| (unit.index_base + local, record))
             .collect();
     } else {
-        let check = protocol_check(&protocol, procs);
+        let check = protocol_check(&sys);
         let config = CampaignConfig {
             schedulers: vec![sched.clone()],
             seed_start: unit.seed_start,
@@ -1583,11 +1614,11 @@ fn worker_execute_unit(
 /// coordinator's lease machinery treats a dead worker as a requeue.
 ///
 /// [`CoordMsg`]: revisionist_simulations::smr::service::CoordMsg
-fn cmd_campaign_worker(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_campaign_worker(flags: &Flags) -> ExitCode {
     use revisionist_simulations::smr::service::{read_frame, write_frame, CoordMsg};
 
-    if let Some(addr) = flags.get("connect") {
-        let tag = num(flags, "tag");
+    if let Some(addr) = flags.value("connect") {
+        let tag = flags.num("tag");
         return campaign_worker_remote(addr, tag);
     }
 
@@ -1716,14 +1747,10 @@ fn serve_leases<E: std::fmt::Display>(
         });
         let shard = match result {
             Ok(shard) => shard,
-            Err(e) => {
-                eprintln!("campaign-worker: unit {}: {e}", unit.id);
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(&format!("campaign-worker: unit {}: {e}", unit.id)),
         };
         if let Err(e) = send(&WorkerMsg::Result { unit: unit.id, shard }.to_json()) {
-            eprintln!("campaign-worker: cannot send result: {e}");
-            return ExitCode::FAILURE;
+            return fail(&format!("campaign-worker: cannot send result: {e}"));
         }
     }
 }
@@ -1735,8 +1762,7 @@ fn serve_leases<E: std::fmt::Display>(
 /// leases them to `campaign-worker` processes, and merges shard
 /// results into a report byte-identical to a single-process
 /// `campaign` run of the same spec.
-fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
-    use revisionist_simulations::smr::campaign::CampaignConfig;
+fn cmd_campaign_service(flags: &Flags) -> ExitCode {
     use revisionist_simulations::smr::service::{
         run_service, run_service_with_transport, ChaosPlan, MergedReport,
         ServiceOptions, ServiceSpec, Transport,
@@ -1744,14 +1770,10 @@ fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
     use std::path::PathBuf;
     use std::time::Duration;
 
-    let protocol = flags.get("protocol").map_or("racing", String::as_str);
-    let procs = get(flags, "procs", 3);
-    let m = get(flags, "m", 2);
-    let rounds = get(flags, "rounds", 3);
+    let sys = SystemArgs::from_flags(flags);
     // Same set-up and pre-flight as `campaign`: lint once in the
     // coordinator rather than once per worker process.
-    let Some((specs, _)) = campaign_setup(flags, protocol, procs, m, rounds, "service")
-    else {
+    let Some((config, _)) = campaign_setup(flags, &sys, "service") else {
         return ExitCode::FAILURE;
     };
 
@@ -1759,61 +1781,41 @@ fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
         // The same ordered description `campaign` stamps into replay
         // bundles — workers rebuild the system from it, and corpus
         // bundles replay under the stock `replay` subcommand.
-        system: campaign_system(protocol, procs, m, rounds),
-        config: CampaignConfig {
-            schedulers: specs,
-            seed_start: get(flags, "seed-start", 0) as u64,
-            runs: get(flags, "runs", 100),
-            budget: get(flags, "budget", 2_000),
-            threads: 1,
-        },
-        unit_runs: get(flags, "unit-runs", 8).max(1),
+        system: sys.to_system(),
+        config: CampaignConfig { threads: 1, ..config },
+        unit_runs: flags.get("unit-runs", 8).max(1),
         // A fault matrix shards across workers exactly like a
         // scheduler matrix: plans × seeds under the one base scheduler.
-        faults: match flags.get("faults") {
-            Some(raw) => match parse_fault_plans(raw, procs) {
+        faults: match flags.value("faults") {
+            Some(raw) => match parse_fault_plans(raw, sys.procs) {
                 Ok(plans) => plans.iter().map(|p| p.to_string()).collect(),
-                Err(e) => {
-                    eprintln!("{e}");
-                    eprintln!("{FAULTS_HINT}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(&format!("{e}\n{FAULTS_HINT}")),
             },
             None => Vec::new(),
         },
     };
 
-    let state_dir = PathBuf::from(
-        flags.get("state").map_or("campaign-state", String::as_str),
-    );
-    let corpus_dir = flags
-        .get("corpus")
-        .map_or_else(|| state_dir.join("corpus"), PathBuf::from);
+    let state_dir = PathBuf::from(flags.value("state").unwrap_or("campaign-state"));
+    let corpus_dir = flags.value("corpus").map_or_else(|| state_dir.join("corpus"), PathBuf::from);
     let exe = match std::env::current_exe() {
         Ok(path) => path,
-        Err(e) => {
-            eprintln!("campaign-service: cannot locate own binary: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&format!("campaign-service: cannot locate own binary: {e}")),
     };
     let mut opts = ServiceOptions::new(
         state_dir,
         corpus_dir,
         vec![exe.display().to_string(), "campaign-worker".into()],
     );
-    let listen = flags.get("listen");
+    let listen = flags.value("listen");
     // `--workers 0` is meaningful only with `--listen`: an externally
     // managed TCP fleet. Over stdio the service must spawn someone.
-    opts.workers = if listen.is_some() {
-        get(flags, "workers", 2)
-    } else {
-        get(flags, "workers", 2).max(1)
-    };
-    opts.max_lease_attempts = get(flags, "max-lease-attempts", 3).max(1);
-    if let Some(secs) = num(flags, "lease-timeout") {
+    let workers = flags.get("workers", 2);
+    opts.workers = if listen.is_some() { workers } else { workers.max(1) };
+    opts.max_lease_attempts = flags.get("max-lease-attempts", 3).max(1);
+    if let Some(secs) = flags.num("lease-timeout") {
         opts.lease_timeout = Duration::from_secs(secs);
     }
-    if let Some(raw) = flags.get("chaos") {
+    if let Some(raw) = flags.value("chaos") {
         match ChaosPlan::parse(raw) {
             Ok(plan) => {
                 if !plan.is_empty() {
@@ -1822,33 +1824,24 @@ fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
                 opts.chaos = plan;
             }
             Err(e) => {
-                eprintln!("{e}");
-                eprintln!(
-                    "valid --chaos directives: kill@unit:U | torn@result:U | \
-                     drop@N | delay@N | dup@N | corrupt@N | partition@A-B \
-                     (comma-separated)"
-                );
-                return ExitCode::FAILURE;
+                return fail(&format!(
+                    "{e}\nvalid --chaos directives: kill@unit:U | torn@result:U | \
+                     drop@N | delay@N | dup@N | corrupt@N | partition@A-B (comma-separated)"
+                ))
             }
         }
     }
 
     let run = if let Some(listen_addr) = listen {
-        let listener = match std::net::TcpListener::bind(listen_addr.as_str()) {
+        let listener = match std::net::TcpListener::bind(listen_addr) {
             Ok(listener) => listener,
-            Err(e) => {
-                eprintln!("campaign-service: cannot bind {listen_addr}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(&format!("campaign-service: cannot bind {listen_addr}: {e}")),
         };
         // Resolve port 0 to the actual address before telling workers
         // where to dial.
         let addr = match listener.local_addr() {
             Ok(addr) => addr.to_string(),
-            Err(e) => {
-                eprintln!("campaign-service: cannot resolve listen address: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(&format!("campaign-service: cannot resolve listen address: {e}")),
         };
         eprintln!("campaign-service: listening on {addr}");
         opts.worker_cmd.extend(["--connect".to_string(), addr]);
@@ -1858,10 +1851,7 @@ fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
     };
     let outcome = match run {
         Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("campaign-service: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&format!("campaign-service: {e}")),
     };
     let stats = &outcome.stats;
     eprintln!(
@@ -1910,7 +1900,7 @@ fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
     }
     // The summary table goes to stderr: stdout must stay byte-identical
     // to the single-process `campaign` report under --json.
-    if flags.contains_key("summary") {
+    if flags.has("summary") {
         eprint!("{}", outcome.summary.render());
     }
 
@@ -1922,10 +1912,11 @@ fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
         MergedReport::Campaign(_) => true,
         MergedReport::Faults(r) => r.is_certified(),
     };
-    if flags.contains_key("json") {
+    if flags.has("json") {
         print!("{}", report.to_json());
         return if certified { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
+    let (protocol, procs) = (&sys.protocol, sys.procs);
     match report {
         MergedReport::Campaign(report) => {
             println!(
@@ -1960,134 +1951,80 @@ fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
     }
 }
 
-fn cmd_replay(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_replay(flags: &Flags) -> ExitCode {
     use revisionist_simulations::smr::bundle::ReplayBundle;
     use revisionist_simulations::smr::error::ModelError;
     use revisionist_simulations::smr::fingerprint::fingerprint;
     use revisionist_simulations::smr::shrink::CexOutcome;
 
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: revisionist-simulations replay BUNDLE.json [--threads T]");
-        return ExitCode::FAILURE;
-    };
+    let path = &flags.args[0];
     let bundle = match ReplayBundle::load(std::path::Path::new(path)) {
         Ok(bundle) => bundle,
-        Err(e) => {
-            eprintln!("replay: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&format!("replay: {e}")),
     };
-    let threads = get(flags, "threads", 1).max(1);
-    let field = |key: &str, default: usize| {
-        bundle
-            .system_field(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
+    let threads = flags.get("threads", 1).max(1);
 
-    // Every replay runs `threads` times concurrently and all runs must
-    // reproduce the recorded fingerprint: the portable artifact doubles
-    // as an in-process determinism check across thread counts.
-    let results: Vec<Result<CexOutcome, ModelError>> = match bundle
-        .system_field("kind")
-    {
-        Some("campaign") => {
-            let protocol = bundle
-                .system_field("protocol")
-                .unwrap_or("racing")
-                .to_string();
-            let procs = field("procs", 3);
-            let Some(factory) =
-                protocol_factory(&protocol, procs, field("m", 2), field("rounds", 3))
-            else {
-                eprintln!("replay: bundle names unknown protocol `{protocol}`");
-                return ExitCode::FAILURE;
-            };
-            let check = protocol_check(&protocol, procs);
-            let seed = bundle.seed;
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            bundle.replay(&|| factory(seed), &|sys, _crashed| {
-                                check(sys)
-                            })
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("replay worker"))
-                    .collect()
-            })
-        }
-        Some("aug-certify") => {
-            use revisionist_simulations::snapshot::certify::{
-                check_fault_placement, FaultAction, Placement,
-            };
-            let action = match bundle.system_field("action") {
-                Some("crash") => FaultAction::Crash,
-                Some("stall") => FaultAction::Stall,
-                other => {
-                    eprintln!("replay: bad certify action {other:?}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let placement = Placement {
-                victim: field("victim", 0),
-                after_steps: field("after_steps", 0),
-                action,
-            };
-            let (f, m) = (field("f", 2), field("m", 2));
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(move || {
-                            let failures = check_fault_placement(f, m, placement);
-                            match failures.first() {
-                                Some(msg) if fingerprint(msg) == bundle.fingerprint => {
-                                    Ok(CexOutcome {
-                                        violation: Some(msg.clone()),
-                                        steps: 0,
-                                        crashed: Vec::new(),
-                                    })
-                                }
-                                Some(msg) => Err(ModelError::BundleMismatch {
-                                    expected: bundle.fingerprint,
-                                    actual: format!(
-                                        "failure `{msg}` (fingerprint {})",
-                                        fingerprint(msg)
-                                    ),
-                                }),
-                                None => Err(ModelError::BundleMismatch {
-                                    expected: bundle.fingerprint,
-                                    actual: format!(
-                                        "placement `{placement}` certifies cleanly"
-                                    ),
-                                }),
-                            }
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("replay worker"))
-                    .collect()
-            })
-        }
-        other => {
-            eprintln!(
-                "replay: unsupported bundle kind {:?} (campaign, aug-certify)",
+    // Each bundle kind yields one replay, which runs `threads` times
+    // concurrently; every run must reproduce the recorded fingerprint,
+    // so the portable artifact doubles as an in-process determinism
+    // check across thread counts.
+    type Replay<'a> = Box<dyn Fn() -> Result<CexOutcome, ModelError> + Sync + 'a>;
+    let bundle = &bundle;
+    let replay_once = || -> Result<Replay, String> {
+        match bundle.system_field("kind") {
+            Some("campaign") => {
+                let sys = SystemArgs::from_system(&bundle.system)?;
+                let factory = protocol_factory(&sys)?;
+                let check = protocol_check(&sys);
+                Ok(Box::new(move || {
+                    bundle.replay(&|| factory(bundle.seed), &|sys, _crashed| check(sys))
+                }))
+            }
+            Some("aug-certify") => {
+                use revisionist_simulations::snapshot::certify::{
+                    check_fault_placement, FaultAction, Placement,
+                };
+                let system = bundle.system.as_slice();
+                let action = match system_field::<String>(system, "action")?.as_str() {
+                    "crash" => FaultAction::Crash,
+                    "stall" => FaultAction::Stall,
+                    other => return Err(format!("bad certify action `{other}`")),
+                };
+                let victim = system_field(system, "victim")?;
+                let after_steps = system_field(system, "after_steps")?;
+                let placement = Placement { victim, after_steps, action };
+                let (f, m) = (system_field(system, "f")?, system_field(system, "m")?);
+                Ok(Box::new(move || {
+                    let failures = check_fault_placement(f, m, placement);
+                    let actual = match failures.first() {
+                        Some(msg) if fingerprint(msg) == bundle.fingerprint => {
+                            let violation = Some(msg.clone());
+                            return Ok(CexOutcome { violation, steps: 0, crashed: Vec::new() });
+                        }
+                        Some(msg) => format!("failure `{msg}` (fingerprint {})", fingerprint(msg)),
+                        None => format!("placement `{placement}` certifies cleanly"),
+                    };
+                    Err(ModelError::BundleMismatch { expected: bundle.fingerprint, actual })
+                }))
+            }
+            other => Err(format!(
+                "unsupported bundle kind {:?} (campaign, aug-certify)",
                 other.unwrap_or("<missing>")
-            );
-            return ExitCode::FAILURE;
+            )),
         }
     };
+    let replay_once = match replay_once() {
+        Ok(replay) => replay,
+        Err(e) => return fail(&format!("replay: {e}")),
+    };
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(&replay_once)).collect();
+        workers.into_iter().map(|w| w.join().expect("replay worker")).collect()
+    });
 
     for result in &results {
         if let Err(e) = result {
-            eprintln!("replay: FAILED: {e}");
-            return ExitCode::FAILURE;
+            return fail(&format!("replay: FAILED: {e}"));
         }
     }
     let outcome = results[0].as_ref().expect("all results ok");
@@ -2105,18 +2042,18 @@ fn cmd_replay(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_aug(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_aug(flags: &Flags) -> ExitCode {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use revisionist_simulations::snapshot::client::AugOp;
     use revisionist_simulations::snapshot::real::RealSystem;
     use revisionist_simulations::snapshot::spec;
 
-    let f = get(flags, "f", 3);
-    let m = get(flags, "m", 2);
-    let ops = get(flags, "ops", 6);
-    let seed = get(flags, "seed", 0) as u64;
-    if flags.contains_key("certify") {
+    let f = flags.get("f", 3);
+    let m = flags.get("m", 2);
+    let ops = flags.get("ops", 6);
+    let seed = flags.get::<u64>("seed", 0);
+    if flags.has("certify") {
         use revisionist_simulations::smr::bundle::{
             tool_id, ReplayBundle, BUNDLE_VERSION,
         };
@@ -2141,7 +2078,7 @@ fn cmd_aug(flags: &HashMap<String, String>) -> ExitCode {
         }
         // Failed certifications are portable too: bundle the first
         // failed placement so `replay` can re-check it anywhere.
-        if let Some(path) = flags.get("bundle") {
+        if let Some(path) = flags.value("bundle") {
             let (placement, message) = &report.failures[0];
             let bundle = ReplayBundle {
                 version: BUNDLE_VERSION,
@@ -2215,5 +2152,50 @@ fn cmd_aug(flags: &HashMap<String, String>) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// Every `cargo run [--release] -- CMD ...` line of the docs, the
+    /// justfile and CI must parse against its subcommand's flag table,
+    /// so none of them advertises a flag the CLI rejects.
+    #[test]
+    fn documented_commands_parse() {
+        let docs = [
+            ("README.md", include_str!("../README.md")),
+            ("EXPERIMENTS.md", include_str!("../EXPERIMENTS.md")),
+            ("DESIGN.md", include_str!("../DESIGN.md")),
+            ("justfile", include_str!("../justfile")),
+            ("ci.yml", include_str!("../.github/workflows/ci.yml")),
+        ];
+        let mut checked = 0;
+        for (file, text) in docs {
+            let text = text.replace("\\\n", " ");
+            let commands = text.lines().filter_map(|line| {
+                let release = line.split_once("cargo run --release -- ");
+                release.or_else(|| line.split_once("cargo run -- "))
+            });
+            for (_, line) in commands {
+                // The command ends at a comment, a pipe, a redirection,
+                // `;` or the close of an inline code span.
+                let mut args = Vec::new();
+                for token in line.split_whitespace() {
+                    if ["#", "|", ">", "2>", "&&"].iter().any(|op| token.starts_with(op)) {
+                        break;
+                    }
+                    let word = token.trim_end_matches([';', '`']);
+                    args.push(word.trim_matches(['"', '\'']).to_string());
+                    if word.len() < token.len() {
+                        break;
+                    }
+                }
+                let command = super::COMMANDS.iter().find(|c| c.name == args[0]);
+                let command = command.unwrap_or_else(|| panic!("{file}: unknown command: {line}"));
+                command.parse(&args[1..]).unwrap_or_else(|e| panic!("{file}: {e}: {line}"));
+                checked += 1;
+            }
+        }
+        assert!(checked >= 90, "only {checked} documented commands found");
     }
 }

@@ -360,3 +360,116 @@ fn campaign_worker_replies_without_waiting_out_its_heartbeat() {
     assert!(elapsed < Duration::from_secs(20), "worker took {elapsed:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs the CLI with `dir` as its working directory, so a test can see
+/// every file a command leaves behind.
+fn run_in(dir: &std::path::Path, args: &[&str]) -> (String, String, bool) {
+    std::fs::create_dir_all(dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_revisionist-simulations"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("binary runs");
+    (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        out.status.success(),
+    )
+}
+
+#[test]
+fn stray_positional_fails_instead_of_running_the_default_protocol() {
+    let (stdout, stderr, ok) = run(&["explore", "contrarian"]);
+    assert!(!ok, "stdout was: {stdout}");
+    assert!(stdout.is_empty(), "nothing may be explored: {stdout}");
+    assert!(stderr.contains("unexpected argument `contrarian`"), "stderr was: {stderr}");
+}
+
+#[test]
+fn unknown_flag_fails_with_did_you_mean_and_usage() {
+    let (stdout, stderr, ok) = run(&["explore", "--thread", "2"]);
+    assert!(!ok, "stdout was: {stdout}");
+    assert!(stderr.contains("did you mean --threads"), "stderr was: {stderr}");
+    assert!(stderr.contains("usage:\n  revisionist-simulations explore"), "stderr: {stderr}");
+}
+
+#[test]
+fn key_equals_value_is_an_unknown_flag() {
+    let (stdout, stderr, ok) = run(&["campaign", "--runs=5"]);
+    assert!(!ok, "stdout was: {stdout}");
+    assert!(stderr.contains("unknown flag --runs=5"), "stderr was: {stderr}");
+}
+
+#[test]
+fn value_flag_without_value_fails_and_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("rsim-cli-no-value-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (stdout, stderr, ok) = run_in(&dir, &["campaign", "--runs", "2", "--json-out"]);
+    assert!(!ok, "stdout was: {stdout}");
+    assert!(stderr.contains("--json-out needs a value (PATH)"), "stderr was: {stderr}");
+    assert!(!dir.join("true").exists(), "no report may be written to `true`");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn subcommand_help_prints_its_usage_and_explores_nothing() {
+    let (stdout, stderr, ok) = run(&["explore", "--help"]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "nothing may be explored: {stdout}");
+    assert!(stderr.contains("revisionist-simulations explore"), "stderr was: {stderr}");
+    assert!(stderr.contains("[--max-configs C]"), "stderr was: {stderr}");
+    assert!(!stderr.contains("revisionist-simulations campaign"), "explore's usage only");
+}
+
+#[test]
+fn bounds_rejects_a_non_numeric_argument() {
+    let (stdout, stderr, ok) = run(&["bounds", "4", "two", "1"]);
+    assert!(!ok, "stdout was: {stdout}");
+    assert!(stdout.is_empty(), "no table may be printed: {stdout}");
+    assert!(stderr.contains("revisionist-simulations bounds [N K X]"), "stderr was: {stderr}");
+}
+
+#[test]
+fn campaign_service_rejects_a_flag_it_does_not_read() {
+    let dir = std::env::temp_dir().join(format!("rsim-cli-svc-seed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (stdout, stderr, ok) = run_in(&dir, &["campaign-service", "--runs", "2", "--seed", "9"]);
+    assert!(!ok, "stdout was: {stdout}");
+    assert!(stderr.contains("unknown flag --seed for campaign-service"), "stderr was: {stderr}");
+    assert!(!dir.join("campaign-state").exists(), "rejected before any service state");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn repeated_flag_and_switch_with_value_fail() {
+    for (args, want) in [
+        (&["campaign", "--runs", "2", "--runs", "3"][..], "--runs given twice"),
+        (&["campaign", "--runs", "2", "--json", "yes"][..], "--json takes no value (got `yes`)"),
+        (&["replay"][..], "replay takes BUNDLE.json (got 0 arguments)"),
+    ] {
+        let (stdout, stderr, ok) = run(args);
+        assert!(!ok, "{args:?} must fail, stdout was: {stdout}");
+        assert!(stderr.contains(want), "{args:?}: stderr was: {stderr}");
+    }
+}
+
+/// A bundle whose system description has a malformed field fails
+/// closed, naming the field, instead of replaying with a default.
+#[test]
+fn replay_rejects_a_malformed_system_field() {
+    let dir = std::env::temp_dir().join(format!("rsim-cli-bad-procs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (_, stderr, ok) = run_in(&dir, &[
+        "campaign", "--protocol", "racing", "--procs", "3", "--m", "2", "--sched", "random",
+        "--runs", "100", "--bundle", "cex.bundle.json",
+    ]);
+    assert!(ok, "stderr was: {stderr}");
+    let bundle = dir.join("cex.bundle.json");
+    let text = std::fs::read_to_string(&bundle).unwrap();
+    assert!(text.contains("\"procs\": \"3\""), "bundle was: {text}");
+    std::fs::write(&bundle, text.replace("\"procs\": \"3\"", "\"procs\": \"3x\"")).unwrap();
+    let (stdout, stderr, ok) = run(&["replay", bundle.to_str().unwrap()]);
+    assert!(!ok, "a malformed bundle must not replay: {stdout}");
+    assert!(stderr.contains("bad `procs` `3x`"), "stderr was: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
