@@ -310,17 +310,18 @@ fn record_op(
 }
 
 /// The Theorem 21 covering budget: the largest `d` for which some
-/// `f ≤ n` with `d < f` satisfies `(f - d)·m + d ≤ n` — how many
+/// `2 ≤ f ≤ n` with `d < f` satisfies `(f - d)·m + d ≤ n` — how many
 /// components the direct simulators can keep safe while the covering
-/// simulators block-write the rest. 0 when the reduction is infeasible
-/// outright (Pass 1's RS-W003 territory).
-pub fn covering_budget(n: usize, m: usize) -> usize {
+/// simulators block-write the rest. `None` when no `(f, d)` does, so
+/// the reduction is infeasible outright (Pass 1's RS-W003). (Inlined
+/// from `rsim-core::bounds::simulation_feasible` — the core crate
+/// depends on this one, so the formula cannot be imported.)
+pub fn covering_budget(n: usize, m: usize) -> Option<usize> {
     (2..=n)
         .flat_map(|f| (0..f).map(move |d| (f, d)))
         .filter(|&(f, d)| (f - d) * m + d <= n)
         .map(|(_, d)| d)
         .max()
-        .unwrap_or(0)
 }
 
 /// Runs Pass 3 over `sys`: builds the matrix and derives the
@@ -355,7 +356,7 @@ pub fn interfere_findings(sys: &System, matrix: &InterferenceMatrix) -> Vec<(Lin
     }
     let contended: Vec<(usize, usize)> =
         writers.iter().filter(|&(_, &count)| count >= 2).map(|(&slot, _)| slot).collect();
-    let budget = covering_budget(n, m);
+    let budget = covering_budget(n, m).unwrap_or(0);
     if !contended.is_empty() && contended.len() > budget {
         let slots: Vec<String> = contended
             .iter()
@@ -606,12 +607,17 @@ mod tests {
     #[test]
     fn covering_budget_matches_theorem_21() {
         // n = 3, m = 1: f = 3, d = 2 gives 1·1 + 2 = 3 ≤ 3.
-        assert_eq!(covering_budget(3, 1), 2);
-        // n = 3, m = 2: f = 2, d = 1 gives 2 + 1 = 3; d = 2 needs
-        // f = 3: 2 + 2 = 4 > 3 → budget 1.
-        assert_eq!(covering_budget(3, 2), 1);
-        // Infeasible (n = 2, m = 8) → 0.
-        assert_eq!(covering_budget(2, 8), 0);
+        assert_eq!(covering_budget(3, 1), Some(2));
+        // n = 3, m = 2 (racing defaults): f = 2, d = 1 gives 2 + 1 = 3;
+        // d = 2 needs f = 3: 2 + 2 = 4 > 3 → budget 1.
+        assert_eq!(covering_budget(3, 2), Some(1));
+        // n = 2, m = 2: f = 2, d = 0 gives 4 > 2 and d = 1 gives 3 > 2,
+        // but the reduction needs at least one (f, d) → infeasible.
+        assert_eq!(covering_budget(2, 2), None);
+        // Infeasible (n = 2, m = 8; n = 4, m = 8) → None.
+        assert_eq!(covering_budget(2, 8), None);
+        assert_eq!(covering_budget(4, 8), None);
+        assert!(covering_budget(10, 1).is_some());
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //!   or an output.
 
 use super::diag::LintCode;
+use super::interfere::covering_budget;
 use crate::object::Operation;
 use crate::process::{Poised, ProcessId};
 use crate::system::{Event, System};
@@ -102,14 +103,6 @@ where
     Ok(())
 }
 
-/// Theorem 21's reduction is feasible for some `(f, d)` iff
-/// `d < f && (f - d) * m + d <= n` has a solution with `2 <= f <= n`.
-/// (Inlined from `rsim-core::bounds::simulation_feasible` — the core
-/// crate depends on this one, so the formula cannot be imported.)
-fn reduction_feasible(n: usize, m: usize) -> bool {
-    (2..=n).any(|f| (0..f).any(|d| (f - d) * m + d <= n))
-}
-
 /// Runs Pass 1 over `sys`, returning raw `(code, message)` findings.
 /// `budget` bounds each process's solo interpretation (use
 /// [`DEFAULT_BUDGET`] unless the protocol needs longer solo runs).
@@ -119,7 +112,7 @@ pub fn lint_system(sys: &System, budget: usize) -> Vec<(LintCode, String)> {
     let m = sys.space_complexity();
 
     // (c) component footprint vs. the Theorem 21 bound.
-    if n >= 2 && !reduction_feasible(n, m) {
+    if n >= 2 && covering_budget(n, m).is_none() {
         findings.push((
             LintCode::Footprint,
             format!(
@@ -358,10 +351,11 @@ mod tests {
 
     #[test]
     fn feasibility_formula_matches_theorem_21() {
+        // RS-W003 fires exactly when `covering_budget` finds no (f, d).
         // racing defaults: n = 3, m = 2 — f = 2, d = 1 gives 2 + 1 <= 3.
-        assert!(reduction_feasible(3, 2));
-        assert!(!reduction_feasible(4, 8));
-        assert!(reduction_feasible(10, 1));
+        assert!(covering_budget(3, 2).is_some());
+        assert!(covering_budget(4, 8).is_none());
+        assert!(covering_budget(10, 1).is_some());
     }
 
     #[test]

@@ -24,7 +24,6 @@ use crate::system::System;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -182,8 +181,10 @@ pub struct CampaignOptions {
     /// breadth (per-run budget drops to a quarter) so more cells
     /// complete — shallowly — instead of being skipped outright.
     pub wall_limit: Option<Duration>,
-    /// Run-count watchdog: stop after this many runs complete in this
-    /// session (deterministic truncation, used to exercise `--resume`).
+    /// Run-count watchdog: this session runs only the first N pending
+    /// cells in matrix order (those the resume checkpoint has not
+    /// completed), so the truncation is the same at every thread count;
+    /// used to exercise `--resume`.
     pub stop_after: Option<usize>,
     /// Fingerprint-cache memory budget in entries; when exceeded the
     /// cache degrades to bounded-LRU shards and `distinct_configs`
@@ -875,28 +876,29 @@ fn worker_threads(threads: usize) -> usize {
 }
 
 /// The campaign worker pool, shared by plain and fault matrices:
-/// `threads` scoped workers claim chunks of `0..total` (a chunk is
-/// `total.div_ceil(threads * 8).clamp(1, 256)` cells) and pass each
-/// index to `cell`. `Continue(record)` keeps going; `Break(record)`
-/// stops every worker from claiming further cells; either may carry
-/// no record (a resumed or skipped cell). Each chunk's records are
-/// merged into `resumed` as it completes, and `merged` sees every
-/// record merged so far, under the merge lock (the checkpoint hook).
-/// Returns every record sorted by matrix index, so the result is
-/// independent of the thread count.
+/// `threads` scoped workers claim chunks of `plan`, the matrix indices
+/// this session runs (a chunk is `plan.len().div_ceil(threads * 8)
+/// .clamp(1, 256)` cells), and pass each index to `cell`. `None` from
+/// `cell` means the wall-clock deadline passed: every worker stops
+/// claiming further cells. Each chunk's records are merged into
+/// `resumed` as it completes, and `merged` sees every record merged so
+/// far, under the merge lock (the checkpoint hook). Returns every
+/// record sorted by matrix index, so the result is independent of the
+/// thread count.
 fn run_pool<R: Send>(
-    total: usize,
+    plan: &[usize],
     threads: usize,
     resumed: Vec<(usize, R)>,
-    cell: impl Fn(usize) -> ControlFlow<Option<R>, Option<R>> + Sync,
+    cell: impl Fn(usize) -> Option<R> + Sync,
     merged: impl Fn(&[(usize, R)]) + Sync,
 ) -> Vec<(usize, R)> {
     let records = Mutex::new(resumed);
     let cursor = AtomicUsize::new(0);
     let stopped = AtomicBool::new(false);
+    let total = plan.len();
     let chunk = total.div_ceil(threads * 8).clamp(1, 256);
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(total.max(1)) {
+        for _ in 0..threads.min(total) {
             scope.spawn(|| loop {
                 if stopped.load(Ordering::Relaxed) {
                     break;
@@ -906,20 +908,15 @@ fn run_pool<R: Send>(
                     break;
                 }
                 let mut local: Vec<(usize, R)> = Vec::new();
-                for index in start..(start + chunk).min(total) {
+                for &index in &plan[start..(start + chunk).min(total)] {
                     if stopped.load(Ordering::Relaxed) {
                         break;
                     }
-                    match cell(index) {
-                        ControlFlow::Continue(record) => {
-                            local.extend(record.map(|r| (index, r)));
-                        }
-                        ControlFlow::Break(record) => {
-                            local.extend(record.map(|r| (index, r)));
-                            stopped.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
+                    let Some(record) = cell(index) else {
+                        stopped.store(true, Ordering::Relaxed);
+                        break;
+                    };
+                    local.push((index, record));
                 }
                 let mut records = records.lock().expect("records lock");
                 records.extend(local);
@@ -951,11 +948,6 @@ fn write_checkpoint(
         eprintln!("warning: checkpoint write to {} failed: {e}", path.display());
     }
 }
-
-/// Why workers stopped claiming runs (0 = still running).
-const STOP_NONE: usize = 0;
-const STOP_WALL: usize = 1;
-const STOP_COUNT: usize = 2;
 
 /// The mandatory campaign pre-flight: statically lints the system the
 /// factory builds for the campaign's first seed, before any run
@@ -1031,6 +1023,12 @@ where
             }
         }
     }
+    // The session's plan, fixed before any worker starts: the pending
+    // cells in matrix order, cut to the run-count watchdog's first
+    // `stop_after`. Only the wall clock can stop a session short of it.
+    let pending = (0..total).filter(|&index| !already[index]);
+    let plan: Vec<usize> = pending.take(options.stop_after.unwrap_or(total)).collect();
+    let withheld = total - resumed.len() - plan.len();
 
     let now = Instant::now();
     let deadline = options.wall_limit.map(|limit| now + limit);
@@ -1039,21 +1037,12 @@ where
     // before cells get skipped outright at the hard stop.
     let soft_deadline = options.wall_limit.map(|limit| now + limit / 5 * 4);
     let degraded_budget = (config.budget / 4).max(1);
-    let stop = AtomicUsize::new(STOP_NONE);
-    let executed = AtomicUsize::new(0);
+    let wall_fired = AtomicBool::new(false);
     let degraded = AtomicUsize::new(0);
     let cell = |index: usize| {
-        if already[index] {
-            return ControlFlow::Continue(None);
-        }
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            let _ = stop.compare_exchange(
-                STOP_NONE,
-                STOP_WALL,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            return ControlFlow::Break(None);
+            wall_fired.store(true, Ordering::Relaxed);
+            return None;
         }
         // Matrix order: scheduler-major, then seed.
         let spec = &config.schedulers[index / config.runs];
@@ -1064,7 +1053,7 @@ where
         } else {
             config.budget
         };
-        let record = run_cell_supervised(
+        Some(run_cell_supervised(
             || {
                 let mut system = factory(seed);
                 execute_run(spec, seed, budget, &mut system, check, Some(&cache))
@@ -1079,18 +1068,7 @@ where
                 ),
                 ..RunRecord::blank(spec, seed)
             },
-        );
-        let done = executed.fetch_add(1, Ordering::Relaxed) + 1;
-        if options.stop_after.is_some_and(|cap| done >= cap) {
-            let _ = stop.compare_exchange(
-                STOP_NONE,
-                STOP_COUNT,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            return ControlFlow::Break(Some(record));
-        }
-        ControlFlow::Continue(Some(record))
+        ))
     };
     // Checkpoint whenever a full period of runs has merged since the
     // last write.
@@ -1105,7 +1083,7 @@ where
             }
         }
     };
-    let records = run_pool(total, threads, resumed, cell, merged);
+    let records = run_pool(&plan, threads, resumed, cell, merged);
 
     // A final checkpoint captures everything this session completed, so
     // a watchdog-truncated campaign is always resumable.
@@ -1114,17 +1092,12 @@ where
     }
 
     let skipped_runs = total - records.len();
-    let truncation = match stop.load(Ordering::Relaxed) {
-        STOP_WALL => Some(format!(
-            "wall-clock limit reached: {skipped_runs} of {total} runs skipped"
-        )),
-        STOP_COUNT => Some(format!(
-            "run-count watchdog fired: {skipped_runs} of {total} runs skipped"
-        )),
-        _ if skipped_runs > 0 => {
-            Some(format!("{skipped_runs} of {total} runs skipped"))
-        }
-        _ => None,
+    let truncation = if wall_fired.load(Ordering::Relaxed) {
+        Some(format!("wall-clock limit reached: {skipped_runs} of {total} runs skipped"))
+    } else if withheld > 0 {
+        Some(format!("run-count watchdog fired: {skipped_runs} of {total} runs skipped"))
+    } else {
+        None
     };
 
     assemble_report(
@@ -1500,7 +1473,7 @@ where
         // Matrix order: plan-major, then seed.
         let plan = &config.plans[index / config.runs];
         let seed = config.seed_start + (index % config.runs) as u64;
-        let record = run_cell_supervised(
+        Some(run_cell_supervised(
             || execute_fault_run(config, plan, seed, &factory, check),
             |message| FaultRunRecord {
                 error: Some(
@@ -1512,10 +1485,10 @@ where
                 ),
                 ..FaultRunRecord::blank(config, plan, seed)
             },
-        );
-        ControlFlow::Continue(Some(record))
+        ))
     };
-    run_pool(total, worker_threads(config.threads), Vec::new(), cell, |_| {})
+    let cells: Vec<usize> = (0..total).collect();
+    run_pool(&cells, worker_threads(config.threads), Vec::new(), cell, |_| {})
         .into_iter()
         .map(|(_, record)| record)
         .collect()
@@ -1923,6 +1896,108 @@ mod tests {
         let notice = report.truncation.as_deref().unwrap();
         assert!(notice.contains("30 of 40"), "notice was: {notice}");
         assert!(!report.is_clean(), "a truncated campaign is not clean");
+    }
+
+    #[test]
+    fn stop_after_records_the_first_pending_cells_whatever_the_timing() {
+        let config = CampaignConfig {
+            schedulers: vec![SchedulerSpec::Random],
+            seed_start: 0,
+            runs: 20,
+            budget: 500,
+            threads: 2,
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "rsim-stop-after-plan-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("campaign.checkpoint.json");
+        // Seed 0 is slow, so the other worker races ahead of it.
+        let slow_first = |seed: u64| {
+            if seed == 0 {
+                std::thread::sleep(Duration::from_millis(200));
+            }
+            factory(seed)
+        };
+        let report = run_campaign_with(
+            &config,
+            &CampaignOptions {
+                stop_after: Some(3),
+                checkpoint_path: Some(path.clone()),
+                ..CampaignOptions::default()
+            },
+            slow_first,
+            &|_| None,
+        );
+        let checkpoint = CampaignCheckpoint::load(&path).unwrap();
+        let cells: Vec<usize> = checkpoint.completed.iter().map(|(index, _)| *index).collect();
+        assert_eq!(cells, [0, 1, 2]);
+        assert_eq!(report.total_runs, 3);
+        assert_eq!(
+            report.truncation.as_deref(),
+            Some("run-count watchdog fired: 17 of 20 runs skipped")
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stop_after_equal_to_the_pending_cells_is_no_truncation() {
+        let config = CampaignConfig {
+            schedulers: vec![SchedulerSpec::Random],
+            seed_start: 0,
+            runs: 5,
+            budget: 500,
+            threads: 2,
+        };
+        let first = run_campaign_with(
+            &config,
+            &CampaignOptions { stop_after: Some(5), ..CampaignOptions::default() },
+            factory,
+            &|_| None,
+        );
+        assert_eq!(first.total_runs, 5);
+        assert!(first.truncation.is_none(), "{:?}", first.truncation);
+        // After a resume the cap counts only the cells still pending.
+        let checkpoint = CampaignCheckpoint {
+            spec: None,
+            completed: vec![(1, RunRecord::blank(&SchedulerSpec::Random, 1))],
+            fingerprints: Vec::new(),
+        };
+        let resumed = run_campaign_with(
+            &config,
+            &CampaignOptions {
+                stop_after: Some(4),
+                resume_from: Some(checkpoint),
+                ..CampaignOptions::default()
+            },
+            factory,
+            &|_| None,
+        );
+        assert_eq!(resumed.total_runs, 5);
+        assert!(resumed.truncation.is_none(), "{:?}", resumed.truncation);
+    }
+
+    #[test]
+    fn stop_after_zero_runs_nothing() {
+        let config = CampaignConfig {
+            schedulers: vec![SchedulerSpec::Random],
+            seed_start: 0,
+            runs: 5,
+            budget: 500,
+            threads: 2,
+        };
+        let report = run_campaign_with(
+            &config,
+            &CampaignOptions { stop_after: Some(0), ..CampaignOptions::default() },
+            |_| panic!("a campaign capped at 0 runs must build no system"),
+            &|_| None,
+        );
+        assert_eq!(report.total_runs, 0);
+        assert_eq!(
+            report.truncation.as_deref(),
+            Some("run-count watchdog fired: 5 of 5 runs skipped")
+        );
     }
 
     #[test]

@@ -36,13 +36,18 @@ use crate::service::summary::{build_summary, ClaimSummary, ServiceSummary};
 use crate::service::transport::{chaos_send, flip_last, Transport, IO_DEADLINE};
 use crate::service::unit::{ServiceSpec, WorkUnit};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// How often workers heartbeat while executing a unit.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
+/// Journal appends between snapshot compactions.
+const COMPACT_EVERY: usize = 32;
 
 /// How the service runs: fleet size, durability locations, lease
 /// timing, retry policy, and the chaos plan.
@@ -60,14 +65,10 @@ pub struct ServiceOptions {
     /// A lease whose worker stays silent this long is requeued (and
     /// its session's connection severed under TCP).
     pub lease_timeout: Duration,
-    /// How often workers heartbeat while executing a unit.
-    pub heartbeat_interval: Duration,
     /// Failed leases before a unit is quarantined as poison.
     pub max_lease_attempts: usize,
     /// Base retry backoff, doubled per failed lease.
     pub retry_backoff: Duration,
-    /// Journal appends between snapshot compactions.
-    pub compact_every: usize,
     /// Fault injections to run against this service run.
     pub chaos: ChaosPlan,
     /// The worker process command line (argv). Normally the CLI
@@ -85,10 +86,8 @@ impl ServiceOptions {
             state_dir,
             corpus_dir,
             lease_timeout: Duration::from_secs(30),
-            heartbeat_interval: Duration::from_millis(200),
             max_lease_attempts: 3,
             retry_backoff: Duration::from_millis(50),
-            compact_every: 32,
             chaos: ChaosPlan::default(),
             worker_cmd,
         }
@@ -256,34 +255,7 @@ fn spawn_stdio_worker(
         })?;
     let stdin = child.stdin.take();
     let stdout = child.stdout.take().expect("piped stdout");
-    let tx = tx.clone();
-    std::thread::spawn(move || {
-        let mut reader = BufReader::new(stdout);
-        loop {
-            match read_frame(&mut reader) {
-                Ok(Some(payload)) => match WorkerMsg::parse(&payload) {
-                    Ok(msg) => {
-                        if tx.send(Event::Msg(sid, 0, msg)).is_err() {
-                            return;
-                        }
-                    }
-                    // A checksum-valid frame that is not protocol JSON
-                    // is a corrupt peer, not a slow one.
-                    Err(_) => {
-                        let _ = tx.send(Event::Corrupt(sid, 0));
-                        return;
-                    }
-                },
-                Ok(None) => break,
-                Err(e) if e.is_corrupt() => {
-                    let _ = tx.send(Event::Corrupt(sid, 0));
-                    return;
-                }
-                Err(_) => break,
-            }
-        }
-        let _ = tx.send(Event::Gone(sid, 0));
-    });
+    spawn_frame_reader(stdout, None, sid, 0, tx.clone(), None);
     Ok(Session {
         child: Some(child),
         link: stdin.map(Link::Stdio),
@@ -306,29 +278,32 @@ fn spawn_tcp_child(opts: &ServiceOptions, tag: u64) -> Result<Child, ModelError>
         })
 }
 
-/// Reads frames off a handshaken TCP connection, routing each through
-/// the network-chaos proxy, and turns wire-level failures into typed
-/// events: corrupt frames sever the connection and report
-/// [`Event::Corrupt`]; EOF, timeouts, and severed links report
-/// [`Event::Gone`].
-fn spawn_tcp_reader(
-    stream: TcpStream,
+/// Reads frames off a worker session's read half — a child's stdout,
+/// or a handshaken TCP connection whose frames pass through the
+/// network-chaos proxy `net` — and turns wire-level failures into
+/// typed events: a corrupt frame, or a checksum-valid one that is not
+/// protocol JSON, reports [`Event::Corrupt`] and severs `link`; EOF,
+/// timeouts, and severed links report [`Event::Gone`].
+fn spawn_frame_reader(
+    read: impl Read + Send + 'static,
+    link: Option<TcpStream>,
     sid: usize,
     epoch: u64,
     tx: mpsc::Sender<Event>,
     net: Option<Arc<Mutex<NetChaos>>>,
 ) {
+    let sever = move || {
+        if let Some(stream) = &link {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    };
     std::thread::spawn(move || {
-        let Ok(clone) = stream.try_clone() else {
-            let _ = tx.send(Event::Gone(sid, epoch));
-            return;
-        };
-        let mut reader = BufReader::new(clone);
+        let mut reader = BufReader::new(read);
         loop {
             match read_frame_raw(&mut reader) {
                 Ok(None) => break,
                 Err(e) if e.is_corrupt() => {
-                    let _ = stream.shutdown(Shutdown::Both);
+                    sever();
                     let _ = tx.send(Event::Corrupt(sid, epoch));
                     return;
                 }
@@ -346,7 +321,7 @@ fn spawn_tcp_reader(
                         NetAction::Dup => copies = 2,
                         NetAction::Corrupt => flip_last(&mut body),
                         NetAction::Sever => {
-                            let _ = stream.shutdown(Shutdown::Both);
+                            sever();
                             break;
                         }
                     }
@@ -362,7 +337,7 @@ fn spawn_tcp_reader(
                             }
                         }
                         None => {
-                            let _ = stream.shutdown(Shutdown::Both);
+                            sever();
                             let _ = tx.send(Event::Corrupt(sid, epoch));
                             return;
                         }
@@ -410,7 +385,7 @@ pub fn run_service_with_transport(
         ));
     }
     let start = Instant::now();
-    let (mut queue, recovered) = JobQueue::open(&opts.state_dir, opts.compact_every)?;
+    let (mut queue, recovered) = JobQueue::open(&opts.state_dir, COMPACT_EVERY)?;
     match &recovered.spec {
         Some(prev) if prev.identity() != spec.identity() => {
             return Err(ModelError::ResumeMismatch {
@@ -833,7 +808,7 @@ impl Supervisor<'_> {
                 unit: self.units[&unit_id].clone(),
                 state_dir: self.opts.state_dir.display().to_string(),
                 corpus_dir: self.opts.corpus_dir.display().to_string(),
-                heartbeat_ms: self.opts.heartbeat_interval.as_millis().max(1) as u64,
+                heartbeat_ms: HEARTBEAT_INTERVAL.as_millis() as u64,
             }
             .to_json();
             let sess = &mut self.sessions[sid];
@@ -1157,15 +1132,12 @@ impl Supervisor<'_> {
         }
         let sess = &mut self.sessions[sid];
         let epoch = sess.epoch;
-        let reader = match stream.try_clone() {
-            Ok(clone) => clone,
-            Err(_) => {
-                let _ = stream.shutdown(Shutdown::Both);
-                return false;
-            }
+        let (Ok(read), Ok(link)) = (stream.try_clone(), stream.try_clone()) else {
+            let _ = stream.shutdown(Shutdown::Both);
+            return false;
         };
         sess.link = Some(Link::Tcp(stream));
-        spawn_tcp_reader(reader, sid, epoch, self.tx.clone(), self.net.clone());
+        spawn_frame_reader(read, Some(link), sid, epoch, self.tx.clone(), self.net.clone());
         true
     }
 

@@ -24,10 +24,23 @@ doc:
 perfbench-test:
     cargo test -q --manifest-path perfbench/Cargo.toml
 
-# Quick seeded campaign: 5 schedulers x 200 seeds over phased racing.
+# Quick seeded campaign: 5 schedulers x 200 seeds over phased racing,
+# then a `--stop-after` truncation at two thread counts (mirrors CI).
 smoke-campaign:
+    #!/usr/bin/env bash
+    set -euo pipefail
     cargo run --release -- campaign --procs 3 --runs 200 \
         --sched rr,random,quantum:2,obstruction:2,crash:1 --json
+    # --stop-after plans its cells before any worker starts: the report
+    # and the checkpoint are the same at 1 and 4 threads.
+    for t in 1 4; do
+        cargo run --release -- campaign --runs 40 --sched rr,random \
+            --stop-after 7 --checkpoint "stop-after-t$t.checkpoint.json" \
+            --threads "$t" --json > "stop-after-t$t.json"
+    done
+    cmp stop-after-t1.checkpoint.json stop-after-t4.checkpoint.json
+    cmp stop-after-t1.json stop-after-t4.json
+    echo "smoke-campaign: --stop-after report and checkpoint identical at 1 and 4 threads"
 
 # The paper's bound machine-checked at full size: a breadth-first
 # search of 3 racing processes on 2 registers, fewer than the
