@@ -14,20 +14,44 @@
 //! # The frontier engine
 //!
 //! Every entry point runs one engine: a level-synchronised breadth-first
-//! frontier over schedule prefixes. At each depth, worker threads (one
-//! by default, see [`Explorer::with_threads`]) steal chunks of the
-//! frontier, expand and check configurations, and pre-filter
-//! duplicates through a visited-state map keyed by [`ExploreKey`],
-//! which a worker derives for each child from its parent's key and the
-//! [`System::successor`] step before it builds the child at all. Chunk
-//! results are merged in frontier order and deduplicated canonically,
-//! which makes every report field — `configs_visited`, `terminals`,
-//! and the first violation — **bit-for-bit identical at every thread
-//! count**. The violation reported is the first in canonical schedule
-//! order (shortest schedule first, then lexicographic by process id),
-//! independent of which thread happened to find it. Because levels are
-//! explored in depth order, every configuration reachable within the
-//! depth bound is visited (unless the configuration budget runs out).
+//! frontier over schedule prefixes. Each level runs in three phases on
+//! the worker threads (one by default, see [`Explorer::with_threads`];
+//! at one thread every phase runs on the calling thread):
+//!
+//! 1. **Expand.** Workers claim chunks of the frontier in order, take
+//!    ownership of them and free each entry once it is expanded. A
+//!    worker checks the configuration and derives each child's
+//!    [`ExploreKey`] from its parent's key and the
+//!    [`System::successor`] step. It drops the child unbuilt when the
+//!    visited maps of the previous levels already cover it, and
+//!    otherwise builds and seals it, with a compact head
+//!    `(key, sleep, enabled)` beside it. Once a violation is known in
+//!    the level no child of it will be kept, so no more are built.
+//! 2. **Decide by shard.** The visited set is one map per thread, the
+//!    shard chosen by key bits. One worker per shard walks all heads in
+//!    canonical order and deduplicates the arrivals at its own keys.
+//!    Where the configuration budget may run out inside the level, one
+//!    worker decides over all shards, so the cut falls in canonical
+//!    order.
+//! 3. **Build.** Workers turn the kept children into the next
+//!    frontier and free the others.
+//!
+//! Children are ordered by (parent frontier index, process id), and
+//! every arrival at a key is decided in that order, so
+//! `configs_visited`, `pruned`, `truncated` and the first violation are
+//! **bit-for-bit identical at every thread count**. The violation
+//! reported is the first in canonical schedule order (shortest schedule
+//! first, then lexicographic by process id), independent of which
+//! thread happened to find it. Because levels are explored in depth
+//! order, every configuration reachable within the depth bound is
+//! visited (unless the configuration budget runs out).
+//!
+//! The one exception is the level where a violation stops the search:
+//! each chunk stops at its own first violation while later chunks go on
+//! counting, so `terminals` and `prefilter_hits` there depend on where
+//! the thread count cuts the level into chunks. The next frontier is
+//! therefore cut at multiples of ⌈len / (4 · threads)⌉, the boundaries
+//! a flat frontier has, which keeps those counts as they were.
 //!
 //! # Partial-order reduction
 //!
@@ -77,8 +101,10 @@ use crate::object::{Object, Operation};
 use crate::process::{Poised, Process, ProcessId};
 use crate::system::{Successor, System};
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -107,7 +133,10 @@ impl Default for Limits {
 pub struct ExploreReport {
     /// Distinct configurations visited.
     pub configs_visited: usize,
-    /// Terminal (all-terminated) configurations found.
+    /// Terminal (all-terminated) configurations found. When a violation
+    /// stops the search, its level contributes the terminals each chunk
+    /// met before its own first violation, so this count depends on the
+    /// thread count there.
     pub terminals: usize,
     /// Redundant forks suppressed by partial-order reduction: enabled
     /// steps left unexplored at some configuration because every
@@ -127,7 +156,8 @@ pub struct ExploreReport {
     pub static_indep_pairs: usize,
     /// Enabled-pair evaluations the static matrix answered
     /// "independent", each audited and confirmed against the dynamic
-    /// oracle. `0` without static seeding.
+    /// oracle. `0` without static seeding. Like `terminals`, it depends
+    /// on the thread count when a violation stops the search.
     pub prefilter_hits: usize,
     /// Whether exploration was cut off by [`Limits`].
     pub truncated: bool,
@@ -194,7 +224,9 @@ impl Explorer {
 
     /// Sets the worker-thread count every exploration runs on (1 by
     /// default). `0` means one worker per available CPU core. Reports
-    /// are identical at every thread count.
+    /// are identical at every thread count, but for `terminals` and
+    /// `prefilter_hits` when a violation stops the search (see the
+    /// [module docs](self#the-frontier-engine)).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -274,14 +306,19 @@ impl Explorer {
     /// evaluating `check` once on every distinct configuration visited;
     /// a check that returns a description stops the search with that
     /// violation. The exploration is a level-synchronised frontier over
-    /// schedule prefixes, with worker threads stealing chunks of each
-    /// level and a shared visited-state map deduplicating
+    /// schedule prefixes, with worker threads claiming chunks of each
+    /// level and a visited-state map, sharded by key, deduplicating
     /// configurations.
     ///
-    /// Every field of the returned report is deterministic — identical
-    /// at 1, 2, or N threads — because chunk results are merged in
-    /// frontier order and the violation chosen is the canonically first
-    /// (shortest schedule, then lexicographically smallest). The check
+    /// The report is deterministic, and identical at 1, 2, or N threads
+    /// except for `terminals` and `prefilter_hits` on a search stopped
+    /// by a violation: chunk results are merged in frontier order,
+    /// every arrival at a configuration is decided in canonical order,
+    /// and the violation chosen is the canonically first (shortest
+    /// schedule, then lexicographically smallest). A stopped search's
+    /// last level counts up to each chunk's first violation, so those
+    /// two counts follow the chunk boundaries the thread count sets
+    /// (see the [module docs](self#the-frontier-engine)). The check
     /// must be `Fn + Sync`: it may run concurrently on many
     /// configurations.
     ///
@@ -323,10 +360,11 @@ impl Explorer {
         let mut terminal_outputs: Vec<Vec<Value>> = Vec::new();
         let mut seen_outputs: HashSet<Vec<Value>> = HashSet::new();
 
-        // Workers read the visited map of all *previous* levels as a
-        // duplicate pre-filter; the merge below is the only writer, and
-        // runs strictly between levels.
-        let mut visited: HashMap<u64, StateMeta> = HashMap::new();
+        // One visited shard per thread, chosen by key bits. Expanding
+        // workers read every shard as a duplicate pre-filter; the
+        // decide phase is the only writer, and runs strictly between
+        // expansions.
+        let mut visited: Vec<VisitedMap> = (0..threads).map(|_| VisitedMap::default()).collect();
         let root_masks = StepMasks::of(
             initial,
             dpor,
@@ -334,7 +372,7 @@ impl Explorer {
             &mut report.prefilter_hits,
         )?;
         let root_key = ExploreKey::of(initial);
-        visited.insert(
+        visited[shard_of(root_key.value(), threads)].insert(
             root_key.value(),
             StateMeta { expanded: root_masks.enabled, slept: 0 },
         );
@@ -342,49 +380,57 @@ impl Explorer {
         let base_depth = initial.trace().len();
         let mut root = initial.clone();
         root.freeze_trace();
-        let mut frontier: Vec<Prefix> = vec![Prefix {
-            sys: root,
-            key: root_key,
-            sleep: 0,
-            claim: root_masks.enabled,
-            first: true,
-        }];
+        let mut frontier = Frontier {
+            chunk_len: 1,
+            chunks: vec![vec![vec![Prefix {
+                sys: root,
+                key: root_key,
+                sleep: 0,
+                claim: root_masks.enabled,
+                first: true,
+            }]]],
+        };
 
-        while !frontier.is_empty() {
-            let level = self.run_level(
-                &frontier, base_depth, check, &visited, threads, dpor,
-                matrix.as_ref(),
+        while !frontier.chunks.is_empty() {
+            // Expand: each worker owns the chunks it claims and frees
+            // every parent once expanded. Results come back in frontier
+            // order, so every aggregate below is independent of worker
+            // scheduling.
+            let level = Level {
+                base_depth,
+                max_depth: self.limits.max_depth,
+                check,
+                visited: &visited,
+                dpor,
+                matrix: matrix.as_ref(),
+                violation: AtomicUsize::new(usize::MAX),
+            };
+            let chunk_len = frontier.chunk_len;
+            let chunks = par_map(
+                frontier.chunks.into_iter().enumerate().collect(),
+                threads,
+                |(j, entries)| level.expand(j * chunk_len, entries),
             );
-
-            // Merge chunk results in frontier order: every aggregate
-            // below is then independent of worker scheduling.
-            let mut chunks = level.into_inner().expect("level results lock");
-            chunks.sort_by_key(|c| c.start);
             let error = chunks
                 .iter()
                 .filter_map(|c| c.error.as_ref())
                 .min_by_key(|(idx, _)| *idx);
-            let mut violation: Option<(usize, Vec<ProcessId>, String)> = None;
-            for chunk in &chunks {
-                if let Some((idx, sched, msg)) = &chunk.violation {
-                    if violation.as_ref().is_none_or(|(best, _, _)| idx < best) {
-                        violation = Some((*idx, sched.clone(), msg.clone()));
-                    }
-                }
-            }
+            let violation = chunks
+                .iter()
+                .filter_map(|c| c.violation.as_ref())
+                .min_by_key(|(idx, _, _)| *idx);
             // When a level has both an error and a violation, report
             // whichever occurred at the canonically smaller frontier
             // index — this keeps the outcome identical across thread
             // counts (chunk boundaries depend on the thread count).
             if let Some((err_idx, err)) = error {
-                if violation
-                    .as_ref()
-                    .is_none_or(|(vio_idx, _, _)| err_idx < vio_idx)
-                {
+                if violation.is_none_or(|(vio_idx, _, _)| err_idx < vio_idx) {
                     return Err(err.clone());
                 }
             }
-            let mut children: Vec<Child> = Vec::new();
+            let violation = violation.map(|(_, sched, msg)| (sched.clone(), msg.clone()));
+            let mut children = Vec::with_capacity(chunks.len());
+            let mut heads = Vec::with_capacity(chunks.len());
             for chunk in chunks {
                 report.terminals += chunk.terminals;
                 report.truncated |= chunk.truncated;
@@ -396,109 +442,62 @@ impl Explorer {
                         }
                     }
                 }
-                children.extend(chunk.children);
+                children.push(chunk.children);
+                heads.push(chunk.heads);
             }
-            if let Some((_, sched, msg)) = violation {
-                report.violation = Some((sched, msg));
+            if violation.is_some() {
+                report.violation = violation;
+                // Keep nothing: the build phase only frees the level's
+                // children, on every worker.
+                let none = heads.iter().map(|_| Vec::new()).collect();
+                build_level(children, none, threads);
                 break;
             }
 
-            // Canonical dedup: children arrive ordered by (parent
-            // frontier index, process id) — exactly the breadth-first
+            // Decide: children arrive ordered by (parent frontier
+            // index, process id) — exactly the breadth-first
             // lexicographic order — so the first occurrence of each
             // configuration carries its canonical schedule (recoverable
             // from its trace). Under DPOR, a re-arrival may still wake
             // processes its sleep set no longer covers (state
             // matching): it re-enters the frontier as a non-`first`
             // prefix that is expanded but not re-counted or re-checked.
-            let mut next = Vec::new();
-            for child in children {
-                let Child { mut sys, key, sleep, enabled } = child;
-                let fp = key.value();
-                match visited.get_mut(&fp) {
-                    None => {
-                        if report.configs_visited >= self.limits.max_configs {
-                            report.truncated = true;
-                            break;
-                        }
-                        report.configs_visited += 1;
-                        let claim = enabled & !sleep;
-                        let slept = if dpor { enabled & sleep } else { 0 };
-                        report.pruned += slept.count_ones() as usize;
-                        visited.insert(fp, StateMeta { expanded: claim, slept });
-                        // Seal before the next level forks this
-                        // configuration.
-                        sys.freeze_trace();
-                        next.push(Prefix { sys, key, sleep, claim, first: true });
-                    }
-                    Some(meta) => {
-                        if !dpor {
-                            continue;
-                        }
-                        let claim = enabled & !sleep & !meta.expanded;
-                        let newly_slept =
-                            enabled & sleep & !meta.expanded & !meta.slept;
-                        meta.slept |= newly_slept;
-                        report.pruned += newly_slept.count_ones() as usize;
-                        let reclaimed = claim & meta.slept;
-                        meta.slept &= !reclaimed;
-                        report.pruned -= reclaimed.count_ones() as usize;
-                        meta.expanded |= claim;
-                        if claim != 0 {
-                            sys.freeze_trace();
-                            next.push(Prefix { sys, key, sleep, claim, first: false });
-                        }
-                    }
+            // Every arrival at a key is decided by the one worker
+            // owning the key's shard, in that order. Only where the
+            // configuration budget may run out inside the level does
+            // the cut depend on all keys at once: then one worker
+            // decides over every shard.
+            let budget = self.limits.max_configs.saturating_sub(report.configs_visited);
+            let arrivals: usize = heads.iter().map(Vec::len).sum();
+            let owners: Vec<(usize, &mut [VisitedMap])> = if arrivals > budget {
+                vec![(0, &mut visited[..])]
+            } else {
+                visited.chunks_mut(1).enumerate().collect()
+            };
+            let decided = par_map(owners, threads, |(first_shard, shards)| {
+                decide(&heads, shards, first_shard, threads, dpor, budget)
+            });
+            drop(heads);
+            let mut kept: Vec<Vec<Vec<Kept>>> = children.iter().map(|_| Vec::new()).collect();
+            let mut pruned: isize = 0;
+            for d in decided {
+                report.configs_visited += d.fresh;
+                report.truncated |= d.truncated;
+                pruned += d.pruned;
+                for (lists, list) in kept.iter_mut().zip(d.kept) {
+                    lists.push(list);
                 }
             }
-            if report.truncated && next.is_empty() {
-                break;
-            }
-            frontier = next;
+            report.pruned = report
+                .pruned
+                .checked_add_signed(pruned)
+                .expect("the pruned tally stays non-negative");
+
+            // Build: workers turn the kept children into the next
+            // frontier and free the rest.
+            frontier = build_level(children, kept, threads);
         }
         Ok((report, terminal_outputs))
-    }
-
-    /// Runs one frontier level across `threads` workers stealing chunks
-    /// through a shared atomic cursor.
-    #[allow(clippy::too_many_arguments)]
-    fn run_level(
-        &self,
-        frontier: &[Prefix],
-        base_depth: usize,
-        check: ParallelCheck,
-        visited: &HashMap<u64, StateMeta>,
-        threads: usize,
-        dpor: bool,
-        matrix: Option<&InterferenceMatrix>,
-    ) -> Mutex<Vec<LevelChunk>> {
-        let results: Mutex<Vec<LevelChunk>> = Mutex::new(Vec::new());
-        let cursor = AtomicUsize::new(0);
-        let chunk_size = frontier.len().div_ceil(threads * 4).max(1);
-        let max_depth = self.limits.max_depth;
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(frontier.len()) {
-                scope.spawn(|| loop {
-                    let start = cursor.fetch_add(chunk_size, Ordering::Relaxed);
-                    if start >= frontier.len() {
-                        break;
-                    }
-                    let end = (start + chunk_size).min(frontier.len());
-                    let chunk = expand_chunk(
-                        &frontier[start..end],
-                        start,
-                        base_depth,
-                        check,
-                        visited,
-                        max_depth,
-                        dpor,
-                        matrix,
-                    );
-                    results.lock().expect("level results lock").push(chunk);
-                });
-            }
-        });
-        results
     }
 
     /// Collects the set of output vectors over all reachable terminal
@@ -690,6 +689,71 @@ struct StateMeta {
     slept: u32,
 }
 
+/// The visited-state map of one shard, keyed by [`ExploreKey`] value.
+/// Keys are already mixed (see [`salted`]), so the map uses them as
+/// their own hashes.
+type VisitedMap = HashMap<u64, StateMeta, BuildHasherDefault<KeyHasher>>;
+
+/// The identity hasher of [`VisitedMap`].
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("visited keys hash as one u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+/// The visited shard, of `shards`, that owns `key`: key bits 25..57,
+/// scaled to the shard count. The map takes its bucket from the low
+/// bits and its tag from the top seven, so both stay uniform within a
+/// shard.
+fn shard_of(key: u64, shards: usize) -> usize {
+    ((u64::from((key >> 25) as u32) * shards as u64) >> 32) as usize
+}
+
+/// Runs `work` on every item, on up to `threads` workers that claim the
+/// items in order, and returns the results in item order. The calling
+/// thread is one of the workers: with one worker no thread is spawned.
+fn par_map<T: Send, R: Send>(
+    items: Vec<T>,
+    threads: usize,
+    work: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.min(items.len());
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let run = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().expect("work queue lock").next();
+            let Some((i, item)) = next else { return done };
+            done.push((i, work(item)));
+        }
+    };
+    let mut done = if workers > 1 {
+        std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(run)).collect();
+            let mut done = run();
+            for worker in spawned {
+                done.extend(worker.join().unwrap_or_else(|panic| resume_unwind(panic)));
+            }
+            done
+        })
+    } else {
+        run()
+    };
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
 /// The poised-step view of one configuration as process-id bit masks:
 /// which processes are live, and which pairs of next operations
 /// commute.
@@ -776,27 +840,49 @@ struct Prefix {
     first: bool,
 }
 
-/// One freshly forked configuration travelling from a worker to the
-/// canonical merge.
+/// One level's frontier in canonical order, cut into the chunks that
+/// workers claim: chunk `j` holds entries `j * chunk_len` onwards, as
+/// one segment per build chunk its entries came from.
+struct Frontier {
+    chunk_len: usize,
+    chunks: Vec<Vec<Vec<Prefix>>>,
+}
+
+/// One freshly forked, sealed configuration travelling from the
+/// worker that built it to the worker that keeps or frees it.
 struct Child {
     sys: System,
     key: ExploreKey,
+}
+
+/// What the decide phase reads of one [`Child`].
+struct Head {
+    key: u64,
     /// Sleep set the fork inherited (0 with DPOR off).
     sleep: u32,
     /// Live processes of the fork (0 with DPOR off — never read).
     enabled: u32,
 }
 
+/// A child the decide phase keeps for the next frontier.
+struct Kept {
+    /// Index of the child within its chunk.
+    at: usize,
+    sleep: u32,
+    claim: u32,
+    first: bool,
+}
+
 /// One worker chunk's share of a frontier level.
 struct LevelChunk {
-    /// Index of the first frontier entry in this chunk.
-    start: usize,
     terminals: usize,
     truncated: bool,
     /// Lowest-index violation within the chunk.
     violation: Option<(usize, Vec<ProcessId>, String)>,
-    /// Children in (parent index, process id) order, with their keys.
+    /// Children in (parent index, process id) order, with their heads
+    /// beside them.
     children: Vec<Child>,
+    heads: Vec<Head>,
     /// Output vectors of terminal configurations in this chunk.
     terminal_outputs: Vec<Vec<Value>>,
     /// Lowest-index step error within the chunk.
@@ -805,168 +891,330 @@ struct LevelChunk {
     prefilter_hits: usize,
 }
 
-/// Checks and expands one chunk of frontier entries. `base_depth` is
-/// the trace length of the initial configuration: the schedule of any
-/// entry is its trace suffix past that point.
-#[allow(clippy::too_many_arguments)]
-fn expand_chunk(
-    entries: &[Prefix],
-    start: usize,
+/// What every worker expanding one frontier level shares.
+struct Level<'a> {
+    /// Trace length of the initial configuration: the schedule of any
+    /// entry is its trace suffix past that point.
     base_depth: usize,
-    check: ParallelCheck,
-    visited: &HashMap<u64, StateMeta>,
     max_depth: usize,
+    check: ParallelCheck<'a>,
+    /// The visited shards of all previous levels.
+    visited: &'a [VisitedMap],
     dpor: bool,
-    matrix: Option<&InterferenceMatrix>,
-) -> LevelChunk {
-    let mut out = LevelChunk {
-        start,
-        terminals: 0,
-        truncated: false,
-        violation: None,
-        children: Vec::new(),
-        terminal_outputs: Vec::new(),
-        error: None,
-        prefilter_hits: 0,
-    };
-    for (offset, entry) in entries.iter().enumerate() {
-        let idx = start + offset;
-        let sys = &entry.sys;
-        // Panic isolation: a panicking check (or a panic while forking)
-        // becomes a structured WorkerPanic at this entry's canonical
-        // index instead of tearing down the worker and hanging the
-        // level barrier.
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            if entry.first {
-                if let Some(msg) = check(sys) {
-                    out.violation = Some((idx, schedule_since(sys, base_depth), msg));
-                    // Later entries in the chunk cannot improve on this
-                    // index.
-                    return false;
-                }
-                if sys.all_terminated() {
-                    out.terminals += 1;
-                    out.terminal_outputs.push(
-                        sys.outputs().into_iter().map(Option::unwrap).collect(),
-                    );
-                    return true;
-                }
-            }
-            if sys.trace().len() - base_depth >= max_depth {
-                out.truncated = true;
-                return true;
-            }
-            if dpor {
-                let masks = match StepMasks::of(
-                    sys,
-                    true,
-                    matrix,
-                    &mut out.prefilter_hits,
-                ) {
-                    Ok(masks) => masks,
-                    Err(err) => {
-                        // An unsound matrix fails the entry closed; the
-                        // canonical merge picks the lowest-index error
-                        // across chunks, keeping the outcome identical
-                        // at every thread count.
-                        if out.error.is_none() {
-                            out.error = Some((idx, err));
-                        }
+    matrix: Option<&'a InterferenceMatrix>,
+    /// Lowest frontier index known to violate the check (`usize::MAX`
+    /// while none is). A level with a violation keeps none of its
+    /// children, so once this is set no worker builds any more.
+    violation: AtomicUsize,
+}
+
+impl Level<'_> {
+    /// Checks and expands one chunk of frontier entries, the first at
+    /// frontier index `start`, freeing each entry once expanded.
+    fn expand(&self, start: usize, entries: Vec<Vec<Prefix>>) -> LevelChunk {
+        let mut out = LevelChunk {
+            terminals: 0,
+            truncated: false,
+            violation: None,
+            children: Vec::new(),
+            heads: Vec::new(),
+            terminal_outputs: Vec::new(),
+            error: None,
+            prefilter_hits: 0,
+        };
+        for (offset, entry) in entries.into_iter().flatten().enumerate() {
+            let idx = start + offset;
+            let sys = &entry.sys;
+            // Panic isolation: a panicking check (or a panic while
+            // forking) becomes a structured WorkerPanic at this entry's
+            // canonical index instead of tearing down the worker and
+            // hanging the level barrier.
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                if entry.first {
+                    if let Some(msg) = (self.check)(sys) {
+                        out.violation =
+                            Some((idx, schedule_since(sys, self.base_depth), msg));
+                        self.violation.fetch_min(idx, Ordering::Relaxed);
+                        // Later entries in the chunk cannot improve on
+                        // this index.
+                        return false;
+                    }
+                    if sys.all_terminated() {
+                        out.terminals += 1;
+                        out.terminal_outputs.push(
+                            sys.outputs().into_iter().map(Option::unwrap).collect(),
+                        );
                         return true;
                     }
-                };
-                let mut remaining = entry.claim;
-                while remaining != 0 {
-                    let q = remaining.trailing_zeros() as usize;
-                    remaining &= remaining - 1;
-                    let next = match sys.successor(ProcessId(q)) {
-                        Ok(next) => next,
-                        Err(err) => {
-                            if out.error.is_none() {
-                                out.error = Some((idx, err));
-                            }
-                            continue;
-                        }
-                    };
-                    let key = entry.key.after(&next);
-                    let sleep =
-                        masks.indep[q] & (entry.sleep | (entry.claim & low_bits(q)));
-                    // Only stepping q can change liveness: the child's
-                    // enabled set is the parent's, minus q if it just
-                    // terminated.
-                    let enabled = if next.process().terminated() {
-                        masks.enabled & !(1 << q)
-                    } else {
-                        masks.enabled
-                    };
-                    // Concurrent pre-filter against the previous
-                    // levels' visited map: drop the child, before it is
-                    // ever built, when the merge could not possibly
-                    // claim anything from it. (`expanded` can only have
-                    // grown since the map was frozen, so this never
-                    // drops a live claim.)
-                    if let Some(meta) = visited.get(&key.value()) {
-                        if enabled & !sleep & !meta.expanded == 0 {
-                            continue;
-                        }
-                    }
-                    let child = sys.with_successor(next);
-                    out.children.push(Child { sys: child, key, sleep, enabled });
                 }
-            } else {
-                for i in 0..sys.process_count() {
-                    let pid = ProcessId(i);
-                    if sys.is_terminated(pid) {
-                        continue;
-                    }
-                    let next = match sys.successor(pid) {
-                        Ok(next) => next,
+                if sys.trace().len() - self.base_depth >= self.max_depth {
+                    out.truncated = true;
+                    return true;
+                }
+                let masks = if self.dpor {
+                    match StepMasks::of(sys, true, self.matrix, &mut out.prefilter_hits) {
+                        Ok(masks) => Some(masks),
                         Err(err) => {
+                            // An unsound matrix fails the entry closed;
+                            // the canonical merge picks the lowest-index
+                            // error across chunks, keeping the outcome
+                            // identical at every thread count.
                             if out.error.is_none() {
                                 out.error = Some((idx, err));
                             }
+                            return true;
+                        }
+                    }
+                } else {
+                    None
+                };
+                // Past a known violation nothing this entry does is
+                // reported; before it, only a step error is.
+                let known = self.violation.load(Ordering::Relaxed);
+                if idx > known {
+                    return true;
+                }
+                let build = known == usize::MAX;
+                if let Some(masks) = masks {
+                    let mut remaining = entry.claim;
+                    while remaining != 0 {
+                        let q = remaining.trailing_zeros() as usize;
+                        remaining &= remaining - 1;
+                        let Some(next) = out.successor(sys, ProcessId(q), idx, build) else {
+                            continue;
+                        };
+                        let key = entry.key.after(&next);
+                        let sleep =
+                            masks.indep[q] & (entry.sleep | (entry.claim & low_bits(q)));
+                        // Only stepping q can change liveness: the
+                        // child's enabled set is the parent's, minus q
+                        // if it just terminated.
+                        let enabled = if next.process().terminated() {
+                            masks.enabled & !(1 << q)
+                        } else {
+                            masks.enabled
+                        };
+                        // Concurrent pre-filter against the previous
+                        // levels' visited shards: drop the child, before
+                        // it is ever built, when the merge could not
+                        // possibly claim anything from it. (`expanded`
+                        // can only have grown since the shards were
+                        // frozen, so this never drops a live claim.)
+                        if let Some(meta) = self.seen(key.value()) {
+                            if enabled & !sleep & !meta.expanded == 0 {
+                                continue;
+                            }
+                        }
+                        out.push_child(sys, key, next, sleep, enabled);
+                    }
+                } else {
+                    for i in 0..sys.process_count() {
+                        let pid = ProcessId(i);
+                        if sys.is_terminated(pid) {
                             continue;
                         }
-                    };
-                    let key = entry.key.after(&next);
-                    // Concurrent pre-filter: configurations
-                    // deduplicated at an earlier level are never built.
-                    // Within-level duplicates are resolved canonically
-                    // by the merge itself.
-                    if visited.contains_key(&key.value()) {
-                        continue;
+                        let Some(next) = out.successor(sys, pid, idx, build) else {
+                            continue;
+                        };
+                        let key = entry.key.after(&next);
+                        // Concurrent pre-filter: configurations
+                        // deduplicated at an earlier level are never
+                        // built. Within-level duplicates are resolved
+                        // canonically by the merge itself.
+                        if self.seen(key.value()).is_none() {
+                            out.push_child(sys, key, next, 0, 0);
+                        }
                     }
-                    let child = sys.with_successor(next);
-                    out.children.push(Child { sys: child, key, sleep: 0, enabled: 0 });
+                }
+                true
+            }));
+            match attempt {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(payload) => {
+                    let panic_err = ModelError::WorkerPanic {
+                        context: format!(
+                            "frontier entry {idx} (schedule {:?})",
+                            schedule_since(sys, self.base_depth)
+                                .iter()
+                                .map(|p| p.0)
+                                .collect::<Vec<_>>()
+                        ),
+                        message: payload
+                            .downcast_ref::<&str>()
+                            .map(|s| (*s).to_string())
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "non-string panic payload".into()),
+                    };
+                    if out.error.as_ref().is_none_or(|(best, _)| idx < *best) {
+                        out.error = Some((idx, panic_err));
+                    }
                 }
             }
-            true
-        }));
-        match attempt {
-            Ok(true) => {}
-            Ok(false) => break,
-            Err(payload) => {
-                let panic_err = ModelError::WorkerPanic {
-                    context: format!(
-                        "frontier entry {idx} (schedule {:?})",
-                        schedule_since(sys, base_depth)
-                            .iter()
-                            .map(|p| p.0)
-                            .collect::<Vec<_>>()
-                    ),
-                    message: payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into()),
-                };
-                if out.error.as_ref().is_none_or(|(best, _)| idx < *best) {
-                    out.error = Some((idx, panic_err));
+        }
+        out
+    }
+
+    /// The previous levels' bookkeeping for `key`, if it was visited.
+    fn seen(&self, key: u64) -> Option<&StateMeta> {
+        self.visited[shard_of(key, self.visited.len())].get(&key)
+    }
+}
+
+impl LevelChunk {
+    /// The step of `pid` from `sys` when its child is to be built. A
+    /// step error is recorded against frontier index `idx` instead
+    /// (the chunk's first error wins).
+    fn successor(
+        &mut self,
+        sys: &System,
+        pid: ProcessId,
+        idx: usize,
+        build: bool,
+    ) -> Option<Successor> {
+        match sys.successor(pid) {
+            Ok(next) => build.then_some(next),
+            Err(err) => {
+                if self.error.is_none() {
+                    self.error = Some((idx, err));
+                }
+                None
+            }
+        }
+    }
+
+    /// Builds and seals the child `next` leads to, with its head.
+    fn push_child(&mut self, sys: &System, key: ExploreKey, next: Successor, sleep: u32, enabled: u32) {
+        let mut child = sys.with_successor(next);
+        child.freeze_trace();
+        self.heads.push(Head { key: key.value(), sleep, enabled });
+        self.children.push(Child { sys: child, key });
+    }
+}
+
+/// What one decide worker concluded over the shards it owns.
+struct Decided {
+    /// First arrivals admitted (each a newly visited configuration).
+    fresh: usize,
+    /// Change to the `pruned` tally.
+    pruned: isize,
+    /// The configuration budget ran out.
+    truncated: bool,
+    /// Per chunk, the children kept, in chunk order.
+    kept: Vec<Vec<Kept>>,
+}
+
+/// Walks the level's `heads` (per chunk, in canonical order) and
+/// decides every arrival whose key falls in `shards`, the visited
+/// shards numbered `first_shard` onwards of `shard_count`: a first
+/// arrival is counted and kept, a re-arrival under DPOR is kept when it
+/// claims a process not yet expanded, and the sleep-set bookkeeping is
+/// updated either way. At most `budget` first arrivals are admitted;
+/// the first one past it stops the walk.
+fn decide(
+    heads: &[Vec<Head>],
+    shards: &mut [VisitedMap],
+    first_shard: usize,
+    shard_count: usize,
+    dpor: bool,
+    budget: usize,
+) -> Decided {
+    let mut out = Decided {
+        fresh: 0,
+        pruned: 0,
+        truncated: false,
+        kept: heads.iter().map(|_| Vec::new()).collect(),
+    };
+    'walk: for (chunk, kept) in heads.iter().zip(&mut out.kept) {
+        for (at, &Head { key, sleep, enabled }) in chunk.iter().enumerate() {
+            let shard = shard_of(key, shard_count).wrapping_sub(first_shard);
+            let Some(visited) = shards.get_mut(shard) else { continue };
+            match visited.entry(key) {
+                Entry::Vacant(slot) => {
+                    if out.fresh >= budget {
+                        out.truncated = true;
+                        break 'walk;
+                    }
+                    out.fresh += 1;
+                    let claim = enabled & !sleep;
+                    let slept = if dpor { enabled & sleep } else { 0 };
+                    out.pruned += slept.count_ones() as isize;
+                    slot.insert(StateMeta { expanded: claim, slept });
+                    kept.push(Kept { at, sleep, claim, first: true });
+                }
+                Entry::Occupied(mut slot) => {
+                    if !dpor {
+                        continue;
+                    }
+                    let meta = slot.get_mut();
+                    let claim = enabled & !sleep & !meta.expanded;
+                    let newly_slept = enabled & sleep & !meta.expanded & !meta.slept;
+                    meta.slept |= newly_slept;
+                    let reclaimed = claim & meta.slept;
+                    meta.slept &= !reclaimed;
+                    out.pruned +=
+                        newly_slept.count_ones() as isize - reclaimed.count_ones() as isize;
+                    meta.expanded |= claim;
+                    if claim != 0 {
+                        kept.push(Kept { at, sleep, claim, first: false });
+                    }
                 }
             }
         }
     }
     out
+}
+
+/// Turns each chunk's kept children (`kept[c]`: one list per decide
+/// worker) into the next frontier and frees the rest, on up to
+/// `threads` workers. The next frontier is cut into chunks at multiples
+/// of ⌈len / (4 · threads)⌉, as a flat frontier always was: the counts
+/// of a level that ends in a violation depend on those boundaries.
+fn build_level(
+    children: Vec<Vec<Child>>,
+    kept: Vec<Vec<Vec<Kept>>>,
+    threads: usize,
+) -> Frontier {
+    let len: usize = kept.iter().flatten().map(Vec::len).sum();
+    let chunk_len = len.div_ceil(threads * 4).max(1);
+    let mut offset = 0;
+    let items: Vec<_> = children
+        .into_iter()
+        .zip(kept)
+        .map(|(children, kept)| {
+            let start = offset;
+            offset += kept.iter().map(Vec::len).sum::<usize>();
+            (children, kept, start)
+        })
+        .collect();
+    let built = par_map(items, threads, |(children, kept, start)| {
+        let mut slots: Vec<Option<Kept>> = children.iter().map(|_| None).collect();
+        for k in kept.into_iter().flatten() {
+            let at = k.at;
+            slots[at] = Some(k);
+        }
+        // Segments of this chunk's kept children, one per next-level
+        // chunk they fall in.
+        let mut segments: Vec<(usize, Vec<Prefix>)> = Vec::new();
+        let mut rank = start;
+        for (Child { sys, key }, slot) in children.into_iter().zip(slots) {
+            let Some(Kept { sleep, claim, first, .. }) = slot else { continue };
+            let target = rank / chunk_len;
+            rank += 1;
+            if segments.last().is_none_or(|(j, _)| *j != target) {
+                segments.push((target, Vec::new()));
+            }
+            let (_, segment) = segments.last_mut().expect("segment just pushed");
+            segment.push(Prefix { sys, key, sleep, claim, first });
+        }
+        segments
+    });
+    let mut chunks: Vec<Vec<Vec<Prefix>>> =
+        (0..len.div_ceil(chunk_len)).map(|_| Vec::new()).collect();
+    for (target, segment) in built.into_iter().flatten() {
+        chunks[target].push(segment);
+    }
+    Frontier { chunk_len, chunks }
 }
 
 /// The schedule that produced `sys`: the process ids of its trace
@@ -1096,6 +1344,39 @@ mod tests {
             .map(|slot| {
                 Box::new(SnapshotProcess::new(
                     OwnSlot { slot, wrote: false },
+                    ObjectId(0),
+                )) as Box<dyn Process>
+            })
+            .collect();
+        System::new(vec![Object::snapshot(4)], processes)
+    }
+
+    /// `n` processes that each add `1 << slot` to their own component
+    /// of a 4-component snapshot, then output the sum of the view they
+    /// scan next: 7 once all of three have written.
+    fn summing_writers(n: usize) -> System {
+        #[derive(Clone, Debug)]
+        struct SumSlot {
+            slot: usize,
+            wrote: bool,
+        }
+        impl SnapshotProtocol for SumSlot {
+            fn on_scan(&mut self, view: &[Value]) -> ProtocolStep {
+                if self.wrote {
+                    ProtocolStep::Output(Value::Int(view.iter().filter_map(Value::as_int).sum()))
+                } else {
+                    self.wrote = true;
+                    ProtocolStep::Update(self.slot, Value::Int(1 << self.slot))
+                }
+            }
+            fn components(&self) -> usize {
+                4
+            }
+        }
+        let processes = (0..n)
+            .map(|slot| {
+                Box::new(SnapshotProcess::new(
+                    SumSlot { slot, wrote: false },
                     ObjectId(0),
                 )) as Box<dyn Process>
             })
@@ -1300,6 +1581,74 @@ mod tests {
                     "threads = {threads}, dpor = {dpor}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn violation_level_counts_follow_the_chunk_boundaries() {
+        // On the level where the search stops, each chunk stops at its
+        // own first violation while later chunks go on counting, so
+        // `terminals` and `prefilter_hits` depend on where the thread
+        // count cuts that level into chunks. Every other field is the
+        // same at every thread count. The pins make any change of the
+        // chunk boundaries visible.
+        let check = |sys: &System| {
+            let seven = Some(Value::Int(7));
+            (sys.all_terminated()
+                && sys.output(ProcessId(0)) == seven
+                && sys.output(ProcessId(1)) == seven)
+                .then(|| "p0 and p1 output 7".to_string())
+        };
+        let schedule = [0, 0, 1, 1, 2, 2, 0, 1, 2].map(ProcessId).to_vec();
+        for dpor in [true, false] {
+            for (threads, terminals) in [(1, 11), (2, 10), (3, 14), (4, 14), (8, 15)] {
+                let report = Explorer::default()
+                    .with_threads(threads)
+                    .with_dpor(dpor)
+                    .explore_parallel(&summing_writers(3), &check)
+                    .unwrap();
+                let pinned = ExploreReport {
+                    configs_visited: 142,
+                    terminals,
+                    pruned: if dpor { 39 } else { 0 },
+                    dpor,
+                    static_seed: dpor,
+                    static_indep_pairs: 0,
+                    prefilter_hits: 0,
+                    truncated: false,
+                    truncation: None,
+                    violation: Some((schedule.clone(), "p0 and p1 output 7".into())),
+                };
+                assert_eq!(
+                    format!("{report:?}"),
+                    format!("{pinned:?}"),
+                    "threads = {threads}, dpor = {dpor}"
+                );
+            }
+        }
+
+        let check = |sys: &System| {
+            (sys.is_terminated(ProcessId(0)) && sys.is_terminated(ProcessId(1)))
+                .then(|| "p0 and p1 wrote".to_string())
+        };
+        for (threads, prefilter_hits) in [(1, 71), (2, 74), (3, 77), (4, 77), (8, 77)] {
+            let report = Explorer::default()
+                .with_threads(threads)
+                .explore_parallel(&blind_writers(5), &check)
+                .unwrap();
+            let pinned = ExploreReport {
+                configs_visited: 16,
+                terminals: 0,
+                pruned: 30,
+                dpor: true,
+                static_seed: true,
+                static_indep_pairs: 10,
+                prefilter_hits,
+                truncated: false,
+                truncation: None,
+                violation: Some((vec![ProcessId(0), ProcessId(1)], "p0 and p1 wrote".into())),
+            };
+            assert_eq!(format!("{report:?}"), format!("{pinned:?}"), "threads = {threads}");
         }
     }
 

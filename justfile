@@ -45,14 +45,14 @@ smoke-campaign:
 # The paper's bound machine-checked at full size: a breadth-first
 # search of 3 racing processes on 2 registers, fewer than the
 # ⌊(n−1)/k⌋+1 = 3 the bound needs, must stop at the canonical 21-step
-# consensus violation (exit code 1) with the same counts at 1 and 2
+# consensus violation (exit code 1) with the same counts at 1, 2 and 3
 # threads, and the violation search in `examples/model_checking` must
 # report its shortest witnesses (mirrors CI's smoke-explore job).
 smoke-explore:
     #!/usr/bin/env bash
     set -uo pipefail
     cargo build --release --quiet || exit 1
-    for t in 1 2; do
+    for t in 1 2 3; do
         out="explore-racing3-t$t.json"
         target/release/revisionist-simulations explore --protocol racing --procs 3 \
             --m 2 --depth 64 --max-configs 400000 --threads "$t" --json > "$out"
@@ -67,7 +67,7 @@ smoke-explore:
     for want in 'racing m=1: VIOLATION after 10 steps' 'racing m=2: VIOLATION after 22 steps'; do
         grep -qF "$want" model-checking.txt || { echo "model_checking: missing $want"; exit 1; }
     done
-    echo "smoke-explore: canonical violation at 1 and 2 threads, shortest search witnesses"
+    echo "smoke-explore: canonical violation at 1, 2 and 3 threads, shortest search witnesses"
 
 # Fault-injection certificate: the exhaustive single-crash sweep plus
 # the §3 non-blocking certification (mirrors CI's smoke-faults job).

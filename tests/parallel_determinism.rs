@@ -1,6 +1,9 @@
 //! Determinism regression tests for the parallel exploration engine
-//! and the campaign runner: every report field must be bit-for-bit
-//! identical at 1, 2, and N worker threads.
+//! and the campaign runner: report fields must be bit-for-bit
+//! identical at 1, 2, and N worker threads. (An explore report's
+//! `terminals` and `prefilter_hits` on the level where a violation
+//! stops the search follow the chunk boundaries instead; the explorer's
+//! unit tests pin them.)
 
 use revisionist_simulations::protocols::contrarian::contrarian_system;
 use revisionist_simulations::protocols::racing::racing_system;
@@ -174,7 +177,7 @@ fn racing6_counts_are_pinned_across_thread_counts() {
     let inputs: Vec<Value> = (1..=6).map(Value::Int).collect();
     let sys = racing_system(2, &inputs);
     let limits = Limits { max_depth: 7, max_configs: 8_000_000 };
-    for threads in [1, 2] {
+    for threads in [1, 2, 3, 4, 8] {
         let report = Explorer::new(limits)
             .with_threads(threads)
             .explore_parallel(&sys, &|_| None)
@@ -190,10 +193,10 @@ fn racing6_counts_are_pinned_across_thread_counts() {
 #[test]
 fn config_budget_counts_alike_sequential_and_parallel() {
     // A run cut by `max_configs` reports exactly that many visited
-    // configurations, on one worker thread and on two.
+    // configurations, on one worker thread and on several.
     for max_configs in [1, 10, 1_000] {
         let limits = Limits { max_depth: 64, max_configs };
-        for threads in [1, 2] {
+        for threads in [1, 2, 3, 4, 8] {
             let report = Explorer::new(limits)
                 .with_threads(threads)
                 .explore_parallel(&racing3(), &|_| None)
@@ -202,6 +205,33 @@ fn config_budget_counts_alike_sequential_and_parallel() {
             assert!(report.truncated, "{label}");
             assert_eq!(report.configs_visited, max_configs, "{label}");
         }
+    }
+}
+
+#[test]
+fn config_budget_cut_inside_a_level_reports_alike_at_every_thread_count() {
+    // With DPOR on, the 50,000-configuration budget runs out inside a
+    // level. There one worker decides every arrival, so the cut falls
+    // in canonical order; the levels before it are decided by one
+    // worker per visited shard. The whole report must not tell them
+    // apart.
+    let limits = Limits { max_depth: 64, max_configs: 50_000 };
+    let run = |threads: usize| {
+        Explorer::new(limits)
+            .with_threads(threads)
+            .explore_parallel(&racing3(), &|_| None)
+            .unwrap()
+    };
+    let base = run(1);
+    assert!(base.truncated);
+    assert_eq!(base.configs_visited, 50_000);
+    assert!(base.pruned > 0);
+    for threads in [2, 3, 4, 8] {
+        assert_eq!(
+            format!("{:?}", run(threads)),
+            format!("{base:?}"),
+            "threads={threads}"
+        );
     }
 }
 
