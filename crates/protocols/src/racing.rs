@@ -158,13 +158,9 @@ impl PhasedRacing {
 impl SnapshotProtocol for PhasedRacing {
     fn on_scan(&mut self, view: &[Value]) -> ProtocolStep {
         debug_assert_eq!(view.len(), self.m);
-        let entries: Vec<(i64, i64, &Value)> =
-            view.iter().filter_map(parse).collect();
+        let entries = || view.iter().filter_map(parse);
         // 1. Behind the frontier? Adopt the largest entry.
-        let frontier = entries
-            .iter()
-            .max_by(|a, b| (a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)));
-        if let Some(&(r, ph, v)) = frontier {
+        if let Some((r, ph, v)) = entries().max() {
             if (r, ph) > (self.round, self.phase) {
                 self.round = r;
                 self.phase = ph;
@@ -173,12 +169,9 @@ impl SnapshotProtocol for PhasedRacing {
         }
         // 2. Same-level value conflict → escalate (or, in the broken
         // variant, value-race in place).
-        let rival = entries
-            .iter()
-            .filter(|&&(r, ph, v)| {
-                r == self.round && ph == self.phase && *v != self.value
-            })
-            .map(|&(_, _, v)| v)
+        let rival = entries()
+            .filter(|&(r, ph, v)| r == self.round && ph == self.phase && *v != self.value)
+            .map(|(_, _, v)| v)
             .max();
         if let Some(w) = rival {
             if self.escalation {
@@ -197,10 +190,9 @@ impl SnapshotProtocol for PhasedRacing {
         // round-r commit was being decided — the exhaustive explorer
         // found exactly that interleaving.
         if self.escalation && self.phase == 1 {
-            let committed = entries
-                .iter()
-                .filter(|&&(r, ph, _)| ph == 2 && r < self.round)
-                .map(|&(_, _, v)| v)
+            let committed = entries()
+                .filter(|&(r, ph, _)| ph == 2 && r < self.round)
+                .map(|(_, _, v)| v)
                 .max();
             if let Some(w) = committed {
                 if *w != self.value {
@@ -209,8 +201,8 @@ impl SnapshotProtocol for PhasedRacing {
             }
         }
         // 3. All components equal my triple?
-        let mine = encode(self.round, self.phase, &self.value);
-        if view.iter().all(|e| *e == mine) {
+        let mine = Some((self.round, self.phase, &self.value));
+        if view.iter().all(|e| parse(e) == mine) {
             if self.phase == 2 {
                 return ProtocolStep::Output(self.value.clone());
             }

@@ -20,13 +20,13 @@
 //!
 //! 1. **Expand.** Workers claim chunks of the frontier in order, take
 //!    ownership of them and free each entry once it is expanded. A
-//!    worker checks the configuration and derives each child's
-//!    [`ExploreKey`] from its parent's key and the
-//!    [`System::successor`] step. It drops the child unbuilt when the
-//!    visited maps of the previous levels already cover it, and
-//!    otherwise builds and seals it, with a compact head
-//!    `(key, sleep, enabled)` beside it. Once a violation is known in
-//!    the level no child of it will be kept, so no more are built.
+//!    worker derives each child's [`ExploreKey`] from its parent's key
+//!    and the [`System::successor`] step. It drops the child unbuilt
+//!    when the visited maps of the previous levels already cover it,
+//!    and otherwise builds it, its trace already sealed, with a compact
+//!    head `(key, sleep, enabled)` beside it. A level that holds a
+//!    violation keeps none of its children, and it is known to hold one
+//!    before it is expanded, so it builds none.
 //! 2. **Decide by shard.** The visited set is one map per thread, the
 //!    shard chosen by key bits. One worker per shard walks all heads in
 //!    canonical order and deduplicates the arrivals at its own keys.
@@ -34,7 +34,10 @@
 //!    worker decides over all shards, so the cut falls in canonical
 //!    order.
 //! 3. **Build.** Workers turn the kept children into the next
-//!    frontier and free the others.
+//!    frontier and free the others. Each first arrival is checked as it
+//!    becomes a frontier entry, while it is still in cache; the entry
+//!    keeps the verdict, and the frontier the lowest index whose verdict
+//!    is a violation. (The root is checked before the first level.)
 //!
 //! Children are ordered by (parent frontier index, process id), and
 //! every arrival at a key is decided in that order, so
@@ -94,6 +97,7 @@
 //! so reports are byte-for-byte identical with seeding on or off.
 
 use crate::analyze::interfere::InterferenceMatrix;
+use crate::campaign::panic_message;
 use crate::error::ModelError;
 use crate::fingerprint::{ConfigHash, FnvStream};
 use crate::hb::independent;
@@ -105,7 +109,6 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Sleep and claim sets are process-id bit masks; systems with more
@@ -380,14 +383,17 @@ impl Explorer {
         let base_depth = initial.trace().len();
         let mut root = initial.clone();
         root.freeze_trace();
+        let verdict = judge(check, &root);
         let mut frontier = Frontier {
             chunk_len: 1,
+            violation: if is_violation(&verdict) { 0 } else { usize::MAX },
             chunks: vec![vec![vec![Prefix {
                 sys: root,
                 key: root_key,
                 sleep: 0,
                 claim: root_masks.enabled,
                 first: true,
+                verdict,
             }]]],
         };
 
@@ -399,11 +405,10 @@ impl Explorer {
             let level = Level {
                 base_depth,
                 max_depth: self.limits.max_depth,
-                check,
                 visited: &visited,
                 dpor,
                 matrix: matrix.as_ref(),
-                violation: AtomicUsize::new(usize::MAX),
+                violation: frontier.violation,
             };
             let chunk_len = frontier.chunk_len;
             let chunks = par_map(
@@ -446,11 +451,9 @@ impl Explorer {
                 heads.push(chunk.heads);
             }
             if violation.is_some() {
+                // The level built no children: it was known to hold a
+                // violation before it was expanded.
                 report.violation = violation;
-                // Keep nothing: the build phase only frees the level's
-                // children, on every worker.
-                let none = heads.iter().map(|_| Vec::new()).collect();
-                build_level(children, none, threads);
                 break;
             }
 
@@ -494,8 +497,8 @@ impl Explorer {
                 .expect("the pruned tally stays non-negative");
 
             // Build: workers turn the kept children into the next
-            // frontier and free the rest.
-            frontier = build_level(children, kept, threads);
+            // frontier, check each first arrival, and free the rest.
+            frontier = build_level(children, kept, threads, check);
         }
         Ok((report, terminal_outputs))
     }
@@ -824,7 +827,8 @@ impl StepMasks {
     }
 }
 
-/// One schedule prefix awaiting expansion in the frontier.
+/// One schedule prefix awaiting expansion in the frontier, checked when
+/// it was built.
 struct Prefix {
     sys: System,
     /// Explorer key of `sys`, kept per component for its children.
@@ -838,13 +842,43 @@ struct Prefix {
     /// and eligible to be a terminal. Re-arrivals only expand newly
     /// woken claims.
     first: bool,
+    /// What the check flagged when the entry was built, if anything
+    /// (always `None` for a re-arrival, which is not checked).
+    verdict: Option<Box<Verdict>>,
+}
+
+/// A check's verdict on one configuration, when it is not a pass.
+enum Verdict {
+    /// The check returned this violation description.
+    Violation(String),
+    /// The check panicked with this message.
+    Panic(String),
+}
+
+/// Runs `check` on `sys`, catching a panic: a check that panics on one
+/// configuration becomes a verdict on it, not a dead worker.
+fn judge(check: ParallelCheck, sys: &System) -> Option<Box<Verdict>> {
+    match catch_unwind(AssertUnwindSafe(|| check(sys))) {
+        Ok(None) => None,
+        Ok(Some(msg)) => Some(Box::new(Verdict::Violation(msg))),
+        Err(payload) => Some(Box::new(Verdict::Panic(panic_message(payload.as_ref())))),
+    }
+}
+
+fn is_violation(verdict: &Option<Box<Verdict>>) -> bool {
+    matches!(verdict.as_deref(), Some(Verdict::Violation(_)))
 }
 
 /// One level's frontier in canonical order, cut into the chunks that
 /// workers claim: chunk `j` holds entries `j * chunk_len` onwards, as
-/// one segment per build chunk its entries came from.
+/// one segment per build chunk its entries came from. Every first
+/// arrival in it has been checked.
 struct Frontier {
     chunk_len: usize,
+    /// Lowest index whose verdict is a violation (`usize::MAX` when no
+    /// entry's is): the level stops there, so none of its children is
+    /// kept and none is built.
+    violation: usize,
     chunks: Vec<Vec<Vec<Prefix>>>,
 }
 
@@ -897,20 +931,18 @@ struct Level<'a> {
     /// entry is its trace suffix past that point.
     base_depth: usize,
     max_depth: usize,
-    check: ParallelCheck<'a>,
     /// The visited shards of all previous levels.
     visited: &'a [VisitedMap],
     dpor: bool,
     matrix: Option<&'a InterferenceMatrix>,
-    /// Lowest frontier index known to violate the check (`usize::MAX`
-    /// while none is). A level with a violation keeps none of its
-    /// children, so once this is set no worker builds any more.
-    violation: AtomicUsize,
+    /// The frontier's [`Frontier::violation`]: entries past it are not
+    /// expanded, and before it only step errors are looked for.
+    violation: usize,
 }
 
 impl Level<'_> {
-    /// Checks and expands one chunk of frontier entries, the first at
-    /// frontier index `start`, freeing each entry once expanded.
+    /// Expands one chunk of frontier entries, the first at frontier
+    /// index `start`, freeing each entry once expanded.
     fn expand(&self, start: usize, entries: Vec<Vec<Prefix>>) -> LevelChunk {
         let mut out = LevelChunk {
             terminals: 0,
@@ -922,34 +954,39 @@ impl Level<'_> {
             error: None,
             prefilter_hits: 0,
         };
+        // Past the level's violation nothing an entry does is reported;
+        // before it, only a step error is.
+        let build = self.violation == usize::MAX;
         for (offset, entry) in entries.into_iter().flatten().enumerate() {
             let idx = start + offset;
             let sys = &entry.sys;
-            // Panic isolation: a panicking check (or a panic while
-            // forking) becomes a structured WorkerPanic at this entry's
-            // canonical index instead of tearing down the worker and
-            // hanging the level barrier.
+            match entry.verdict.map(|verdict| *verdict) {
+                Some(Verdict::Violation(msg)) => {
+                    out.violation = Some((idx, schedule_since(sys, self.base_depth), msg));
+                    // Later entries in the chunk cannot improve on this
+                    // index.
+                    break;
+                }
+                Some(Verdict::Panic(message)) => {
+                    out.panicked(idx, sys, self.base_depth, message);
+                    continue;
+                }
+                None => {}
+            }
+            // Panic isolation: a panic while forking becomes a
+            // structured WorkerPanic at this entry's canonical index
+            // instead of tearing down the worker and hanging the level
+            // barrier.
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                if entry.first {
-                    if let Some(msg) = (self.check)(sys) {
-                        out.violation =
-                            Some((idx, schedule_since(sys, self.base_depth), msg));
-                        self.violation.fetch_min(idx, Ordering::Relaxed);
-                        // Later entries in the chunk cannot improve on
-                        // this index.
-                        return false;
-                    }
-                    if sys.all_terminated() {
-                        out.terminals += 1;
-                        out.terminal_outputs.push(
-                            sys.outputs().into_iter().map(Option::unwrap).collect(),
-                        );
-                        return true;
-                    }
+                if entry.first && sys.all_terminated() {
+                    out.terminals += 1;
+                    out.terminal_outputs
+                        .push(sys.outputs().into_iter().map(Option::unwrap).collect());
+                    return;
                 }
                 if sys.trace().len() - self.base_depth >= self.max_depth {
                     out.truncated = true;
-                    return true;
+                    return;
                 }
                 let masks = if self.dpor {
                     match StepMasks::of(sys, true, self.matrix, &mut out.prefilter_hits) {
@@ -962,19 +999,15 @@ impl Level<'_> {
                             if out.error.is_none() {
                                 out.error = Some((idx, err));
                             }
-                            return true;
+                            return;
                         }
                     }
                 } else {
                     None
                 };
-                // Past a known violation nothing this entry does is
-                // reported; before it, only a step error is.
-                let known = self.violation.load(Ordering::Relaxed);
-                if idx > known {
-                    return true;
+                if idx > self.violation {
+                    return;
                 }
-                let build = known == usize::MAX;
                 if let Some(masks) = masks {
                     let mut remaining = entry.claim;
                     while remaining != 0 {
@@ -1026,30 +1059,9 @@ impl Level<'_> {
                         }
                     }
                 }
-                true
             }));
-            match attempt {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(payload) => {
-                    let panic_err = ModelError::WorkerPanic {
-                        context: format!(
-                            "frontier entry {idx} (schedule {:?})",
-                            schedule_since(sys, self.base_depth)
-                                .iter()
-                                .map(|p| p.0)
-                                .collect::<Vec<_>>()
-                        ),
-                        message: payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into()),
-                    };
-                    if out.error.as_ref().is_none_or(|(best, _)| idx < *best) {
-                        out.error = Some((idx, panic_err));
-                    }
-                }
+            if let Err(payload) = attempt {
+                out.panicked(idx, sys, self.base_depth, panic_message(payload.as_ref()));
             }
         }
         out
@@ -1083,12 +1095,23 @@ impl LevelChunk {
         }
     }
 
-    /// Builds and seals the child `next` leads to, with its head.
+    /// Builds the child `next` leads to (sealed by
+    /// [`System::with_successor`]), with its head.
     fn push_child(&mut self, sys: &System, key: ExploreKey, next: Successor, sleep: u32, enabled: u32) {
-        let mut child = sys.with_successor(next);
-        child.freeze_trace();
         self.heads.push(Head { key: key.value(), sleep, enabled });
-        self.children.push(Child { sys: child, key });
+        self.children.push(Child { sys: sys.with_successor(next), key });
+    }
+
+    /// Records a panic at frontier index `idx`, on configuration `sys`,
+    /// as a [`ModelError::WorkerPanic`] naming the entry and its
+    /// schedule (the chunk's lowest-index error wins).
+    fn panicked(&mut self, idx: usize, sys: &System, base_depth: usize, message: String) {
+        if self.error.as_ref().is_some_and(|(best, _)| *best <= idx) {
+            return;
+        }
+        let schedule: Vec<usize> = schedule_since(sys, base_depth).iter().map(|p| p.0).collect();
+        let context = format!("frontier entry {idx} (schedule {schedule:?})");
+        self.error = Some((idx, ModelError::WorkerPanic { context, message }));
     }
 }
 
@@ -1166,14 +1189,16 @@ fn decide(
 }
 
 /// Turns each chunk's kept children (`kept[c]`: one list per decide
-/// worker) into the next frontier and frees the rest, on up to
-/// `threads` workers. The next frontier is cut into chunks at multiples
-/// of ⌈len / (4 · threads)⌉, as a flat frontier always was: the counts
-/// of a level that ends in a violation depend on those boundaries.
+/// worker) into the next frontier, checking each first arrival as it
+/// becomes a [`Prefix`], and frees the rest, on up to `threads`
+/// workers. The next frontier is cut into chunks at multiples of
+/// ⌈len / (4 · threads)⌉, as a flat frontier always was: the counts of
+/// a level that ends in a violation depend on those boundaries.
 fn build_level(
     children: Vec<Vec<Child>>,
     kept: Vec<Vec<Vec<Kept>>>,
     threads: usize,
+    check: ParallelCheck,
 ) -> Frontier {
     let len: usize = kept.iter().flatten().map(Vec::len).sum();
     let chunk_len = len.div_ceil(threads * 4).max(1);
@@ -1194,27 +1219,37 @@ fn build_level(
             slots[at] = Some(k);
         }
         // Segments of this chunk's kept children, one per next-level
-        // chunk they fall in.
+        // chunk they fall in, and the lowest index among them whose
+        // verdict is a violation.
         let mut segments: Vec<(usize, Vec<Prefix>)> = Vec::new();
+        let mut violation = usize::MAX;
         let mut rank = start;
         for (Child { sys, key }, slot) in children.into_iter().zip(slots) {
             let Some(Kept { sleep, claim, first, .. }) = slot else { continue };
+            let verdict = if first { judge(check, &sys) } else { None };
+            if is_violation(&verdict) {
+                violation = violation.min(rank);
+            }
             let target = rank / chunk_len;
             rank += 1;
             if segments.last().is_none_or(|(j, _)| *j != target) {
                 segments.push((target, Vec::new()));
             }
             let (_, segment) = segments.last_mut().expect("segment just pushed");
-            segment.push(Prefix { sys, key, sleep, claim, first });
+            segment.push(Prefix { sys, key, sleep, claim, first, verdict });
         }
-        segments
+        (segments, violation)
     });
     let mut chunks: Vec<Vec<Vec<Prefix>>> =
         (0..len.div_ceil(chunk_len)).map(|_| Vec::new()).collect();
-    for (target, segment) in built.into_iter().flatten() {
-        chunks[target].push(segment);
+    let mut violation = usize::MAX;
+    for (segments, first_violation) in built {
+        violation = violation.min(first_violation);
+        for (target, segment) in segments {
+            chunks[target].push(segment);
+        }
     }
-    Frontier { chunk_len, chunks }
+    Frontier { chunk_len, violation, chunks }
 }
 
 /// The schedule that produced `sys`: the process ids of its trace
@@ -1715,6 +1750,96 @@ mod tests {
             messages.iter().all(|m| m == &messages[0]),
             "panic report differs across thread counts: {messages:?}"
         );
+    }
+
+    #[test]
+    fn violation_level_precedence_is_thread_count_invariant() {
+        // Three blind writers; p0's second write trespasses on p1's
+        // component. After one step each, the level holds (in frontier
+        // order) the configurations after p0, after p1 and after p2.
+        // Whatever a check says about them, the outcome is decided by
+        // the lowest frontier index among the step errors, check panics
+        // and violations, at every thread count.
+        #[derive(Clone, Debug)]
+        struct Writes {
+            slots: &'static [usize],
+            done: usize,
+        }
+        impl Process for Writes {
+            fn poised(&self) -> Poised {
+                match self.slots.get(self.done) {
+                    Some(&component) => Poised::Step(Operation::Update {
+                        obj: ObjectId(0),
+                        component,
+                        value: Value::Int(1),
+                    }),
+                    None => Poised::Output(Value::Int(0)),
+                }
+            }
+            fn receive(&mut self, _resp: Response) {
+                self.done += 1;
+            }
+            fn boxed_clone(&self) -> Box<dyn Process> {
+                Box::new(self.clone())
+            }
+        }
+        let slots: [&'static [usize]; 3] = [&[0, 1], &[1], &[2]];
+        let processes = slots
+            .into_iter()
+            .map(|slots| Box::new(Writes { slots, done: 0 }) as Box<dyn Process>)
+            .collect();
+        let mut sys = System::new(vec![Object::snapshot(3)], processes);
+        sys.restrict_writer(ObjectId(0), 1, ProcessId(1));
+        // The configuration after `pid`'s first step, and nothing else.
+        let after = |sys: &System, pid: usize| {
+            sys.trace().len() == 1 && sys.trace()[0].pid == ProcessId(pid)
+        };
+        let explore = |threads: usize, check: ParallelCheck| {
+            Explorer::default()
+                .with_preflight(false)
+                .with_threads(threads)
+                .explore_parallel(&sys, check)
+        };
+        let mut panics = Vec::new();
+        for threads in [1, 2, 3, 4, 8] {
+            // A step error at entry 0 (p0 trespassing) precedes a
+            // panicking check at entry 1.
+            let err = explore(threads, &|sys: &System| {
+                assert!(!after(sys, 1), "check panic after p1");
+                after(sys, 2).then(|| "after p2".to_string())
+            })
+            .unwrap_err();
+            assert!(
+                matches!(err, ModelError::WriterViolation { process: 0, component: 1 }),
+                "threads = {threads}: {err:?}"
+            );
+
+            // A panicking check at entry 0 precedes a violation at 1.
+            let err = explore(threads, &|sys: &System| {
+                assert!(!after(sys, 0), "check panic after p0");
+                after(sys, 1).then(|| "after p1".to_string())
+            })
+            .unwrap_err();
+            assert!(matches!(err, ModelError::WorkerPanic { .. }), "threads = {threads}: {err:?}");
+            panics.push(err.to_string());
+
+            // A violation at entry 0 precedes a panicking check at 1.
+            let report = explore(threads, &|sys: &System| {
+                assert!(!after(sys, 1), "check panic after p1");
+                after(sys, 0).then(|| "after p0".to_string())
+            })
+            .unwrap();
+            assert_eq!(
+                report.violation,
+                Some((vec![ProcessId(0)], "after p0".to_string())),
+                "threads = {threads}"
+            );
+        }
+        assert_eq!(
+            panics[0],
+            "worker panic during frontier entry 0 (schedule [0]): check panic after p0"
+        );
+        assert!(panics.iter().all(|m| m == &panics[0]), "{panics:?}");
     }
 
     #[test]

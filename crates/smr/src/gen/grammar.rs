@@ -23,10 +23,12 @@
 //! (see CHANGES.md, PR 1). [`GenSpec::canonical`] renders every field;
 //! two specs are byte-identical iff their canonical strings are.
 
+use crate::fingerprint::{write_i64, write_u64};
 use crate::object::{Object, ObjectId};
 use crate::process::{Process, ProcessId, ProtocolStep, SnapshotProcess, SnapshotProtocol};
 use crate::system::System;
 use crate::value::Value;
+use std::fmt;
 
 use super::mutate::Mutation;
 
@@ -261,6 +263,24 @@ fn encode_entry(round: i64, phase: i64, v: &Value) -> Value {
     Value::triple(Value::Int(round), Value::Int(phase), v.clone())
 }
 
+/// Writes the derived `Debug` rendering of an update script,
+/// `[(c, v), …]`, without `core::fmt`.
+fn write_script(out: &mut dyn fmt::Write, script: &[(usize, Value)]) -> fmt::Result {
+    out.write_str("[")?;
+    for (i, (c, v)) in script.iter().enumerate() {
+        out.write_str(if i == 0 { "(" } else { ", (" })?;
+        write_u64(out, *c as u64)?;
+        out.write_str(", ")?;
+        v.write_key(out)?;
+        out.write_str(")")?;
+    }
+    out.write_str("]")
+}
+
+fn write_bool(out: &mut dyn fmt::Write, b: bool) -> fmt::Result {
+    out.write_str(if b { "true" } else { "false" })
+}
+
 /// A generated protocol instance: announce prologue, then the
 /// toggle-parameterised phased-racing core over the race components.
 #[derive(Clone, Debug)]
@@ -288,14 +308,10 @@ impl SnapshotProtocol for GenProtocol {
             return ProtocolStep::Update(c, v);
         }
         let eff = &view[self.base..];
-        let entries: Vec<(i64, i64, &Value)> =
-            eff.iter().filter_map(parse_entry).collect();
+        let entries = || eff.iter().filter_map(parse_entry);
         // Rule 1: behind the frontier? Adopt the largest entry.
         if self.adopt {
-            if let Some(&(r, ph, v)) = entries
-                .iter()
-                .max_by(|a, b| (a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)))
-            {
+            if let Some((r, ph, v)) = entries().max() {
                 if (r, ph) > (self.round, self.phase) {
                     self.round = r;
                     self.phase = ph;
@@ -305,10 +321,9 @@ impl SnapshotProtocol for GenProtocol {
         }
         // Rule 2: same-level value conflict → escalate (carrying the
         // larger value up).
-        let rival = entries
-            .iter()
-            .filter(|&&(r, ph, v)| r == self.round && ph == self.phase && *v != self.value)
-            .map(|&(_, _, v)| v)
+        let rival = entries()
+            .filter(|&(r, ph, v)| r == self.round && ph == self.phase && *v != self.value)
+            .map(|(_, _, v)| v)
             .max();
         if let Some(w) = rival {
             if self.escalation {
@@ -322,10 +337,9 @@ impl SnapshotProtocol for GenProtocol {
         // Rule 2b: the helping write — defer to an earlier round's
         // committed value before proposing over it.
         if self.commit_deference && self.phase == 1 {
-            let committed = entries
-                .iter()
-                .filter(|&&(r, ph, _)| ph == 2 && r < self.round)
-                .map(|&(_, _, v)| v)
+            let committed = entries()
+                .filter(|&(r, ph, _)| ph == 2 && r < self.round)
+                .map(|(_, _, v)| v)
                 .max();
             if let Some(w) = committed {
                 if *w != self.value {
@@ -338,8 +352,8 @@ impl SnapshotProtocol for GenProtocol {
         // the decision. A torn commit window collapses the two: decide
         // on the phase-1 certificate alone, as if the recertification
         // half of the Block-Update window was lost.
-        let mine = encode_entry(self.round, self.phase, &self.value);
-        if eff.iter().all(|e| *e == mine) {
+        let mine = Some((self.round, self.phase, &self.value));
+        if eff.iter().all(|e| parse_entry(e) == mine) {
             if self.phase == 2 || self.torn_commit {
                 return ProtocolStep::Output(self.value.clone());
             }
@@ -357,6 +371,43 @@ impl SnapshotProtocol for GenProtocol {
 
     fn components(&self) -> usize {
         self.base + self.race_m
+    }
+
+    // Campaigns and the fuzzer fingerprint every step; this writes the
+    // same bytes as the default `{self:?}` without `core::fmt`.
+    fn write_key(&self, out: &mut dyn fmt::Write) {
+        let _ = self.write_debug(out);
+    }
+}
+
+impl GenProtocol {
+    /// The derived `Debug` rendering, written without `core::fmt`.
+    fn write_debug(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        out.write_str("GenProtocol { script: ")?;
+        write_script(out, &self.script)?;
+        out.write_str(", pos: ")?;
+        write_u64(out, self.pos as u64)?;
+        out.write_str(", base: ")?;
+        write_u64(out, self.base as u64)?;
+        out.write_str(", race_m: ")?;
+        write_u64(out, self.race_m as u64)?;
+        out.write_str(", round: ")?;
+        write_i64(out, self.round)?;
+        out.write_str(", phase: ")?;
+        write_i64(out, self.phase)?;
+        out.write_str(", value: ")?;
+        self.value.write_key(out)?;
+        out.write_str(", adopt: ")?;
+        write_bool(out, self.adopt)?;
+        out.write_str(", escalation: ")?;
+        write_bool(out, self.escalation)?;
+        out.write_str(", carry: ")?;
+        write_bool(out, self.carry)?;
+        out.write_str(", commit_deference: ")?;
+        write_bool(out, self.commit_deference)?;
+        out.write_str(", torn_commit: ")?;
+        write_bool(out, self.torn_commit)?;
+        out.write_str(" }")
     }
 }
 
@@ -384,6 +435,26 @@ impl SnapshotProtocol for ScriptProtocol {
 
     fn components(&self) -> usize {
         self.m
+    }
+
+    // The same bytes as the default `{self:?}`, without `core::fmt`.
+    fn write_key(&self, out: &mut dyn fmt::Write) {
+        let _ = self.write_debug(out);
+    }
+}
+
+impl ScriptProtocol {
+    /// The derived `Debug` rendering, written without `core::fmt`.
+    fn write_debug(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        out.write_str("ScriptProtocol { script: ")?;
+        write_script(out, &self.script)?;
+        out.write_str(", pos: ")?;
+        write_u64(out, self.pos as u64)?;
+        out.write_str(", m: ")?;
+        write_u64(out, self.m as u64)?;
+        out.write_str(", tag: ")?;
+        write_i64(out, self.tag)?;
+        out.write_str(" }")
     }
 }
 
@@ -466,6 +537,37 @@ mod tests {
             }
         }
         assert!(terminated >= 15, "only {terminated}/20 runs terminated");
+    }
+
+    #[test]
+    fn write_key_matches_debug() {
+        use crate::gen::mutate::ALL_MUTATIONS;
+        let check = |protocol: &dyn Fn(&mut String), debug: String| {
+            let mut written = String::new();
+            protocol(&mut written);
+            assert_eq!(written, debug);
+        };
+        for seed in 0..64 {
+            let base = GenSpec::from_seed(seed);
+            let specs = std::iter::once(base.clone())
+                .chain(ALL_MUTATIONS.iter().map(|m| m.apply(&base)));
+            for spec in specs {
+                for i in 0..spec.procs {
+                    let mut p = spec.protocol(i);
+                    check(&|out| p.write_key(out), format!("{p:?}"));
+                    // Past the prologue, in the racing core.
+                    let view = vec![Value::triple(3.into(), 2.into(), (-5).into()); p.components()];
+                    for _ in 0..=p.script.len() {
+                        p.on_scan(&view);
+                    }
+                    check(&|out| p.write_key(out), format!("{p:?}"));
+                    let mut s = spec.script_protocol(i, 2, -(seed as i64));
+                    check(&|out| s.write_key(out), format!("{s:?}"));
+                    s.on_scan(&view);
+                    check(&|out| s.write_key(out), format!("{s:?}"));
+                }
+            }
+        }
     }
 
     #[test]

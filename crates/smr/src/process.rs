@@ -19,6 +19,7 @@
 use crate::object::{ObjectId, Operation, Response};
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a process within a system.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -88,6 +89,14 @@ pub trait Process: fmt::Debug + Send + Sync {
 
     /// Clones the process state behind `dyn`.
     fn boxed_clone(&self) -> Box<dyn Process>;
+
+    /// Clones the process state straight into the `Arc` a configuration
+    /// holds it in. The default copies [`Process::boxed_clone`]'s `Box`
+    /// into a new `Arc`; implementations that can, override it with
+    /// `Arc::new(self.clone())`, one allocation instead of two.
+    fn arc_clone(&self) -> Arc<dyn Process> {
+        Arc::from(self.boxed_clone())
+    }
 
     /// A stable textual fingerprint of the process state, used by the
     /// exhaustive explorer to deduplicate configurations. The default is
@@ -283,6 +292,10 @@ impl<P: SnapshotProtocol + 'static> Process for SnapshotProcess<P> {
         Box::new(self.clone())
     }
 
+    fn arc_clone(&self) -> Arc<dyn Process> {
+        Arc::new(self.clone())
+    }
+
     // Zero-allocation stream of the default `state_key` (the derived
     // `Debug` rendering).
     fn write_state_key(&self, out: &mut dyn fmt::Write) {
@@ -379,6 +392,7 @@ mod tests {
         p.receive(Response::View(vec![Value::Nil]));
         let q = p.boxed_clone();
         assert_eq!(p.poised(), q.poised());
+        assert_eq!(p.poised(), p.arc_clone().poised());
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! A step computes its [`Successor`] against the shared state and then
 //! replaces only the process it stepped and, for a mutating operation,
 //! the object it wrote; a read or a scan copies no object at all.
+//! [`System::step`] copies neither when no other configuration shares
+//! it: a campaign's one configuration is stepped in place.
 //!
 //! Single-writer restrictions (single-writer registers and single-writer
 //! snapshots) are configuration-level invariants installed with
@@ -141,8 +143,9 @@ impl System {
 
     /// Seals the trace's owned suffix into its `Arc`-shared prefix so
     /// subsequent [`System::clone`] calls copy no events at all. The
-    /// explorer calls this on a configuration before forking it; see
-    /// [`Trace::freeze`].
+    /// explorer calls this on its root configuration before forking it
+    /// (every configuration [`System::with_successor`] builds comes
+    /// sealed); see [`Trace::freeze`].
     pub fn freeze_trace(&mut self) {
         self.trace.freeze();
     }
@@ -212,15 +215,36 @@ impl System {
 
     /// Applies the next step of process `pid` and appends it to the
     /// trace as an [`Event`]; read it back with [`System::trace`]. This
-    /// is [`System::successor`] installed in place.
+    /// is [`System::successor`] installed in place, except that an
+    /// object vector or a process no other configuration shares is
+    /// written where it stands instead of being copied.
     ///
     /// # Errors
     ///
     /// As [`System::successor`]; on error the configuration is
     /// unchanged.
     pub fn step(&mut self, pid: ProcessId) -> Result<(), ModelError> {
-        let next = self.successor(pid)?;
-        self.install(next);
+        let op = self.poised_step(pid)?;
+        let id = op.object().0;
+        let resp = if !op.is_mutation() {
+            self.objects[id].observe(&op)?
+        } else if let Some(objects) = Arc::get_mut(&mut self.objects) {
+            // `apply` fails before it writes, so an error leaves the
+            // object as it was.
+            objects[id].apply(&op)?
+        } else {
+            let mut written = self.objects[id].clone();
+            let resp = written.apply(&op)?;
+            self.replace_object(id, written);
+            resp
+        };
+        let process = &mut self.processes[pid.0];
+        match Arc::get_mut(process) {
+            Some(process) => process.receive(resp.clone()),
+            None => *process = received(process.as_ref(), resp.clone()),
+        }
+        self.steps_per_process[pid.0] += 1;
+        self.trace.push(Event { pid, op, resp });
         Ok(())
     }
 
@@ -238,6 +262,23 @@ impl System {
     /// * [`ModelError::BadOperation`] if the operation does not fit the
     ///   object.
     pub fn successor(&self, pid: ProcessId) -> Result<Successor, ModelError> {
+        let op = self.poised_step(pid)?;
+        let target = &self.objects[op.object().0];
+        let (object, resp) = if op.is_mutation() {
+            let mut written = target.clone();
+            let resp = written.apply(&op)?;
+            (Some(written), resp)
+        } else {
+            (None, target.observe(&op)?)
+        };
+        let process = received(self.processes[pid.0].as_ref(), resp.clone());
+        Ok(Successor { process, object, event: Event { pid, op, resp } })
+    }
+
+    /// The operation process `pid` is poised to perform, once it is
+    /// known to be allowed: `pid` exists and is live, it owns what it
+    /// writes, and the target object exists.
+    fn poised_step(&self, pid: ProcessId) -> Result<Operation, ModelError> {
         let current = self
             .processes
             .get(pid.0)
@@ -247,57 +288,45 @@ impl System {
             Poised::Output(_) => return Err(ModelError::ProcessTerminated(pid.0)),
         };
         self.check_ownership(pid, &op)?;
-        let target = self
-            .objects
-            .get(op.object().0)
-            .ok_or_else(|| ModelError::BadId(format!("no object {}", op.object())))?;
-        let (object, resp) = if op.is_mutation() {
-            let mut written = target.clone();
-            let resp = written.apply(&op)?;
-            (Some(written), resp)
-        } else {
-            (None, target.observe(&op)?)
-        };
-        let mut process: Arc<dyn Process> = Arc::from(current.boxed_clone());
-        Arc::get_mut(&mut process)
-            .expect("a fresh clone is unshared")
-            .receive(resp.clone());
-        Ok(Successor { process, object, event: Event { pid, op, resp } })
+        if op.object().0 >= self.objects.len() {
+            return Err(ModelError::BadId(format!("no object {}", op.object())));
+        }
+        Ok(op)
     }
 
     /// The configuration `next` leads to: a copy-on-write fork of this
     /// one with the step installed. `next` must come from
-    /// [`System::successor`] on this configuration.
+    /// [`System::successor`] on this configuration. The child's trace
+    /// is already sealed, the new event stored inline in its last
+    /// segment, so forking the child in turn copies no events.
     pub fn with_successor(&self, next: Successor) -> System {
         let mut child = self.clone();
-        child.install(next);
-        child
-    }
-
-    /// Installs a successor: swaps in the stepped process and the
-    /// written object, counts the step and records the event.
-    fn install(&mut self, next: Successor) {
         let Successor { process, object, event } = next;
         let pid = event.pid.0;
         if let Some(object) = object {
-            let id = event.op.object().0;
-            match Arc::get_mut(&mut self.objects) {
-                Some(objects) => objects[id] = object,
-                // Shared with another configuration: copy every object
-                // but the one being replaced.
-                None => {
-                    let shared = &self.objects;
-                    let mut objects = Vec::with_capacity(shared.len());
-                    objects.extend_from_slice(&shared[..id]);
-                    objects.push(object);
-                    objects.extend_from_slice(&shared[id + 1..]);
-                    self.objects = Arc::new(objects);
-                }
+            child.replace_object(event.op.object().0, object);
+        }
+        child.processes[pid] = process;
+        child.steps_per_process[pid] += 1;
+        child.trace.push_sealed(event);
+        child
+    }
+
+    /// Puts `object` in place of object `id`.
+    fn replace_object(&mut self, id: usize, object: Object) {
+        match Arc::get_mut(&mut self.objects) {
+            Some(objects) => objects[id] = object,
+            // Shared with another configuration: copy every object but
+            // the one being replaced.
+            None => {
+                let shared = &self.objects;
+                let mut objects = Vec::with_capacity(shared.len());
+                objects.extend_from_slice(&shared[..id]);
+                objects.push(object);
+                objects.extend_from_slice(&shared[id + 1..]);
+                self.objects = Arc::new(objects);
             }
         }
-        self.processes[pid] = process;
-        self.steps_per_process[pid] += 1;
-        self.trace.push(event);
     }
 
     /// Runs the system under `scheduler` until all processes terminate,
@@ -400,6 +429,13 @@ impl System {
             ha.finish() == hb.finish()
         })
     }
+}
+
+/// A copy of `process` that has received `resp`.
+fn received(process: &dyn Process, resp: Response) -> Arc<dyn Process> {
+    let mut copy = process.arc_clone();
+    Arc::get_mut(&mut copy).expect("a fresh clone is unshared").receive(resp);
+    copy
 }
 
 impl ConfigHash for System {
@@ -531,6 +567,49 @@ mod tests {
         (0..sys.process_count())
             .map(|i| sys.trace().iter().filter(|e| e.pid == ProcessId(i)).count())
             .collect()
+    }
+
+    #[test]
+    fn step_writes_unshared_state_in_place_and_a_failed_step_changes_nothing() {
+        /// Scans, then updates a component the snapshot does not have.
+        #[derive(Clone, Debug)]
+        struct OutOfRange;
+        impl SnapshotProtocol for OutOfRange {
+            fn on_scan(&mut self, _view: &[Value]) -> ProtocolStep {
+                ProtocolStep::Update(5, Value::Int(1))
+            }
+            fn components(&self) -> usize {
+                1
+            }
+        }
+        let addr = |sys: &System| {
+            (Arc::as_ptr(&sys.objects), Arc::as_ptr(&sys.processes[0]) as *const ())
+        };
+        let mut sys = small_system();
+        let before = addr(&sys);
+        sys.step(ProcessId(0)).unwrap();
+        sys.step(ProcessId(0)).unwrap();
+        assert_eq!(addr(&sys), before, "an unshared configuration steps in place");
+        let fork = sys.clone();
+        sys.step(ProcessId(0)).unwrap();
+        assert_eq!(addr(&fork), before, "a shared one is copied before the write");
+        assert_ne!(addr(&sys).1, before.1);
+
+        let mut sys = System::new(
+            vec![Object::snapshot(1)],
+            vec![Box::new(SnapshotProcess::new(OutOfRange, ObjectId(0)))],
+        );
+        sys.step(ProcessId(0)).unwrap();
+        let key = sys.config_key();
+        for shared in [false, true] {
+            let fork = shared.then(|| sys.clone());
+            let err = sys.step(ProcessId(0)).unwrap_err();
+            assert!(matches!(err, ModelError::BadOperation(_)), "{err:?}");
+            assert_eq!(sys.config_key(), key, "shared = {shared}");
+            assert_eq!(sys.trace().len(), 1);
+            assert_eq!(sys.steps_of(ProcessId(0)), 1);
+            drop(fork);
+        }
     }
 
     #[test]

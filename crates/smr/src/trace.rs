@@ -23,12 +23,30 @@ const SEAL_THRESHOLD: usize = 32;
 
 /// An immutable, `Arc`-shared run of consecutive events. Segments form
 /// a parent chain: `parent` holds events `[0, start)`, this segment
-/// holds `[start, start + events.len())`.
+/// holds `[start, start + events().len())`.
 #[derive(Debug)]
 struct Segment {
     parent: Option<Arc<Segment>>,
     start: usize,
-    events: Box<[Event]>,
+    events: Events,
+}
+
+/// A segment's events. The explorer seals every configuration it builds
+/// one step past a sealed parent, so a one-event segment keeps its event
+/// inline: one heap block for the segment and its event together.
+#[derive(Debug)]
+enum Events {
+    One(Event),
+    Many(Box<[Event]>),
+}
+
+impl Segment {
+    fn events(&self) -> &[Event] {
+        match &self.events {
+            Events::One(event) => std::slice::from_ref(event),
+            Events::Many(events) => events,
+        }
+    }
 }
 
 impl Drop for Segment {
@@ -52,8 +70,9 @@ impl Drop for Segment {
 /// Forking a configuration used to deep-copy the whole event log,
 /// making every explorer fork O(depth). `Clone` here copies one `Arc`
 /// pointer and at most `SEAL_THRESHOLD` (32) tail events; after
-/// [`Trace::freeze`] (which the explorer calls before fanning out) a
-/// clone copies nothing at all. Pushes still amortise to O(1): the
+/// [`Trace::freeze`], or on the sealed trace of a configuration
+/// [`crate::system::System::with_successor`] built, a clone copies
+/// nothing at all. Pushes still amortise to O(1): the
 /// tail is sealed into a shared segment once it reaches the threshold.
 ///
 /// # Examples
@@ -100,20 +119,33 @@ impl Trace {
     }
 
     /// Seals the owned tail into the shared prefix, making subsequent
-    /// clones O(1). The explorer calls this before forking a
-    /// configuration so every child shares the whole history.
+    /// clones O(1). The explorer calls this on its root configuration
+    /// so every fork of it shares the whole history.
     pub fn freeze(&mut self) {
         if self.tail.is_empty() {
             return;
         }
         let events = std::mem::take(&mut self.tail).into_boxed_slice();
-        let sealed_now = events.len();
-        self.sealed = Some(Arc::new(Segment {
-            parent: self.sealed.take(),
-            start: self.sealed_len,
-            events,
-        }));
-        self.sealed_len += sealed_now;
+        self.seal(Events::Many(events));
+    }
+
+    /// Appends an event and seals the whole trace, as [`Trace::push`]
+    /// then [`Trace::freeze`] would. On a sealed trace the event is
+    /// stored inline in its new segment: one heap allocation in all.
+    pub(crate) fn push_sealed(&mut self, event: Event) {
+        if self.tail.is_empty() {
+            self.seal(Events::One(event));
+        } else {
+            self.tail.push(event);
+            self.freeze();
+        }
+    }
+
+    /// Links `events` onto the sealed chain; the tail must be empty.
+    fn seal(&mut self, events: Events) {
+        let segment = Segment { parent: self.sealed.take(), start: self.sealed_len, events };
+        self.sealed_len += segment.events().len();
+        self.sealed = Some(Arc::new(segment));
     }
 
     /// Iterates the events in execution order.
@@ -128,11 +160,12 @@ impl Trace {
         let mut slices: Vec<&[Event]> = Vec::new();
         let mut cursor = self.sealed.as_deref();
         while let Some(seg) = cursor {
-            if seg.start + seg.events.len() <= start {
+            let events = seg.events();
+            if seg.start + events.len() <= start {
                 break; // this segment (and all parents) precede `start`
             }
             let skip = start.saturating_sub(seg.start);
-            slices.push(&seg.events[skip..]);
+            slices.push(&events[skip..]);
             cursor = seg.parent.as_deref();
         }
         slices.reverse();
@@ -149,7 +182,7 @@ impl Trace {
         let mut cursor = self.sealed.as_deref();
         while let Some(seg) = cursor {
             if i >= seg.start {
-                return seg.events.get(i - seg.start);
+                return seg.events().get(i - seg.start);
             }
             cursor = seg.parent.as_deref();
         }
@@ -655,15 +688,64 @@ mod tests {
     }
 
     #[test]
+    fn mixed_segments_read_like_a_flat_trace() {
+        // Inline one-event segments (`push_sealed` on a sealed trace),
+        // segments sealed from a tail (`push_sealed` on an unsealed
+        // one, `freeze`, the threshold) and an open tail, interleaved.
+        let n = 120;
+        let events: Vec<Event> = (0..n).map(|i| event(i % 3, i as i64)).collect();
+        let mut trace = Trace::new();
+        for (i, e) in events.iter().enumerate() {
+            // 50..90 is a run of tail pushes long enough to reach the
+            // threshold; 115.. stays in the open tail.
+            match (i, i % 7) {
+                (50..90 | 115.., _) => trace.push(e.clone()),
+                (_, 0 | 1 | 4) => trace.push_sealed(e.clone()),
+                (_, 5) => {
+                    trace.push(e.clone());
+                    trace.freeze();
+                }
+                _ => trace.push(e.clone()),
+            }
+        }
+        assert!(!trace.tail.is_empty());
+        let flat: Trace = events.iter().cloned().collect();
+        assert_eq!(trace.len(), flat.len());
+        for i in 0..=n {
+            assert_eq!(trace.get(i), flat.get(i), "get({i})");
+        }
+        for k in 0..=n + 1 {
+            assert!(trace.events_from(k).eq(flat.events_from(k)), "events_from({k})");
+            assert_eq!(trace.events_from(k).len(), n.saturating_sub(k));
+        }
+        assert_eq!(trace.to_vec(), events);
+        assert_eq!(trace, flat);
+        let mut longer = trace.clone();
+        longer.push_sealed(event(0, -1));
+        assert_ne!(longer, flat);
+        assert_eq!(longer.len(), n + 1);
+        assert_eq!(longer.get(n), Some(&event(0, -1)));
+        assert_eq!(trace.len(), n);
+    }
+
+    #[test]
     fn deep_trace_drops_without_stack_overflow() {
         // One-event segments maximise chain length: 200k frames would
-        // overflow the stack if Segment::drop recursed.
+        // overflow the stack if Segment::drop recursed. Both ways of
+        // building them: sealing a one-event tail, and an inline event.
         let mut trace = Trace::new();
         for i in 0..200_000 {
             trace.push(event(0, i));
             trace.freeze();
         }
         assert_eq!(trace.len(), 200_000);
+        drop(trace);
+        let mut trace = Trace::new();
+        for i in 0..200_000 {
+            trace.push_sealed(event(0, i));
+        }
+        assert_eq!(trace.len(), 200_000);
+        assert_eq!(trace.get(123_456), Some(&event(0, 123_456)));
         drop(trace);
     }
 

@@ -52,22 +52,39 @@ smoke-explore:
     #!/usr/bin/env bash
     set -uo pipefail
     cargo build --release --quiet || exit 1
+    bin=target/release/revisionist-simulations
     for t in 1 2 3; do
         out="explore-racing3-t$t.json"
-        target/release/revisionist-simulations explore --protocol racing --procs 3 \
+        $bin explore --protocol racing --procs 3 \
             --m 2 --depth 64 --max-configs 400000 --threads "$t" --json > "$out"
         code=$?
-        [ "$code" -eq 1 ] || { echo "threads $t: exit code $code, expected 1"; exit 1; }
+        [ "$code" -eq 1 ] || { echo "racing3 threads $t: exit code $code, expected 1"; exit 1; }
         for want in '"configs_visited": 210751,' '"terminals": 24,' '"pruned": 59144,' \
             '"schedule": [0, 1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 2, 1, 1, 1, 1, 1, 1, 1, 2]'; do
-            grep -qF "$want" "$out" || { echo "threads $t: missing $want"; exit 1; }
+            grep -qF "$want" "$out" || { echo "racing3 threads $t: missing $want"; exit 1; }
+        done
+        out="explore-racing6-t$t.json"
+        $bin explore --protocol racing --procs 6 \
+            --m 2 --depth 7 --max-configs 8000000 --threads "$t" --json > "$out"
+        code=$?
+        [ "$code" -eq 0 ] || { echo "racing6 threads $t: exit code $code, expected 0"; exit 1; }
+        for want in '"configs_visited": 29689,' '"terminals": 0,' '"pruned": 36080,'; do
+            grep -qF "$want" "$out" || { echo "racing6 threads $t: missing $want"; exit 1; }
+        done
+    done
+    # Each report, timing fields aside, is the same at every thread count.
+    untimed() { grep -vE '^  "(threads|elapsed_ms|states_per_sec)":' "$1"; }
+    for w in racing3 racing6; do
+        for t in 2 3; do
+            cmp <(untimed "explore-$w-t1.json") <(untimed "explore-$w-t$t.json") \
+                || { echo "$w: threads 1 and $t reports differ"; exit 1; }
         done
     done
     cargo run --release --quiet --example model_checking > model-checking.txt || exit 1
     for want in 'racing m=1: VIOLATION after 10 steps' 'racing m=2: VIOLATION after 22 steps'; do
         grep -qF "$want" model-checking.txt || { echo "model_checking: missing $want"; exit 1; }
     done
-    echo "smoke-explore: canonical violation at 1, 2 and 3 threads, shortest search witnesses"
+    echo "smoke-explore: pinned reports equal at 1, 2 and 3 threads, shortest search witnesses"
 
 # Fault-injection certificate: the exhaustive single-crash sweep plus
 # the §3 non-blocking certification (mirrors CI's smoke-faults job).
