@@ -15,6 +15,7 @@
 //! count.
 
 use crate::error::ModelError;
+use crate::explore::ExploreKey;
 use crate::fault::{FaultPlan, FaultScheduler};
 use crate::fingerprint::FingerprintCache;
 use crate::json::Json;
@@ -637,36 +638,49 @@ fn json_string(s: &str) -> String {
 /// The one step loop behind plain and fault runs: steps `system` under
 /// `scheduler` until every process terminates, the scheduler yields
 /// nothing, or `budget` steps are taken. Every configuration reached is
-/// fingerprinted into `cache` when one is supplied; without a cache the
-/// run takes the [`System::run`] fast path.
+/// fingerprinted into `cache` when one is supplied.
 ///
-/// Returns the steps taken and, when the run aborted, the error text.
-/// An aborted fast-path run reports 0 steps, as [`System::run`] does not
-/// say how far it got.
+/// An unbounded cache is fed by key: the run keeps the [`ExploreKey`]
+/// of its configuration, brought up to date after each in-place step
+/// at the cost of what the step touched, and the full fingerprint is
+/// computed only for a key the cache has not seen
+/// ([`FingerprintCache::insert_keyed`]). A bounded cache keeps no key
+/// memo, so it gets every fingerprint.
+///
+/// Returns the steps taken (up to the failing step, when the run
+/// aborted) and, when the run aborted, the error text.
 fn drive(
     system: &mut System,
     scheduler: &mut dyn Scheduler,
     budget: usize,
     cache: Option<&FingerprintCache>,
 ) -> (usize, Option<String>) {
-    let Some(cache) = cache else {
-        return match system.run(scheduler, budget) {
-            Ok(steps) => (steps, None),
-            Err(err) => (0, Some(err.to_string())),
+    let mut key = cache.filter(|cache| !cache.is_bounded()).map(|_| ExploreKey::of(system));
+    let cover = |system: &System, key: Option<&ExploreKey>| {
+        let Some(cache) = cache else { return };
+        let fingerprint = || system.config_fingerprint();
+        match key {
+            Some(key) => cache.insert_keyed(key.value(), fingerprint),
+            None => cache.insert_fingerprint(fingerprint()),
         };
     };
-    cache.insert_fingerprint(system.config_fingerprint());
+    cover(system, key.as_ref());
     let mut steps = 0;
     while steps < budget && !system.all_terminated() {
         let Some(pid) = scheduler.next(system) else { break };
         if system.is_terminated(pid) {
+            // Terminated processes do nothing when allocated a step
+            // (paper §5.1); skip without consuming budget.
             continue;
         }
         if let Err(err) = system.step(pid) {
             return (steps, Some(err.to_string()));
         }
         steps += 1;
-        cache.insert_fingerprint(system.config_fingerprint());
+        if let Some(key) = key.as_mut() {
+            key.restep(system);
+        }
+        cover(system, key.as_ref());
     }
     (steps, None)
 }

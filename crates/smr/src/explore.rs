@@ -99,7 +99,7 @@
 use crate::analyze::interfere::InterferenceMatrix;
 use crate::campaign::panic_message;
 use crate::error::ModelError;
-use crate::fingerprint::{ConfigHash, FnvStream};
+use crate::fingerprint::{ConfigHash, FnvStream, KeyHasher};
 use crate::hb::independent;
 use crate::object::{Object, Operation};
 use crate::process::{Poised, Process, ProcessId};
@@ -107,7 +107,7 @@ use crate::system::{Successor, System};
 use crate::value::Value;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -568,7 +568,11 @@ impl Explorer {
 /// position and passed through a 64-bit mixer. A step changes one
 /// process and at most one object, so [`ExploreKey::after`] derives a
 /// child's key from its parent's by swapping out those terms, before
-/// the child configuration is built.
+/// the child configuration is built. A campaign run, which steps one
+/// configuration in place, keeps one key per run and brings it up to
+/// date with [`ExploreKey::restep`] after each [`System::step`]; its
+/// [`crate::fingerprint::FingerprintCache`] then computes the persisted
+/// fingerprint only for a key it has not seen.
 ///
 /// The key never leaves memory. [`System::config_fingerprint`] stays
 /// the persisted identity of a configuration: coverage sets, bundles,
@@ -646,6 +650,23 @@ impl ExploreKey {
         child
     }
 
+    /// Brings this key, the key of `sys` before its last step, up to
+    /// date after [`System::step`] applied that step in place: re-hashes
+    /// the stepped process, and the written object when the step was a
+    /// mutation. `sys` must have taken at least one step.
+    pub fn restep(&mut self, sys: &System) {
+        let trace = sys.trace();
+        let last = trace.len().checked_sub(1).expect("restep after a step");
+        let event = &trace[last];
+        let position = self.objects + event.pid.0;
+        let process = sys.process(event.pid).expect("stepped process in range");
+        self.swap(position, process_term(position, process));
+        if event.op.is_mutation() {
+            let position = event.op.object().0;
+            self.swap(position, object_term(position, &sys.objects()[position]));
+        }
+    }
+
     fn swap(&mut self, position: usize, term: u64) {
         self.value ^= self.terms[position] ^ term;
         self.terms[position] = term;
@@ -696,24 +717,6 @@ struct StateMeta {
 /// Keys are already mixed (see [`salted`]), so the map uses them as
 /// their own hashes.
 type VisitedMap = HashMap<u64, StateMeta, BuildHasherDefault<KeyHasher>>;
-
-/// The identity hasher of [`VisitedMap`].
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("visited keys hash as one u64");
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key;
-    }
-}
 
 /// The visited shard, of `shards`, that owns `key`: key bits 25..57,
 /// scaled to the shard count. The map takes its bucket from the low

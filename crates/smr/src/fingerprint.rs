@@ -1,10 +1,11 @@
 //! Sharded configuration-fingerprint cache.
 //!
-//! Campaign runs, checkpoints, replay bundles and the serial explorer
-//! identify configurations by a stable 64-bit fingerprint of
-//! [`crate::system::System::config_key`]. (The parallel explorer's
-//! in-memory visited map keys on [`crate::explore::ExploreKey`]
-//! instead, which a step can update incrementally.) A single
+//! Campaign coverage, checkpoints and replay bundles identify
+//! configurations by a stable 64-bit fingerprint of
+//! [`crate::system::System::config_key`]. (The explorer's in-memory
+//! visited maps key on [`crate::explore::ExploreKey`] instead, which a
+//! step can update incrementally; campaign runs use it only to decide
+//! which configurations to fingerprint, see "Keyed inserts".) A single
 //! `HashSet` behind one lock serialises every worker thread; this
 //! cache splits the fingerprint space across `2^k` independently
 //! locked shards so concurrent inserts from different shards never
@@ -25,9 +26,25 @@
 //! so the first eviction latches [`FingerprintCache::truncated`], and
 //! callers must surface that notice instead of silently reporting an
 //! approximate `len()` as exact.
+//!
+//! # Keyed inserts
+//!
+//! A campaign run fingerprints every configuration it reaches, but most
+//! steps reach one already counted, and the full FNV stream over every
+//! object and process is the dearest part of a step. So an unbounded
+//! cache also keeps, in memory only, the set of
+//! [`crate::explore::ExploreKey`] values whose fingerprint it already
+//! holds: [`FingerprintCache::insert_keyed`] computes a fingerprint
+//! only for a key it has not seen, and a run keeps its key up to date
+//! per step at the cost of what the step touched. The memo is never
+//! persisted: checkpoints, shard payloads and `len()` are the
+//! fingerprint set alone. A bounded cache bypasses the memo, because an
+//! evicted fingerprint must be counted again when its configuration
+//! comes back.
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -140,6 +157,29 @@ pub trait ConfigHash {
     }
 }
 
+/// The identity hasher for keys that are already well mixed
+/// ([`crate::explore::ExploreKey`] values): the explorer's visited maps
+/// and the key memo of [`FingerprintCache`] use a key as its own hash.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("keys hash as one u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+/// A set of already mixed keys, hashed by [`KeyHasher`].
+type KeySet = HashSet<u64, BuildHasherDefault<KeyHasher>>;
+
 /// One shard: the membership set plus insertion order for eviction.
 #[derive(Debug, Default)]
 struct Shard {
@@ -148,7 +188,9 @@ struct Shard {
     order: VecDeque<u64>,
 }
 
-/// A concurrent set of configuration fingerprints, sharded by hash.
+/// A concurrent set of configuration fingerprints, sharded by hash,
+/// with an in-memory memo of the keys whose fingerprint it holds (see
+/// [`FingerprintCache::insert_keyed`]).
 ///
 /// # Examples
 ///
@@ -164,6 +206,9 @@ struct Shard {
 #[derive(Debug)]
 pub struct FingerprintCache {
     shards: Box<[Mutex<Shard>]>,
+    /// The keys [`FingerprintCache::insert_keyed`] has inserted, sharded
+    /// like `shards`. Never persisted; unused when the cache is bounded.
+    keys: Box<[Mutex<KeySet>]>,
     /// `shards.len() - 1`; shard count is a power of two.
     mask: u64,
     /// Cached total size, maintained on successful inserts so `len()`
@@ -196,6 +241,7 @@ impl FingerprintCache {
         let count = shards.max(1).next_power_of_two();
         FingerprintCache {
             shards: (0..count).map(|_| Mutex::new(Shard::default())).collect(),
+            keys: (0..count).map(|_| Mutex::new(KeySet::default())).collect(),
             mask: count as u64 - 1,
             size: AtomicUsize::new(0),
             shard_cap,
@@ -219,9 +265,14 @@ impl FingerprintCache {
     }
 
     fn shard(&self, fp: u64) -> &Mutex<Shard> {
-        // Shard on the high bits: FNV-1a mixes them well, and the low
-        // bits then still select hash buckets inside the shard.
-        &self.shards[((fp >> 32) & self.mask) as usize]
+        &self.shards[self.shard_index(fp)]
+    }
+
+    /// The shard of a fingerprint or key. Shard on the high bits: FNV-1a
+    /// and the key mixer mix them well, and the low bits then still
+    /// select hash buckets inside the shard.
+    fn shard_index(&self, hash: u64) -> usize {
+        ((hash >> 32) & self.mask) as usize
     }
 
     /// Inserts the configuration, returning `true` if it was new.
@@ -235,7 +286,7 @@ impl FingerprintCache {
         let new = shard.set.insert(fp);
         if new {
             self.size.fetch_add(1, Ordering::Relaxed);
-            if self.shard_cap != usize::MAX {
+            if self.is_bounded() {
                 shard.order.push_back(fp);
                 if shard.order.len() > self.shard_cap {
                     if let Some(oldest) = shard.order.pop_front() {
@@ -246,6 +297,37 @@ impl FingerprintCache {
             }
         }
         new
+    }
+
+    /// Inserts the fingerprint of the configuration whose in-memory key
+    /// (an [`crate::explore::ExploreKey`] value) is `key`, returning
+    /// `true` if the fingerprint was new. `fingerprint` runs only the
+    /// first time the cache sees `key`; a key seen before returns
+    /// `false` at once, its fingerprint already held. Distinct keys of
+    /// one fingerprint are counted once, as the fingerprint set decides.
+    ///
+    /// A bounded cache bypasses the memo: every call computes and
+    /// inserts the fingerprint, so eviction counts exactly as
+    /// [`FingerprintCache::insert_fingerprint`] counts it.
+    pub fn insert_keyed(&self, key: u64, fingerprint: impl FnOnce() -> u64) -> bool {
+        if self.is_bounded() {
+            return self.insert_fingerprint(fingerprint());
+        }
+        let keys = &self.keys[self.shard_index(key)];
+        if keys.lock().expect("key lock").contains(&key) {
+            return false;
+        }
+        // The key is recorded only once its fingerprint is in the set,
+        // so a key found in the memo always means a held fingerprint.
+        let new = self.insert_fingerprint(fingerprint());
+        keys.lock().expect("key lock").insert(key);
+        new
+    }
+
+    /// Does the cache enforce a memory budget ([`FingerprintCache::bounded`])?
+    /// A bounded cache keeps no key memo.
+    pub fn is_bounded(&self) -> bool {
+        self.shard_cap != usize::MAX
     }
 
     /// Is the configuration already present?
@@ -413,6 +495,58 @@ mod tests {
             cache.insert_fingerprint(fp);
         }
         assert_eq!(cache.snapshot(), vec![1, 3, 7, 9]);
+    }
+
+    /// A stream of (key, fingerprint) pairs with repeats, where the
+    /// key decides the fingerprint and a few distinct keys share one.
+    fn keyed_stream() -> Vec<(u64, u64)> {
+        (0..4_000u64)
+            .map(|i| {
+                let key = (i * 7 % 1_500).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (key, (key >> 3) % 1_100)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn keyed_inserts_hold_what_fingerprint_inserts_hold() {
+        let by_key = FingerprintCache::new(4);
+        let by_fingerprint = FingerprintCache::new(4);
+        let mut computed = 0;
+        for (key, fp) in keyed_stream() {
+            let new = by_key.insert_keyed(key, || {
+                computed += 1;
+                fp
+            });
+            assert_eq!(new, by_fingerprint.insert_fingerprint(fp), "key {key:#x}");
+        }
+        assert_eq!(by_key.len(), by_fingerprint.len());
+        assert_eq!(by_key.snapshot(), by_fingerprint.snapshot());
+        assert!(!by_key.is_bounded());
+        // The fingerprint is computed once per distinct key.
+        let keys: HashSet<u64> = keyed_stream().iter().map(|&(key, _)| key).collect();
+        assert_eq!(computed, keys.len());
+        assert!(computed < keyed_stream().len());
+    }
+
+    #[test]
+    fn bounded_keyed_inserts_count_and_evict_like_fingerprint_inserts() {
+        let by_key = FingerprintCache::bounded(2, 64);
+        let by_fingerprint = FingerprintCache::bounded(2, 64);
+        assert!(by_key.is_bounded());
+        let mut computed = 0;
+        for (key, fp) in keyed_stream() {
+            let new = by_key.insert_keyed(key, || {
+                computed += 1;
+                fp
+            });
+            assert_eq!(new, by_fingerprint.insert_fingerprint(fp), "key {key:#x}");
+        }
+        assert!(by_key.truncated() && by_fingerprint.truncated());
+        assert_eq!(by_key.len(), by_fingerprint.len());
+        assert_eq!(by_key.snapshot(), by_fingerprint.snapshot());
+        // No memo under a budget: every call computes its fingerprint.
+        assert_eq!(computed, keyed_stream().len());
     }
 
     #[test]

@@ -25,7 +25,8 @@ perfbench-test:
     cargo test -q --manifest-path perfbench/Cargo.toml
 
 # Quick seeded campaign: 5 schedulers x 200 seeds over phased racing,
-# then a `--stop-after` truncation at two thread counts (mirrors CI).
+# then a `--stop-after` truncation at two thread counts, then the
+# campaign-mix matrix against its pinned bytes (mirrors CI).
 smoke-campaign:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -41,6 +42,20 @@ smoke-campaign:
     cmp stop-after-t1.checkpoint.json stop-after-t4.checkpoint.json
     cmp stop-after-t1.json stop-after-t4.json
     echo "smoke-campaign: --stop-after report and checkpoint identical at 1 and 4 threads"
+    # The perfbench campaign-mix matrix: its report and checkpoint bytes
+    # are pinned across commits, at 1 and 4 threads.
+    for t in 1 4; do
+        cargo run --release -- campaign --protocol racing --procs 3 --m 2 \
+            --sched rr,random,quantum:2,obstruction:2,crash:1 --runs 1000 \
+            --seed-start 100000 --checkpoint "campaign-mix-t$t.checkpoint.json" \
+            --threads "$t" --json > "campaign-mix-t$t.json"
+        grep -qF '"distinct_configs": 10780,' "campaign-mix-t$t.json"
+        echo "c85d8a0949bd59bd7a6fd59018e57f3d604c018bcf694fd88ff4f41ddebeb591  campaign-mix-t$t.json" \
+            | sha256sum -c -
+        echo "b5ad53cff182a2988240d6b0c75c6f171a4ad5b750f5d9b6ade7f228193d202d  campaign-mix-t$t.checkpoint.json" \
+            | sha256sum -c -
+    done
+    echo "smoke-campaign: campaign-mix report and checkpoint match their pinned sha256 at 1 and 4 threads"
 
 # The paper's bound machine-checked at full size: a breadth-first
 # search of 3 racing processes on 2 registers, fewer than the

@@ -8,6 +8,7 @@ use std::process::Command;
 use rsim_protocols::illformed::illformed_system;
 use rsim_protocols::racing::racing_system;
 use rsim_smr::analyze::{self, AnalysisReport, Diagnostic, LintCode, LintConfig, Severity};
+use rsim_smr::campaign::{replay_run, run_campaign, CampaignConfig, SchedulerSpec};
 use rsim_smr::history::History;
 use rsim_smr::linearizability::{check, LinCheck};
 use rsim_smr::object::{Object, Response};
@@ -231,6 +232,38 @@ fn campaign_no_preflight_reaches_the_runtime_guard() {
         stdout.contains("process 0 is not the owner of single-writer component 1"),
         "stdout:\n{stdout}"
     );
+}
+
+/// An aborted run counts the steps it took before the failing one, in
+/// the campaign's record and in its replay alike.
+#[test]
+fn replay_counts_the_steps_of_an_aborted_run() {
+    let config = CampaignConfig {
+        schedulers: ["rr", "random", "obstruction:2"]
+            .iter()
+            .map(|s| SchedulerSpec::parse(s).unwrap())
+            .collect(),
+        seed_start: 0,
+        runs: 4,
+        budget: 2_000,
+        threads: 2,
+    };
+    let factory = |_seed: u64| illformed_system();
+    let check = |_: &rsim_smr::system::System| None;
+    let report = run_campaign(&config, factory, &check);
+    assert_eq!(report.failures.len(), 12, "every run hits the runtime guard");
+    for failure in &report.failures {
+        assert!(failure.error.is_some() && failure.steps > 0, "{failure:?}");
+        let spec = SchedulerSpec::parse(&failure.scheduler).unwrap();
+        let replayed = replay_run(&spec, failure.seed, config.budget, factory, &check);
+        assert_eq!(replayed.steps, failure.steps, "{} seed {}", failure.scheduler, failure.seed);
+        assert_eq!(replayed.error, failure.error);
+    }
+    let (stdout, _, ok) = run(&[
+        "campaign", "--protocol", "illformed", "--no-preflight", "--sched", "rr", "--seed", "0",
+    ]);
+    assert!(ok);
+    assert!(stdout.contains("replay rr seed 0: 4 steps, not terminated"), "stdout:\n{stdout}");
 }
 
 #[test]
