@@ -13,7 +13,7 @@
 
 use crate::error::ModelError;
 use crate::fault::FaultPlan;
-use crate::json::{write_atomic, write_atomic_new, Json};
+use crate::json::{escape, write_atomic, write_atomic_new, Json};
 use crate::shrink::{execute, CexCheck, CexOutcome, Counterexample};
 use crate::system::System;
 use std::path::Path;
@@ -117,21 +117,21 @@ impl ReplayBundle {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"version\": {},\n", self.version));
-        out.push_str(&format!("  \"tool\": {},\n", json_string(&self.tool)));
+        out.push_str(&format!("  \"tool\": {},\n", escape(&self.tool)));
         out.push_str("  \"system\": {");
         for (i, (key, value)) in self.system.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("{}: {}", json_string(key), json_string(value)));
+            out.push_str(&format!("{}: {}", escape(key), escape(value)));
         }
         out.push_str("},\n");
         out.push_str(&format!(
             "  \"scheduler\": {},\n",
-            json_string(&self.scheduler)
+            escape(&self.scheduler)
         ));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"plan\": {},\n", json_string(&self.plan)));
+        out.push_str(&format!("  \"plan\": {},\n", escape(&self.plan)));
         out.push_str("  \"decisions\": [");
         for (i, d) in self.decisions.iter().enumerate() {
             if i > 0 {
@@ -143,7 +143,7 @@ impl ReplayBundle {
         out.push_str(&format!("  \"fingerprint\": {},\n", self.fingerprint));
         out.push_str(&format!(
             "  \"violation\": {}\n",
-            json_string(&self.violation)
+            escape(&self.violation)
         ));
         out.push_str("}\n");
         out
@@ -263,12 +263,6 @@ impl ReplayBundle {
         let path = corpus_dir.join(self.corpus_file_name());
         write_atomic_new(&path, &self.to_json())
     }
-}
-
-/// JSON string literal with escaping (the workspace-wide routine in
-/// [`crate::json::escape`]).
-fn json_string(s: &str) -> String {
-    crate::json::escape(s)
 }
 
 #[cfg(test)]

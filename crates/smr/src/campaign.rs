@@ -18,7 +18,7 @@ use crate::error::ModelError;
 use crate::explore::ExploreKey;
 use crate::fault::{FaultPlan, FaultScheduler};
 use crate::fingerprint::FingerprintCache;
-use crate::json::Json;
+use crate::json::{escape, Json};
 use crate::process::ProcessId;
 use crate::sched::{Crash, Obstruction, Quantum, Random, RoundRobin, Scheduler};
 use crate::system::System;
@@ -177,20 +177,15 @@ pub struct CampaignOptions {
     /// Wall-clock watchdog: once elapsed, workers stop claiming runs
     /// and the report records how many were skipped. Skipping under a
     /// wall-clock limit is inherently machine-dependent; the report
-    /// says so rather than silently dropping runs. Before the hard
-    /// stop, a *soft* deadline at 80% of the limit degrades sampling
-    /// breadth (per-run budget drops to a quarter) so more cells
-    /// complete — shallowly — instead of being skipped outright.
+    /// says so rather than silently dropping runs. Every run that does
+    /// execute runs at the full [`CampaignConfig::budget`], so a
+    /// checkpointed session resumes to the uninterrupted report.
     pub wall_limit: Option<Duration>,
     /// Run-count watchdog: this session runs only the first N pending
     /// cells in matrix order (those the resume checkpoint has not
     /// completed), so the truncation is the same at every thread count;
     /// used to exercise `--resume`.
     pub stop_after: Option<usize>,
-    /// Fingerprint-cache memory budget in entries; when exceeded the
-    /// cache degrades to bounded-LRU shards and `distinct_configs`
-    /// becomes approximate (flagged in the report). `None` = unbounded.
-    pub cache_budget: Option<usize>,
     /// Write a checkpoint after every `N` completed runs (and once at
     /// the end of the session). Requires [`CampaignOptions::checkpoint_path`].
     pub checkpoint_every: Option<usize>,
@@ -252,12 +247,12 @@ pub(crate) fn record_entry_json(index: usize, r: &RunRecord) -> String {
          \"error\": {}, \"attempts\": {}, \"pruned\": {}, \
          \"prefilter_hits\": {}, \"static_indep_pairs\": {}}}",
         index,
-        json_string(&r.scheduler),
+        escape(&r.scheduler),
         r.seed,
         r.steps,
         r.terminated,
-        r.violation.as_deref().map_or("null".into(), json_string),
-        r.error.as_deref().map_or("null".into(), json_string),
+        r.violation.as_deref().map_or("null".into(), escape),
+        r.error.as_deref().map_or("null".into(), escape),
         r.attempts,
         r.pruned,
         r.prefilter_hits,
@@ -319,7 +314,7 @@ impl CampaignCheckpoint {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"version\": 1,\n");
         if let Some(spec) = &self.spec {
-            out.push_str(&format!("  \"spec\": {},\n", json_string(spec)));
+            out.push_str(&format!("  \"spec\": {},\n", escape(spec)));
         }
         out.push_str("  \"completed\": [\n");
         for (i, (index, r)) in self.completed.iter().enumerate() {
@@ -521,14 +516,15 @@ pub struct CampaignReport {
     /// Why runs were skipped, when they were. Never silent: a truncated
     /// campaign always says so here.
     pub truncation: Option<String>,
-    /// The fingerprint cache hit its memory budget: `distinct_configs`
-    /// is an over-count from that point on.
+    /// Always `false`: the fingerprint cache never evicts, so
+    /// `distinct_configs` is exact. The field and its JSON key stay so
+    /// reports keep their byte layout.
     pub cache_truncated: bool,
     /// Runs the supervisor re-attempted after a transient worker panic
     /// (each run's [`RunRecord::attempts`] has the detail).
     pub retried_runs: usize,
-    /// Runs executed at reduced budget because the wall-clock soft
-    /// deadline had passed (the degradation ladder's first rung).
+    /// Always `0`: every run executes at the full budget. The field and
+    /// its JSON key stay so reports keep their byte layout.
     pub degraded_runs: usize,
 }
 
@@ -561,7 +557,7 @@ impl CampaignReport {
             self.config
                 .schedulers
                 .iter()
-                .map(|s| json_string(&s.to_string()))
+                .map(|s| escape(&s.to_string()))
                 .collect::<Vec<_>>()
                 .join(", ")
         ));
@@ -585,7 +581,7 @@ impl CampaignReport {
         out.push_str(&format!("  \"skipped_runs\": {},\n", self.skipped_runs));
         out.push_str(&format!(
             "  \"truncation\": {},\n",
-            self.truncation.as_deref().map_or("null".into(), json_string)
+            self.truncation.as_deref().map_or("null".into(), escape)
         ));
         out.push_str(&format!(
             "  \"cache_truncated\": {},\n",
@@ -599,7 +595,7 @@ impl CampaignReport {
                 "    {{\"scheduler\": {}, \"runs\": {}, \"terminated\": {}, \
                  \"failures\": {}, \"total_steps\": {}, \"pruned\": {}, \
                  \"prefilter_hits\": {}}}{}\n",
-                json_string(&t.scheduler),
+                escape(&t.scheduler),
                 t.runs,
                 t.terminated,
                 t.failures,
@@ -615,12 +611,12 @@ impl CampaignReport {
             out.push_str(&format!(
                 "    {{\"scheduler\": {}, \"seed\": {}, \"steps\": {}, \
                  \"terminated\": {}, \"violation\": {}, \"error\": {}}}{}\n",
-                json_string(&r.scheduler),
+                escape(&r.scheduler),
                 r.seed,
                 r.steps,
                 r.terminated,
-                r.violation.as_deref().map_or("null".into(), json_string),
-                r.error.as_deref().map_or("null".into(), json_string),
+                r.violation.as_deref().map_or("null".into(), escape),
+                r.error.as_deref().map_or("null".into(), escape),
                 if i + 1 < self.failures.len() { "," } else { "" },
             ));
         }
@@ -629,23 +625,16 @@ impl CampaignReport {
     }
 }
 
-/// JSON string literal with escaping (the workspace-wide routine in
-/// [`crate::json::escape`]).
-fn json_string(s: &str) -> String {
-    crate::json::escape(s)
-}
-
 /// The one step loop behind plain and fault runs: steps `system` under
 /// `scheduler` until every process terminates, the scheduler yields
 /// nothing, or `budget` steps are taken. Every configuration reached is
 /// fingerprinted into `cache` when one is supplied.
 ///
-/// An unbounded cache is fed by key: the run keeps the [`ExploreKey`]
-/// of its configuration, brought up to date after each in-place step
-/// at the cost of what the step touched, and the full fingerprint is
-/// computed only for a key the cache has not seen
-/// ([`FingerprintCache::insert_keyed`]). A bounded cache keeps no key
-/// memo, so it gets every fingerprint.
+/// The cache is fed by key: the run keeps the [`ExploreKey`] of its
+/// configuration, brought up to date after each in-place step at the
+/// cost of what the step touched, and the full fingerprint is computed
+/// only for a key the cache has not seen
+/// ([`FingerprintCache::insert_keyed`]).
 ///
 /// Returns the steps taken (up to the failing step, when the run
 /// aborted) and, when the run aborted, the error text.
@@ -655,14 +644,11 @@ fn drive(
     budget: usize,
     cache: Option<&FingerprintCache>,
 ) -> (usize, Option<String>) {
-    let mut key = cache.filter(|cache| !cache.is_bounded()).map(|_| ExploreKey::of(system));
+    let mut key = cache.map(|_| ExploreKey::of(system));
     let cover = |system: &System, key: Option<&ExploreKey>| {
-        let Some(cache) = cache else { return };
-        let fingerprint = || system.config_fingerprint();
-        match key {
-            Some(key) => cache.insert_keyed(key.value(), fingerprint),
-            None => cache.insert_fingerprint(fingerprint()),
-        };
+        if let (Some(cache), Some(key)) = (cache, key) {
+            cache.insert_keyed(key.value(), || system.config_fingerprint());
+        }
     };
     cover(system, key.as_ref());
     let mut steps = 0;
@@ -1006,8 +992,8 @@ where
 }
 
 /// [`run_campaign`] with hardening options: wall-clock and run-count
-/// watchdogs (graceful, reported truncation), periodic checkpoints,
-/// resume from a checkpoint, and a fingerprint-cache memory budget.
+/// watchdogs (graceful, reported truncation), periodic checkpoints and
+/// resume from a checkpoint.
 pub fn run_campaign_with<F>(
     config: &CampaignConfig,
     options: &CampaignOptions,
@@ -1019,7 +1005,7 @@ where
 {
     let total = config.schedulers.len() * config.runs;
     let threads = worker_threads(config.threads);
-    let cache = FingerprintCache::for_threads_bounded(threads, options.cache_budget);
+    let cache = FingerprintCache::for_threads(threads);
 
     // Restore resume state: completed runs keep their records and are
     // never re-executed; their fingerprints re-seed the dedup set so
@@ -1044,15 +1030,8 @@ where
     let plan: Vec<usize> = pending.take(options.stop_after.unwrap_or(total)).collect();
     let withheld = total - resumed.len() - plan.len();
 
-    let now = Instant::now();
-    let deadline = options.wall_limit.map(|limit| now + limit);
-    // Degradation ladder, rung 1: past 80% of the wall limit, runs
-    // execute at a quarter of the budget — sampling breadth shrinks
-    // before cells get skipped outright at the hard stop.
-    let soft_deadline = options.wall_limit.map(|limit| now + limit / 5 * 4);
-    let degraded_budget = (config.budget / 4).max(1);
+    let deadline = options.wall_limit.map(|limit| Instant::now() + limit);
     let wall_fired = AtomicBool::new(false);
-    let degraded = AtomicUsize::new(0);
     let cell = |index: usize| {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             wall_fired.store(true, Ordering::Relaxed);
@@ -1061,16 +1040,10 @@ where
         // Matrix order: scheduler-major, then seed.
         let spec = &config.schedulers[index / config.runs];
         let seed = config.seed_start + (index % config.runs) as u64;
-        let budget = if soft_deadline.is_some_and(|d| Instant::now() >= d) {
-            degraded.fetch_add(1, Ordering::Relaxed);
-            degraded_budget
-        } else {
-            config.budget
-        };
         Some(run_cell_supervised(
             || {
                 let mut system = factory(seed);
-                execute_run(spec, seed, budget, &mut system, check, Some(&cache))
+                execute_run(spec, seed, config.budget, &mut system, check, Some(&cache))
             },
             |message| RunRecord {
                 error: Some(
@@ -1114,14 +1087,7 @@ where
         None
     };
 
-    assemble_report(
-        config,
-        records,
-        cache.len(),
-        cache.truncated(),
-        truncation,
-        degraded.load(Ordering::Relaxed),
-    )
+    assemble_report(config, records, cache.len(), truncation)
 }
 
 /// Folds index-sorted run records into a [`CampaignReport`]. This is
@@ -1134,9 +1100,7 @@ pub(crate) fn assemble_report(
     config: &CampaignConfig,
     records: Vec<(usize, RunRecord)>,
     distinct_configs: usize,
-    cache_truncated: bool,
     truncation: Option<String>,
-    degraded_runs: usize,
 ) -> CampaignReport {
     let total = config.schedulers.len() * config.runs;
     let mut report = CampaignReport {
@@ -1164,9 +1128,9 @@ pub(crate) fn assemble_report(
         failures: Vec::new(),
         skipped_runs: total - records.len(),
         truncation,
-        cache_truncated,
+        cache_truncated: false,
         retried_runs: 0,
-        degraded_runs,
+        degraded_runs: 0,
     };
     for (index, record) in records {
         let tally = &mut report.per_scheduler[index / config.runs];
@@ -1282,14 +1246,14 @@ pub(crate) fn fault_record_entry_json(r: &FaultRunRecord) -> String {
         "{{\"plan\": {}, \"scheduler\": {}, \"seed\": {}, \
          \"steps\": {}, \"crashed\": {}, \"survivors_terminated\": {}, \
          \"violation\": {}, \"error\": {}, \"attempts\": {}}}",
-        json_string(&r.plan),
-        json_string(&r.scheduler),
+        escape(&r.plan),
+        escape(&r.scheduler),
         r.seed,
         r.steps,
         r.crashed,
         r.survivors_terminated,
-        r.violation.as_deref().map_or("null".into(), json_string),
-        r.error.as_deref().map_or("null".into(), json_string),
+        r.violation.as_deref().map_or("null".into(), escape),
+        r.error.as_deref().map_or("null".into(), escape),
         r.attempts,
     )
 }
@@ -1369,7 +1333,7 @@ impl FaultCampaignReport {
         let mut out = String::from("{\n");
         out.push_str(&format!(
             "  \"scheduler\": {},\n",
-            json_string(&self.scheduler)
+            escape(&self.scheduler)
         ));
         out.push_str(&format!("  \"plans\": {},\n", self.plans));
         out.push_str(&format!("  \"total_runs\": {},\n", self.total_runs));
@@ -1701,8 +1665,8 @@ mod tests {
 
     #[test]
     fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]
@@ -1822,38 +1786,59 @@ mod tests {
     }
 
     #[test]
-    fn soft_deadline_degrades_budget_before_the_hard_stop() {
+    fn wall_limited_session_resumes_to_the_uninterrupted_report() {
+        // A budget the runs need all of: a run cut to a quarter of it
+        // does not terminate.
+        let rr = SchedulerSpec::RoundRobin;
+        let needed = replay_run(&rr, 0, 1_000, factory, &|_| None).steps;
+        assert!(!replay_run(&rr, 0, needed / 4, factory, &|_| None).terminated);
         let config = CampaignConfig {
             schedulers: vec![SchedulerSpec::RoundRobin],
             seed_start: 0,
             runs: 4,
-            budget: 400,
+            budget: needed,
             threads: 1,
         };
-        // Seed 0 burns most of the wall budget; the remaining cells must
-        // still run, but on the degraded (quarter) budget.
-        let slow_start = |seed: u64| {
-            if seed == 0 {
-                std::thread::sleep(Duration::from_millis(500));
+        // Seeds 0 and 2 together outlast the wall limit, so the session
+        // stops before seed 3, and seeds 1 and 2 run late in it.
+        let slow_seeds = |seed: u64| {
+            match seed {
+                0 => std::thread::sleep(Duration::from_millis(500)),
+                2 => std::thread::sleep(Duration::from_millis(200)),
+                _ => {}
             }
             factory(seed)
         };
-        let report = run_campaign_with(
+        let dir = std::env::temp_dir().join(format!(
+            "rsim-wall-limit-resume-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wall.checkpoint.json");
+        let limited = run_campaign_with(
             &config,
             &CampaignOptions {
                 wall_limit: Some(Duration::from_millis(600)),
+                checkpoint_path: Some(path.clone()),
                 ..CampaignOptions::default()
             },
-            slow_start,
+            slow_seeds,
             &|_| None,
         );
-        assert!(
-            report.degraded_runs >= 1,
-            "cells past the soft deadline must be counted as degraded: {:?}",
-            report.to_json()
+        assert!(limited.truncation.is_some(), "{}", limited.to_json());
+        let resumed = run_campaign_with(
+            &config,
+            &CampaignOptions {
+                resume_from: Some(CampaignCheckpoint::load(&path).unwrap()),
+                ..CampaignOptions::default()
+            },
+            factory,
+            &|_| None,
         );
-        assert!(report.total_runs >= 2, "degraded cells still execute");
-        assert!(report.to_json().contains("\"degraded_runs\""));
+        let _ = std::fs::remove_dir_all(&dir);
+        let uninterrupted = run_campaign(&config, factory, &|_| None);
+        assert_eq!(uninterrupted.terminated_runs, 4);
+        assert_eq!(resumed.to_json(), uninterrupted.to_json());
     }
 
     #[test]
@@ -2143,25 +2128,6 @@ mod tests {
             assert_eq!(a.total_steps, b.total_steps);
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bounded_cache_budget_is_reported_as_truncation() {
-        let config = CampaignConfig {
-            schedulers: vec![SchedulerSpec::Random],
-            seed_start: 0,
-            runs: 20,
-            budget: 500,
-            threads: 1,
-        };
-        let options = CampaignOptions {
-            cache_budget: Some(8),
-            ..CampaignOptions::default()
-        };
-        let report = run_campaign_with(&config, &options, factory, &|_| None);
-        assert!(report.cache_truncated, "an 8-entry budget must evict");
-        let json = report.to_json();
-        assert!(json.contains("\"cache_truncated\": true"));
     }
 
     #[test]

@@ -14,38 +14,27 @@
 //! Determinism: the fingerprint function is a fixed FNV-1a over the
 //! configuration key — no per-process or per-run hash randomisation —
 //! so the set of fingerprints (and therefore every count derived from
-//! it) is identical across runs and thread counts.
-//!
-//! # Memory budget
-//!
-//! An unbounded cache can exhaust memory on long campaigns. A cache
-//! built with [`FingerprintCache::bounded`] enforces a per-shard entry
-//! cap: once a shard is full, the oldest fingerprint in that shard is
-//! evicted (bounded-LRU sharding). Eviction trades exactness for a
-//! memory ceiling — an evicted configuration seen again counts twice —
-//! so the first eviction latches [`FingerprintCache::truncated`], and
-//! callers must surface that notice instead of silently reporting an
-//! approximate `len()` as exact.
+//! it) is identical across runs and thread counts. The cache never
+//! evicts, so `len()` is always the exact count of distinct
+//! fingerprints inserted.
 //!
 //! # Keyed inserts
 //!
 //! A campaign run fingerprints every configuration it reaches, but most
 //! steps reach one already counted, and the full FNV stream over every
-//! object and process is the dearest part of a step. So an unbounded
-//! cache also keeps, in memory only, the set of
+//! object and process is the dearest part of a step. So the cache also
+//! keeps, in memory only, the set of
 //! [`crate::explore::ExploreKey`] values whose fingerprint it already
 //! holds: [`FingerprintCache::insert_keyed`] computes a fingerprint
 //! only for a key it has not seen, and a run keeps its key up to date
 //! per step at the cost of what the step touched. The memo is never
 //! persisted: checkpoints, shard payloads and `len()` are the
-//! fingerprint set alone. A bounded cache bypasses the memo, because an
-//! evicted fingerprint must be counted again when its configuration
-//! comes back.
+//! fingerprint set alone.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// FNV-1a offset basis.
@@ -180,14 +169,6 @@ impl Hasher for KeyHasher {
 /// A set of already mixed keys, hashed by [`KeyHasher`].
 type KeySet = HashSet<u64, BuildHasherDefault<KeyHasher>>;
 
-/// One shard: the membership set plus insertion order for eviction.
-#[derive(Debug, Default)]
-struct Shard {
-    set: HashSet<u64>,
-    /// Insertion order; only maintained when the cache is bounded.
-    order: VecDeque<u64>,
-}
-
 /// A concurrent set of configuration fingerprints, sharded by hash,
 /// with an in-memory memo of the keys whose fingerprint it holds (see
 /// [`FingerprintCache::insert_keyed`]).
@@ -205,47 +186,27 @@ struct Shard {
 /// ```
 #[derive(Debug)]
 pub struct FingerprintCache {
-    shards: Box<[Mutex<Shard>]>,
+    shards: Box<[Mutex<HashSet<u64>>]>,
     /// The keys [`FingerprintCache::insert_keyed`] has inserted, sharded
-    /// like `shards`. Never persisted; unused when the cache is bounded.
+    /// like `shards`. Never persisted.
     keys: Box<[Mutex<KeySet>]>,
     /// `shards.len() - 1`; shard count is a power of two.
     mask: u64,
     /// Cached total size, maintained on successful inserts so `len()`
     /// does not take every shard lock.
     size: AtomicUsize,
-    /// Per-shard entry cap; `usize::MAX` means unbounded.
-    shard_cap: usize,
-    /// Latched on the first eviction: `len()` is approximate from then
-    /// on and callers must report the truncation.
-    truncated: AtomicBool,
 }
 
 impl FingerprintCache {
-    /// Creates an unbounded cache with at least `shards` shards
-    /// (rounded up to a power of two, minimum 1).
+    /// Creates a cache with at least `shards` shards (rounded up to a
+    /// power of two, minimum 1).
     pub fn new(shards: usize) -> Self {
-        FingerprintCache::with_cap(shards, usize::MAX)
-    }
-
-    /// Creates a cache with a total-entry memory budget. The budget is
-    /// split evenly across shards (at least one entry per shard); a
-    /// full shard evicts its oldest fingerprint and latches the
-    /// [`FingerprintCache::truncated`] notice.
-    pub fn bounded(shards: usize, max_entries: usize) -> Self {
-        let count = shards.max(1).next_power_of_two();
-        FingerprintCache::with_cap(count, max_entries.div_ceil(count).max(1))
-    }
-
-    fn with_cap(shards: usize, shard_cap: usize) -> Self {
         let count = shards.max(1).next_power_of_two();
         FingerprintCache {
-            shards: (0..count).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..count).map(|_| Mutex::new(HashSet::new())).collect(),
             keys: (0..count).map(|_| Mutex::new(KeySet::default())).collect(),
             mask: count as u64 - 1,
             size: AtomicUsize::new(0),
-            shard_cap,
-            truncated: AtomicBool::new(false),
         }
     }
 
@@ -255,16 +216,18 @@ impl FingerprintCache {
         FingerprintCache::new(threads.max(1) * 4)
     }
 
-    /// A cache sized for `threads` workers with an optional memory
-    /// budget (`None` = unbounded).
+    /// [`FingerprintCache::for_threads`]; a memory budget (`Some`) no
+    /// longer exists and panics. Kept only for the benchmark package's
+    /// shadow copies of the campaign and service run loops, which call
+    /// it with `None`; ROADMAP item 2, the next benchmark change,
+    /// deletes it.
+    #[doc(hidden)]
     pub fn for_threads_bounded(threads: usize, max_entries: Option<usize>) -> Self {
-        match max_entries {
-            Some(budget) => FingerprintCache::bounded(threads.max(1) * 4, budget),
-            None => FingerprintCache::for_threads(threads),
-        }
+        assert!(max_entries.is_none(), "the fingerprint cache has no memory budget");
+        FingerprintCache::for_threads(threads)
     }
 
-    fn shard(&self, fp: u64) -> &Mutex<Shard> {
+    fn shard(&self, fp: u64) -> &Mutex<HashSet<u64>> {
         &self.shards[self.shard_index(fp)]
     }
 
@@ -282,19 +245,9 @@ impl FingerprintCache {
 
     /// Inserts a precomputed fingerprint, returning `true` if new.
     pub fn insert_fingerprint(&self, fp: u64) -> bool {
-        let mut shard = self.shard(fp).lock().expect("shard lock");
-        let new = shard.set.insert(fp);
+        let new = self.shard(fp).lock().expect("shard lock").insert(fp);
         if new {
             self.size.fetch_add(1, Ordering::Relaxed);
-            if self.is_bounded() {
-                shard.order.push_back(fp);
-                if shard.order.len() > self.shard_cap {
-                    if let Some(oldest) = shard.order.pop_front() {
-                        shard.set.remove(&oldest);
-                        self.truncated.store(true, Ordering::Relaxed);
-                    }
-                }
-            }
         }
         new
     }
@@ -305,14 +258,7 @@ impl FingerprintCache {
     /// first time the cache sees `key`; a key seen before returns
     /// `false` at once, its fingerprint already held. Distinct keys of
     /// one fingerprint are counted once, as the fingerprint set decides.
-    ///
-    /// A bounded cache bypasses the memo: every call computes and
-    /// inserts the fingerprint, so eviction counts exactly as
-    /// [`FingerprintCache::insert_fingerprint`] counts it.
     pub fn insert_keyed(&self, key: u64, fingerprint: impl FnOnce() -> u64) -> bool {
-        if self.is_bounded() {
-            return self.insert_fingerprint(fingerprint());
-        }
         let keys = &self.keys[self.shard_index(key)];
         if keys.lock().expect("key lock").contains(&key) {
             return false;
@@ -324,12 +270,6 @@ impl FingerprintCache {
         new
     }
 
-    /// Does the cache enforce a memory budget ([`FingerprintCache::bounded`])?
-    /// A bounded cache keeps no key memo.
-    pub fn is_bounded(&self) -> bool {
-        self.shard_cap != usize::MAX
-    }
-
     /// Is the configuration already present?
     pub fn contains(&self, key: &str) -> bool {
         self.contains_fingerprint(fingerprint(key))
@@ -337,12 +277,11 @@ impl FingerprintCache {
 
     /// Is the fingerprint already present?
     pub fn contains_fingerprint(&self, fp: u64) -> bool {
-        self.shard(fp).lock().expect("shard lock").set.contains(&fp)
+        self.shard(fp).lock().expect("shard lock").contains(&fp)
     }
 
-    /// Number of distinct configurations inserted. Exact until the
-    /// cache [`FingerprintCache::truncated`]; an over-count after (an
-    /// evicted configuration seen again is counted twice).
+    /// Number of distinct configurations inserted (exact: nothing is
+    /// ever evicted).
     pub fn len(&self) -> usize {
         self.size.load(Ordering::Relaxed)
     }
@@ -352,11 +291,13 @@ impl FingerprintCache {
         self.len() == 0
     }
 
-    /// Has the memory budget forced an eviction? When `true`,
-    /// [`FingerprintCache::len`] is approximate and any report derived
-    /// from it must carry a truncation notice.
+    /// Always `false`: the cache never evicts. Kept only for the
+    /// benchmark package's shadow run loops, which copy it into the
+    /// `cache_truncated` report field; ROADMAP item 2, the next
+    /// benchmark change, deletes it.
+    #[doc(hidden)]
     pub fn truncated(&self) -> bool {
-        self.truncated.load(Ordering::Relaxed)
+        false
     }
 
     /// Number of shards.
@@ -370,7 +311,7 @@ impl FingerprintCache {
     pub fn snapshot(&self) -> Vec<u64> {
         let mut all: Vec<u64> = Vec::with_capacity(self.len());
         for shard in self.shards.iter() {
-            all.extend(shard.lock().expect("shard lock").set.iter().copied());
+            all.extend(shard.lock().expect("shard lock").iter().copied());
         }
         all.sort_unstable();
         all
@@ -457,38 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_cache_evicts_and_latches_truncation() {
-        let cache = FingerprintCache::bounded(1, 4);
-        assert_eq!(cache.shard_count(), 1);
-        for i in 0..4u64 {
-            assert!(cache.insert_fingerprint(i));
-        }
-        assert!(!cache.truncated());
-        // Fifth insert evicts the oldest (0) and latches the notice.
-        assert!(cache.insert_fingerprint(100));
-        assert!(cache.truncated());
-        assert!(!cache.contains_fingerprint(0));
-        assert!(cache.contains_fingerprint(100));
-        // The evicted fingerprint re-inserts as "new": len over-counts,
-        // which is exactly why truncated() must be reported.
-        assert!(cache.insert_fingerprint(0));
-        assert_eq!(cache.len(), 6);
-    }
-
-    #[test]
-    fn bounded_cache_budget_is_split_across_shards() {
-        let cache = FingerprintCache::bounded(4, 8);
-        assert_eq!(cache.shard_count(), 4);
-        // 2 entries per shard; the membership set never exceeds the
-        // budget no matter how many inserts arrive.
-        for i in 0..10_000u64 {
-            cache.insert_fingerprint(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        }
-        assert!(cache.truncated());
-        assert!(cache.snapshot().len() <= 8);
-    }
-
-    #[test]
     fn snapshot_is_sorted_and_complete() {
         let cache = FingerprintCache::new(4);
         for fp in [9u64, 3, 7, 1] {
@@ -522,31 +431,10 @@ mod tests {
         }
         assert_eq!(by_key.len(), by_fingerprint.len());
         assert_eq!(by_key.snapshot(), by_fingerprint.snapshot());
-        assert!(!by_key.is_bounded());
         // The fingerprint is computed once per distinct key.
         let keys: HashSet<u64> = keyed_stream().iter().map(|&(key, _)| key).collect();
         assert_eq!(computed, keys.len());
         assert!(computed < keyed_stream().len());
-    }
-
-    #[test]
-    fn bounded_keyed_inserts_count_and_evict_like_fingerprint_inserts() {
-        let by_key = FingerprintCache::bounded(2, 64);
-        let by_fingerprint = FingerprintCache::bounded(2, 64);
-        assert!(by_key.is_bounded());
-        let mut computed = 0;
-        for (key, fp) in keyed_stream() {
-            let new = by_key.insert_keyed(key, || {
-                computed += 1;
-                fp
-            });
-            assert_eq!(new, by_fingerprint.insert_fingerprint(fp), "key {key:#x}");
-        }
-        assert!(by_key.truncated() && by_fingerprint.truncated());
-        assert_eq!(by_key.len(), by_fingerprint.len());
-        assert_eq!(by_key.snapshot(), by_fingerprint.snapshot());
-        // No memo under a budget: every call computes its fingerprint.
-        assert_eq!(computed, keyed_stream().len());
     }
 
     #[test]

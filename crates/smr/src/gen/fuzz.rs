@@ -38,6 +38,7 @@ use crate::bundle::{tool_id, ReplayBundle, BUNDLE_VERSION};
 use crate::campaign::{replay_run, SchedulerSpec};
 use crate::error::ModelError;
 use crate::fault::FaultPlan;
+use crate::json::escape;
 use crate::shrink;
 use crate::system::System;
 use crate::value::Value;
@@ -343,8 +344,8 @@ impl FuzzReport {
                 "    {{\"seed\": {}, \"canonical\": {}, \"preflight\": {}, \
                  \"warnings\": {}, \"mutants\": [",
                 seed.seed,
-                json_string(&seed.canonical),
-                json_string(if seed.preflight_ok { "ok" } else { "rejected" }),
+                escape(&seed.canonical),
+                escape(if seed.preflight_ok { "ok" } else { "rejected" }),
                 seed.warnings,
             ));
             for (j, mutant) in seed.mutants.iter().enumerate() {
@@ -366,9 +367,9 @@ impl FuzzReport {
 fn mutant_json(mutant: &MutantReport) -> String {
     let mut out = format!(
         "{{\"name\": {}, \"verdict\": {}, \"result\": {}",
-        json_string(mutant.mutation.name()),
-        json_string(mutant.mutation.verdict().name()),
-        json_string(mutant.result.tag()),
+        escape(mutant.mutation.name()),
+        escape(mutant.mutation.verdict().name()),
+        escape(mutant.result.tag()),
     );
     match &mutant.result {
         MutantResult::Killed {
@@ -382,8 +383,8 @@ fn mutant_json(mutant: &MutantReport) -> String {
                 ", \"kill_seed\": {kill_seed}, \"original_decisions\": \
                  {original_decisions}, \"shrunk_decisions\": {shrunk_decisions}, \
                  \"violation\": {}, \"bundle\": {}",
-                json_string(violation),
-                bundle.as_deref().map_or("null".into(), json_string),
+                escape(violation),
+                bundle.as_deref().map_or("null".into(), escape),
             ));
         }
         MutantResult::Survived { runs } | MutantResult::Clean { runs } => {
@@ -392,44 +393,24 @@ fn mutant_json(mutant: &MutantReport) -> String {
         MutantResult::Rejected { codes } => {
             out.push_str(&format!(
                 ", \"codes\": [{}]",
-                codes.iter().map(|c| json_string(c)).collect::<Vec<_>>().join(", ")
+                codes.iter().map(|c| escape(c)).collect::<Vec<_>>().join(", ")
             ));
         }
         MutantResult::Flagged { seed, violation } => {
             out.push_str(&format!(
                 ", \"seed\": {seed}, \"violation\": {}",
-                json_string(violation)
+                escape(violation)
             ));
         }
         MutantResult::RejectedMissed => {}
         MutantResult::UnexpectedReject { diagnostics } => {
             out.push_str(&format!(
                 ", \"diagnostics\": {}",
-                json_string(diagnostics)
+                escape(diagnostics)
             ));
         }
     }
     out.push('}');
-    out
-}
-
-/// JSON string literal with escaping for the characters our messages
-/// can contain.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

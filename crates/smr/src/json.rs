@@ -155,11 +155,11 @@ impl Json {
     /// Returns [`ModelError::BadSpec`] with the byte offset of the
     /// problem.
     pub fn parse(input: &str) -> Result<Json, ModelError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { text: input, pos: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing content after document"));
         }
         Ok(value)
@@ -222,7 +222,8 @@ impl Json {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset into `text`; always on a character boundary.
     pos: usize,
 }
 
@@ -235,7 +236,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.text.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -245,7 +246,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), ModelError> {
@@ -258,7 +259,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, ModelError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -293,9 +294,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.err("expected a number"));
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
-        Ok(Json::Num(raw.to_string()))
+        Ok(Json::Num(self.text[start..self.pos].to_string()))
     }
 
     fn string(&mut self) -> Result<String, ModelError> {
@@ -325,9 +324,8 @@ impl<'a> Parser<'a> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
@@ -342,11 +340,10 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar. `pos` is on a character
+                    // boundary, so the slice costs nothing and only one
+                    // character is decoded, however long the rest is.
+                    let c = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -493,6 +490,43 @@ mod tests {
             json.get("schedulers").and_then(Json::as_arr).map(<[Json]>::len),
             Some(1)
         );
+    }
+
+    #[test]
+    fn large_checkpoints_parse_in_linear_time() {
+        use crate::campaign::{CampaignCheckpoint, RunRecord};
+        use std::time::{Duration, Instant};
+
+        // 4,000 records (a ~1 MB document) with multi-byte text
+        // round-trip through the reader. A reader that re-validates the
+        // rest of the document per character takes seconds here, in a
+        // release build too.
+        let record = |seed: u64| RunRecord {
+            scheduler: "quantum:2".into(),
+            seed,
+            steps: 40 + seed as usize % 7,
+            terminated: !seed.is_multiple_of(3),
+            violation: seed.is_multiple_of(5).then(|| format!("p0 → {seed} ≠ p1 → 0")),
+            error: None,
+            attempts: 1,
+            pruned: seed as usize % 4,
+            prefilter_hits: seed as usize % 11,
+            static_indep_pairs: 3,
+        };
+        let checkpoint = CampaignCheckpoint {
+            spec: Some("protocol=racing sched=quantum:2 — résumé".into()),
+            completed: (0..4_000).map(|i| (i as usize, record(i))).collect(),
+            fingerprints: (0..8_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect(),
+        };
+        let text = checkpoint.to_json();
+        let start = Instant::now();
+        let parsed = CampaignCheckpoint::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.spec, checkpoint.spec);
+        assert_eq!(parsed.completed, checkpoint.completed);
+        assert_eq!(parsed.fingerprints, checkpoint.fingerprints);
+        assert_eq!(parsed.to_json(), text);
+        assert!(elapsed < Duration::from_secs(5), "{} KB took {elapsed:?}", text.len() / 1024);
     }
 
     #[test]

@@ -33,11 +33,11 @@ pub struct ShardResult {
     pub fault_records: Vec<(usize, FaultRunRecord)>,
     /// Sorted fingerprint set visited by the shard's runs.
     pub fingerprints: Vec<u64>,
-    /// Runs the shard executed at degraded budget (0 for service
-    /// workers, which run without a wall limit; kept so shard payloads
-    /// subsume everything a single-process report aggregates).
+    /// Always `0`: every run executes at the full budget. The field and
+    /// its JSON key stay so shard payloads keep their byte layout.
     pub degraded_runs: usize,
-    /// The shard's fingerprint cache hit its budget.
+    /// Always `false`: the fingerprint cache never evicts. The field
+    /// and its JSON key stay so shard payloads keep their byte layout.
     pub cache_truncated: bool,
 }
 
@@ -170,15 +170,11 @@ pub fn merge_report(
     // arrival order.
     let mut by_index: BTreeMap<usize, RunRecord> = BTreeMap::new();
     let mut fingerprints: BTreeSet<u64> = BTreeSet::new();
-    let mut degraded_runs = 0;
-    let mut cache_truncated = false;
     for shard in shards {
         for (index, record) in &shard.records {
             by_index.entry(*index).or_insert_with(|| record.clone());
         }
         fingerprints.extend(shard.fingerprints.iter().copied());
-        degraded_runs += shard.degraded_runs;
-        cache_truncated |= shard.cache_truncated;
     }
     let total = config.schedulers.len() * config.runs;
     let merged: Vec<(usize, RunRecord)> = by_index.into_iter().collect();
@@ -191,14 +187,7 @@ pub fn merge_report(
     } else {
         None
     };
-    assemble_report(
-        config,
-        merged,
-        fingerprints.len(),
-        cache_truncated,
-        truncation,
-        degraded_runs,
-    )
+    assemble_report(config, merged, fingerprints.len(), truncation)
 }
 
 /// Merges fault-matrix shards into the fault-campaign report, with the

@@ -12,7 +12,7 @@
 //! from the merged data and the operational counters — the merged
 //! report itself never depends on the summary (determinism contract).
 
-use crate::json::{escape, write_atomic, Json};
+use crate::json::{escape, write_atomic};
 use crate::service::coordinator::ServiceStats;
 use std::path::Path;
 
@@ -116,91 +116,6 @@ impl ServiceSummary {
         }
         out.push_str("  ]\n}\n");
         out
-    }
-
-    /// Parses a summary from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::error::ModelError::BadSpec`] on malformed JSON
-    /// or missing fields.
-    pub fn parse_str(text: &str) -> Result<ServiceSummary, crate::error::ModelError> {
-        let bad = |reason: &str| crate::error::ModelError::BadSpec {
-            spec: "service summary".into(),
-            reason: reason.into(),
-        };
-        let doc = Json::parse(text)?;
-        let s = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| bad(&format!("missing `{key}`")))
-        };
-        let n = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_usize)
-                .ok_or_else(|| bad(&format!("missing `{key}`")))
-        };
-        let net = doc.get("net").ok_or_else(|| bad("missing `net`"))?;
-        let netn = |key: &str| {
-            net.get(key)
-                .and_then(Json::as_usize)
-                .ok_or_else(|| bad(&format!("missing `net.{key}`")))
-        };
-        let mut claims = Vec::new();
-        for entry in doc
-            .get("claims")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing `claims`"))?
-        {
-            let f = |key: &str| {
-                entry
-                    .get(key)
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| bad(&format!("missing claim `{key}`")))
-            };
-            claims.push(ClaimSummary {
-                claim: entry
-                    .get("claim")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("missing claim `claim`"))?
-                    .to_string(),
-                samples: f("samples")?,
-                shards: f("shards")?,
-                retried_units: f("retried_units")?,
-                quarantined_units: f("quarantined_units")?,
-                failures: f("failures")?,
-                // Absent in pre-DPOR summaries: no tallies recorded.
-                visited: entry.get("visited").and_then(Json::as_usize).unwrap_or(0),
-                pruned: entry.get("pruned").and_then(Json::as_usize).unwrap_or(0),
-                // Absent in pre-interference summaries.
-                prefilter_hits: entry
-                    .get("prefilter_hits")
-                    .and_then(Json::as_usize)
-                    .unwrap_or(0),
-            });
-        }
-        Ok(ServiceSummary {
-            spec_id: s("spec_id")?,
-            transport: s("transport")?,
-            wall_ms: doc
-                .get("wall_ms")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("missing `wall_ms`"))?,
-            workers: n("workers")?,
-            sessions: n("sessions")?,
-            resumed_sessions: n("resumed_sessions")?,
-            corrupt_frames: n("corrupt_frames")?,
-            net: (
-                netn("dropped")?,
-                netn("delayed")?,
-                netn("duplicated")?,
-                netn("corrupted")?,
-                netn("severed")?,
-            ),
-            fingerprint_coverage: n("fingerprint_coverage")?,
-            claims,
-        })
     }
 
     /// Renders the human-readable table (the `--summary` output).
@@ -353,12 +268,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn summary_round_trips_through_json() {
-        let s = summary();
-        assert_eq!(ServiceSummary::parse_str(&s.to_json()).unwrap(), s);
     }
 
     #[test]

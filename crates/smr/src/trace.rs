@@ -7,8 +7,6 @@
 //! debugging adversarial schedules: each process gets a column; each
 //! row is one atomic step.
 
-use crate::error::ModelError;
-use crate::fault::{AppliedFault, FaultPlan};
 use crate::object::{Operation, Response};
 use crate::system::Event;
 use std::collections::BTreeMap;
@@ -364,75 +362,6 @@ where
     out
 }
 
-/// Renders an applied-fault log alongside a trace: one line per fired
-/// fault with its replay coordinates (decision clock and global step),
-/// so a faulted execution's diagram says exactly where the plan bit.
-pub fn format_fault_log(applied: &[AppliedFault]) -> String {
-    if applied.is_empty() {
-        return "faults: none\n".into();
-    }
-    let mut out = String::from("faults:\n");
-    for fault in applied {
-        let _ = writeln!(out, "  {fault}");
-    }
-    out
-}
-
-/// Parses [`format_fault_log`] output back into the applied-fault log,
-/// making fired-fault coordinates in reports machine-consumable (e.g.
-/// by `replay` tooling inspecting where a plan bit).
-///
-/// The inverse holds exactly: `parse_fault_log(&format_fault_log(log))`
-/// returns `log`.
-///
-/// # Errors
-///
-/// Returns [`ModelError::BadSpec`] naming the malformed line.
-pub fn parse_fault_log(text: &str) -> Result<Vec<AppliedFault>, ModelError> {
-    let bad = |line: &str, reason: &str| ModelError::BadSpec {
-        spec: line.to_string(),
-        reason: format!("fault-log line: {reason}"),
-    };
-    let mut lines = text.lines();
-    match lines.next() {
-        Some("faults: none") => return Ok(Vec::new()),
-        Some("faults:") => {}
-        other => {
-            return Err(bad(
-                other.unwrap_or(""),
-                "expected `faults: none` or `faults:` header",
-            ))
-        }
-    }
-    let mut applied = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let entry = line.trim_start();
-        let (fault_part, rest) = entry
-            .split_once(" fired at decision ")
-            .ok_or_else(|| bad(line, "missing ` fired at decision `"))?;
-        let plan = FaultPlan::parse(fault_part)?;
-        let [fault] = plan.faults.as_slice() else {
-            return Err(bad(line, "expected exactly one fault"));
-        };
-        let (decision, step) = rest
-            .split_once(" (global step ")
-            .ok_or_else(|| bad(line, "missing ` (global step `"))?;
-        let decision = decision
-            .parse::<usize>()
-            .map_err(|_| bad(line, "bad decision index"))?;
-        let step = step
-            .strip_suffix(')')
-            .ok_or_else(|| bad(line, "missing closing `)`"))?
-            .parse::<usize>()
-            .map_err(|_| bad(line, "bad global step"))?;
-        applied.push(AppliedFault { fault: fault.clone(), decision, step });
-    }
-    Ok(applied)
-}
-
 /// Per-process and per-operation-kind step counts for a trace.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceSummary {
@@ -534,75 +463,16 @@ mod tests {
         use crate::fault::{FaultPlan, FaultScheduler};
         use crate::sched::RoundRobin;
 
-        assert_eq!(format_fault_log(&[]), "faults: none\n");
         let mut s = sys();
         let plan = FaultPlan::parse("crash@1:1").unwrap();
         let mut sched = FaultScheduler::new(Box::new(RoundRobin::new()), plan);
         s.run(&mut sched, 1_000).unwrap();
-        let log = format_fault_log(sched.applied());
-        assert!(log.starts_with("faults:\n"));
-        assert!(log.contains("crash@1:1"), "log was: {log}");
-        assert!(log.contains("decision"), "log was: {log}");
-    }
-
-    #[test]
-    fn fault_log_round_trips_through_parser() {
-        use crate::fault::{Fault, OpKind};
-
-        assert_eq!(parse_fault_log("faults: none\n").unwrap(), vec![]);
-        let log = vec![
-            AppliedFault {
-                fault: Fault::CrashAt { process: ProcessId(1), step: 4 },
-                decision: 9,
-                step: 8,
-            },
-            AppliedFault {
-                fault: Fault::StallWindow { process: ProcessId(0), from: 2, to: 6 },
-                decision: 2,
-                step: 2,
-            },
-            AppliedFault {
-                fault: Fault::CrashAfterOp {
-                    process: ProcessId(2),
-                    kind: OpKind::Update,
-                    occurrence: 3,
-                },
-                decision: 17,
-                step: 16,
-            },
-        ];
-        assert_eq!(parse_fault_log(&format_fault_log(&log)).unwrap(), log);
-    }
-
-    #[test]
-    fn fault_log_round_trips_from_a_live_run() {
-        use crate::fault::{FaultPlan, FaultScheduler};
-        use crate::sched::RoundRobin;
-
-        let mut s = sys();
-        let plan = FaultPlan::parse("crash@1:1+stall@0:0-2").unwrap();
-        let mut sched = FaultScheduler::new(Box::new(RoundRobin::new()), plan);
-        s.run(&mut sched, 1_000).unwrap();
-        assert!(!sched.applied().is_empty());
-        let parsed = parse_fault_log(&format_fault_log(sched.applied())).unwrap();
-        assert_eq!(parsed, sched.applied());
-    }
-
-    #[test]
-    fn malformed_fault_logs_are_rejected() {
-        for bad in [
-            "",
-            "fault lines without header\n",
-            "faults:\n  crash@0:1 at decision 2 (global step 2)\n",
-            "faults:\n  crash@0:1 fired at decision x (global step 2)\n",
-            "faults:\n  crash@0:1 fired at decision 2 (global step 2\n",
-            "faults:\n  explode@0:1 fired at decision 2 (global step 2)\n",
-        ] {
-            assert!(
-                matches!(parse_fault_log(bad), Err(ModelError::BadSpec { .. })),
-                "`{bad}` should not parse"
-            );
-        }
+        let [fired] = sched.applied() else {
+            panic!("one fault fires: {:?}", sched.applied())
+        };
+        let line = fired.to_string();
+        assert!(line.starts_with("crash@1:1 fired at decision "), "line was: {line}");
+        assert!(line.ends_with(&format!("(global step {})", fired.step)), "line was: {line}");
     }
 
     fn event(pid: usize, n: i64) -> Event {

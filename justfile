@@ -56,6 +56,24 @@ smoke-campaign:
             | sha256sum -c -
     done
     echo "smoke-campaign: campaign-mix report and checkpoint match their pinned sha256 at 1 and 4 threads"
+    # A session cut by --stop-after and then resumed must reach the same
+    # pinned bytes.
+    for t in 1 4; do
+        ckpt="campaign-mix-t$t.resumed.checkpoint.json"
+        cargo run --release -- campaign --protocol racing --procs 3 --m 2 \
+            --sched rr,random,quantum:2,obstruction:2,crash:1 --runs 1000 \
+            --seed-start 100000 --stop-after 2500 --checkpoint "$ckpt" \
+            --threads "$t" --json > /dev/null
+        cargo run --release -- campaign --protocol racing --procs 3 --m 2 \
+            --sched rr,random,quantum:2,obstruction:2,crash:1 --runs 1000 \
+            --seed-start 100000 --resume "$ckpt" --checkpoint "$ckpt" \
+            --threads "$t" --json > "campaign-mix-t$t.resumed.json"
+        echo "c85d8a0949bd59bd7a6fd59018e57f3d604c018bcf694fd88ff4f41ddebeb591  campaign-mix-t$t.resumed.json" \
+            | sha256sum -c -
+        echo "b5ad53cff182a2988240d6b0c75c6f171a4ad5b750f5d9b6ade7f228193d202d  campaign-mix-t$t.resumed.checkpoint.json" \
+            | sha256sum -c -
+    done
+    echo "smoke-campaign: campaign-mix resumed after --stop-after 2500 matches the same pins at 1 and 4 threads"
 
 # The paper's bound machine-checked at full size: a breadth-first
 # search of 3 racing processes on 2 registers, fewer than the

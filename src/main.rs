@@ -55,11 +55,11 @@ const MATRIX: &[Flag] = &[
 ];
 
 /// The plain-campaign rows. A fault report has no replay mode and no
-/// truncation, cache or checkpoint fields, so `campaign --faults`
-/// rejects these flags rather than ignore them.
+/// truncation or checkpoint fields, so `campaign --faults` rejects
+/// these flags rather than ignore them.
 const PLAIN_CAMPAIGN: &[Flag] = &[
-    ("seed", "S"), ("wall-limit", "SECS"), ("stop-after", "N"), ("cache-budget", "N"),
-    ("checkpoint", "PATH"), ("checkpoint-every", "N"), ("resume", "PATH"),
+    ("seed", "S"), ("wall-limit", "SECS"), ("stop-after", "N"), ("checkpoint", "PATH"),
+    ("checkpoint-every", "N"), ("resume", "PATH"),
 ];
 
 /// Every subcommand, in usage order.
@@ -1001,7 +1001,6 @@ fn cmd_campaign(flags: &Flags) -> ExitCode {
     let mut options = CampaignOptions {
         wall_limit: flags.num("wall-limit").map(Duration::from_secs),
         stop_after: flags.num("stop-after"),
-        cache_budget: flags.num("cache-budget"),
         checkpoint_every: flags.num("checkpoint-every"),
         checkpoint_path: flags.value("checkpoint").map(std::path::PathBuf::from),
         resume_from: None,
@@ -1061,8 +1060,8 @@ fn cmd_campaign(flags: &Flags) -> ExitCode {
 }
 
 /// The human-readable body of a campaign report, shared by `campaign`
-/// and `campaign-service`: aggregates, truncation and degradation
-/// notices, per-scheduler tallies, and the first failing runs with
+/// and `campaign-service`: aggregates, the truncation notice,
+/// per-scheduler tallies, and the first failing runs with
 /// their replay flags.
 fn print_campaign_outcome(
     report: &revisionist_simulations::smr::campaign::CampaignReport,
@@ -1076,18 +1075,6 @@ fn print_campaign_outcome(
     );
     if let Some(notice) = &report.truncation {
         println!("  TRUNCATED: {notice} ({} runs skipped)", report.skipped_runs);
-    }
-    if report.cache_truncated {
-        println!(
-            "  note: fingerprint cache hit its budget; distinct configs is a \
-             lower bound"
-        );
-    }
-    if report.degraded_runs > 0 {
-        println!(
-            "  {} runs executed at a quarter budget past the wall-clock soft deadline",
-            report.degraded_runs
-        );
     }
     for tally in &report.per_scheduler {
         println!(
@@ -1553,7 +1540,7 @@ fn worker_execute_unit(
                 options.resume_from = Some(checkpoint);
             }
         }
-        let report = run_campaign_with(&config, &options, &factory, &check);
+        run_campaign_with(&config, &options, &factory, &check);
 
         // The terminal checkpoint is the shard payload: every completed
         // record plus the fingerprint set, durable before the result
@@ -1594,8 +1581,6 @@ fn worker_execute_unit(
             .map(|(local, record)| (unit.index_base + local, record))
             .collect();
         shard.fingerprints = checkpoint.fingerprints;
-        shard.degraded_runs = report.degraded_runs;
-        shard.cache_truncated = report.cache_truncated;
     }
 
     let recorded = shard.records.len() + shard.fault_records.len();

@@ -227,7 +227,6 @@ fn campaign_faults_rejects_plain_campaign_flags() {
         ("--seed", "9"),
         ("--wall-limit", "1"),
         ("--stop-after", "1"),
-        ("--cache-budget", "8"),
         ("--checkpoint", checkpoint),
         ("--checkpoint-every", "1"),
         ("--resume", "/nonexistent.json"),
@@ -278,7 +277,6 @@ fn malformed_numeric_flags_fail_naming_flag_and_value() {
         (&["campaign", "--runs", "5", "--seed", "x"][..], "--seed `x`"),
         (&["campaign", "--runs", "5", "--wall-limit", "1m"][..], "--wall-limit `1m`"),
         (&["campaign", "--runs", "5", "--stop-after", "-3"][..], "--stop-after `-3`"),
-        (&["campaign", "--cache-budget", "lots"][..], "--cache-budget `lots`"),
         (&["sweep", "--n", "4", "--runs", "1e3"][..], "--runs `1e3`"),
     ] {
         let (stdout, stderr, ok) = run(args);
@@ -391,6 +389,13 @@ fn unknown_flag_fails_with_did_you_mean_and_usage() {
     assert!(!ok, "stdout was: {stdout}");
     assert!(stderr.contains("did you mean --threads"), "stderr was: {stderr}");
     assert!(stderr.contains("usage:\n  revisionist-simulations explore"), "stderr: {stderr}");
+
+    // A deleted flag is as unknown as a misspelt one.
+    let (stdout, stderr, ok) = run(&["campaign", "--cache-budget", "8"]);
+    assert!(!ok, "stdout was: {stdout}");
+    assert!(stdout.is_empty(), "no campaign may run: {stdout}");
+    assert!(stderr.contains("unknown flag --cache-budget for campaign"), "stderr: {stderr}");
+    assert!(stderr.contains("usage:\n  revisionist-simulations campaign"), "stderr: {stderr}");
 }
 
 #[test]
