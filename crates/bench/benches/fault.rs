@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsim_protocols::racing::racing_system;
-use rsim_smr::campaign::{run_fault_campaign, FaultCampaignConfig, SchedulerSpec};
+use rsim_smr::campaign::{run_fault_campaign, CampaignConfig, SchedulerSpec};
 use rsim_smr::fault::{FaultPlan, FaultScheduler};
 use rsim_smr::value::Value;
 use rsim_snapshot::certify::certify_nonblocking_block_updates;
@@ -56,16 +56,16 @@ fn bench_crash_placement_campaign(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("seeds{seeds}")),
             &seeds,
             |b, &seeds| {
-                let config = FaultCampaignConfig {
-                    base: SchedulerSpec::RoundRobin,
-                    plans: FaultPlan::single_crash_plans(3, 5),
+                let config = CampaignConfig {
+                    schedulers: vec![SchedulerSpec::RoundRobin],
                     seed_start: 0,
                     runs: seeds,
                     budget: 4_000,
                     threads: 1,
                 };
+                let plans = FaultPlan::single_crash_plans(3, 5);
                 b.iter(|| {
-                    black_box(run_fault_campaign(&config, |_| racing3(), &|_, _| None))
+                    black_box(run_fault_campaign(&config, &plans, |_| racing3(), &|_, _| None))
                 })
             },
         );

@@ -145,11 +145,12 @@ impl fmt::Display for SchedulerSpec {
 /// and worker count.
 #[derive(Clone, PartialEq, Debug)]
 pub struct CampaignConfig {
-    /// Scheduler mix; every spec runs against every seed.
+    /// Scheduler mix; every spec runs against every seed. Under fault
+    /// plans only the first, the base, runs (see [`Matrix`]).
     pub schedulers: Vec<SchedulerSpec>,
     /// First seed of the range.
     pub seed_start: u64,
-    /// Seeds per scheduler (total runs = `schedulers.len() * runs`).
+    /// Seeds per scheduler (total runs: [`Matrix::total`]).
     pub runs: usize,
     /// Step budget per run.
     pub budget: usize,
@@ -166,6 +167,83 @@ impl Default for CampaignConfig {
             budget: 2_000,
             threads: 0,
         }
+    }
+}
+
+/// The layout of a campaign matrix, the one place a global index maps
+/// to its cell. Without fault plans it is scheduler-major,
+/// `schedulers × seeds`; with plans it is plan-major under the first
+/// scheduler (the base), `plans × seeds`. `P` is a [`FaultPlan`] where
+/// runs execute, its text in a [`crate::service::ServiceSpec`].
+#[derive(Clone, Copy, Debug)]
+pub struct Matrix<'a, P = FaultPlan> {
+    config: &'a CampaignConfig,
+    plans: &'a [P],
+}
+
+impl<'a> Matrix<'a> {
+    /// The plain `schedulers × seeds` matrix of `config`.
+    pub fn plain(config: &'a CampaignConfig) -> Self {
+        Matrix { config, plans: &[] }
+    }
+}
+
+impl<'a, P: fmt::Display> Matrix<'a, P> {
+    /// The matrix of `config` under `plans`: plan-major on the base
+    /// scheduler when `plans` is non-empty, the plain matrix otherwise.
+    pub fn new(config: &'a CampaignConfig, plans: &'a [P]) -> Self {
+        Matrix { config, plans }
+    }
+
+    /// Rows of the major axis: the plans, or else the schedulers.
+    pub fn majors(&self) -> usize {
+        if self.plans.is_empty() {
+            self.config.schedulers.len()
+        } else {
+            self.plans.len()
+        }
+    }
+
+    /// Total cells: rows × seeds.
+    pub fn total(&self) -> usize {
+        self.majors() * self.config.runs
+    }
+
+    /// The major-axis row of a matrix index.
+    pub fn major(&self, index: usize) -> usize {
+        index / self.config.runs.max(1)
+    }
+
+    /// The cell at a matrix index: its scheduler, plan and seed.
+    pub fn cell(&self, index: usize) -> (&'a SchedulerSpec, Option<&'a P>, u64) {
+        let major = self.major(index);
+        let row = if self.plans.is_empty() { major } else { 0 };
+        let seed = self.config.seed_start + (index % self.config.runs.max(1)) as u64;
+        (&self.config.schedulers[row], self.plans.get(major), seed)
+    }
+
+    /// The major-axis labels, in row order: plan texts, or else
+    /// scheduler specs.
+    pub fn labels(&self) -> Vec<String> {
+        if self.plans.is_empty() {
+            self.config.schedulers.iter().map(ToString::to_string).collect()
+        } else {
+            self.plans.iter().map(ToString::to_string).collect()
+        }
+    }
+
+    /// Cuts the matrix into index ranges of at most `grain` seeds,
+    /// row by row; no range crosses a row.
+    pub fn chunks(&self, grain: usize) -> Vec<std::ops::Range<usize>> {
+        let (runs, grain) = (self.config.runs, grain.max(1));
+        (0..self.majors())
+            .flat_map(|major| {
+                (0..runs).step_by(grain).map(move |off| {
+                    let start = major * runs + off;
+                    start..start + grain.min(runs - off)
+                })
+            })
+            .collect()
     }
 }
 
@@ -1003,7 +1081,8 @@ pub fn run_campaign_with<F>(
 where
     F: Fn(u64) -> System + Sync,
 {
-    let total = config.schedulers.len() * config.runs;
+    let matrix = Matrix::plain(config);
+    let total = matrix.total();
     let threads = worker_threads(config.threads);
     let cache = FingerprintCache::for_threads(threads);
 
@@ -1037,9 +1116,7 @@ where
             wall_fired.store(true, Ordering::Relaxed);
             return None;
         }
-        // Matrix order: scheduler-major, then seed.
-        let spec = &config.schedulers[index / config.runs];
-        let seed = config.seed_start + (index % config.runs) as u64;
+        let (spec, _, seed) = matrix.cell(index);
         Some(run_cell_supervised(
             || {
                 let mut system = factory(seed);
@@ -1102,7 +1179,7 @@ pub(crate) fn assemble_report(
     distinct_configs: usize,
     truncation: Option<String>,
 ) -> CampaignReport {
-    let total = config.schedulers.len() * config.runs;
+    let matrix = Matrix::plain(config);
     let mut report = CampaignReport {
         config: config.clone(),
         total_runs: records.len(),
@@ -1112,11 +1189,11 @@ pub(crate) fn assemble_report(
         total_pruned: 0,
         prefilter_hits: 0,
         static_indep_pairs: 0,
-        per_scheduler: config
-            .schedulers
-            .iter()
-            .map(|s| SchedulerTally {
-                scheduler: s.to_string(),
+        per_scheduler: matrix
+            .labels()
+            .into_iter()
+            .map(|scheduler| SchedulerTally {
+                scheduler,
                 runs: 0,
                 terminated: 0,
                 failures: 0,
@@ -1126,14 +1203,14 @@ pub(crate) fn assemble_report(
             })
             .collect(),
         failures: Vec::new(),
-        skipped_runs: total - records.len(),
+        skipped_runs: matrix.total() - records.len(),
         truncation,
         cache_truncated: false,
         retried_runs: 0,
         degraded_runs: 0,
     };
     for (index, record) in records {
-        let tally = &mut report.per_scheduler[index / config.runs];
+        let tally = &mut report.per_scheduler[matrix.major(index)];
         tally.runs += 1;
         tally.total_steps += record.steps;
         tally.pruned += record.pruned;
@@ -1159,27 +1236,6 @@ pub(crate) fn assemble_report(
         }
     }
     report
-}
-
-/// A fault campaign: a matrix of fault plans × seeds, each run
-/// executing the base scheduler wrapped in a [`FaultScheduler`]. This is
-/// how crash-placement spaces are certified exhaustively: enumerate
-/// every plan (e.g. [`FaultPlan::single_crash_plans`]) and require
-/// non-blocking progress of the survivors under all of them.
-#[derive(Clone, Debug)]
-pub struct FaultCampaignConfig {
-    /// The base scheduler every plan is applied on top of.
-    pub base: SchedulerSpec,
-    /// The plan space to fan over.
-    pub plans: Vec<FaultPlan>,
-    /// First seed of the range.
-    pub seed_start: u64,
-    /// Seeds per plan (total runs = `plans.len() * runs`).
-    pub runs: usize,
-    /// Step budget per run.
-    pub budget: usize,
-    /// Worker threads (`0` = one per available core).
-    pub threads: usize,
 }
 
 /// A check evaluated on the final configuration of a fault run, given
@@ -1213,19 +1269,15 @@ pub struct FaultRunRecord {
 }
 
 impl FaultRunRecord {
-    fn is_failure(&self) -> bool {
+    pub(crate) fn is_failure(&self) -> bool {
         !self.survivors_terminated || self.violation.is_some() || self.error.is_some()
     }
 
     /// The record of a fault run that has not stepped yet.
-    fn blank(
-        config: &FaultCampaignConfig,
-        plan: &FaultPlan,
-        seed: u64,
-    ) -> FaultRunRecord {
+    fn blank(scheduler: &SchedulerSpec, plan: &FaultPlan, seed: u64) -> FaultRunRecord {
         FaultRunRecord {
             plan: plan.to_string(),
-            scheduler: config.base.to_string(),
+            scheduler: scheduler.to_string(),
             seed,
             steps: 0,
             crashed: 0,
@@ -1358,24 +1410,25 @@ impl FaultCampaignReport {
     }
 }
 
-/// Executes one fault run with [`drive`], the base scheduler wrapped in
-/// a [`FaultScheduler`] (no panic guard; see [`run_fault_campaign`] for
-/// the guarded path), and records which processes crashed, whether the
-/// survivors terminated, and what `check` says given the crashed set.
+/// Executes one fault run with [`drive`] (no panic guard; see
+/// [`run_fault_records`] for the guarded path), and records which
+/// processes crashed, whether the survivors terminated, and what
+/// `check` says given the crashed set.
 fn execute_fault_run<F>(
-    config: &FaultCampaignConfig,
+    scheduler: &SchedulerSpec,
     plan: &FaultPlan,
     seed: u64,
+    budget: usize,
     factory: &F,
     check: FaultCheck,
 ) -> FaultRunRecord
 where
     F: Fn(u64) -> System + Sync,
 {
-    let mut record = FaultRunRecord::blank(config, plan, seed);
+    let mut record = FaultRunRecord::blank(scheduler, plan, seed);
     let mut system = factory(seed);
-    let mut sched = FaultScheduler::new(config.base.build(seed), plan.clone());
-    let (steps, error) = drive(&mut system, &mut sched, config.budget, None);
+    let mut sched = FaultScheduler::new(scheduler.build(seed), plan.clone());
+    let (steps, error) = drive(&mut system, &mut sched, budget, None);
     record.steps = steps;
     if error.is_some() {
         record.error = error;
@@ -1390,69 +1443,47 @@ where
     record
 }
 
-/// Replays one fault run: same `(plan, base scheduler, seed)` → same
-/// outcome.
-pub fn replay_fault_run<F>(
-    config: &FaultCampaignConfig,
-    plan: &FaultPlan,
-    seed: u64,
-    factory: F,
-    check: FaultCheck,
-) -> FaultRunRecord
-where
-    F: Fn(u64) -> System + Sync,
-{
-    execute_fault_run(config, plan, seed, &factory, check)
-}
-
-/// Runs the fault-campaign matrix (plan space × seed range) across
-/// worker threads, with the same determinism contract as
-/// [`run_campaign`]: records merge in matrix order, so the report is
-/// identical at any thread count. Worker panics become structured
-/// [`ModelError::WorkerPanic`] records naming the plan and seed, and
-/// transient panics are retried as in [`run_campaign`]. Fault matrices
-/// take no [`CampaignOptions`]: a fault report has no truncation,
-/// distinct-configuration or checkpoint fields, so the watchdogs, the
-/// cache budget and checkpoint/resume are for [`run_campaign_with`]
-/// only.
+/// Runs and certifies the fault campaign of `config` under `plans`:
+/// enumerate a plan space (e.g. [`FaultPlan::single_crash_plans`]) and
+/// require non-blocking progress of the survivors under all of it.
 pub fn run_fault_campaign<F>(
-    config: &FaultCampaignConfig,
+    config: &CampaignConfig,
+    plans: &[FaultPlan],
     factory: F,
     check: FaultCheck,
 ) -> FaultCampaignReport
 where
     F: Fn(u64) -> System + Sync,
 {
-    let total = config.plans.len() * config.runs;
-    let records = run_fault_records(config, factory, check);
-    assemble_fault_report(
-        &config.base.to_string(),
-        config.plans.len(),
-        total,
-        records.into_iter().enumerate().collect(),
-    )
+    let records = run_fault_records(config, plans, factory, check).into_iter().enumerate();
+    assemble_fault_report(&Matrix::new(config, plans), records.collect())
 }
 
-/// Executes the fault matrix and returns its records in matrix order
-/// (plan-major, then seed) — the raw material of
-/// [`run_fault_campaign`], exposed so service workers can execute
-/// one unit's slice and ship the records to the coordinator for a
-/// byte-identical merged report.
+/// Executes the fault [`Matrix`] of `config` under `plans` (with no
+/// plans, every scheduler under the empty plan), each run's scheduler
+/// wrapped in a [`FaultScheduler`], and returns its records in matrix
+/// order, identical at any thread count. Service workers run one
+/// unit's slice with it. Worker panics become structured
+/// [`ModelError::WorkerPanic`] records naming the plan and seed, and
+/// transient panics are retried. Fault matrices take no
+/// [`CampaignOptions`]: a fault report has no truncation,
+/// distinct-configuration or checkpoint fields.
 pub fn run_fault_records<F>(
-    config: &FaultCampaignConfig,
+    config: &CampaignConfig,
+    plans: &[FaultPlan],
     factory: F,
     check: FaultCheck,
 ) -> Vec<FaultRunRecord>
 where
     F: Fn(u64) -> System + Sync,
 {
-    let total = config.plans.len() * config.runs;
+    let matrix = Matrix::new(config, plans);
+    let none = FaultPlan::none();
     let cell = |index: usize| {
-        // Matrix order: plan-major, then seed.
-        let plan = &config.plans[index / config.runs];
-        let seed = config.seed_start + (index % config.runs) as u64;
+        let (scheduler, plan, seed) = matrix.cell(index);
+        let plan = plan.unwrap_or(&none);
         Some(run_cell_supervised(
-            || execute_fault_run(config, plan, seed, &factory, check),
+            || execute_fault_run(scheduler, plan, seed, config.budget, &factory, check),
             |message| FaultRunRecord {
                 error: Some(
                     ModelError::WorkerPanic {
@@ -1461,11 +1492,11 @@ where
                     }
                     .to_string(),
                 ),
-                ..FaultRunRecord::blank(config, plan, seed)
+                ..FaultRunRecord::blank(scheduler, plan, seed)
             },
         ))
     };
-    let cells: Vec<usize> = (0..total).collect();
+    let cells: Vec<usize> = (0..matrix.total()).collect();
     run_pool(&cells, worker_threads(config.threads), Vec::new(), cell, |_| {})
         .into_iter()
         .map(|(_, record)| record)
@@ -1476,24 +1507,23 @@ where
 /// Like [`assemble_report`], this is the *single* aggregation routine:
 /// [`run_fault_campaign`] feeds it one process's records, the
 /// service merge layer feeds it records reassembled from many worker
-/// shards — byte-identical reports by construction. `expected_total`
-/// is the full matrix size; cells with no surviving record (quarantined
-/// units) are counted as `missing_runs` and veto certification.
-pub(crate) fn assemble_fault_report(
-    base: &str,
-    plans: usize,
-    expected_total: usize,
+/// shards — byte-identical reports by construction. Cells of `matrix`
+/// with no surviving record (quarantined units) are counted as
+/// `missing_runs` and veto certification.
+pub(crate) fn assemble_fault_report<P: fmt::Display>(
+    matrix: &Matrix<'_, P>,
     records: Vec<(usize, FaultRunRecord)>,
 ) -> FaultCampaignReport {
+    let expected = matrix.total();
     let mut report = FaultCampaignReport {
-        scheduler: base.to_string(),
-        plans,
+        scheduler: matrix.cell(0).0.to_string(),
+        plans: matrix.majors(),
         total_runs: records.len(),
         certified_runs: 0,
         total_steps: 0,
         failures: Vec::new(),
         retried_runs: 0,
-        missing_runs: expected_total - records.len().min(expected_total),
+        missing_runs: expected - records.len().min(expected),
     };
     for (_, record) in records {
         report.total_steps += record.steps;
@@ -1560,6 +1590,29 @@ mod tests {
         assert!(SchedulerSpec::parse("quantum").is_err());
         assert!(SchedulerSpec::parse("frobnicate").is_err());
         assert!(SchedulerSpec::parse("crash:x").is_err());
+    }
+
+    #[test]
+    fn matrix_is_scheduler_major_or_plan_major_under_the_base() {
+        let config = CampaignConfig {
+            schedulers: vec![SchedulerSpec::RoundRobin, SchedulerSpec::Random],
+            seed_start: 10,
+            runs: 3,
+            budget: 100,
+            threads: 1,
+        };
+        let plain = Matrix::plain(&config);
+        assert_eq!((plain.majors(), plain.total()), (2, 6));
+        assert_eq!(plain.labels(), ["rr", "random"]);
+        assert_eq!(plain.cell(4), (&SchedulerSpec::Random, None, 11));
+        let plans = ["crash@0:1", "crash@0:1", "crash@2:0"];
+        let faults = Matrix::new(&config, &plans);
+        assert_eq!((faults.majors(), faults.total()), (3, 9));
+        assert_eq!(faults.labels(), plans);
+        assert_eq!(faults.major(7), 2);
+        assert_eq!(faults.cell(7), (&SchedulerSpec::RoundRobin, Some(&"crash@2:0"), 11));
+        // Chunks never cross a row, and together they tile the matrix.
+        assert_eq!(faults.chunks(2), [0..2, 2..3, 3..5, 5..6, 6..8, 8..9]);
     }
 
     #[test]
@@ -1763,14 +1816,14 @@ mod tests {
     fn fault_campaign_retries_transient_panics() {
         use std::sync::atomic::AtomicUsize;
 
-        let config = FaultCampaignConfig {
-            base: SchedulerSpec::RoundRobin,
-            plans: vec![FaultPlan::none(), FaultPlan::parse("crash@0:1").unwrap()],
+        let config = CampaignConfig {
+            schedulers: vec![SchedulerSpec::RoundRobin],
             seed_start: 0,
             runs: 2,
             budget: 500,
             threads: 1,
         };
+        let plans = [FaultPlan::none(), FaultPlan::parse("crash@0:1").unwrap()];
         let glitches = AtomicUsize::new(0);
         let flaky = |seed: u64| {
             if seed == 1 && glitches.fetch_add(1, Ordering::SeqCst) == 0 {
@@ -1778,7 +1831,7 @@ mod tests {
             }
             factory(seed)
         };
-        let report = run_fault_campaign(&config, flaky, &|_, _| None);
+        let report = run_fault_campaign(&config, &plans, flaky, &|_, _| None);
         assert_eq!(report.total_runs, 4);
         assert!(report.is_certified(), "failures: {:?}", report.failures);
         assert_eq!(report.retried_runs, 1);
@@ -2135,15 +2188,15 @@ mod tests {
         // Every single-crash placement over 3 processes × 8 crash
         // points: survivors must always terminate (the protocol is
         // wait-free, hence non-blocking under crash-stopped processes).
-        let config = FaultCampaignConfig {
-            base: SchedulerSpec::RoundRobin,
-            plans: FaultPlan::single_crash_plans(3, 7),
+        let config = CampaignConfig {
+            schedulers: vec![SchedulerSpec::RoundRobin],
             seed_start: 0,
             runs: 2,
             budget: 2_000,
             threads: 2,
         };
-        let report = run_fault_campaign(&config, factory, &|_, _| None);
+        let plans = FaultPlan::single_crash_plans(3, 7);
+        let report = run_fault_campaign(&config, &plans, factory, &|_, _| None);
         assert_eq!(report.plans, 24);
         assert_eq!(report.total_runs, 48);
         assert!(report.is_certified(), "failures: {:?}", report.failures);
@@ -2153,17 +2206,17 @@ mod tests {
 
     #[test]
     fn fault_campaign_is_thread_count_independent() {
-        let mk = |threads| FaultCampaignConfig {
-            base: SchedulerSpec::Random,
-            plans: FaultPlan::single_crash_plans(3, 5),
+        let mk = |threads| CampaignConfig {
+            schedulers: vec![SchedulerSpec::Random],
             seed_start: 11,
             runs: 3,
             budget: 1_000,
             threads,
         };
-        let base = run_fault_campaign(&mk(1), factory, &|_, _| None);
+        let plans = FaultPlan::single_crash_plans(3, 5);
+        let base = run_fault_campaign(&mk(1), &plans, factory, &|_, _| None);
         for threads in [2, 8] {
-            let report = run_fault_campaign(&mk(threads), factory, &|_, _| None);
+            let report = run_fault_campaign(&mk(threads), &plans, factory, &|_, _| None);
             assert_eq!(report.total_runs, base.total_runs);
             assert_eq!(report.certified_runs, base.certified_runs);
             assert_eq!(report.total_steps, base.total_steps);
@@ -2172,22 +2225,19 @@ mod tests {
 
     #[test]
     fn fault_campaign_panic_names_plan_and_seed() {
-        let config = FaultCampaignConfig {
-            base: SchedulerSpec::RoundRobin,
-            plans: vec![
-                FaultPlan::none(),
-                FaultPlan::parse("crash@1:2").unwrap(),
-            ],
+        let config = CampaignConfig {
+            schedulers: vec![SchedulerSpec::RoundRobin],
             seed_start: 0,
             runs: 2,
             budget: 500,
             threads: 2,
         };
+        let plans = [FaultPlan::none(), FaultPlan::parse("crash@1:2").unwrap()];
         let exploding = |seed: u64| {
             assert!(seed != 1, "injected fault-run failure");
             factory(seed)
         };
-        let report = run_fault_campaign(&config, exploding, &|_, _| None);
+        let report = run_fault_campaign(&config, &plans, exploding, &|_, _| None);
         assert_eq!(report.total_runs, 4);
         assert_eq!(report.failures.len(), 2, "one per plan at seed 1");
         for failure in &report.failures {
@@ -2201,23 +2251,24 @@ mod tests {
 
     #[test]
     fn fault_replay_reproduces_campaign_records() {
-        let config = FaultCampaignConfig {
-            base: SchedulerSpec::Random,
-            plans: FaultPlan::single_crash_plans(3, 3),
+        let config = CampaignConfig {
+            schedulers: vec![SchedulerSpec::Random],
             seed_start: 0,
             runs: 2,
             budget: 1_000,
             threads: 4,
         };
+        let plans = FaultPlan::single_crash_plans(3, 3);
         // Flag every run so records survive into the report, then check
         // each replays identically.
         let flag_all = |_: &System, _: &[ProcessId]| Some("flag".to_string());
-        let report = run_fault_campaign(&config, factory, &flag_all);
+        let report = run_fault_campaign(&config, &plans, factory, &flag_all);
         assert_eq!(report.failures.len(), report.total_runs);
         for record in report.failures.iter().take(6) {
+            // One run: the matrix of this plan at this seed.
             let plan = FaultPlan::parse(&record.plan).unwrap();
-            let replayed =
-                replay_fault_run(&config, &plan, record.seed, factory, &flag_all);
+            let one = CampaignConfig { seed_start: record.seed, runs: 1, ..config.clone() };
+            let replayed = run_fault_records(&one, &[plan], factory, &flag_all).remove(0);
             assert_eq!(replayed.steps, record.steps);
             assert_eq!(replayed.crashed, record.crashed);
             assert_eq!(replayed.survivors_terminated, record.survivors_terminated);
@@ -2254,14 +2305,14 @@ mod tests {
                 &outputs,
             );
             let faults = run_fault_campaign(
-                &FaultCampaignConfig {
-                    base: base.clone(),
-                    plans: vec![FaultPlan::none()],
+                &CampaignConfig {
+                    schedulers: vec![base.clone()],
                     seed_start: 5,
                     runs: 12,
                     budget: 16,
                     threads: 2,
                 },
+                &[FaultPlan::none()],
                 varied,
                 &|sys, _crashed| outputs(sys),
             );

@@ -26,7 +26,7 @@ use crate::campaign::{CampaignReport, FaultCampaignReport};
 use crate::error::ModelError;
 use crate::service::chaos::{ChaosPlan, NetAction, NetChaos};
 use crate::service::lease::{LeaseEvent, LeaseManager};
-use crate::service::merge::{merge_fault_report, merge_report, ShardResult};
+use crate::service::merge::{first_wins, merge_fault_report, merge_report, ShardResult};
 use crate::service::proto::{
     read_frame, read_frame_raw, verify_frame, write_frame, CoordMsg, WorkerMsg,
     PROTO_VERSION,
@@ -35,7 +35,7 @@ use crate::service::queue::{JobQueue, JournalRecord};
 use crate::service::summary::{build_summary, ClaimSummary, ServiceSummary};
 use crate::service::transport::{chaos_send, flip_last, Transport, IO_DEADLINE};
 use crate::service::unit::{ServiceSpec, WorkUnit};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{BufReader, Read};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
@@ -171,20 +171,6 @@ impl MergedReport {
             MergedReport::Campaign(r) => r,
             MergedReport::Faults(_) => {
                 panic!("fault-matrix outcome has no scheduler-campaign report")
-            }
-        }
-    }
-
-    /// The fault-matrix report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this run was an ordinary scheduler-matrix campaign.
-    pub fn faults(&self) -> &FaultCampaignReport {
-        match self {
-            MergedReport::Faults(r) => r,
-            MergedReport::Campaign(_) => {
-                panic!("scheduler-campaign outcome has no fault-matrix report")
             }
         }
     }
@@ -473,12 +459,7 @@ pub fn run_service_with_transport(
     let report = if spec.faults.is_empty() {
         MergedReport::Campaign(merge_report(&spec.config, &shards, quarantined_runs))
     } else {
-        MergedReport::Faults(merge_fault_report(
-            &spec.config.schedulers[0].to_string(),
-            spec.faults.len(),
-            spec.config.runs,
-            &shards,
-        ))
+        MergedReport::Faults(merge_fault_report(&spec.config, &spec.faults, &shards))
     };
     let coverage = match &report {
         MergedReport::Campaign(r) => r.distinct_configs,
@@ -499,9 +480,11 @@ pub fn run_service_with_transport(
     Ok(ServiceOutcome { report, stats, summary })
 }
 
-/// Builds the per-claim summary rows: one per scheduler (ordinary
-/// campaign) or per fault plan, folding merged sample counts, shard
-/// counts, retry/quarantine attrition, and failure counts.
+/// Builds the per-claim summary rows: one per row of the spec's matrix
+/// (a scheduler, or a fault plan), folding merged sample counts, shard
+/// counts, retry/quarantine attrition, and failure counts. Records,
+/// units and fault failures are credited to rows by matrix index, so
+/// two plans with the same text keep separate rows.
 fn claim_rows(
     spec: &ServiceSpec,
     units: &BTreeMap<u64, WorkUnit>,
@@ -510,16 +493,12 @@ fn claim_rows(
     quarantined: &[(u64, String)],
     report: &MergedReport,
 ) -> Vec<ClaimSummary> {
-    let runs = spec.config.runs.max(1);
-    let labels: Vec<String> = if spec.faults.is_empty() {
-        spec.config.schedulers.iter().map(ToString::to_string).collect()
-    } else {
-        spec.faults.clone()
-    };
-    let mut rows: Vec<ClaimSummary> = labels
-        .iter()
-        .map(|label| ClaimSummary {
-            claim: label.clone(),
+    let matrix = spec.matrix();
+    let mut rows: Vec<ClaimSummary> = matrix
+        .labels()
+        .into_iter()
+        .map(|claim| ClaimSummary {
+            claim,
             samples: 0,
             shards: 0,
             retried_units: 0,
@@ -530,63 +509,44 @@ fn claim_rows(
             prefilter_hits: 0,
         })
         .collect();
-    let claim_of = |id: &u64| units.get(id).map(|u| u.index_base / runs);
-    let mut seen: BTreeSet<usize> = BTreeSet::new();
-    for shard in shards {
-        for index in shard
-            .records
-            .iter()
-            .map(|(i, _)| *i)
-            .chain(shard.fault_records.iter().map(|(i, _)| *i))
-        {
-            if seen.insert(index) {
-                if let Some(row) = rows.get_mut(index / runs) {
-                    row.samples += 1;
-                }
-            }
+    let unit_row = |id: &u64| units.get(id).map(|u| matrix.major(u.index_base));
+    for index in first_wins(shards, |s| &s.records).into_keys() {
+        if let Some(row) = rows.get_mut(matrix.major(index)) {
+            row.samples += 1;
         }
-        if let Some(c) = claim_of(&shard.unit) {
-            if let Some(row) = rows.get_mut(c) {
-                row.shards += 1;
-            }
+    }
+    for (index, record) in first_wins(shards, |s| &s.fault_records) {
+        if let Some(row) = rows.get_mut(matrix.major(index)) {
+            row.samples += 1;
+            row.failures += usize::from(record.is_failure());
+        }
+    }
+    for shard in shards {
+        if let Some(row) = unit_row(&shard.unit).and_then(|c| rows.get_mut(c)) {
+            row.shards += 1;
         }
     }
     for (id, attempts) in unit_attempts {
         if *attempts > 1 {
-            if let Some(row) = claim_of(id).and_then(|c| rows.get_mut(c)) {
+            if let Some(row) = unit_row(id).and_then(|c| rows.get_mut(c)) {
                 row.retried_units += 1;
             }
         }
     }
     for (id, _) in quarantined {
-        if let Some(row) = claim_of(id).and_then(|c| rows.get_mut(c)) {
+        if let Some(row) = unit_row(id).and_then(|c| rows.get_mut(c)) {
             row.quarantined_units += 1;
         }
     }
-    match report {
-        MergedReport::Campaign(r) => {
-            for (i, tally) in r.per_scheduler.iter().enumerate() {
-                if let Some(row) = rows.get_mut(i) {
-                    row.failures = tally.failures;
-                    // The reduction tallies come from the merged
-                    // report's per-scheduler sums, which the merge gate
-                    // certifies byte-identical to a single-process run.
-                    row.visited = tally.total_steps;
-                    row.pruned = tally.pruned;
-                    row.prefilter_hits = tally.prefilter_hits;
-                }
-            }
-        }
-        MergedReport::Faults(r) => {
-            for failure in &r.failures {
-                if let Some(row) = labels
-                    .iter()
-                    .position(|label| *label == failure.plan)
-                    .and_then(|c| rows.get_mut(c))
-                {
-                    row.failures += 1;
-                }
-            }
+    if let MergedReport::Campaign(r) = report {
+        for (row, tally) in rows.iter_mut().zip(&r.per_scheduler) {
+            row.failures = tally.failures;
+            // The reduction tallies come from the merged report's
+            // per-scheduler sums, which the merge gate certifies
+            // byte-identical to a single-process run.
+            row.visited = tally.total_steps;
+            row.pruned = tally.pruned;
+            row.prefilter_hits = tally.prefilter_hits;
         }
     }
     rows

@@ -15,7 +15,7 @@
 use crate::campaign::{
     assemble_fault_report, assemble_report, fault_record_entry_json,
     parse_fault_record_entry, parse_record_entry, record_entry_json, CampaignConfig,
-    CampaignReport, FaultCampaignReport, FaultRunRecord, RunRecord,
+    CampaignReport, FaultCampaignReport, FaultRunRecord, Matrix, RunRecord,
 };
 use crate::error::ModelError;
 use crate::json::Json;
@@ -154,6 +154,22 @@ impl ShardResult {
     }
 }
 
+/// The records `pick` selects from `shards`, deduplicated by matrix
+/// index and in matrix order. A unit retried after a worker death can
+/// surface twice, but every run is a deterministic function of its
+/// matrix cell, so the copies are identical and the first wins; the
+/// map restores matrix order regardless of shard arrival order.
+pub(crate) fn first_wins<'s, R: 's>(
+    shards: &'s [ShardResult],
+    pick: impl Fn(&'s ShardResult) -> &'s [(usize, R)],
+) -> BTreeMap<usize, &'s R> {
+    let mut by_index = BTreeMap::new();
+    for (index, record) in shards.iter().flat_map(pick) {
+        by_index.entry(*index).or_insert(record);
+    }
+    by_index
+}
+
 /// Merges shard results into the campaign report. `quarantined_runs`
 /// is how many matrix runs were lost to quarantined units; when it is
 /// non-zero the report carries an explicit truncation notice (a
@@ -163,21 +179,14 @@ pub fn merge_report(
     shards: &[ShardResult],
     quarantined_runs: usize,
 ) -> CampaignReport {
-    // Records dedup by matrix index: a unit retried after a worker
-    // death can surface twice, but every run is a deterministic
-    // function of (spec, seed), so the copies are identical and the
-    // first wins. BTreeMap restores matrix order regardless of shard
-    // arrival order.
-    let mut by_index: BTreeMap<usize, RunRecord> = BTreeMap::new();
-    let mut fingerprints: BTreeSet<u64> = BTreeSet::new();
-    for shard in shards {
-        for (index, record) in &shard.records {
-            by_index.entry(*index).or_insert_with(|| record.clone());
-        }
-        fingerprints.extend(shard.fingerprints.iter().copied());
-    }
-    let total = config.schedulers.len() * config.runs;
-    let merged: Vec<(usize, RunRecord)> = by_index.into_iter().collect();
+    let merged: Vec<(usize, RunRecord)> = first_wins(shards, |s| &s.records)
+        .into_iter()
+        .map(|(index, record)| (index, record.clone()))
+        .collect();
+    // Fingerprints are a set union: order- and sharding-independent.
+    let fingerprints: BTreeSet<u64> =
+        shards.iter().flat_map(|s| s.fingerprints.iter().copied()).collect();
+    let total = Matrix::plain(config).total();
     let truncation = if quarantined_runs > 0 {
         Some(format!(
             "{quarantined_runs} of {total} runs lost to quarantined work units"
@@ -190,25 +199,21 @@ pub fn merge_report(
     assemble_report(config, merged, fingerprints.len(), truncation)
 }
 
-/// Merges fault-matrix shards into the fault-campaign report, with the
-/// same contract as [`merge_report`]: first-wins dedup by global matrix
-/// index (every run is a deterministic function of `(plan, scheduler,
-/// seed)`, so duplicates from crash/retry history are identical), then
-/// the single shared aggregation routine. Runs lost to quarantined
-/// units surface as `missing_runs` and veto certification.
+/// Merges fault-matrix shards into the fault-campaign report of the
+/// spec's shape (`config` under the plan texts `faults`), with the same
+/// contract as [`merge_report`]: first-wins dedup by global matrix
+/// index, then the single shared aggregation routine. Runs lost to
+/// quarantined units surface as `missing_runs` and veto certification.
 pub fn merge_fault_report(
-    base: &str,
-    plans: usize,
-    runs: usize,
+    config: &CampaignConfig,
+    faults: &[String],
     shards: &[ShardResult],
 ) -> FaultCampaignReport {
-    let mut by_index: BTreeMap<usize, FaultRunRecord> = BTreeMap::new();
-    for shard in shards {
-        for (index, record) in &shard.fault_records {
-            by_index.entry(*index).or_insert_with(|| record.clone());
-        }
-    }
-    assemble_fault_report(base, plans, plans * runs, by_index.into_iter().collect())
+    let merged = first_wins(shards, |s| &s.fault_records)
+        .into_iter()
+        .map(|(index, record)| (index, record.clone()))
+        .collect();
+    assemble_fault_report(&Matrix::new(config, faults), merged)
 }
 
 #[cfg(test)]
@@ -279,6 +284,13 @@ mod tests {
         }
     }
 
+    /// The shape of [`fault_shards`]: two plans × two seeds under `rr`.
+    fn fault_shape() -> (CampaignConfig, Vec<String>) {
+        let schedulers = vec![SchedulerSpec::RoundRobin];
+        let config = CampaignConfig { schedulers, ..config() };
+        (config, vec!["crash@0:1".into(), "crash@1:1".into()])
+    }
+
     fn fault_shards() -> Vec<ShardResult> {
         vec![
             ShardResult {
@@ -323,14 +335,15 @@ mod tests {
 
     #[test]
     fn fault_merge_is_order_and_duplicate_independent() {
+        let (config, faults) = fault_shape();
         let mut forward = fault_shards();
-        let baseline = merge_fault_report("rr", 2, 2, &forward).to_json();
+        let baseline = merge_fault_report(&config, &faults, &forward).to_json();
         forward.reverse();
-        assert_eq!(merge_fault_report("rr", 2, 2, &forward).to_json(), baseline);
+        assert_eq!(merge_fault_report(&config, &faults, &forward).to_json(), baseline);
         let mut with_dup = fault_shards();
         with_dup.push(fault_shards()[0].clone());
-        assert_eq!(merge_fault_report("rr", 2, 2, &with_dup).to_json(), baseline);
-        let merged = merge_fault_report("rr", 2, 2, &fault_shards());
+        assert_eq!(merge_fault_report(&config, &faults, &with_dup).to_json(), baseline);
+        let merged = merge_fault_report(&config, &faults, &fault_shards());
         assert_eq!(merged.total_runs, 4);
         assert_eq!(merged.certified_runs, 4);
         assert_eq!(merged.total_steps, 4 + 5 + 6 + 7);
@@ -340,7 +353,8 @@ mod tests {
     #[test]
     fn missing_fault_runs_veto_certification() {
         let partial = vec![fault_shards().remove(0)];
-        let merged = merge_fault_report("rr", 2, 2, &partial);
+        let (config, faults) = fault_shape();
+        let merged = merge_fault_report(&config, &faults, &partial);
         assert_eq!(merged.missing_runs, 2);
         assert!(!merged.is_certified());
         assert!(merged.to_json().contains("\"missing_runs\": 2"));

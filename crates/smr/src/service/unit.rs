@@ -8,7 +8,7 @@
 //! purpose: a unit recovered from the journal months later, or leased
 //! to a worker on a different machine, still means exactly one thing.
 
-use crate::campaign::{campaign_spec_id, CampaignConfig, SchedulerSpec};
+use crate::campaign::{campaign_spec_id, CampaignConfig, Matrix, SchedulerSpec};
 use crate::error::ModelError;
 use crate::json::{escape, Json};
 
@@ -162,57 +162,43 @@ impl ServiceSpec {
         ServiceSpec::parse(&Json::parse(text)?)
     }
 
-    /// Total runs in the campaign matrix: schedulers × seeds for an
-    /// ordinary campaign, plans × seeds for a fault campaign.
-    pub fn total_runs(&self) -> usize {
-        if self.faults.is_empty() {
-            self.config.schedulers.len() * self.config.runs
-        } else {
-            self.faults.len() * self.config.runs
-        }
+    /// The campaign matrix: schedulers × seeds for an ordinary
+    /// campaign, plans × seeds under the base scheduler for a fault
+    /// campaign — exactly the matrix `campaign` / `campaign --faults`
+    /// walks single-process.
+    pub fn matrix(&self) -> Matrix<'_, String> {
+        Matrix::new(&self.config, &self.faults)
     }
 
-    /// Cuts the matrix into work units: major-axis (schedulers, or
-    /// fault plans when `faults` is non-empty), then seed chunks of
+    /// Total runs in the campaign matrix.
+    pub fn total_runs(&self) -> usize {
+        self.matrix().total()
+    }
+
+    /// Cuts the matrix into work units: major-axis row (scheduler, or
+    /// fault plan when `faults` is non-empty), then seed chunks of
     /// `unit_runs`. The partition is a pure function of the spec —
     /// every coordinator (re)start derives the identical unit list,
     /// which is what lets the journal refer to units by id alone.
     pub fn partition(&self) -> Vec<WorkUnit> {
-        let grain = self.unit_runs.max(1);
-        let mut units = Vec::new();
-        let base_sched = self.config.schedulers[0].to_string();
-        let majors: Vec<(String, String)> = if self.faults.is_empty() {
-            self.config
-                .schedulers
-                .iter()
-                .map(|s| (s.to_string(), String::new()))
-                .collect()
-        } else {
-            // Fault matrix: plan-major under the single base scheduler,
-            // matching `run_fault_campaign`'s plan-major index order.
-            self.faults
-                .iter()
-                .map(|p| (base_sched.clone(), p.clone()))
-                .collect()
-        };
-        for (mi, (sched, plan)) in majors.iter().enumerate() {
-            let mut off = 0;
-            while off < self.config.runs {
-                let runs = grain.min(self.config.runs - off);
-                units.push(WorkUnit {
-                    id: units.len() as u64,
-                    index_base: mi * self.config.runs + off,
-                    scheduler: sched.clone(),
-                    plan: plan.clone(),
-                    seed_start: self.config.seed_start + off as u64,
-                    runs,
+        let matrix = self.matrix();
+        let chunks = matrix.chunks(self.unit_runs);
+        (0u64..)
+            .zip(chunks)
+            .map(|(id, range)| {
+                let (scheduler, plan, seed_start) = matrix.cell(range.start);
+                WorkUnit {
+                    id,
+                    index_base: range.start,
+                    scheduler: scheduler.to_string(),
+                    plan: plan.cloned().unwrap_or_default(),
+                    seed_start,
+                    runs: range.len(),
                     budget: self.config.budget,
                     system: self.system.clone(),
-                });
-                off += runs;
-            }
-        }
-        units
+                }
+            })
+            .collect()
     }
 }
 

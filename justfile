@@ -122,8 +122,25 @@ smoke-explore:
 # Fault-injection certificate: the exhaustive single-crash sweep plus
 # the §3 non-blocking certification (mirrors CI's smoke-faults job).
 smoke-faults:
-    cargo run --release -- campaign --faults sweep --procs 3 --runs 4 \
-        --budget 4000 --sched rr --json
+    #!/usr/bin/env bash
+    set -euo pipefail
+    # Both fault reports are pinned across commits, at 1 and 4 threads:
+    # the certified sweep, and a budget too small to certify, whose 62
+    # failing records pin the record bytes too (that campaign exits 1).
+    for t in 1 4; do
+        cargo run --release -- campaign --faults sweep --procs 3 --runs 4 \
+            --budget 4000 --sched rr --threads "$t" --json > "fault-sweep-t$t.json"
+        echo "f4d2f1ae00d308b7928f34aad5d0459db45ad4101b32640b45139e913fff2a45  fault-sweep-t$t.json" \
+            | sha256sum -c -
+        status=0
+        cargo run --release -- campaign --faults sweep --procs 3 --runs 4 \
+            --budget 15 --sched random --threads "$t" --json > "fault-mixed-t$t.json" \
+            || status=$?
+        [ "$status" -eq 1 ] || { echo "fault-mixed: exit $status, want 1 (not certified)"; exit 1; }
+        echo "9bec59e381a904be6f6bee6f9de4a74d68c165e7b9eb1cd55e9d3a48610bc448  fault-mixed-t$t.json" \
+            | sha256sum -c -
+    done
+    echo "smoke-faults: both fault reports match their pinned sha256 at 1 and 4 threads"
     cargo run --release -- aug --f 3 --m 2 --certify
 
 # Shrink a known violation into a replay bundle, replay it at several

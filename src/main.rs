@@ -1311,9 +1311,10 @@ const FAULTS_HINT: &str = "valid --faults: `sweep[:MAXSTEP]` (every single-crash
                            placement) or comma-separated plans of crash@P:S, \
                            stall@P:FROM-TO, crash-after@P:OP:K joined by `+`";
 
-/// Expands a `--faults` argument into concrete fault plans: `sweep`
-/// crashes each process before each Block-Update step, anything else
-/// is a comma-separated plan list.
+/// Expands a `--faults` argument into concrete fault plans for a system
+/// of `procs` processes: `sweep` crashes each process before each
+/// Block-Update step, anything else is a comma-separated plan list,
+/// whose faults must each name one of the `procs` processes.
 fn parse_fault_plans(
     faults_raw: &str,
     procs: usize,
@@ -1334,6 +1335,13 @@ fn parse_fault_plans(
         let mut parsed = Vec::new();
         for part in faults_raw.split(',').filter(|p| !p.is_empty()) {
             parsed.push(FaultPlan::parse(part).map_err(|e| e.to_string())?);
+        }
+        let mut faults = parsed.iter().flat_map(|plan| &plan.faults);
+        if let Some(fault) = faults.find(|f| f.process().0 >= procs) {
+            return Err(format!(
+                "bad --faults `{fault}`: the system has processes p0..p{}",
+                procs.saturating_sub(1)
+            ));
         }
         parsed
     };
@@ -1374,33 +1382,26 @@ fn fault_validity_check(sys: &SystemArgs) -> impl Fn(
 fn cmd_campaign_faults(
     flags: &Flags,
     faults_raw: &str,
-    matrix: &CampaignConfig,
+    config: &CampaignConfig,
     sys: &SystemArgs,
     factory: &ProtocolFactory,
     bundle_system: &[(String, String)],
 ) -> ExitCode {
-    use revisionist_simulations::smr::campaign::{run_fault_campaign, FaultCampaignConfig};
+    use revisionist_simulations::smr::campaign::run_fault_campaign;
     use revisionist_simulations::smr::fault::FaultPlan;
 
-    let plans = match parse_fault_plans(faults_raw, sys.procs) {
+    let procs = factory(config.seed_start).process_count();
+    let plans = match parse_fault_plans(faults_raw, procs) {
         Ok(plans) => plans,
         Err(e) => return fail(&format!("{e}\n{FAULTS_HINT}")),
     };
-    let config = FaultCampaignConfig {
-        base: matrix.schedulers[0].clone(),
-        plans,
-        seed_start: matrix.seed_start,
-        runs: matrix.runs,
-        budget: matrix.budget,
-        threads: matrix.threads,
-    };
     let check = fault_validity_check(sys);
-    let report = run_fault_campaign(&config, factory, &check);
+    let report = run_fault_campaign(config, &plans, factory, &check);
     // As in the plain campaign, the first violating run shrinks — here
     // over its decisions *and* its fault plan.
     let first_violation = report.failures.iter().find(|r| r.violation.is_some()).map(|r| {
         FaultPlan::parse(&r.plan)
-            .map(|plan| (config.base.clone(), plan, r.seed))
+            .map(|plan| (config.schedulers[0].clone(), plan, r.seed))
             .map_err(|e| e.to_string())
     });
     if !publish_campaign_report(
@@ -1480,7 +1481,7 @@ fn worker_execute_unit(
 ) -> Result<revisionist_simulations::smr::service::ShardResult, String> {
     use revisionist_simulations::smr::campaign::{
         run_campaign_with, run_fault_records, CampaignCheckpoint, CampaignOptions,
-        FaultCampaignConfig, SchedulerSpec,
+        SchedulerSpec,
     };
     use revisionist_simulations::smr::fault::FaultPlan;
     use revisionist_simulations::smr::service::ShardResult;
@@ -1489,6 +1490,14 @@ fn worker_execute_unit(
     let factory = protocol_factory(&sys)?;
     let sched =
         SchedulerSpec::parse(&unit.scheduler).map_err(|e| e.to_string())?;
+    // The unit's slice of the matrix, as a one-row campaign of its own.
+    let config = CampaignConfig {
+        schedulers: vec![sched.clone()],
+        seed_start: unit.seed_start,
+        runs: unit.runs,
+        budget: unit.budget,
+        threads: 1,
+    };
     let mut shard = ShardResult {
         unit: unit.id,
         records: Vec::new(),
@@ -1500,16 +1509,8 @@ fn worker_execute_unit(
 
     if !unit.plan.is_empty() {
         let plan = FaultPlan::parse(&unit.plan).map_err(|e| e.to_string())?;
-        let config = FaultCampaignConfig {
-            base: sched,
-            plans: vec![plan],
-            seed_start: unit.seed_start,
-            runs: unit.runs,
-            budget: unit.budget,
-            threads: 1,
-        };
         let check = fault_validity_check(&sys);
-        let records = run_fault_records(&config, &factory, &check);
+        let records = run_fault_records(&config, &[plan], &factory, &check);
         shard.fault_records = records
             .into_iter()
             .enumerate()
@@ -1517,13 +1518,6 @@ fn worker_execute_unit(
             .collect();
     } else {
         let check = protocol_check(&sys);
-        let config = CampaignConfig {
-            schedulers: vec![sched.clone()],
-            seed_start: unit.seed_start,
-            runs: unit.runs,
-            budget: unit.budget,
-            threads: 1,
-        };
         let spec_id = unit.spec_id();
         let checkpoint_path =
             state_dir.join(format!("unit-{}.checkpoint.json", unit.id));
@@ -1758,7 +1752,7 @@ fn cmd_campaign_service(flags: &Flags) -> ExitCode {
     let sys = SystemArgs::from_flags(flags);
     // Same set-up and pre-flight as `campaign`: lint once in the
     // coordinator rather than once per worker process.
-    let Some((config, _)) = campaign_setup(flags, &sys, "service") else {
+    let Some((config, factory)) = campaign_setup(flags, &sys, "service") else {
         return ExitCode::FAILURE;
     };
 
@@ -1772,10 +1766,13 @@ fn cmd_campaign_service(flags: &Flags) -> ExitCode {
         // A fault matrix shards across workers exactly like a
         // scheduler matrix: plans × seeds under the one base scheduler.
         faults: match flags.value("faults") {
-            Some(raw) => match parse_fault_plans(raw, sys.procs) {
-                Ok(plans) => plans.iter().map(|p| p.to_string()).collect(),
-                Err(e) => return fail(&format!("{e}\n{FAULTS_HINT}")),
-            },
+            Some(raw) => {
+                let procs = factory(config.seed_start).process_count();
+                match parse_fault_plans(raw, procs) {
+                    Ok(plans) => plans.iter().map(|p| p.to_string()).collect(),
+                    Err(e) => return fail(&format!("{e}\n{FAULTS_HINT}")),
+                }
+            }
             None => Vec::new(),
         },
     };

@@ -271,6 +271,31 @@ fn campaign_service_faults_rejects_several_schedulers() {
 }
 
 #[test]
+fn faults_naming_a_process_outside_the_system_are_rejected() {
+    let dir = std::env::temp_dir()
+        .join(format!("rsim-cli-faults-procs-{}", std::process::id()));
+    let state = dir.join("state");
+    let state = state.to_str().unwrap();
+    for (args, fault) in [
+        (&["campaign", "--faults", "crash@9:0"][..], "crash@9:0"),
+        (&["campaign", "--faults", "crash@0:1,stall@3:0-2"][..], "stall@3:0-2"),
+        (&["campaign-service", "--faults", "crash@9:0", "--state", state][..], "crash@9:0"),
+    ] {
+        let mut full = args.to_vec();
+        full.extend_from_slice(&["--procs", "3", "--sched", "rr", "--runs", "2", "--json"]);
+        let (stdout, stderr, ok) = run(&full);
+        assert!(!ok, "{args:?}: a plan outside p0..p2 must fail, not certify");
+        assert!(stdout.is_empty(), "{args:?}: no report may be printed: {stdout}");
+        assert!(
+            stderr.contains(&format!("bad --faults `{fault}`")),
+            "{args:?}: stderr was: {stderr}"
+        );
+        assert!(stderr.contains("valid --faults"), "{args:?}: stderr was: {stderr}");
+    }
+    assert!(!dir.exists(), "rejected before any service state is written");
+}
+
+#[test]
 fn malformed_numeric_flags_fail_naming_flag_and_value() {
     for (args, flag) in [
         (&["explore", "--threads", "four"][..], "--threads `four`"),

@@ -4,9 +4,8 @@
 
 use revisionist_simulations::protocols::racing::racing_system;
 use revisionist_simulations::smr::campaign::{
-    replay_fault_run, run_campaign, run_campaign_with, run_fault_campaign,
-    CampaignCheckpoint, CampaignConfig, CampaignOptions, FaultCampaignConfig,
-    SchedulerSpec,
+    run_campaign, run_campaign_with, run_fault_campaign, run_fault_records,
+    CampaignCheckpoint, CampaignConfig, CampaignOptions, SchedulerSpec,
 };
 use revisionist_simulations::smr::fault::{FaultPlan, FaultScheduler};
 use revisionist_simulations::smr::process::ProcessId;
@@ -28,15 +27,15 @@ fn exhaustive_single_crash_campaign_certifies_nonblocking_progress() {
     // 3-process racing system, under two base schedulers: survivors
     // must always terminate within budget.
     for base in [SchedulerSpec::RoundRobin, SchedulerSpec::Random] {
-        let config = FaultCampaignConfig {
-            base,
-            plans: FaultPlan::single_crash_plans(3, 5),
+        let config = CampaignConfig {
+            schedulers: vec![base],
             seed_start: 0,
             runs: 4,
             budget: 4_000,
             threads: 0,
         };
-        let report = run_fault_campaign(&config, racing3_by_seed, &no_check);
+        let plans = FaultPlan::single_crash_plans(3, 5);
+        let report = run_fault_campaign(&config, &plans, racing3_by_seed, &no_check);
         assert_eq!(report.plans, 18);
         assert_eq!(report.total_runs, 72);
         assert!(
@@ -78,24 +77,24 @@ fn augmented_snapshot_certifies_every_placement_for_n_up_to_3() {
 
 #[test]
 fn injected_worker_panic_reports_plan_and_seed_for_replay() {
-    let config = FaultCampaignConfig {
-        base: SchedulerSpec::RoundRobin,
-        plans: vec![
-            FaultPlan::parse("crash@0:1").unwrap(),
-            FaultPlan::parse("crash@1:2").unwrap(),
-        ],
+    let config = CampaignConfig {
+        schedulers: vec![SchedulerSpec::RoundRobin],
         seed_start: 0,
         runs: 3,
         budget: 2_000,
         threads: 2,
     };
+    let plans = [
+        FaultPlan::parse("crash@0:1").unwrap(),
+        FaultPlan::parse("crash@1:2").unwrap(),
+    ];
     let factory = |seed: u64| {
         if seed == 2 {
             panic!("injected failure");
         }
         racing3()
     };
-    let report = run_fault_campaign(&config, factory, &no_check);
+    let report = run_fault_campaign(&config, &plans, factory, &no_check);
     assert!(!report.is_certified());
     // One panic per plan (each plan runs seed 2 once).
     assert_eq!(report.failures.len(), 2);
@@ -114,23 +113,24 @@ fn injected_worker_panic_reports_plan_and_seed_for_replay() {
 
 #[test]
 fn fault_records_replay_exactly() {
-    let config = FaultCampaignConfig {
-        base: SchedulerSpec::Random,
-        plans: FaultPlan::single_crash_plans(3, 3),
+    let config = CampaignConfig {
+        schedulers: vec![SchedulerSpec::Random],
         seed_start: 11,
         runs: 2,
         budget: 4_000,
         threads: 0,
     };
+    let plans = FaultPlan::single_crash_plans(3, 3);
     // Flag every run so each record surfaces in `failures` and can be
     // compared against its replay.
     let flag_all = |_: &System, _: &[ProcessId]| Some("flagged".to_string());
-    let report = run_fault_campaign(&config, racing3_by_seed, &flag_all);
+    let report = run_fault_campaign(&config, &plans, racing3_by_seed, &flag_all);
     assert_eq!(report.failures.len(), report.total_runs);
     for record in &report.failures {
+        // The replay is the one-cell matrix: this plan at this seed.
         let plan = FaultPlan::parse(&record.plan).unwrap();
-        let replayed =
-            replay_fault_run(&config, &plan, record.seed, racing3_by_seed, &flag_all);
+        let one = CampaignConfig { seed_start: record.seed, runs: 1, ..config.clone() };
+        let replayed = run_fault_records(&one, &[plan], racing3_by_seed, &flag_all).remove(0);
         assert_eq!(replayed.steps, record.steps, "plan {} seed {}", record.plan, record.seed);
         assert_eq!(replayed.crashed, record.crashed);
         assert_eq!(replayed.survivors_terminated, record.survivors_terminated);

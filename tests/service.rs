@@ -151,6 +151,87 @@ fn chaos_service_matches_single_process_reference_byte_for_byte() {
     );
     assert!(std::fs::read(&rerun).unwrap() == ref_bytes);
 
+    // The fault-matrix arm: a `--faults` campaign sharded over stdio
+    // workers, one of them SIGKILLed mid-unit, merges to the bytes of
+    // the single-process `campaign --faults`.
+    let faults: &[&str] = &[
+        "--protocol", "racing", "--procs", "3", "--m", "2", "--sched", "rr", "--runs", "4",
+        "--budget", "2000", "--faults", "sweep:2",
+    ];
+    let fault_ref = dir.join("fault-reference.json");
+    let mut ref_args: Vec<&str> = vec!["campaign"];
+    ref_args.extend_from_slice(faults);
+    ref_args.extend_from_slice(&["--threads", "1", "--json-out", fault_ref.to_str().unwrap()]);
+    let (_, stderr, ok) = run(&ref_args);
+    assert!(ok, "fault reference campaign failed: {stderr}");
+    let fault_merged = dir.join("fault-merged.json");
+    let fault_state = dir.join("fault-state");
+    let mut svc_args: Vec<&str> = vec!["campaign-service"];
+    svc_args.extend_from_slice(faults);
+    svc_args.extend_from_slice(&[
+        "--workers",
+        "2",
+        "--unit-runs",
+        "2",
+        "--state",
+        fault_state.to_str().unwrap(),
+        "--chaos",
+        "kill@unit:1",
+        "--json-out",
+        fault_merged.to_str().unwrap(),
+    ]);
+    let (_, stderr, ok) = run(&svc_args);
+    assert!(ok, "fault service failed: {stderr}");
+    assert!(
+        stderr.contains("1 worker kills, 0 torn journal writes injected"),
+        "chaos must actually fire: {stderr}"
+    );
+    let ref_bytes = std::fs::read(&fault_ref).unwrap();
+    let svc_bytes = std::fs::read(&fault_merged).unwrap();
+    assert!(
+        ref_bytes == svc_bytes,
+        "fault matrix merged report differs from the reference:\n--- \
+         reference ---\n{}\n--- service ---\n{}",
+        String::from_utf8_lossy(&ref_bytes),
+        String::from_utf8_lossy(&svc_bytes),
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Fault failures land on the summary row of their matrix index: two
+/// plans with the same text keep separate rows, each with its own
+/// failures.
+#[test]
+fn summary_credits_fault_failures_by_matrix_row() {
+    let dir = tmp_dir("fault-rows");
+    let state = dir.join("state");
+    let (_, stderr, ok) = run(&[
+        "campaign-service",
+        "--sched",
+        "rr",
+        "--runs",
+        "2",
+        "--budget",
+        "12",
+        "--faults",
+        "crash@0:1,crash@0:1",
+        "--state",
+        state.to_str().unwrap(),
+        "--summary",
+        "--json",
+    ]);
+    assert!(!ok, "a 12-step budget must not certify: {stderr}");
+    let rows: Vec<Vec<&str>> = stderr
+        .lines()
+        .map(|line| line.split_whitespace().collect::<Vec<_>>())
+        .filter(|cols| cols.first() == Some(&"crash@0:1"))
+        .collect();
+    assert_eq!(rows.len(), 2, "one row per plan: {stderr}");
+    for row in &rows {
+        // claim, samples, shards, retried, quarantined, failures, ...
+        assert_eq!(&row[1..6], ["2", "1", "0", "0", "2"], "{stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
