@@ -14,19 +14,22 @@
 //! thread interleaving. A campaign report is identical at any thread
 //! count.
 
+use crate::analyze::{InterferenceMatrix, DEFAULT_BUDGET};
 use crate::error::ModelError;
 use crate::explore::ExploreKey;
 use crate::fault::{FaultPlan, FaultScheduler};
-use crate::fingerprint::FingerprintCache;
+use crate::fingerprint::{FingerprintCache, KeyHasher};
 use crate::json::{escape, Json};
 use crate::process::ProcessId;
 use crate::sched::{Crash, Obstruction, Quantum, Random, RoundRobin, Scheduler};
 use crate::system::System;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A buildable scheduler description — the "which adversary" half of a
@@ -503,14 +506,16 @@ pub struct RunRecord {
     /// swapped twin. The campaign analogue of
     /// [`crate::explore::ExploreReport::pruned`].
     pub pruned: usize,
-    /// Adjacent schedule pairs the run's static interference matrix
-    /// answered "independent", each audited against the dynamic
-    /// oracle after the run (a contradiction fails the run closed
-    /// with [`ModelError::StaticUnsound`]). The campaign analogue of
+    /// Adjacent schedule pairs the static interference matrix of the
+    /// run's entry configuration answered "independent", each audited
+    /// against the dynamic oracle after the run (a contradiction fails
+    /// the run closed with [`ModelError::StaticUnsound`]). The campaign
+    /// analogue of
     /// [`crate::explore::ExploreReport::prefilter_hits`].
     pub prefilter_hits: usize,
-    /// Unordered process pairs the run's static interference matrix
-    /// proved independent before the first step.
+    /// Unordered process pairs the static interference matrix of the
+    /// run's entry configuration proved independent before the first
+    /// step.
     pub static_indep_pairs: usize,
 }
 
@@ -580,9 +585,10 @@ pub struct CampaignReport {
     /// Total static-prefilter confirmations across all runs (see
     /// [`RunRecord::prefilter_hits`]), summed per run.
     pub prefilter_hits: usize,
-    /// Unordered process pairs the static interference matrix proved
-    /// independent (the maximum across records — every run of one
-    /// campaign analyzes the same protocol shape).
+    /// The largest [`RunRecord::static_indep_pairs`] across the runs.
+    /// A factory that builds one system for every seed gives every run
+    /// the same count; one whose system depends on the seed (as
+    /// `contrarian`'s input vector does) reports its largest.
     pub static_indep_pairs: usize,
     /// Per-scheduler tallies, in scheduler-mix order.
     pub per_scheduler: Vec<SchedulerTally>,
@@ -705,13 +711,13 @@ impl CampaignReport {
 
 /// The one step loop behind plain and fault runs: steps `system` under
 /// `scheduler` until every process terminates, the scheduler yields
-/// nothing, or `budget` steps are taken. Every configuration reached is
-/// fingerprinted into `cache` when one is supplied.
+/// nothing, or `budget` steps are taken. When `coverage` supplies a
+/// cache and the [`ExploreKey`] of `system`, every configuration
+/// reached is fingerprinted into the cache.
 ///
-/// The cache is fed by key: the run keeps the [`ExploreKey`] of its
-/// configuration, brought up to date after each in-place step at the
-/// cost of what the step touched, and the full fingerprint is computed
-/// only for a key the cache has not seen
+/// The cache is fed by key: the key is brought up to date after each
+/// in-place step at the cost of what the step touched, and the full
+/// fingerprint is computed only for a key the cache has not seen
 /// ([`FingerprintCache::insert_keyed`]).
 ///
 /// Returns the steps taken (up to the failing step, when the run
@@ -720,15 +726,14 @@ fn drive(
     system: &mut System,
     scheduler: &mut dyn Scheduler,
     budget: usize,
-    cache: Option<&FingerprintCache>,
+    mut coverage: Option<(&FingerprintCache, ExploreKey)>,
 ) -> (usize, Option<String>) {
-    let mut key = cache.map(|_| ExploreKey::of(system));
-    let cover = |system: &System, key: Option<&ExploreKey>| {
-        if let (Some(cache), Some(key)) = (cache, key) {
+    let cover = |system: &System, coverage: &Option<(&FingerprintCache, ExploreKey)>| {
+        if let Some((cache, key)) = coverage {
             cache.insert_keyed(key.value(), || system.config_fingerprint());
         }
     };
-    cover(system, key.as_ref());
+    cover(system, &coverage);
     let mut steps = 0;
     while steps < budget && !system.all_terminated() {
         let Some(pid) = scheduler.next(system) else { break };
@@ -741,18 +746,59 @@ fn drive(
             return (steps, Some(err.to_string()));
         }
         steps += 1;
-        if let Some(key) = key.as_mut() {
+        if let Some((_, key)) = coverage.as_mut() {
             key.restep(system);
         }
-        cover(system, key.as_ref());
+        cover(system, &coverage);
     }
     (steps, None)
 }
 
-/// Executes one run with [`drive`] and records its outcome. The final
-/// configuration is validated with `check`, its schedule is audited
-/// against the static interference matrix and its commuting inversions
-/// are counted.
+/// The static interference matrices of the entry configurations a
+/// campaign's runs start from, each built once. The matrix is a pure
+/// function of the pristine configuration, and a factory whose system
+/// does not depend on the seed has one entry configuration for the
+/// whole campaign; one that does (`contrarian` builds one system per
+/// input vector) has one per distinct system.
+///
+/// Entries are looked up by [`ExploreKey::value`] and returned only
+/// when the stored key equals the run's in every term. A run whose key
+/// value matches an entry with different terms gets a matrix built for
+/// it alone, which is not cached.
+#[derive(Default)]
+pub(crate) struct MatrixMemo {
+    matrices: Mutex<MatrixMap>,
+}
+
+/// [`MatrixMemo`]'s map, hashed by the already mixed key value.
+type MatrixMap =
+    HashMap<u64, (ExploreKey, Arc<InterferenceMatrix>), BuildHasherDefault<KeyHasher>>;
+
+impl MatrixMemo {
+    /// The interference matrix of `system`, whose key is `key`: the
+    /// memo's when it holds `key`, otherwise built. The build runs
+    /// under the memo's lock, so workers that start on the same new
+    /// configuration wait for one build instead of each making their
+    /// own. A build that panics leaves the map as it was, so a
+    /// poisoned lock is taken over.
+    fn matrix(&self, key: &ExploreKey, system: &System) -> Arc<InterferenceMatrix> {
+        let build = || Arc::new(InterferenceMatrix::build(system, DEFAULT_BUDGET));
+        let mut matrices = self.matrices.lock().unwrap_or_else(PoisonError::into_inner);
+        match matrices.entry(key.value()) {
+            Entry::Occupied(entry) if entry.get().0 == *key => Arc::clone(&entry.get().1),
+            Entry::Occupied(_) => build(),
+            Entry::Vacant(entry) => Arc::clone(&entry.insert((key.clone(), build())).1),
+        }
+    }
+}
+
+/// Executes one run with [`drive`] and records its outcome. The run's
+/// schedule is audited against the static interference matrix of its
+/// entry configuration, which `matrices` builds once per distinct
+/// configuration; the final configuration is validated with `check`
+/// and the schedule's commuting inversions are counted. The entry
+/// configuration's [`ExploreKey`] is computed once, for the matrix
+/// lookup and as `drive`'s starting key.
 fn execute_run(
     spec: &SchedulerSpec,
     seed: u64,
@@ -760,19 +806,15 @@ fn execute_run(
     system: &mut System,
     check: &dyn Fn(&System) -> Option<String>,
     cache: Option<&FingerprintCache>,
+    matrices: &MatrixMemo,
 ) -> RunRecord {
     let mut record = RunRecord::blank(spec, seed);
-    // The static interference matrix of the pristine entry system: it
-    // never mutates `system`, and every schedule pair it proves
-    // independent is audited against the dynamic oracle once the run's
-    // trace is complete.
-    let matrix = crate::analyze::InterferenceMatrix::build(
-        system,
-        crate::analyze::DEFAULT_BUDGET,
-    );
+    let key = ExploreKey::of(system);
+    let matrix = matrices.matrix(&key, system);
     record.static_indep_pairs = matrix.indep_pairs();
     let trace_start = system.trace().len();
-    let (steps, error) = drive(system, spec.build(seed).as_mut(), budget, cache);
+    let coverage = cache.map(|cache| (cache, key));
+    let (steps, error) = drive(system, spec.build(seed).as_mut(), budget, coverage);
     record.steps = steps;
     if error.is_some() {
         record.error = error;
@@ -800,7 +842,7 @@ fn execute_run(
 /// [`ModelError::StaticUnsound`] naming the pair and its operations.
 fn static_audit(
     system: &System,
-    matrix: &crate::analyze::InterferenceMatrix,
+    matrix: &InterferenceMatrix,
     trace_start: usize,
 ) -> Result<usize, ModelError> {
     let mut prev: Option<&crate::system::Event> = None;
@@ -845,8 +887,12 @@ fn commuting_inversions(system: &System, trace_start: usize) -> usize {
     count
 }
 
-/// Replays one run of a campaign: same `(spec, seed)` → same outcome.
-/// This is what `campaign --seed N` uses to reproduce a failure.
+/// Replays one run of a campaign: same `(spec, seed)` → same outcome,
+/// the record [`run_campaign`] keeps for that cell. This is what
+/// `campaign --seed N` uses to reproduce a failure. Each call builds
+/// its run's interference matrix afresh; inside this crate, a caller
+/// replaying many seeds of one factory shares a `MatrixMemo` through
+/// `replay_run_with` instead.
 pub fn replay_run<F>(
     spec: &SchedulerSpec,
     seed: u64,
@@ -857,8 +903,24 @@ pub fn replay_run<F>(
 where
     F: Fn(u64) -> System,
 {
+    replay_run_with(spec, seed, budget, factory, check, &MatrixMemo::default())
+}
+
+/// [`replay_run`] with the interference matrices of `matrices`, which
+/// keeps them across calls.
+pub(crate) fn replay_run_with<F>(
+    spec: &SchedulerSpec,
+    seed: u64,
+    budget: usize,
+    factory: F,
+    check: &dyn Fn(&System) -> Option<String>,
+    matrices: &MatrixMemo,
+) -> RunRecord
+where
+    F: Fn(u64) -> System,
+{
     let mut system = factory(seed);
-    execute_run(spec, seed, budget, &mut system, check, None)
+    execute_run(spec, seed, budget, &mut system, check, None, matrices)
 }
 
 /// Extracts a printable message from a panic payload.
@@ -1071,7 +1133,9 @@ where
 
 /// [`run_campaign`] with hardening options: wall-clock and run-count
 /// watchdogs (graceful, reported truncation), periodic checkpoints and
-/// resume from a checkpoint.
+/// resume from a checkpoint. The campaign builds the static
+/// interference matrix once per distinct entry configuration the
+/// factory returns, not once per run, and shares it across workers.
 pub fn run_campaign_with<F>(
     config: &CampaignConfig,
     options: &CampaignOptions,
@@ -1085,6 +1149,7 @@ where
     let total = matrix.total();
     let threads = worker_threads(config.threads);
     let cache = FingerprintCache::for_threads(threads);
+    let matrices = MatrixMemo::default();
 
     // Restore resume state: completed runs keep their records and are
     // never re-executed; their fingerprints re-seed the dedup set so
@@ -1120,7 +1185,8 @@ where
         Some(run_cell_supervised(
             || {
                 let mut system = factory(seed);
-                execute_run(spec, seed, config.budget, &mut system, check, Some(&cache))
+                let cache = Some(&cache);
+                execute_run(spec, seed, config.budget, &mut system, check, cache, &matrices)
             },
             |message| RunRecord {
                 error: Some(
@@ -1218,9 +1284,7 @@ pub(crate) fn assemble_report(
         report.total_steps += record.steps;
         report.total_pruned += record.pruned;
         report.prefilter_hits += record.prefilter_hits;
-        // Every run of a campaign analyzes the same protocol shape, so
-        // the max is the one matrix's pair count (0-filled legacy
-        // records aside).
+        // The largest count over the runs' entry configurations.
         report.static_indep_pairs =
             report.static_indep_pairs.max(record.static_indep_pairs);
         if record.terminated {

@@ -35,7 +35,7 @@ use std::sync::Mutex;
 
 use crate::analyze::{self, LintCode, LintConfig, Severity};
 use crate::bundle::{tool_id, ReplayBundle, BUNDLE_VERSION};
-use crate::campaign::{replay_run, SchedulerSpec};
+use crate::campaign::{replay_run_with, MatrixMemo, SchedulerSpec};
 use crate::error::ModelError;
 use crate::fault::FaultPlan;
 use crate::json::escape;
@@ -508,15 +508,19 @@ fn fuzz_seed(seed: u64, config: &FuzzConfig) -> SeedReport {
 
 /// Hunts a must-violate mutant: seeded obstruction-adversary campaign
 /// runs (the solo-window schedules racing decisions need) until a
-/// violation, then capture → ddmin shrink → re-verify → bundle.
+/// violation, then capture → ddmin shrink → re-verify → bundle. Every
+/// run starts from the mutant's one system, whose interference matrix
+/// is built once.
 fn kill_mutant(mspec: &GenSpec, config: &FuzzConfig) -> MutantResult {
+    let matrices = MatrixMemo::default();
     let sched = SchedulerSpec::parse("obstruction:1").expect("stock spec");
     let factory = |_seed: u64| mspec.build_system();
     let check = consensus_check(mspec.inputs());
     let cex_check =
         |sys: &System, _crashed: &[crate::process::ProcessId]| check(sys);
     for kill_seed in 0..config.kill_runs {
-        let record = replay_run(&sched, kill_seed, config.budget, factory, &check);
+        let record =
+            replay_run_with(&sched, kill_seed, config.budget, factory, &check, &matrices);
         if record.violation.is_none() {
             continue;
         }
@@ -578,13 +582,15 @@ fn kill_mutant(mspec: &GenSpec, config: &FuzzConfig) -> MutantResult {
     MutantResult::Survived { runs: config.kill_runs }
 }
 
-/// Verifies a must-stay-clean mutant across the clean-run budget.
+/// Verifies a must-stay-clean mutant across the clean-run budget, with
+/// the mutant's interference matrix built once.
 fn verify_clean(mspec: &GenSpec, config: &FuzzConfig) -> MutantResult {
+    let matrices = MatrixMemo::default();
     let sched = SchedulerSpec::parse("obstruction:1").expect("stock spec");
     let factory = |_seed: u64| mspec.build_system();
     let check = consensus_check(mspec.inputs());
     for seed in 0..config.clean_runs {
-        let record = replay_run(&sched, seed, config.budget, factory, &check);
+        let record = replay_run_with(&sched, seed, config.budget, factory, &check, &matrices);
         if let Some(violation) = record.violation {
             return MutantResult::Flagged { seed, violation };
         }

@@ -74,6 +74,16 @@ smoke-campaign:
             | sha256sum -c -
     done
     echo "smoke-campaign: campaign-mix resumed after --stop-after 2500 matches the same pins at 1 and 4 threads"
+    # The one family whose interference matrix proves pairs independent,
+    # so its campaign audit confirms them (6 pairs, 2,655 prefilter hits):
+    # the report is pinned across commits, at 1 and 4 threads.
+    for t in 1 4; do
+        cargo run --release -- campaign --protocol serializable --procs 4 \
+            --sched rr,random,crash:1 --runs 300 --threads "$t" --json > "serializable-t$t.json"
+        echo "6e3a3532027bc60aa3cc51e6cd1c4515118972c05c7f563dac9da86c0456858f  serializable-t$t.json" \
+            | sha256sum -c -
+    done
+    echo "smoke-campaign: serializable report matches its pinned sha256 at 1 and 4 threads"
 
 # The paper's bound machine-checked at full size: a breadth-first
 # search of 3 racing processes on 2 registers, fewer than the
@@ -250,9 +260,21 @@ miri-smoke:
 # bundled into fuzz-corpus/, analyzer-reject mutants must die at
 # pre-flight, and one stored bundle must replay bit-for-bit (mirrors
 # CI's fuzz-smoke job). Exit is nonzero if any prediction fails.
+# The report and the corpus are pinned across commits, at 1 and 4
+# threads, written to the same corpus path (the report names it).
 fuzz-smoke:
-    cargo run --release -- fuzz --seeds 0..16 --mutants \
-        --corpus fuzz-corpus --json-out FUZZ_smoke.json
+    #!/usr/bin/env bash
+    set -euo pipefail
+    for t in 1 4; do
+        rm -rf fuzz-corpus
+        cargo run --release -- fuzz --seeds 0..16 --mutants \
+            --corpus fuzz-corpus --threads "$t" --json-out FUZZ_smoke.json
+        echo "c77ad212e6b9cc676a4ba1700051f4429c9d6fe5243ece89014170b91c95b3cd  FUZZ_smoke.json" \
+            | sha256sum -c -
+        (cd fuzz-corpus && find . -type f | LC_ALL=C sort | xargs sha256sum) > fuzz-corpus.sha256
+        echo "02ee4525bb6a8ce93651be218e37d8aa65d5ad29a55a2d18f9c518001dc59f89  fuzz-corpus.sha256" \
+            | sha256sum -c -
+    done
     cargo run --release -- replay fuzz-corpus/gen-0-shrink-m.bundle.json --threads 4
 
 # Per-experiment Criterion benches (CRITERION_SAMPLES trims sample count).

@@ -2,13 +2,20 @@
 //! seeding the DPOR explorer with the precomputed independence matrix
 //! must be report-invisible on racing, contrarian, ladder, and the
 //! serializable fixture — and `--no-static` × `--no-dpor` must compose
-//! (all four combinations reach identical verdicts).
+//! (all four combinations reach identical verdicts). A campaign builds
+//! each entry configuration's matrix once; every run's audit must still
+//! read the matrix of its own system.
 
 use revisionist_simulations::protocols::contrarian::contrarian_system;
 use revisionist_simulations::protocols::ladder::ladder_system;
 use revisionist_simulations::protocols::racing::racing_system;
 use revisionist_simulations::protocols::serializable::serializable_system;
+use revisionist_simulations::smr::analyze::{InterferenceMatrix, DEFAULT_BUDGET};
+use revisionist_simulations::smr::campaign::{
+    run_campaign_with, CampaignCheckpoint, CampaignConfig, CampaignOptions, SchedulerSpec,
+};
 use revisionist_simulations::smr::explore::{Explorer, ExploreReport, Limits};
+use revisionist_simulations::smr::hb;
 use revisionist_simulations::smr::system::System;
 use revisionist_simulations::smr::value::Value;
 
@@ -100,4 +107,89 @@ fn serializable_family_is_fully_prefiltered() {
     assert_eq!(report.terminals, 1, "one equivalence class of schedules");
     assert!(report.pruned > 0, "the reduction actually pruned forks");
     assert!(report.violation.is_none());
+}
+
+/// A factory with two entry configurations: the serializable fixture
+/// (4 processes, all 6 pairs independent) on even seeds, racing (no
+/// independent pair) on odd ones.
+fn alternating(seed: u64) -> System {
+    if seed.is_multiple_of(2) {
+        serializable_system(&[1, 2, 3, 4])
+    } else {
+        racing_system(2, &[Value::Int(1), Value::Int(2), Value::Int(3)])
+    }
+}
+
+/// The prefilter hits of the run of `spec` at `seed`, audited from
+/// scratch: the run is replayed step by step like a campaign run, then
+/// every adjacent pair of steps by distinct processes that a freshly
+/// built matrix calls independent is confirmed against the dynamic
+/// oracle and counted.
+fn audited_hits(spec: &SchedulerSpec, seed: u64, budget: usize) -> usize {
+    let mut sys = alternating(seed);
+    let matrix = InterferenceMatrix::build(&sys, DEFAULT_BUDGET);
+    let mut scheduler = spec.build(seed);
+    let mut steps = 0;
+    while steps < budget && !sys.all_terminated() {
+        let Some(pid) = scheduler.next(&sys) else { break };
+        if !sys.is_terminated(pid) {
+            sys.step(pid).expect("the fixtures step without error");
+            steps += 1;
+        }
+    }
+    let events: Vec<_> = sys.trace().iter().collect();
+    events
+        .windows(2)
+        .filter(|pair| {
+            let (p, q) = (pair[0].pid.0, pair[1].pid.0);
+            p != q && matrix.independent(p, q)
+        })
+        .inspect(|pair| assert!(hb::independent(&pair[0].op, &pair[1].op)))
+        .count()
+}
+
+/// A campaign keeps one matrix per entry configuration, yet every
+/// record carries its own system's pair count and the prefilter hits
+/// of an audit against that system's matrix, at 1 and 4 threads.
+#[test]
+fn campaign_matrix_memo_matches_per_run_matrices() {
+    let dir = std::env::temp_dir().join(format!("rsim-static-memo-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for threads in [1usize, 4] {
+        let config = CampaignConfig {
+            schedulers: ["rr", "random", "crash:1"]
+                .iter()
+                .map(|s| SchedulerSpec::parse(s).unwrap())
+                .collect(),
+            seed_start: 0,
+            runs: 40,
+            threads,
+            ..CampaignConfig::default()
+        };
+        let path = dir.join(format!("t{threads}.checkpoint.json"));
+        let options = CampaignOptions {
+            checkpoint_path: Some(path.clone()),
+            ..CampaignOptions::default()
+        };
+        let report = run_campaign_with(&config, &options, alternating, &|_| None);
+        assert_eq!(report.static_indep_pairs, 6, "threads={threads}");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let checkpoint = CampaignCheckpoint::parse(&text).unwrap();
+        assert_eq!(checkpoint.completed.len(), 120, "threads={threads}");
+        let mut pair_counts = std::collections::BTreeSet::new();
+        for (index, record) in &checkpoint.completed {
+            let label = format!("threads={threads} run {index} seed {}", record.seed);
+            let spec = SchedulerSpec::parse(&record.scheduler).unwrap();
+            let matrix = InterferenceMatrix::build(&alternating(record.seed), DEFAULT_BUDGET);
+            assert_eq!(record.static_indep_pairs, matrix.indep_pairs(), "{label}");
+            assert_eq!(
+                record.prefilter_hits,
+                audited_hits(&spec, record.seed, config.budget),
+                "{label}"
+            );
+            pair_counts.insert(record.static_indep_pairs);
+        }
+        assert_eq!(pair_counts.into_iter().collect::<Vec<_>>(), [0, 6], "threads={threads}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
