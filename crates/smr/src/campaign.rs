@@ -1145,6 +1145,41 @@ pub fn run_campaign_with<F>(
 where
     F: Fn(u64) -> System + Sync,
 {
+    let (records, cache, truncation) = run_session(config, options, factory, check);
+    assemble_report(config, records, cache.len(), truncation)
+}
+
+/// Runs every cell of `config`'s matrix, as [`run_campaign`] does, and
+/// returns the records in matrix order with the sorted fingerprint set
+/// the runs visited, instead of a report. Service workers run one
+/// unit's slice with it and write nothing to disk: a retried unit
+/// reruns from its first seed, and the merge's first-wins dedup cannot
+/// tell. The pool and the run driver are [`run_campaign_with`]'s.
+pub fn run_campaign_records<F>(
+    config: &CampaignConfig,
+    factory: F,
+    check: &(dyn Fn(&System) -> Option<String> + Sync),
+) -> (Vec<(usize, RunRecord)>, Vec<u64>)
+where
+    F: Fn(u64) -> System + Sync,
+{
+    let (records, cache, _) =
+        run_session(config, &CampaignOptions::default(), factory, check);
+    (records, cache.snapshot())
+}
+
+/// One campaign session under `options`: its records in matrix order
+/// (resumed ones included), the fingerprint cache, and the truncation
+/// notice when a watchdog cut the session short.
+fn run_session<F>(
+    config: &CampaignConfig,
+    options: &CampaignOptions,
+    factory: F,
+    check: &(dyn Fn(&System) -> Option<String> + Sync),
+) -> (Vec<(usize, RunRecord)>, FingerprintCache, Option<String>)
+where
+    F: Fn(u64) -> System + Sync,
+{
     let matrix = Matrix::plain(config);
     let total = matrix.total();
     let threads = worker_threads(config.threads);
@@ -1229,8 +1264,7 @@ where
     } else {
         None
     };
-
-    assemble_report(config, records, cache.len(), truncation)
+    (records, cache, truncation)
 }
 
 /// Folds index-sorted run records into a [`CampaignReport`]. This is

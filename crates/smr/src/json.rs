@@ -20,11 +20,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// platforms where directories cannot be opened it is skipped — the
 /// rename itself is still atomic, only its durability window widens.
 fn sync_parent_dir(path: &Path) -> io::Result<()> {
-    let parent = match path.parent() {
+    sync_dir(match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),
-    };
-    match std::fs::File::open(parent) {
+    })
+}
+
+/// Flushes directory `dir`'s entries, as [`write_atomic`] does for the
+/// file it renames: one call covers every rename into `dir` before it.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    match std::fs::File::open(dir) {
         Ok(dir) => dir.sync_all(),
         // Windows (and some filesystems) refuse to open directories;
         // that is a capability gap, not a caller error.

@@ -58,7 +58,9 @@ pub struct ServiceOptions {
     /// `0` means externally managed workers: the coordinator spawns
     /// nothing and serves whoever connects.
     pub workers: usize,
-    /// State directory: journal, snapshot, per-unit checkpoints.
+    /// State directory: journal, snapshot, and the settled file of
+    /// each completed unit, all written by the coordinator. Workers
+    /// write nothing here.
     pub state_dir: PathBuf,
     /// Corpus directory for deduplicated violation bundles.
     pub corpus_dir: PathBuf,
@@ -392,7 +394,6 @@ pub fn run_service_with_transport(
         opts.max_lease_attempts,
         opts.retry_backoff,
     );
-    let mut shards: Vec<ShardResult> = Vec::new();
     let mut stats = ServiceStats {
         units: units.len(),
         recovered_units: recovered.shards.len(),
@@ -400,13 +401,11 @@ pub fn run_service_with_transport(
         ..ServiceStats::default()
     };
     let mut unit_attempts: BTreeMap<u64, usize> = BTreeMap::new();
-    for shard in recovered.shards {
+    report_rejected(&recovered.rejected);
+    for shard in &recovered.shards {
         // Shards for units outside the partition would mean a spec
         // mismatch, which was rejected above.
-        if units.contains_key(&shard.unit) {
-            lease.mark_done(shard.unit);
-            shards.push(shard);
-        }
+        lease.mark_done(shard.unit);
     }
     for (unit, attempts) in &recovered.attempts {
         lease.restore_attempts(*unit, *attempts);
@@ -422,21 +421,29 @@ pub fn run_service_with_transport(
     } else {
         None
     };
-    if !lease.all_settled() {
+    // The merge reads what is durable: every settled file, its hash
+    // verified, either at open or by the supervision loop.
+    // Declared before the shards: the workers are reaped after the
+    // closing writes below, which overlap with their exit.
+    let mut exiting = Exiting(Vec::new());
+    let shards = if lease.all_settled() {
+        recovered.shards
+    } else {
+        drop(recovered.shards);
         supervise(
             spec,
             opts,
             &units,
             &mut lease,
             &mut queue,
-            &mut shards,
             &mut chaos,
             &mut stats,
             &mut unit_attempts,
             net.clone(),
             transport,
-        )?;
-    }
+            &mut exiting,
+        )?
+    };
     stats.kills_injected = chaos.kills_fired();
     stats.torn_injected = chaos.torn_fired();
     if let Some(net) = &net {
@@ -455,7 +462,7 @@ pub fn run_service_with_transport(
         .iter()
         .filter_map(|(id, _)| units.get(id).map(|u| u.runs))
         .sum();
-    queue.compact(spec, &shards, &lease.pending_attempts(), &quarantined)?;
+    queue.compact(spec, &[], &lease.pending_attempts(), &quarantined)?;
     let report = if spec.faults.is_empty() {
         MergedReport::Campaign(merge_report(&spec.config, &shards, quarantined_runs))
     } else {
@@ -553,7 +560,10 @@ fn claim_rows(
 }
 
 /// The live supervision loop: accept/spawn, assign, heartbeat, reap,
-/// retry — over either transport.
+/// retry — over either transport. Once every unit is settled it reads
+/// the settled files back for the merge while the fleet is still held:
+/// a unit whose file fails its check reopens and runs again on the
+/// same workers, since an external TCP fleet leaves at the shutdown.
 #[allow(clippy::too_many_arguments)]
 fn supervise(
     spec: &ServiceSpec,
@@ -561,13 +571,13 @@ fn supervise(
     units: &BTreeMap<u64, WorkUnit>,
     lease: &mut LeaseManager,
     queue: &mut JobQueue,
-    shards: &mut Vec<ShardResult>,
     chaos: &mut ChaosPlan,
     stats: &mut ServiceStats,
     unit_attempts: &mut BTreeMap<u64, usize>,
     net: Option<Arc<Mutex<NetChaos>>>,
     transport: &Transport,
-) -> Result<(), ModelError> {
+    exiting: &mut Exiting,
+) -> Result<Vec<ShardResult>, ModelError> {
     let (tx, rx) = mpsc::channel::<Event>();
     let tick = Duration::from_millis(25);
     let accept_done = Arc::new(AtomicBool::new(false));
@@ -618,7 +628,6 @@ fn supervise(
         units,
         lease,
         queue,
-        shards,
         chaos,
         stats,
         unit_attempts,
@@ -631,24 +640,38 @@ fn supervise(
         tcp: matches!(transport, Transport::Tcp(_)),
         identity: spec.identity(),
     };
-    let result = (|| {
-        while !sup.lease.all_settled() {
-            sup.keep_fleet()?;
-            sup.assign_idle()?;
-            match rx.recv_timeout(tick) {
-                Ok(event) => sup.handle(event)?,
-                Err(mpsc::RecvTimeoutError::Timeout) => sup.expire()?,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(service_err(
-                        "supervision loop",
-                        "event channel disconnected",
-                    ));
+    let result = (|| loop {
+        sup.keep_fleet()?;
+        sup.assign_idle()?;
+        sup.commit()?;
+        if sup.lease.all_settled() {
+            let (shards, rejected) = sup.queue.read_settled();
+            if rejected.is_empty() {
+                return Ok(shards);
+            }
+            report_rejected(&rejected);
+            for (unit, _) in &rejected {
+                sup.lease.reopen(*unit);
+            }
+            continue;
+        }
+        match rx.recv_timeout(tick) {
+            // Everything that has arrived is handled before the next
+            // pass commits it: the slower the disk, the more results
+            // share each fsync.
+            Ok(event) => {
+                sup.handle(event)?;
+                while let Ok(event) = rx.try_recv() {
+                    sup.handle(event)?;
                 }
             }
+            Err(mpsc::RecvTimeoutError::Timeout) => sup.expire()?,
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                return Err(service_err("supervision loop", "event channel disconnected"));
+            }
         }
-        Ok(())
     })();
-    sup.finish();
+    exiting.0.extend(sup.finish());
     accept_done.store(true, Ordering::SeqCst);
     if let Some(addr) = local_addr {
         // Unblock the accept loop so its thread exits.
@@ -663,7 +686,6 @@ struct Supervisor<'a> {
     units: &'a BTreeMap<u64, WorkUnit>,
     lease: &'a mut LeaseManager,
     queue: &'a mut JobQueue,
-    shards: &'a mut Vec<ShardResult>,
     chaos: &'a mut ChaosPlan,
     stats: &'a mut ServiceStats,
     unit_attempts: &'a mut BTreeMap<u64, usize>,
@@ -680,21 +702,6 @@ struct Supervisor<'a> {
 }
 
 impl Supervisor<'_> {
-    fn unsettled(&self) -> usize {
-        self.units
-            .keys()
-            .filter(|id| {
-                !matches!(
-                    self.lease.state(**id),
-                    Some(
-                        crate::service::lease::UnitState::Done
-                            | crate::service::lease::UnitState::Quarantined { .. }
-                    )
-                )
-            })
-            .count()
-    }
-
     /// Keeps the fleet at strength. Stdio spawns sessions directly;
     /// TCP spawns tagged children and waits for their handshakes,
     /// failing closed if the fleet keeps dying before ever completing
@@ -718,7 +725,7 @@ impl Supervisor<'_> {
                     "workers keep dying before completing the handshake",
                 ));
             }
-            let desired = self.opts.workers.min(self.unsettled());
+            let desired = self.opts.workers.min(self.lease.unsettled());
             while self.pending.len()
                 + self
                     .sessions
@@ -735,13 +742,31 @@ impl Supervisor<'_> {
         } else {
             // One spawn round per loop pass bounds the respawn rate
             // for crash-looping worker commands.
-            let desired = self.opts.workers.max(1).min(self.unsettled());
+            let desired = self.opts.workers.max(1).min(self.lease.unsettled());
             while self.sessions.iter().filter(|s| s.alive).count() < desired {
                 let sid = self.sessions.len();
                 self.sessions.push(spawn_stdio_worker(self.opts, sid, &self.tx)?);
                 self.stats.workers_spawned += 1;
                 self.stats.sessions += 1;
             }
+        }
+        Ok(())
+    }
+
+    /// Group commit: makes every journal record and staged shard
+    /// written since the last commit durable with one
+    /// [`JobQueue::sync`], then compacts when due.
+    fn commit(&mut self) -> Result<(), ModelError> {
+        self.queue.sync()?;
+        // The status lists cost a walk over the units: build them only
+        // when a compaction is due, not on every result.
+        if self.queue.compaction_due() {
+            self.queue.compact(
+                self.spec,
+                &[],
+                &self.lease.pending_attempts(),
+                &self.lease.quarantined(),
+            )?;
         }
         Ok(())
     }
@@ -763,7 +788,6 @@ impl Supervisor<'_> {
             self.stats.leases += 1;
             let slot = self.unit_attempts.entry(unit_id).or_insert(0);
             *slot = (*slot).max(attempt);
-            self.queue.append(&JournalRecord::Lease { unit: unit_id, attempt })?;
             let payload = CoordMsg::Lease {
                 unit: self.units[&unit_id].clone(),
                 state_dir: self.opts.state_dir.display().to_string(),
@@ -771,10 +795,23 @@ impl Supervisor<'_> {
                 heartbeat_ms: HEARTBEAT_INTERVAL.as_millis() as u64,
             }
             .to_json();
+            // The frame goes out before the lease line is written; the
+            // next commit makes the line durable. A crash before that
+            // loses the lease either way, and the unit's result or
+            // requeue is journaled after it.
+            let sess = &mut self.sessions[sid];
+            let sent = match &mut sess.link {
+                Some(Link::Stdio(stdin)) => write_frame(stdin, &payload).is_ok(),
+                Some(Link::Tcp(stream)) => {
+                    chaos_send(stream, &payload, self.net.as_deref()).is_ok()
+                }
+                None => unreachable!("idle sessions are filtered for a link"),
+            };
+            self.queue.write(&JournalRecord::Lease { unit: unit_id, attempt })?;
             let sess = &mut self.sessions[sid];
             match &mut sess.link {
-                Some(Link::Stdio(stdin)) => {
-                    if write_frame(stdin, &payload).is_ok() {
+                Some(Link::Stdio(_)) => {
+                    if sent {
                         sess.current = Some(unit_id);
                     } else {
                         // The worker died before taking the lease:
@@ -799,12 +836,12 @@ impl Supervisor<'_> {
                     // The lease stands even if the frame is lost
                     // (chaos drop, dead link): expiry requeues it.
                     sess.current = Some(unit_id);
-                    if chaos_send(stream, &payload, self.net.as_deref()).is_err() {
+                    if !sent {
                         let _ = stream.shutdown(Shutdown::Both);
                         sess.link = None;
                     }
                 }
-                None => unreachable!("idle sessions are filtered for a link"),
+                None => unreachable!("the link was matched above"),
             }
         }
         Ok(())
@@ -888,25 +925,22 @@ impl Supervisor<'_> {
                 sess.current = None;
             }
         }
+        // The worker gets its next unit before this one's shard is
+        // made durable, so it runs while the coordinator commits. The
+        // unit is still leased here, so it cannot be handed out again.
+        self.assign_idle()?;
         if self.chaos.take_torn(unit) {
-            // Injected power loss mid-append: persist a torn prefix,
-            // drop the in-memory result, and requeue — the unit must
-            // be re-earned through recovery-real paths.
-            let record = JournalRecord::Result { shard };
-            let keep = record.to_json().len() / 2;
-            self.queue.torn_append(&record, keep)?;
+            // Injected power loss mid-append: the settled file lands
+            // but its journal line is torn, so the unit is not settled
+            // and is requeued — it must be re-earned through
+            // recovery-real paths.
+            self.queue.torn_append(&JournalRecord::Result { shard })?;
             if let Some(ev) = self.lease.fail_lease(unit, now, "journal write torn") {
                 journal_lease_event(self.queue, self.stats, &ev)?;
             }
         } else if self.lease.complete(unit) {
-            self.queue.append(&JournalRecord::Result { shard: shard.clone() })?;
-            self.shards.push(shard);
-            self.queue.maybe_compact(
-                self.spec,
-                self.shards,
-                &self.lease.pending_attempts(),
-                &self.lease.quarantined(),
-            )?;
+            // Staged only: the next commit settles it.
+            self.queue.write(&JournalRecord::Result { shard })?;
         }
         // A duplicate result (crash/retry race, chaos dup) falls
         // through silently: determinism makes it identical to the one
@@ -1136,37 +1170,52 @@ impl Supervisor<'_> {
     }
 
     /// All settled: release the fleet. Shutdown frames bypass chaos —
-    /// tearing the run down must always converge.
-    fn finish(&mut self) {
+    /// tearing the run down must always converge. Returns the child
+    /// processes, told to exit (or killed) but not yet reaped.
+    fn finish(&mut self) -> Vec<Child> {
         for sess in &mut self.sessions {
-            if !sess.alive {
-                if let Some(child) = &mut sess.child {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-                continue;
-            }
-            let sent = match &mut sess.link {
-                Some(Link::Stdio(stdin)) => {
-                    write_frame(stdin, &CoordMsg::Shutdown.to_json()).is_ok()
-                }
-                Some(Link::Tcp(stream)) => {
-                    write_frame(stream, &CoordMsg::Shutdown.to_json()).is_ok()
-                }
-                None => false,
-            };
+            let sent = sess.alive
+                && match &mut sess.link {
+                    Some(Link::Stdio(stdin)) => {
+                        write_frame(stdin, &CoordMsg::Shutdown.to_json()).is_ok()
+                    }
+                    Some(Link::Tcp(stream)) => {
+                        write_frame(stream, &CoordMsg::Shutdown.to_json()).is_ok()
+                    }
+                    None => false,
+                };
             sess.link = None;
             if let Some(child) = &mut sess.child {
                 if !sent {
                     let _ = child.kill();
                 }
-                let _ = child.wait();
             }
         }
         for (_tag, child) in &mut self.pending {
             let _ = child.kill();
+        }
+        let sessions = self.sessions.iter_mut().filter_map(|s| s.child.take());
+        sessions.chain(self.pending.drain(..).map(|(_, c)| c)).collect()
+    }
+}
+
+/// Worker processes told to exit. Dropping it waits for each, so they
+/// exit side by side and beside the coordinator's closing writes.
+struct Exiting(Vec<Child>);
+
+impl Drop for Exiting {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
             let _ = child.wait();
         }
+    }
+}
+
+/// Says on stderr which settled files failed their check: those units
+/// run again, and their files are never merged.
+fn report_rejected(rejected: &[(u64, String)]) {
+    for (unit, why) in rejected {
+        eprintln!("service: unit {unit} runs again: {why}");
     }
 }
 

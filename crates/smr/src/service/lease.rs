@@ -9,7 +9,7 @@
 //! given to [`LeaseManager::new`]; the service completes around it and
 //! reports the loss).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 /// A unit's position in the lease lifecycle.
@@ -40,6 +40,13 @@ pub enum UnitState {
     },
 }
 
+impl UnitState {
+    /// `Done` or `Quarantined`: out of circulation for good.
+    fn is_settled(&self) -> bool {
+        matches!(self, UnitState::Done | UnitState::Quarantined { .. })
+    }
+}
+
 /// What a death/requeue transition decided — the coordinator journals
 /// these so attempt counts survive coordinator restarts.
 #[derive(Clone, PartialEq, Debug)]
@@ -66,6 +73,11 @@ pub enum LeaseEvent {
 #[derive(Debug)]
 pub struct LeaseManager {
     units: BTreeMap<u64, UnitState>,
+    /// The units in `Pending`, so finding the next lease never walks
+    /// the settled ones.
+    pending: BTreeSet<u64>,
+    /// How many units are not settled yet.
+    open: usize,
     max_attempts: usize,
     backoff: Duration,
 }
@@ -76,29 +88,50 @@ impl LeaseManager {
     /// lease `k` backs off `backoff * 2^(k-1)` before re-entering
     /// circulation.
     pub fn new(unit_ids: impl IntoIterator<Item = u64>, max_attempts: usize, backoff: Duration) -> LeaseManager {
+        let pending: BTreeSet<u64> = unit_ids.into_iter().collect();
         LeaseManager {
-            units: unit_ids
-                .into_iter()
-                .map(|id| (id, UnitState::Pending { attempt: 0, not_before: None }))
+            units: pending
+                .iter()
+                .map(|&id| (id, UnitState::Pending { attempt: 0, not_before: None }))
                 .collect(),
+            open: pending.len(),
+            pending,
             max_attempts: max_attempts.max(1),
             backoff,
         }
     }
 
+    /// Moves a known `unit` to `next`, keeping the pending set and the
+    /// open count in step. Every change of a unit's variant goes
+    /// through here.
+    fn set(&mut self, unit: u64, next: UnitState) {
+        let Some(state) = self.units.get_mut(&unit) else { return };
+        self.open = self.open + usize::from(!next.is_settled()) - usize::from(!state.is_settled());
+        if matches!(next, UnitState::Pending { .. }) {
+            self.pending.insert(unit);
+        } else {
+            self.pending.remove(&unit);
+        }
+        *state = next;
+    }
+
     /// Recovery: mark a unit already completed (its shard was
     /// journaled).
     pub fn mark_done(&mut self, unit: u64) {
-        if let Some(state) = self.units.get_mut(&unit) {
-            *state = UnitState::Done;
+        self.set(unit, UnitState::Done);
+    }
+
+    /// A done unit whose settled shard failed its check goes back to
+    /// pending, as if never leased.
+    pub fn reopen(&mut self, unit: u64) {
+        if self.units.get(&unit) == Some(&UnitState::Done) {
+            self.set(unit, UnitState::Pending { attempt: 0, not_before: None });
         }
     }
 
     /// Recovery: mark a unit quarantined.
     pub fn mark_quarantined(&mut self, unit: u64, reason: &str) {
-        if let Some(state) = self.units.get_mut(&unit) {
-            *state = UnitState::Quarantined { reason: reason.to_string() };
-        }
+        self.set(unit, UnitState::Quarantined { reason: reason.to_string() });
     }
 
     /// Recovery: restore a unit's consumed-attempt count from the
@@ -111,13 +144,12 @@ impl LeaseManager {
 
     /// The lowest-id unit that may be leased right now, if any.
     pub fn next_available(&self, now: Instant) -> Option<u64> {
-        self.units.iter().find_map(|(id, state)| match state {
-            UnitState::Pending { not_before, .. }
-                if not_before.is_none_or(|t| now >= t) =>
-            {
-                Some(*id)
-            }
-            _ => None,
+        self.pending.iter().copied().find(|id| {
+            matches!(
+                self.units.get(id),
+                Some(UnitState::Pending { not_before, .. })
+                    if not_before.is_none_or(|t| now >= t)
+            )
         })
     }
 
@@ -125,12 +157,12 @@ impl LeaseManager {
     /// Panics if the unit is not pending — the coordinator only leases
     /// what [`LeaseManager::next_available`] returned.
     pub fn lease(&mut self, unit: u64, worker: usize, now: Instant) -> usize {
-        let state = self.units.get_mut(&unit).expect("leasing unknown unit");
+        let state = self.units.get(&unit).expect("leasing unknown unit");
         let UnitState::Pending { attempt, .. } = state else {
             panic!("leasing unit {unit} in state {state:?}");
         };
         let attempt = *attempt + 1;
-        *state = UnitState::Leased { attempt, worker, last_beat: now };
+        self.set(unit, UnitState::Leased { attempt, worker, last_beat: now });
         attempt
     }
 
@@ -146,9 +178,9 @@ impl LeaseManager {
     /// Marks `unit` done. Returns `false` if it already was (a
     /// duplicate result from a crash/retry race — callers drop it).
     pub fn complete(&mut self, unit: u64) -> bool {
-        match self.units.get_mut(&unit) {
-            Some(state @ (UnitState::Leased { .. } | UnitState::Pending { .. })) => {
-                *state = UnitState::Done;
+        match self.units.get(&unit) {
+            Some(UnitState::Leased { .. } | UnitState::Pending { .. }) => {
+                self.set(unit, UnitState::Done);
                 true
             }
             _ => false,
@@ -158,22 +190,18 @@ impl LeaseManager {
     /// Ends `unit`'s current lease without a result: requeue with
     /// backoff, or quarantine once `max_attempts` leases have failed.
     pub fn fail_lease(&mut self, unit: u64, now: Instant, reason: &str) -> Option<LeaseEvent> {
-        let state = self.units.get_mut(&unit)?;
-        let UnitState::Leased { attempt, .. } = *state else {
+        let UnitState::Leased { attempt, .. } = *self.units.get(&unit)? else {
             return None;
         };
         if attempt >= self.max_attempts {
             let reason = format!("attempt {attempt}/{}: {reason}", self.max_attempts);
-            *state = UnitState::Quarantined { reason: reason.clone() };
+            self.set(unit, UnitState::Quarantined { reason: reason.clone() });
             Some(LeaseEvent::Quarantined { unit, reason })
         } else {
             // Bounded exponential backoff so a crash-looping unit
             // does not monopolise the worker fleet.
             let delay = self.backoff * (1u32 << (attempt - 1).min(16) as u32);
-            *state = UnitState::Pending {
-                attempt,
-                not_before: Some(now + delay),
-            };
+            self.set(unit, UnitState::Pending { attempt, not_before: Some(now + delay) });
             Some(LeaseEvent::Requeued { unit, attempt, reason: reason.to_string() })
         }
     }
@@ -212,9 +240,12 @@ impl LeaseManager {
 
     /// Every unit is `Done` or `Quarantined`: the run can merge.
     pub fn all_settled(&self) -> bool {
-        self.units
-            .values()
-            .all(|s| matches!(s, UnitState::Done | UnitState::Quarantined { .. }))
+        self.open == 0
+    }
+
+    /// How many units are neither `Done` nor `Quarantined`.
+    pub fn unsettled(&self) -> usize {
+        self.open
     }
 
     /// The quarantined units with their reasons.
@@ -231,10 +262,10 @@ impl LeaseManager {
     /// Consumed attempts per unit that is still pending (journal
     /// compaction persists these).
     pub fn pending_attempts(&self) -> Vec<(u64, usize)> {
-        self.units
+        self.pending
             .iter()
-            .filter_map(|(id, state)| match state {
-                UnitState::Pending { attempt, .. } if *attempt > 0 => {
+            .filter_map(|id| match self.units.get(id) {
+                Some(UnitState::Pending { attempt, .. }) if *attempt > 0 => {
                     Some((*id, *attempt))
                 }
                 _ => None,
@@ -336,6 +367,22 @@ mod tests {
             [LeaseEvent::Quarantined { unit: 2, .. }]
         ));
         assert!(m.all_settled());
+    }
+
+    /// A done unit whose shard failed its check is pending again, with
+    /// no attempt charged, and the open count follows every move.
+    #[test]
+    fn reopen_returns_a_done_unit_to_pending() {
+        let now = Instant::now();
+        let mut m = mgr(3);
+        m.lease(0, 1, now);
+        assert!(m.complete(0));
+        m.mark_done(1);
+        assert_eq!((m.unsettled(), m.next_available(now)), (1, Some(2)));
+        m.reopen(1);
+        m.reopen(2); // Not done: unchanged.
+        assert_eq!((m.unsettled(), m.next_available(now)), (2, Some(1)));
+        assert_eq!(m.lease(1, 1, now), 1);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! losing the disk: the (scheduler × seed-range) matrix is partitioned
 //! into self-describing [`unit::WorkUnit`]s held in a persistent
 //! crash-safe job queue ([`queue::JobQueue`]: append-only checksummed
-//! journal plus atomic snapshot compaction), a coordinator
+//! journal, one immutable settled file per completed unit, and atomic
+//! snapshot compaction), a coordinator
 //! ([`coordinator::run_service`]) leases units to worker *processes*
 //! over a length-prefixed JSON stdio protocol ([`proto`]) with
 //! heartbeats, lease expiry, bounded retry-with-backoff on worker

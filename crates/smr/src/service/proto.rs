@@ -214,13 +214,16 @@ pub enum CoordMsg {
         /// Give up instead of re-handshaking?
         fatal: bool,
     },
-    /// Execute this unit; checkpoint under `state_dir`, publish
-    /// violation bundles under `corpus_dir`, heartbeat every
-    /// `heartbeat_ms`.
+    /// Execute this unit in memory, publish violation bundles under
+    /// `corpus_dir`, heartbeat every `heartbeat_ms`, and send the
+    /// shard back.
     Lease {
         /// The self-describing unit.
         unit: WorkUnit,
-        /// Directory for the unit checkpoint.
+        /// The coordinator's state directory. Workers write nothing
+        /// there: the coordinator settles each shard it receives. The
+        /// field stays in the frame so its bytes do not change, and
+        /// the benchmark package's service shadow still reads it.
         state_dir: String,
         /// Directory for deduplicated violation bundles.
         corpus_dir: String,

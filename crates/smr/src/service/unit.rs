@@ -22,8 +22,8 @@ pub struct ServiceSpec {
     /// `protocol=racing`, `procs=3`, `m=2`, `rounds=3`).
     pub system: Vec<(String, String)>,
     /// The campaign shape. `threads` is ignored by the service —
-    /// workers execute units single-threaded so checkpoint state never
-    /// interleaves.
+    /// workers execute units single-threaded, and the merged report
+    /// does not depend on it.
     pub config: CampaignConfig,
     /// Seeds per work unit (the partition grain). The last unit of a
     /// scheduler may be smaller.
@@ -230,10 +230,12 @@ pub struct WorkUnit {
 }
 
 impl WorkUnit {
-    /// The identity stamped into this unit's worker checkpoint, so a
-    /// re-leased worker can only resume state written for *this* unit
-    /// of *this* campaign (see
+    /// The identity of *this* unit of *this* campaign, in the
+    /// checkpoint spec format (see
     /// [`crate::campaign::CampaignCheckpoint::ensure_matches`]).
+    /// Service workers keep no checkpoint, so nothing in the service
+    /// stamps it; the benchmark package's service shadow, which still
+    /// checkpoints every run, does.
     pub fn spec_id(&self) -> String {
         let desc: Vec<String> =
             self.system.iter().map(|(k, v)| format!("{k}={v}")).collect();

@@ -171,12 +171,17 @@ smoke-replay:
 # single-process no-fault reference, every corpus bundle must replay,
 # a second run over the same state dir must converge from the journal
 # alone, and the E17 soak (three kills, one on the very first lease,
-# plus two torn writes) must merge to the same bytes as its reference
-# (mirrors CI's smoke-service job).
+# plus two torn writes) must merge to the same bytes as its reference.
+# The reference is pinned by sha256 across commits. A 5,000-run service
+# in 8-run units must merge to the in-process bytes with a snapshot of
+# at most 256 KiB and no worker checkpoint left behind (mirrors CI's
+# smoke-service job).
 smoke-service:
-    rm -rf svc-state soak-state
+    rm -rf svc-state soak-state svc-5k-state
     cargo run --release -- campaign --protocol racing --procs 3 --m 2 \
         --sched rr,random --runs 40 --threads 1 --json-out svc-ref.json
+    echo "8c5b3e644314fcf2978f2ec9d3f40c99747801a17d6d20e1b82fb6c76d604434  svc-ref.json" \
+        | sha256sum -c -
     cargo run --release -- campaign-service --protocol racing --procs 3 --m 2 \
         --sched rr,random --runs 40 --workers 2 --unit-runs 8 \
         --state svc-state --chaos kill@unit:1,torn@result:3 \
@@ -198,6 +203,14 @@ smoke-service:
     cat soak.log
     grep -q '3 worker kills, 2 torn journal writes injected' soak.log
     cmp soak-ref.json soak-merged.json
+    cargo run --release -- campaign --protocol racing --procs 3 --m 2 \
+        --sched rr,random --runs 2500 --threads 1 --json-out svc-5k-ref.json
+    cargo run --release -- campaign-service --protocol racing --procs 3 --m 2 \
+        --sched rr,random --runs 2500 --workers 2 --unit-runs 8 \
+        --state svc-5k-state --json-out svc-5k-merged.json
+    cmp svc-5k-ref.json svc-5k-merged.json
+    test "$(stat -c %s svc-5k-state/snapshot.json)" -le 262144
+    test -z "$(find svc-5k-state -name 'unit-*.checkpoint.json')"
 
 # TCP transport determinism gate: workers dial the coordinator over a
 # real socket while the chaos proxy drops, delays, duplicates,

@@ -1465,23 +1465,20 @@ fn print_fault_outcome(
 
 /// Executes one leased work unit inside a `campaign-worker` process:
 /// rebuilds the protocol from the unit's system description, runs its
-/// seed range single-threaded, and returns the shard result in global
-/// matrix coordinates. A scheduler unit runs with a per-run checkpoint
-/// (so a SIGKILL loses at most the uncommitted run), resumes a dead
-/// predecessor's partial checkpoint when its spec id matches, and
-/// publishes every violation as a deduplicated corpus bundle. A fault
-/// unit (non-empty plan) runs the same record runner and certificate as
-/// `campaign --faults`; fault runs are deterministic and cheap, so it
-/// keeps no checkpoint — a retried unit simply reruns, and the merge
-/// layer's first-wins dedup cannot tell the difference.
+/// seed range single-threaded in memory, and returns the shard result
+/// in global matrix coordinates. The worker writes nothing to the state
+/// directory: the coordinator settles the shard it sends, and a unit
+/// whose worker dies is leased again and reruns from its first seed,
+/// which the merge layer's first-wins dedup cannot tell apart from one
+/// run. A scheduler unit publishes every violation as a deduplicated
+/// corpus bundle; a fault unit (non-empty plan) runs the same record
+/// runner and certificate as `campaign --faults`.
 fn worker_execute_unit(
     unit: &revisionist_simulations::smr::service::WorkUnit,
-    state_dir: &std::path::Path,
     corpus_dir: &std::path::Path,
 ) -> Result<revisionist_simulations::smr::service::ShardResult, String> {
     use revisionist_simulations::smr::campaign::{
-        run_campaign_with, run_fault_records, CampaignCheckpoint, CampaignOptions,
-        SchedulerSpec,
+        run_campaign_records, run_fault_records, SchedulerSpec,
     };
     use revisionist_simulations::smr::fault::FaultPlan;
     use revisionist_simulations::smr::service::ShardResult;
@@ -1518,36 +1515,12 @@ fn worker_execute_unit(
             .collect();
     } else {
         let check = protocol_check(&sys);
-        let spec_id = unit.spec_id();
-        let checkpoint_path =
-            state_dir.join(format!("unit-{}.checkpoint.json", unit.id));
-        let mut options = CampaignOptions {
-            checkpoint_every: Some(1),
-            checkpoint_path: Some(checkpoint_path.clone()),
-            spec_id: Some(spec_id.clone()),
-            ..CampaignOptions::default()
-        };
-        // A killed predecessor's partial checkpoint resumes — but only if
-        // it was written for exactly this unit of this campaign.
-        if let Ok(checkpoint) = CampaignCheckpoint::load(&checkpoint_path) {
-            if checkpoint.ensure_matches(&spec_id).is_ok() {
-                options.resume_from = Some(checkpoint);
-            }
-        }
-        run_campaign_with(&config, &options, &factory, &check);
-
-        // The terminal checkpoint is the shard payload: every completed
-        // record plus the fingerprint set, durable before the result
-        // frame.
-        let checkpoint = CampaignCheckpoint::load(&checkpoint_path)
-            .map_err(|e| format!("unit checkpoint unreadable after run: {e}"))?;
+        let (records, fingerprints) = run_campaign_records(&config, &factory, &check);
 
         // Every violating run becomes a minimized, deduplicated corpus
         // bundle; dedup is by violation fingerprint, so crash/retry
         // replays of the same failure collapse to one artifact.
-        for (_, record) in
-            checkpoint.completed.iter().filter(|(_, r)| r.violation.is_some())
-        {
+        for (_, record) in records.iter().filter(|(_, r)| r.violation.is_some()) {
             let Some(bundle) = minimized_bundle(
                 &unit.system,
                 &sched,
@@ -1569,12 +1542,11 @@ fn worker_execute_unit(
                 Err(e) => return Err(format!("cannot write corpus bundle: {e}")),
             }
         }
-        shard.records = checkpoint
-            .completed
+        shard.records = records
             .into_iter()
             .map(|(local, record)| (unit.index_base + local, record))
             .collect();
-        shard.fingerprints = checkpoint.fingerprints;
+        shard.fingerprints = fingerprints;
     }
 
     let recorded = shard.records.len() + shard.fault_records.len();
@@ -1684,9 +1656,9 @@ fn campaign_worker_remote(addr: &str, tag: Option<u64>) -> ExitCode {
 /// lease is live before the first run finishes, and chaos
 /// `kill@unit` fires on it), then one per period. It ends the moment
 /// the unit does: dropping `done` wakes its `recv_timeout`. A failed
-/// beat send ends it too; executing to completion is still useful,
-/// since the checkpoint survives. The result frame goes out after the
-/// last beat.
+/// beat send ends it too; the unit still runs to completion, since
+/// the result frame may yet get through. The result frame goes out
+/// after the last beat.
 fn serve_leases<E: std::fmt::Display>(
     mut next: impl FnMut() -> Result<revisionist_simulations::smr::service::CoordMsg, ExitCode>,
     send: impl Fn(&str) -> Result<(), E> + Sync,
@@ -1696,11 +1668,11 @@ fn serve_leases<E: std::fmt::Display>(
     use std::time::Duration;
 
     loop {
-        let (unit, state_dir, corpus_dir, heartbeat_ms) = match next() {
+        let (unit, corpus_dir, heartbeat_ms) = match next() {
             Err(code) => return code,
             Ok(CoordMsg::Shutdown) => return ExitCode::SUCCESS,
-            Ok(CoordMsg::Lease { unit, state_dir, corpus_dir, heartbeat_ms }) => {
-                (unit, state_dir, corpus_dir, heartbeat_ms)
+            Ok(CoordMsg::Lease { unit, corpus_dir, heartbeat_ms, .. }) => {
+                (unit, corpus_dir, heartbeat_ms)
             }
             // Handshake frames carry no work; tolerate strays.
             Ok(CoordMsg::Welcome { .. } | CoordMsg::Reject { .. }) => continue,
@@ -1716,11 +1688,7 @@ fn serve_leases<E: std::fmt::Display>(
                     && finished.recv_timeout(period) == Err(RecvTimeoutError::Timeout)
                 {}
             });
-            let result = worker_execute_unit(
-                &unit,
-                std::path::Path::new(&state_dir),
-                std::path::Path::new(&corpus_dir),
-            );
+            let result = worker_execute_unit(&unit, std::path::Path::new(&corpus_dir));
             drop(done);
             result
         });

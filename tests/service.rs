@@ -199,6 +199,156 @@ fn chaos_service_matches_single_process_reference_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The coordinator stops between a `result` append and the next
+/// compaction, and then the newest settled file is damaged: torn in
+/// half, or replaced by a well-formed shard that is not the one the
+/// journal hashed. The resumed service says on stderr that the unit
+/// runs again, reruns it, and merges the bytes of an uninterrupted
+/// run; the damaged file is never merged.
+#[test]
+fn damaged_newest_settled_file_reruns_and_merges_identically() {
+    use revisionist_simulations::smr::service::{JobQueue, JournalRecord};
+
+    let dir = tmp_dir("settled");
+    let reference = dir.join("reference.json");
+    let mut ref_args: Vec<&str> = vec!["campaign"];
+    ref_args.extend_from_slice(SPEC);
+    ref_args.extend_from_slice(&["--threads", "1", "--json-out", reference.to_str().unwrap()]);
+    let (_, stderr, ok) = run(&ref_args);
+    assert!(ok, "reference campaign failed: {stderr}");
+    let ref_bytes = std::fs::read(&reference).unwrap();
+
+    // An uninterrupted service run supplies the spec and every shard.
+    let service = |state: &Path, out: &Path| {
+        let mut args: Vec<&str> = vec!["campaign-service"];
+        args.extend_from_slice(SPEC);
+        args.extend_from_slice(&[
+            "--workers",
+            "2",
+            "--unit-runs",
+            "8",
+            "--state",
+            state.to_str().unwrap(),
+            "--json-out",
+            out.to_str().unwrap(),
+        ]);
+        run(&args)
+    };
+    let full = dir.join("full");
+    let (_, stderr, ok) = service(&full, &dir.join("full.json"));
+    assert!(ok, "uninterrupted service failed: {stderr}");
+    let (_, recovered) = JobQueue::open(&full, 32).unwrap();
+    let spec = recovered.spec.expect("the state directory names its spec");
+    assert_eq!(recovered.shards.len(), 10);
+
+    for damage in ["torn", "edited"] {
+        // The journal of a coordinator stopped after settling units
+        // 0..=3, before any compaction.
+        let state = dir.join(format!("stopped-{damage}"));
+        {
+            let (mut queue, _) = JobQueue::open(&state, usize::MAX).unwrap();
+            queue.append(&JournalRecord::Init { spec: spec.clone() }).unwrap();
+            for shard in &recovered.shards[..4] {
+                queue.append(&JournalRecord::Lease { unit: shard.unit, attempt: 1 }).unwrap();
+                queue.append(&JournalRecord::Result { shard: shard.clone() }).unwrap();
+            }
+        }
+        assert!(!state.join("snapshot.json").exists(), "no compaction ran");
+        let newest = state.join("settled/unit-3.json");
+        let bytes = std::fs::read(&newest).unwrap();
+        match damage {
+            "torn" => std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap(),
+            _ => {
+                let mut other = recovered.shards[3].clone();
+                other.records[0].1.steps += 1;
+                std::fs::write(&newest, format!("{}\n", other.to_json())).unwrap();
+            }
+        }
+        let merged = dir.join(format!("merged-{damage}.json"));
+        let (_, stderr, ok) = service(&state, &merged);
+        assert!(ok, "resumed service failed: {stderr}");
+        assert!(stderr.contains("service: unit 3 runs again"), "{damage}: {stderr}");
+        assert!(
+            stderr.contains("10 units (3 recovered), 7 leases, 0 requeues"),
+            "{damage}: only the damaged and the unsettled units rerun: {stderr}"
+        );
+        assert!(
+            std::fs::read(&merged).unwrap() == ref_bytes,
+            "{damage}: resumed report differs from the reference"
+        );
+        assert!(std::fs::read(&newest).unwrap() == bytes, "unit 3 settled again");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A settled file damaged while the service runs, after its unit
+/// completed and before the merge, is caught while the fleet is still
+/// held: the unit reruns on the live worker, no second fleet is
+/// spawned (an externally managed TCP fleet would be gone after the
+/// shutdown), and the merge has the bytes of an uninterrupted run.
+#[cfg(unix)]
+#[test]
+fn settled_file_damaged_mid_run_reruns_on_the_live_fleet() {
+    use revisionist_simulations::smr::service::{
+        run_service, ChaosPlan, JobQueue, ServiceOptions,
+    };
+
+    let dir = tmp_dir("midrun");
+    let full = dir.join("full");
+    let full_json = dir.join("full.json");
+    let mut args: Vec<&str> = vec!["campaign-service"];
+    args.extend_from_slice(SPEC);
+    args.extend_from_slice(&[
+        "--workers",
+        "1",
+        "--unit-runs",
+        "8",
+        "--state",
+        full.to_str().unwrap(),
+        "--json-out",
+        full_json.to_str().unwrap(),
+    ]);
+    let (_, stderr, ok) = run(&args);
+    assert!(ok, "uninterrupted service failed: {stderr}");
+    let (_, recovered) = JobQueue::open(&full, 32).unwrap();
+    let spec = recovered.spec.expect("the state directory names its spec");
+
+    // One worker takes the units in order. The chaos kill on unit 2
+    // makes the coordinator respawn it, and the respawned worker's
+    // command first damages unit 0's settled file.
+    let state = dir.join("state");
+    let unit0 = state.join("settled/unit-0.json");
+    let script = format!(
+        "[ -f '{f}' ] && printf torn > '{f}'; exec '{bin}' campaign-worker",
+        f = unit0.display(),
+        bin = env!("CARGO_BIN_EXE_revisionist-simulations"),
+    );
+    let mut opts = ServiceOptions::new(
+        state.clone(),
+        dir.join("corpus"),
+        vec!["sh".into(), "-c".into(), script],
+    );
+    opts.workers = 1;
+    opts.chaos = ChaosPlan::parse("kill@unit:2").unwrap();
+    let outcome = run_service(&spec, &opts).expect("service converges");
+    let stats = &outcome.stats;
+    assert_eq!(stats.kills_injected, 1, "chaos must actually fire");
+    assert_eq!(
+        (stats.leases, stats.requeues, stats.workers_spawned),
+        (12, 1, 2),
+        "unit 0 reruns once, on the worker that is already running"
+    );
+    assert!(
+        outcome.report.to_json().as_bytes() == std::fs::read(&full_json).unwrap(),
+        "merged report differs from the uninterrupted run"
+    );
+    assert!(
+        std::fs::read(&unit0).unwrap() == std::fs::read(full.join("settled/unit-0.json")).unwrap(),
+        "unit 0 settled again"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Fault failures land on the summary row of their matrix index: two
 /// plans with the same text keep separate rows, each with its own
 /// failures.
