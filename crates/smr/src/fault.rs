@@ -38,7 +38,7 @@ use crate::system::System;
 use std::fmt;
 
 /// The kind of a base-object operation, for trace-keyed triggers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum OpKind {
     /// A register read.
     Read,
@@ -105,7 +105,7 @@ impl fmt::Display for OpKind {
 }
 
 /// One precisely placed fault.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Fault {
     /// Crash `process` permanently once it has taken `step` steps: it
     /// is never scheduled again after its `step`-th step (so `step: 0`
@@ -170,7 +170,7 @@ impl fmt::Display for Fault {
 
 /// A deterministic fault plan: a set of precisely placed faults applied
 /// on top of any scheduler via [`FaultScheduler`].
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct FaultPlan {
     /// The planned faults.
     pub faults: Vec<Fault>,

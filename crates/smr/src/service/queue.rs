@@ -34,7 +34,9 @@
 //! earlier-format journal `result` line or snapshot carries inline is
 //! not a settled file, so its unit is pending too and simply runs
 //! again. Every coordinator start *is* a recovery — there is no
-//! separate cold-start path to rot.
+//! separate cold-start path to rot. Recovery also removes the
+//! `unit-N.checkpoint.json` files that workers of earlier builds wrote
+//! into the state directory's root, which nothing reads any more.
 
 use crate::error::ModelError;
 use crate::fingerprint::fingerprint;
@@ -267,7 +269,9 @@ impl JobQueue {
     /// whatever a previous run left there, reading back and verifying
     /// every settled file. `compact_every` bounds how many appends
     /// accumulate before [`JobQueue::maybe_compact`] folds them into
-    /// the snapshot.
+    /// the snapshot. The per-unit worker checkpoints that earlier
+    /// builds left in the directory's root, `unit-N.checkpoint.json`,
+    /// are removed: nothing reads them any more.
     ///
     /// # Errors
     ///
@@ -280,6 +284,7 @@ impl JobQueue {
         let journal_path = state_dir.join("journal.log");
         let snapshot_path = state_dir.join("snapshot.json");
         let (mut recovered, settled) = recover(&snapshot_path, &journal_path);
+        remove_stale_checkpoints(state_dir);
         let journal = std::fs::OpenOptions::new()
             .create(true)
             .read(true)
@@ -555,6 +560,30 @@ impl JobQueue {
             self.compact(spec, shards, attempts, quarantined)?;
         }
         Ok(())
+    }
+}
+
+/// Removes every `unit-N.checkpoint.json` (N decimal digits) in the
+/// root of `state_dir`. Workers of earlier builds checkpointed each
+/// unit there; a worker now runs its unit in memory and nothing reads
+/// those files, so without this a resumed directory keeps them all
+/// (626 for a 5,000-run service). Any other file, and anything below
+/// the root, stays. Best effort: a file that cannot be listed or
+/// removed is only clutter, never read, so it does not fail the open.
+fn remove_stale_checkpoints(state_dir: &Path) {
+    let Ok(entries) = std::fs::read_dir(state_dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let stale = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("unit-"))
+            .and_then(|n| n.strip_suffix(".checkpoint.json"))
+            .is_some_and(|id| !id.is_empty() && id.bytes().all(|b| b.is_ascii_digit()));
+        if stale && entry.file_type().is_ok_and(|t| t.is_file()) {
+            let _ = std::fs::remove_file(entry.path());
+        }
     }
 }
 
@@ -936,6 +965,36 @@ mod tests {
         assert!(recovered.shards.is_empty());
         assert!(recovered.rejected.is_empty());
         assert!(recovered.attempts.is_empty(), "{:?}", recovered.attempts);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Opening removes the per-run worker checkpoints of earlier
+    /// builds from the state directory's root, and nothing else.
+    #[test]
+    fn open_removes_earlier_worker_checkpoints_only() {
+        let dir = tmp_dir("checkpoints");
+        std::fs::create_dir_all(dir.join("settled")).unwrap();
+        let stale = ["unit-0.checkpoint.json", "unit-625.checkpoint.json"];
+        let kept = [
+            "unit-.checkpoint.json",
+            "unit-x1.checkpoint.json",
+            "unit-3.checkpoint.json.tmp",
+            "campaign.checkpoint.json",
+            "settled/unit-4.checkpoint.json",
+        ];
+        for name in stale.iter().chain(&kept) {
+            std::fs::write(dir.join(name), "{}\n").unwrap();
+        }
+        std::fs::create_dir_all(dir.join("unit-7.checkpoint.json")).unwrap();
+        let (_q, recovered) = JobQueue::open(&dir, 1000).unwrap();
+        assert!(recovered.spec.is_none());
+        for name in stale {
+            assert!(!dir.join(name).exists(), "{name} left behind");
+        }
+        for name in kept {
+            assert!(dir.join(name).exists(), "{name} removed");
+        }
+        assert!(dir.join("unit-7.checkpoint.json").is_dir(), "a directory is not a checkpoint");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

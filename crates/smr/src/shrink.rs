@@ -23,7 +23,17 @@
 //!   [`shrink`] call is a no-op (idempotence);
 //! * every candidate evaluation is a deterministic replay — same
 //!   factory, same decisions, same plan → same outcome — so shrinking
-//!   is itself reproducible.
+//!   is itself reproducible;
+//! * each distinct candidate is replayed once per call: a [`shrink`]
+//!   call keeps the verdict of every candidate it has replayed, keyed
+//!   by the exact `(decisions, faults)` pair, and answers a repeat
+//!   from that memo. ddmin reaches equal candidates again and again
+//!   (once a complement is removed, most chunks at the next
+//!   granularity are chunks it has already tested, and the joint
+//!   fixpoint's closing round runs ddmin again over a result the round
+//!   before already reduced), and by the previous guarantee a
+//!   replay could only return the recorded verdict. The memo is
+//!   dropped when the call returns.
 
 use crate::campaign::SchedulerSpec;
 use crate::fault::{Fault, FaultPlan, FaultScheduler};
@@ -31,6 +41,8 @@ use crate::fingerprint::fingerprint;
 use crate::process::ProcessId;
 use crate::sched::Fixed;
 use crate::system::System;
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// A replayable counterexample: the schedule as an explicit decision
 /// sequence plus the fault plan that was in force. Replaying the
@@ -39,7 +51,7 @@ use crate::system::System;
 /// processes, so the recorded trace pids *are* the decision sequence
 /// and the fault triggers (step counts, decision clock, trace cursor)
 /// line up with the original run.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Counterexample {
     /// The scheduling decisions, in order.
     pub decisions: Vec<ProcessId>,
@@ -158,7 +170,10 @@ pub struct ShrinkReport {
     /// The preserved violation fingerprint (`None` when the input was
     /// not a violation, in which case nothing was shrunk).
     pub fingerprint: Option<u64>,
-    /// Replay candidates evaluated.
+    /// Candidates ddmin considered, memo hits included: a candidate
+    /// the call had already replayed counts again but is not replayed
+    /// again (see the module docs), so this is an upper bound on the
+    /// replays and the quantity the candidate budget caps.
     pub candidates_tried: usize,
     /// Fault-pass + decision-pass rounds until the joint fixpoint.
     pub passes: usize,
@@ -205,6 +220,20 @@ pub fn shrink_with(
     check: CexCheck,
     candidate_budget: usize,
 ) -> (Counterexample, ShrinkReport) {
+    shrink_by(
+        cex,
+        &|candidate| execute(factory, candidate, check).fingerprint(),
+        candidate_budget,
+    )
+}
+
+/// The shrink loop of [`shrink_with`] over `replay`, which returns the
+/// violation fingerprint of one deterministic replay of a candidate.
+fn shrink_by(
+    cex: &Counterexample,
+    replay: &dyn Fn(&Counterexample) -> Option<u64>,
+    candidate_budget: usize,
+) -> (Counterexample, ShrinkReport) {
     let mut report = ShrinkReport {
         original_decisions: cex.decisions.len(),
         shrunk_decisions: cex.decisions.len(),
@@ -215,7 +244,7 @@ pub fn shrink_with(
         passes: 0,
         truncated: false,
     };
-    let Some(target) = execute(factory, cex, check).fingerprint() else {
+    let Some(target) = replay(cex) else {
         // Not a violation: nothing to preserve, nothing to shrink.
         return (cex.clone(), report);
     };
@@ -223,12 +252,20 @@ pub fn shrink_with(
 
     let mut tried = 0usize;
     let mut current = cex.clone();
+    // The verdict of every candidate replayed so far, keyed by the
+    // exact candidate: a hash alone could collide into a wrong verdict.
+    let verdicts: RefCell<HashMap<Counterexample, bool>> = RefCell::default();
     let reproduces = |decisions: &[ProcessId], faults: &[Fault]| -> bool {
         let candidate = Counterexample {
             decisions: decisions.to_vec(),
             plan: FaultPlan { faults: faults.to_vec() },
         };
-        execute(factory, &candidate, check).fingerprint() == Some(target)
+        if let Some(&verdict) = verdicts.borrow().get(&candidate) {
+            return verdict;
+        }
+        let verdict = replay(&candidate) == Some(target);
+        verdicts.borrow_mut().insert(candidate, verdict);
+        verdict
     };
 
     // Joint fixpoint: each pass delta-debugs the fault list (against
@@ -267,7 +304,8 @@ pub fn shrink_with(
 /// still holds, 1-minimal with respect to single-element removal when
 /// the budget allows. `test` is never called on the input itself (the
 /// caller has already established it holds). `tried` is incremented
-/// once per candidate evaluated; evaluation stops at `budget`.
+/// once per candidate considered, whether or not `test` answers it
+/// from a memo; evaluation stops at `budget`.
 fn ddmin<T: Clone>(
     items: &[T],
     test: &dyn Fn(&[T]) -> bool,
@@ -400,6 +438,52 @@ mod tests {
             .map(|_| "p0 observed p1's write".to_string())
     }
 
+    fn pids(raw: &[usize]) -> Vec<ProcessId> {
+        raw.iter().map(|&p| ProcessId(p)).collect()
+    }
+
+    /// The schedule never runs p1, so every planted fault (the crash
+    /// of p1, a stall far past the end of the run, a trigger that never
+    /// fires) is redundant and must be shrunk away.
+    fn planted_faults() -> (Counterexample, impl Fn(&System, &[ProcessId]) -> Option<String>) {
+        let check = |sys: &System, _: &[ProcessId]| {
+            sys.output(ProcessId(0))
+                .filter(|v| *v == Value::Int(1))
+                .map(|_| "p0 never saw p1".to_string())
+        };
+        let plan =
+            FaultPlan::parse("crash@1:0+stall@0:90-95+crash-after@1:scan:9")
+                .unwrap();
+        (Counterexample { decisions: vec![ProcessId(0); 3], plan }, check)
+    }
+
+    /// Shrinks `cex` through [`shrink_by`] with a factory that counts
+    /// its calls and a replay that records every candidate it is asked
+    /// for. Returns the report, the replayed candidates in order (the
+    /// input first) and the factory's call count.
+    fn replays_of(
+        cex: &Counterexample,
+        check: CexCheck,
+    ) -> (ShrinkReport, Vec<Counterexample>, usize) {
+        let calls = std::cell::Cell::new(0usize);
+        let factory = || {
+            calls.set(calls.get() + 1);
+            two_writers()
+        };
+        let replayed = RefCell::new(Vec::new());
+        let (shrunk, report) = shrink_by(
+            cex,
+            &|candidate| {
+                replayed.borrow_mut().push(candidate.clone());
+                execute(&factory, candidate, check).fingerprint()
+            },
+            DEFAULT_CANDIDATE_BUDGET,
+        );
+        // The seam changes nothing: the public path agrees.
+        assert_eq!((shrunk, report.clone()), shrink(cex, &two_writers, check));
+        (report, replayed.into_inner(), calls.get())
+    }
+
     #[test]
     fn chunk_ranges_cover_exactly() {
         for len in 1..10usize {
@@ -455,7 +539,10 @@ mod tests {
         assert_eq!(shrunk.decisions.len(), 5, "shrunk: {:?}", shrunk.decisions);
         assert_eq!(report.shrunk_decisions, 5);
         assert!(!report.truncated);
-        assert!(report.fingerprint.is_some());
+        assert_eq!(report.fingerprint, Some(fingerprint("p0 observed p1's write")));
+        // The memo-free shrinker's counts: memo hits still count as
+        // candidates, so neither moves.
+        assert_eq!((report.candidates_tried, report.passes), (48, 2));
         // The shrunk trace still reproduces the same violation.
         let replayed = execute(&factory, &shrunk, &|s, c| p0_read_two(s, c));
         assert_eq!(replayed.fingerprint(), report.fingerprint);
@@ -471,6 +558,7 @@ mod tests {
         let (twice, report) = shrink(&once, &factory, &|s, c| p0_read_two(s, c));
         assert_eq!(once, twice, "second pass must remove nothing");
         assert_eq!(report.original_decisions, report.shrunk_decisions);
+        assert_eq!((report.candidates_tried, report.passes), (21, 1));
     }
 
     #[test]
@@ -485,21 +573,7 @@ mod tests {
 
     #[test]
     fn redundant_faults_are_shrunk_away() {
-        // The schedule never runs p1, so every planned fault (the
-        // crash of p1, a stall far past the end of the run, a trigger
-        // that never fires) is redundant and must be shrunk away.
-        let check = |sys: &System, _: &[ProcessId]| {
-            sys.output(ProcessId(0))
-                .filter(|v| *v == Value::Int(1))
-                .map(|_| "p0 never saw p1".to_string())
-        };
-        let plan =
-            FaultPlan::parse("crash@1:0+stall@0:90-95+crash-after@1:scan:9")
-                .unwrap();
-        let cex = Counterexample {
-            decisions: vec![ProcessId(0); 3],
-            plan,
-        };
+        let (cex, check) = planted_faults();
         let factory = || two_writers();
         let outcome = execute(&factory, &cex, &check);
         assert!(outcome.violation.is_some());
@@ -508,9 +582,32 @@ mod tests {
             report.shrunk_faults, 0,
             "every fault is redundant here: {shrunk:?}"
         );
-        assert!(shrunk.size() <= cex.size());
+        assert_eq!(shrunk, Counterexample::faultless(pids(&[0, 0, 0])));
+        assert_eq!((report.candidates_tried, report.passes), (19, 2));
         let replayed = execute(&factory, &shrunk, &check);
         assert_eq!(replayed.fingerprint(), report.fingerprint);
+    }
+
+    #[test]
+    fn each_distinct_candidate_is_replayed_once_per_call() {
+        let interleaved = Counterexample::faultless(pids(&[0, 1, 0, 1, 0, 1]));
+        let (planted, planted_check) = planted_faults();
+        let cases: [(&Counterexample, CexCheck, usize); 2] = [
+            (&interleaved, &|s, c| p0_read_two(s, c), 14),
+            (&planted, &planted_check, 4),
+        ];
+        for (cex, check, distinct) in cases {
+            let (report, replayed, calls) = replays_of(cex, check);
+            // One factory call per replay, and no candidate twice.
+            assert_eq!(calls, replayed.len());
+            let unique: std::collections::HashSet<_> = replayed.iter().collect();
+            assert_eq!(unique.len(), replayed.len(), "a candidate replayed twice");
+            // Besides the input, exactly the distinct candidates the
+            // memo-free shrinker considered are replayed: 14 of its 48
+            // candidates here, and 4 of 19 with the planted faults.
+            assert_eq!(replayed.len() - 1, distinct, "{cex:?}");
+            assert!(distinct < report.candidates_tried, "{report:?}");
+        }
     }
 
     #[test]
@@ -522,7 +619,8 @@ mod tests {
         let (shrunk, report) =
             shrink_with(&cex, &factory, &|s, c| p0_read_two(s, c), 2);
         assert!(report.truncated);
-        assert!(shrunk.size() <= cex.size());
+        assert_eq!(shrunk, cex, "neither budgeted candidate reproduces");
+        assert_eq!((report.candidates_tried, report.passes), (2, 1));
         let replayed = execute(&factory, &shrunk, &|s, c| p0_read_two(s, c));
         assert_eq!(replayed.fingerprint(), report.fingerprint);
     }

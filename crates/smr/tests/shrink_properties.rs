@@ -2,8 +2,11 @@
 //! arbitrary decision sequences (and arbitrary planted fault plans),
 //! shrinking must preserve the violation fingerprint, never grow the
 //! counterexample, and be idempotent — a second pass removes nothing.
+//! Its memo of verdicts must keep the replays within the candidates
+//! `candidates_tried` counts.
 
 use proptest::prelude::*;
+use std::cell::Cell;
 use rsim_smr::fault::FaultPlan;
 use rsim_smr::object::{Object, ObjectId};
 use rsim_smr::process::{
@@ -94,6 +97,33 @@ proptest! {
         prop_assert_eq!(&twice, &once, "second pass removed something");
         prop_assert_eq!(report.original_decisions, report.shrunk_decisions);
         prop_assert_eq!(report.original_faults, report.shrunk_faults);
+    }
+
+    #[test]
+    fn replays_stay_within_the_candidates_considered(
+        raw in proptest::collection::vec(0usize..2, 0..14),
+        victim in 0usize..2,
+        step in 0usize..6,
+    ) {
+        // A factory that counts its calls counts the replays: the
+        // input's own, then one per candidate the memo could not
+        // answer. Shrinking twice gives the same result and report.
+        let plan = FaultPlan::parse(&format!("crash@{victim}:{step}")).unwrap();
+        let cex = Counterexample {
+            decisions: raw.iter().map(|&p| ProcessId(p)).collect(),
+            plan,
+        };
+        let calls = Cell::new(0usize);
+        let factory = || {
+            calls.set(calls.get() + 1);
+            two_writers()
+        };
+        let (shrunk, report) = shrink(&cex, &factory, &p0_read_two);
+        prop_assert!(
+            calls.get() <= report.candidates_tried + 1,
+            "{} replays for {} candidates", calls.get(), report.candidates_tried
+        );
+        prop_assert_eq!(shrink(&cex, &two_writers, &p0_read_two), (shrunk, report));
     }
 
     #[test]

@@ -154,11 +154,22 @@ smoke-faults:
     cargo run --release -- aug --f 3 --m 2 --certify
 
 # Shrink a known violation into a replay bundle, replay it at several
-# thread counts, and prove a tampered bundle is rejected (mirrors CI's
-# smoke-replay job).
+# thread counts, and prove a tampered bundle is rejected. Both bundles
+# are pinned by sha256 across commits: seed 28's is already 1-minimal,
+# while the drop-helping mutant's really shrinks, 69 -> 52 decisions
+# (mirrors CI's smoke-replay job).
 smoke-replay:
     cargo run --release -- campaign --protocol racing --procs 3 --m 2 \
         --sched random --runs 100 --bundle cex.bundle.json
+    echo "36e23eeedbf737d95f296052dead8391427c741cad64557359b7696ea65d3726  cex.bundle.json" \
+        | sha256sum -c -
+    cargo run --release -- campaign --protocol gen:1:drop-helping \
+        --sched obstruction:1 --runs 50 --bundle drop-helping.bundle.json \
+        2> drop-helping.log
+    grep -q 'shrunk counterexample: 69 -> 52 decisions' drop-helping.log
+    echo "b302f49aff2fc10ec9b95b0e96020d50d4ec858819e36d1c862141d7c3fd83d9  drop-helping.bundle.json" \
+        | sha256sum -c -
+    cargo run --release -- replay drop-helping.bundle.json
     cargo run --release -- replay cex.bundle.json
     cargo run --release -- replay cex.bundle.json --threads 8
     sed 's/"fingerprint": [0-9]*/"fingerprint": 1/' cex.bundle.json \

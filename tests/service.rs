@@ -349,6 +349,58 @@ fn settled_file_damaged_mid_run_reruns_on_the_live_fleet() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Workers of earlier builds left a checkpoint per unit in the state
+/// directory's root, `unit-N.checkpoint.json`, which nothing reads any
+/// more. Resuming such a directory removes them, keeps every other
+/// file, and merges the bytes of the single-process reference.
+#[test]
+fn resume_removes_earlier_worker_checkpoints() {
+    let dir = tmp_dir("checkpoints");
+    let reference = dir.join("reference.json");
+    let mut ref_args: Vec<&str> = vec!["campaign"];
+    ref_args.extend_from_slice(SPEC);
+    ref_args.extend_from_slice(&["--threads", "1", "--json-out", reference.to_str().unwrap()]);
+    let (_, stderr, ok) = run(&ref_args);
+    assert!(ok, "reference campaign failed: {stderr}");
+
+    let state = dir.join("state");
+    let merged = dir.join("merged.json");
+    let mut args: Vec<&str> = vec!["campaign-service"];
+    args.extend_from_slice(SPEC);
+    args.extend_from_slice(&[
+        "--workers",
+        "2",
+        "--unit-runs",
+        "8",
+        "--state",
+        state.to_str().unwrap(),
+        "--json-out",
+        merged.to_str().unwrap(),
+    ]);
+    let (_, stderr, ok) = run(&args);
+    assert!(ok, "first service run failed: {stderr}");
+    let stale: Vec<PathBuf> =
+        (0..10).map(|unit| state.join(format!("unit-{unit}.checkpoint.json"))).collect();
+    for path in &stale {
+        std::fs::write(path, "{\"completed\": []}\n").unwrap();
+    }
+    let other = state.join("notes.checkpoint.json");
+    std::fs::write(&other, "kept\n").unwrap();
+
+    let (_, stderr, ok) = run(&args);
+    assert!(ok, "resumed service failed: {stderr}");
+    assert!(stderr.contains("(10 recovered), 0 leases"), "{stderr}");
+    assert!(
+        std::fs::read(&merged).unwrap() == std::fs::read(&reference).unwrap(),
+        "resumed report differs from the reference"
+    );
+    for path in &stale {
+        assert!(!path.exists(), "{} left behind", path.display());
+    }
+    assert!(other.exists(), "a file of another name was removed");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Fault failures land on the summary row of their matrix index: two
 /// plans with the same text keep separate rows, each with its own
 /// failures.
