@@ -8,12 +8,10 @@
 //! written to the summary). The
 //! fingerprint arm is also compared with its floor: FNV-1a over the
 //! pre-rendered key bytes, which no byte-identical encoding can beat
-//! because FNV-1a consumes one byte at a time. Each arm is
-//! reported next to the pre-optimisation baseline (measured on the same
-//! workloads before the streaming-hash/copy-on-write rework, commit
-//! `7b8e998`), and where the legacy code path still exists in-tree
-//! (string fingerprinting, deep trace copies) it is measured live as a
-//! `legacy_*` arm. Emits a machine-readable summary to
+//! because FNV-1a consumes one byte at a time. Where the legacy code
+//! path still exists in-tree (string fingerprinting, deep trace copies)
+//! it is measured live, on the same host, as a `legacy_*` or
+//! `deep_copy` arm. Emits a machine-readable summary to
 //! `BENCH_e14.json` (path override via the `BENCH_E14_OUT` environment
 //! variable) for the `just bench-smoke` target.
 
@@ -29,21 +27,6 @@ use rsim_smr::system::System;
 use rsim_smr::value::Value;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// Pre-optimisation reference numbers (ns unless noted), measured at
-/// the seed commit on the container this suite ships in. They anchor
-/// the printed speedup columns when the legacy path no longer exists to
-/// measure (e.g. eager trace copies inside `System::clone`).
-mod baseline {
-    pub const FINGERPRINT_NS: f64 = 1065.8;
-    pub const FORK_NS: [(usize, f64); 4] =
-        [(16, 697.4), (64, 2575.3), (256, 9921.9), (1024, 49600.3)];
-    /// Measured on the sequential DFS explorer, since removed; the
-    /// serial arm now runs the frontier engine at one thread.
-    pub const SERIAL_STATES_PER_SEC: f64 = 42_682.0;
-    pub const PARALLEL_STATES_PER_SEC: f64 = 23_457.0;
-    pub const LIN_CHECK_NS: f64 = 2_300.0;
-}
 
 fn ints(n: usize) -> Vec<Value> {
     (1..=n as i64).map(Value::Int).collect()
@@ -143,9 +126,8 @@ fn main() {
     });
     println!("fingerprint/legacy_string   {legacy_fp_ns:>12.1} ns/op");
     println!(
-        "fingerprint/streamed        {streamed_fp_ns:>12.1} ns/op  ({:.2}x vs legacy, {:.2}x vs baseline)",
+        "fingerprint/streamed        {streamed_fp_ns:>12.1} ns/op  ({:.2}x vs legacy)",
         legacy_fp_ns / streamed_fp_ns,
-        baseline::FINGERPRINT_NS / streamed_fp_ns,
     );
     println!(
         "fingerprint/fnv_floor       {floor_fp_ns:>12.1} ns/op  ({} key bytes; streamed is {:.2}x the floor)",
@@ -162,8 +144,7 @@ fn main() {
 
     // -- fork cost vs depth: CoW clone vs deep copy ----------------------
     let n = samples(50_000);
-    let mut fork_1024_cow_ns = f64::NAN;
-    for (depth, base_ns) in baseline::FORK_NS {
+    for depth in [16, 64, 256, 1024] {
         let deep = system_at_depth(depth);
         let cow_ns = time_ns(n, || {
             black_box(black_box(&deep).clone());
@@ -175,14 +156,11 @@ fn main() {
             black_box(fork.trace().to_vec());
         });
         println!(
-            "fork/cow_depth_{depth:<5}       {cow_ns:>12.1} ns/op  (deep copy {legacy_ns:.1} ns, baseline {base_ns:.1} ns, {:.1}x)",
-            base_ns / cow_ns,
+            "fork/cow_depth_{depth:<5}       {cow_ns:>12.1} ns/op  (deep copy {legacy_ns:.1} ns, {:.1}x)",
+            legacy_ns / cow_ns,
         );
         json.push(format!("    \"fork_depth_{depth}_ns\": {cow_ns:.1}"));
         json.push(format!("    \"fork_depth_{depth}_deep_copy_ns\": {legacy_ns:.1}"));
-        if depth == 1024 {
-            fork_1024_cow_ns = cow_ns;
-        }
     }
 
     // -- serial exploration (one worker thread) -------------------------
@@ -197,9 +175,8 @@ fn main() {
     });
     let serial_rate = states as f64 / (serial_ns / 1e9);
     println!(
-        "explore/serial_1            {:>12.1} ms/run  ({states} states, {serial_rate:.0} states/s, {:.2}x vs baseline)",
+        "explore/serial_1            {:>12.1} ms/run  ({states} states, {serial_rate:.0} states/s)",
         serial_ns / 1e6,
-        serial_rate / baseline::SERIAL_STATES_PER_SEC,
     );
     json.push(format!("    \"serial_states\": {states}"));
     json.push(format!("    \"serial_states_per_sec\": {serial_rate:.0}"));
@@ -216,9 +193,8 @@ fn main() {
     });
     let par_rate = pstates as f64 / (par_ns / 1e9);
     println!(
-        "explore/parallel_{threads}          {:>12.1} ms/run  ({pstates} states, {par_rate:.0} states/s, {:.2}x vs baseline)",
+        "explore/parallel_{threads}          {:>12.1} ms/run  ({pstates} states, {par_rate:.0} states/s)",
         par_ns / 1e6,
-        par_rate / baseline::PARALLEL_STATES_PER_SEC,
     );
     json.push(format!("    \"threads\": {threads}"));
     json.push(format!("    \"parallel_states\": {pstates}"));
@@ -230,33 +206,14 @@ fn main() {
     let lin_ns = time_ns(n, || {
         black_box(check(black_box(&hist), Object::register()));
     });
-    println!(
-        "lin_check/overlapping       {:>12.1} µs/run  ({:.2}x vs baseline)",
-        lin_ns / 1e3,
-        baseline::LIN_CHECK_NS / lin_ns,
-    );
+    println!("lin_check/overlapping       {:>12.1} µs/run", lin_ns / 1e3);
     json.push(format!("    \"lin_check_ns\": {lin_ns:.0}"));
 
     // -- JSON summary ----------------------------------------------------
     let out = std::env::var("BENCH_E14_OUT").unwrap_or_else(|_| "BENCH_e14.json".into());
-    let baseline_json = format!(
-        "    \"fingerprint_legacy_ns\": {:.1},\n    \"fork_depth_16_ns\": {:.1},\n    \"fork_depth_64_ns\": {:.1},\n    \"fork_depth_256_ns\": {:.1},\n    \"fork_depth_1024_ns\": {:.1},\n    \"serial_states_per_sec\": {:.0},\n    \"parallel_states_per_sec\": {:.0},\n    \"lin_check_ns\": {:.0}",
-        baseline::FINGERPRINT_NS,
-        baseline::FORK_NS[0].1,
-        baseline::FORK_NS[1].1,
-        baseline::FORK_NS[2].1,
-        baseline::FORK_NS[3].1,
-        baseline::SERIAL_STATES_PER_SEC,
-        baseline::PARALLEL_STATES_PER_SEC,
-        baseline::LIN_CHECK_NS,
-    );
     let body = format!(
-        "{{\n  \"experiment\": \"e14_hotpath\",\n  \"baseline_commit\": \"7b8e998\",\n  \"baseline\": {{\n{baseline_json}\n  }},\n  \"measured\": {{\n{}\n  }},\n  \"speedup\": {{\n    \"fingerprint\": {:.2},\n    \"fork_depth_1024\": {:.2},\n    \"serial_states_per_sec\": {:.2},\n    \"parallel_states_per_sec\": {:.2}\n  }}\n}}\n",
+        "{{\n  \"experiment\": \"e14_hotpath\",\n  \"measured\": {{\n{}\n  }}\n}}\n",
         json.join(",\n"),
-        baseline::FINGERPRINT_NS / streamed_fp_ns,
-        baseline::FORK_NS[3].1 / fork_1024_cow_ns,
-        serial_rate / baseline::SERIAL_STATES_PER_SEC,
-        par_rate / baseline::PARALLEL_STATES_PER_SEC,
     );
     std::fs::write(&out, body).expect("write BENCH_e14.json");
     println!("{}", "-".repeat(72));

@@ -2,14 +2,15 @@
 //!
 //! Cost of the [`FaultScheduler`] wrapper relative to the bare
 //! scheduler it wraps, and the end-to-end cost of certifying an
-//! exhaustive single-crash plan space.
+//! exhaustive single-crash plan space and the augmented snapshot under
+//! every single crash and stall placement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsim_protocols::racing::racing_system;
 use rsim_smr::campaign::{run_fault_campaign, CampaignConfig, SchedulerSpec};
 use rsim_smr::fault::{FaultPlan, FaultScheduler};
 use rsim_smr::value::Value;
-use rsim_snapshot::certify::certify_nonblocking_block_updates;
+use rsim_snapshot::certify::certify_block_update_faults;
 use std::hint::black_box;
 
 fn racing3() -> rsim_smr::system::System {
@@ -77,7 +78,7 @@ fn bench_snapshot_certification(c: &mut Criterion) {
     let mut group = c.benchmark_group("e12_snapshot_certification");
     for &f in &[2usize, 3] {
         group.bench_with_input(BenchmarkId::from_parameter(f), &f, |b, &f| {
-            b.iter(|| black_box(certify_nonblocking_block_updates(f, 2)))
+            b.iter(|| black_box(certify_block_update_faults(f, 2)))
         });
     }
     group.finish();

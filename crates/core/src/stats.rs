@@ -10,6 +10,7 @@ use crate::bounds;
 use crate::replay;
 use crate::simulation::{Simulation, SimulationConfig};
 use rsim_smr::error::ModelError;
+use rsim_smr::pool::par_map;
 use rsim_smr::process::SnapshotProtocol;
 use rsim_smr::value::Value;
 use rsim_tasks::task::ColorlessTask;
@@ -75,10 +76,9 @@ impl SweepPoint {
     }
 }
 
-/// Measurements from one seeded simulation run. Folding these into a
-/// [`SweepPoint`] uses only sums, maxima and counts — commutative,
-/// associative operations — so the aggregate is identical no matter how
-/// runs are partitioned across worker threads.
+/// Measurements from one seeded simulation run, folded into a
+/// [`SweepPoint`] in seed order by [`sweep`] and [`sweep_parallel`]
+/// alike.
 #[derive(Clone, Debug)]
 struct RunStats {
     wait_free: bool,
@@ -177,6 +177,23 @@ fn fold_run(point: &mut SweepPoint, stats: &RunStats) -> usize {
     stats.h_steps
 }
 
+/// Folds the runs' measurements, in seed order, into a [`SweepPoint`].
+/// The first failed run ends the fold with its error.
+fn fold_runs(
+    config: SimulationConfig,
+    runs: impl IntoIterator<Item = Result<RunStats, ModelError>>,
+) -> Result<SweepPoint, ModelError> {
+    let mut point = empty_point(config);
+    let mut total_h = 0usize;
+    for stats in runs {
+        total_h += fold_run(&mut point, &stats?);
+    }
+    if point.wait_free > 0 {
+        point.mean_h_steps = total_h as f64 / point.wait_free as f64;
+    }
+    Ok(point)
+}
+
 /// Runs `seeds` random-schedule simulations of `config` with processes
 /// built by `make_protocol`, validating against `task`, and aggregates
 /// the results.
@@ -193,24 +210,15 @@ pub fn sweep<P: SnapshotProtocol>(
     seeds: std::ops::Range<u64>,
     max_h_steps: usize,
 ) -> Result<SweepPoint, ModelError> {
-    let mut point = empty_point(config);
-    let mut total_h = 0usize;
-    for seed in seeds {
-        let stats = run_one(config, inputs, make_protocol, task, seed, max_h_steps)?;
-        total_h += fold_run(&mut point, &stats);
-    }
-    if point.wait_free > 0 {
-        point.mean_h_steps = total_h as f64 / point.wait_free as f64;
-    }
-    Ok(point)
+    let runs = seeds.map(|seed| run_one(config, inputs, make_protocol, task, seed, max_h_steps));
+    fold_runs(config, runs)
 }
 
-/// Parallel [`sweep`]: the seed range fans out across `threads` worker
-/// threads (`0` = one per core) through a shared atomic cursor. Every
-/// field of the result — including `mean_h_steps` — is identical to the
-/// sequential [`sweep`] because runs are independent, per-run
-/// measurements are merged in seed order, and the merge operations are
-/// commutative sums and maxima.
+/// Parallel [`sweep`]: the seeds fan out over `threads` workers (`0` =
+/// one per core) through [`rsim_smr::pool::par_map`], and their
+/// measurements are folded in seed order. Every field of the result —
+/// including `mean_h_steps` — is identical to the sequential [`sweep`]
+/// because runs are independent and the fold is the same.
 ///
 /// # Errors
 ///
@@ -225,56 +233,10 @@ pub fn sweep_parallel<P: SnapshotProtocol>(
     max_h_steps: usize,
     threads: usize,
 ) -> Result<SweepPoint, ModelError> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-
-    let threads = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    };
-    let span = seeds.end.saturating_sub(seeds.start);
-    let chunk: u64 = span.div_ceil(threads as u64 * 8).clamp(1, 64);
-    let cursor = AtomicU64::new(seeds.start);
-    type Outcome = (u64, Result<RunStats, ModelError>);
-    let results: Mutex<Vec<Outcome>> = Mutex::new(Vec::with_capacity(span as usize));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local: Vec<Outcome> = Vec::new();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= seeds.end {
-                        break;
-                    }
-                    for seed in start..(start + chunk).min(seeds.end) {
-                        let outcome = run_one(
-                            config, inputs, make_protocol, task, seed, max_h_steps,
-                        );
-                        let failed = outcome.is_err();
-                        local.push((seed, outcome));
-                        if failed {
-                            break;
-                        }
-                    }
-                }
-                results.lock().expect("sweep results lock").extend(local);
-            });
-        }
+    let runs = par_map(seeds.collect(), threads, |seed| {
+        run_one(config, inputs, make_protocol, task, seed, max_h_steps)
     });
-    let mut results = results.into_inner().expect("sweep results lock");
-    results.sort_by_key(|(seed, _)| *seed);
-
-    let mut point = empty_point(config);
-    let mut total_h = 0usize;
-    for (_, outcome) in results {
-        let stats = outcome?;
-        total_h += fold_run(&mut point, &stats);
-    }
-    if point.wait_free > 0 {
-        point.mean_h_steps = total_h as f64 / point.wait_free as f64;
-    }
-    Ok(point)
+    fold_runs(config, runs)
 }
 
 #[cfg(test)]
@@ -325,6 +287,25 @@ mod tests {
             assert_eq!(par.revisions, seq.revisions);
             assert_eq!(par.hidden_steps, seq.hidden_steps);
             assert!((par.mean_h_steps - seq.mean_h_steps).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn parallel_sweep_fails_as_sequential_does() {
+        // A solo budget of 4 exhausts on seeds 1 and 30 of 0..40 and
+        // suffices on the others.
+        let mut config = SimulationConfig::new(4, 2, 2, 0);
+        config.solo_budget = 4;
+        let inputs = vec![Value::Int(1), Value::Int(2)];
+        let make = |i: usize| PhasedRacing::new(2, Value::Int([1, 2][i]));
+        let seq = sweep(config, &inputs, make, &consensus(), 0..40, 2_000_000)
+            .expect_err("a run exhausts its solo budget");
+        for threads in [1, 3, 8] {
+            let par = sweep_parallel(
+                config, &inputs, make, &consensus(), 0..40, 2_000_000, threads,
+            )
+            .expect_err("the parallel sweep fails too");
+            assert_eq!(par, seq, "threads = {threads}");
         }
     }
 

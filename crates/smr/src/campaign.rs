@@ -2,9 +2,10 @@
 //!
 //! A *campaign* is a matrix of seeded runs — scheduler specs × a seed
 //! range — over systems produced by a caller-supplied factory. The
-//! runner fans the matrix across worker threads, records the seed of
-//! every run so any failure replays exactly (`campaign --seed N`), and
-//! aggregates distinct-configurations/terminations/violations into a
+//! runner fans the matrix across the workers of [`crate::pool`],
+//! records the seed of every run so any failure replays exactly
+//! (`campaign --seed N`), and aggregates
+//! distinct-configurations/terminations/violations into a
 //! machine-readable report.
 //!
 //! Determinism: run outcomes depend only on `(scheduler spec, seed)`,
@@ -20,6 +21,7 @@ use crate::explore::ExploreKey;
 use crate::fault::{FaultPlan, FaultScheduler};
 use crate::fingerprint::{FingerprintCache, KeyHasher};
 use crate::json::{escape, Json};
+use crate::pool::{par_map, resolve_threads};
 use crate::process::ProcessId;
 use crate::sched::{Crash, Obstruction, Quantum, Random, RoundRobin, Scheduler};
 use crate::system::System;
@@ -28,7 +30,7 @@ use std::fmt;
 use std::hash::BuildHasherDefault;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -1006,69 +1008,6 @@ fn run_cell_supervised<R: Supervised>(
     }
 }
 
-/// Resolves a configured worker count (`0` = one per available core).
-fn worker_threads(threads: usize) -> usize {
-    if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    }
-}
-
-/// The campaign worker pool, shared by plain and fault matrices:
-/// `threads` scoped workers claim chunks of `plan`, the matrix indices
-/// this session runs (a chunk is `plan.len().div_ceil(threads * 8)
-/// .clamp(1, 256)` cells), and pass each index to `cell`. `None` from
-/// `cell` means the wall-clock deadline passed: every worker stops
-/// claiming further cells. Each chunk's records are merged into
-/// `resumed` as it completes, and `merged` sees every record merged so
-/// far, under the merge lock (the checkpoint hook). Returns every
-/// record sorted by matrix index, so the result is independent of the
-/// thread count.
-fn run_pool<R: Send>(
-    plan: &[usize],
-    threads: usize,
-    resumed: Vec<(usize, R)>,
-    cell: impl Fn(usize) -> Option<R> + Sync,
-    merged: impl Fn(&[(usize, R)]) + Sync,
-) -> Vec<(usize, R)> {
-    let records = Mutex::new(resumed);
-    let cursor = AtomicUsize::new(0);
-    let stopped = AtomicBool::new(false);
-    let total = plan.len();
-    let chunk = total.div_ceil(threads * 8).clamp(1, 256);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(total) {
-            scope.spawn(|| loop {
-                if stopped.load(Ordering::Relaxed) {
-                    break;
-                }
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= total {
-                    break;
-                }
-                let mut local: Vec<(usize, R)> = Vec::new();
-                for &index in &plan[start..(start + chunk).min(total)] {
-                    if stopped.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let Some(record) = cell(index) else {
-                        stopped.store(true, Ordering::Relaxed);
-                        break;
-                    };
-                    local.push((index, record));
-                }
-                let mut records = records.lock().expect("records lock");
-                records.extend(local);
-                merged(&records);
-            });
-        }
-    });
-    let mut records = records.into_inner().expect("records lock");
-    records.sort_by_key(|(index, _)| *index);
-    records
-}
-
 /// Writes a checkpoint atomically (tmp file + rename). A failed write
 /// is reported on stderr, never silently dropped, and does not abort
 /// the campaign.
@@ -1182,7 +1121,7 @@ where
 {
     let matrix = Matrix::plain(config);
     let total = matrix.total();
-    let threads = worker_threads(config.threads);
+    let threads = resolve_threads(config.threads);
     let cache = FingerprintCache::for_threads(threads);
     let matrices = MatrixMemo::default();
 
@@ -1209,15 +1148,9 @@ where
     let plan: Vec<usize> = pending.take(options.stop_after.unwrap_or(total)).collect();
     let withheld = total - resumed.len() - plan.len();
 
-    let deadline = options.wall_limit.map(|limit| Instant::now() + limit);
-    let wall_fired = AtomicBool::new(false);
-    let cell = |index: usize| {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            wall_fired.store(true, Ordering::Relaxed);
-            return None;
-        }
+    let run = |index: usize| {
         let (spec, _, seed) = matrix.cell(index);
-        Some(run_cell_supervised(
+        run_cell_supervised(
             || {
                 let mut system = factory(seed);
                 let cache = Some(&cache);
@@ -1233,22 +1166,41 @@ where
                 ),
                 ..RunRecord::blank(spec, seed)
             },
-        ))
+        )
     };
-    // Checkpoint whenever a full period of runs has merged since the
-    // last write.
+    // The pool's workers claim the plan in chunks of at most 256 cells.
+    // Once the wall-clock deadline passes, no chunk starts another cell.
+    // Each chunk merges its records under the lock, and a checkpoint is
+    // written whenever a full period of runs has merged since the last
+    // write.
+    let deadline = options.wall_limit.map(|limit| Instant::now() + limit);
+    let wall_fired = AtomicBool::new(false);
     let every = options.checkpoint_every.filter(|&every| every > 0);
-    let last_checkpoint = AtomicUsize::new(0);
-    let merged = |records: &[(usize, RunRecord)]| {
+    let merged = Mutex::new((resumed, 0));
+    let chunk = plan.len().div_ceil(threads * 8).clamp(1, 256);
+    par_map(plan.chunks(chunk).collect(), threads, |cells: &[usize]| {
+        let mut local = Vec::with_capacity(cells.len());
+        for &index in cells {
+            if wall_fired.load(Ordering::Relaxed)
+                || deadline.is_some_and(|d| Instant::now() >= d)
+            {
+                wall_fired.store(true, Ordering::Relaxed);
+                break;
+            }
+            local.push((index, run(index)));
+        }
+        let mut merged = merged.lock().expect("records lock");
+        let (records, last_checkpoint) = &mut *merged;
+        records.extend(local);
         if let (Some(every), Some(path)) = (every, &options.checkpoint_path) {
-            if records.len() >= last_checkpoint.load(Ordering::Relaxed) + every {
-                last_checkpoint.store(records.len(), Ordering::Relaxed);
-                let spec_id = options.spec_id.as_deref();
-                write_checkpoint(path, spec_id, records.to_vec(), &cache);
+            if records.len() >= *last_checkpoint + every {
+                *last_checkpoint = records.len();
+                write_checkpoint(path, options.spec_id.as_deref(), records.clone(), &cache);
             }
         }
-    };
-    let records = run_pool(&plan, threads, resumed, cell, merged);
+    });
+    let (mut records, _) = merged.into_inner().expect("records lock");
+    records.sort_by_key(|(index, _)| *index);
 
     // A final checkpoint captures everything this session completed, so
     // a watchdog-truncated campaign is always resumable.
@@ -1577,10 +1529,10 @@ where
 {
     let matrix = Matrix::new(config, plans);
     let none = FaultPlan::none();
-    let cell = |index: usize| {
+    par_map((0..matrix.total()).collect(), config.threads, |index| {
         let (scheduler, plan, seed) = matrix.cell(index);
         let plan = plan.unwrap_or(&none);
-        Some(run_cell_supervised(
+        run_cell_supervised(
             || execute_fault_run(scheduler, plan, seed, config.budget, &factory, check),
             |message| FaultRunRecord {
                 error: Some(
@@ -1592,13 +1544,8 @@ where
                 ),
                 ..FaultRunRecord::blank(scheduler, plan, seed)
             },
-        ))
-    };
-    let cells: Vec<usize> = (0..matrix.total()).collect();
-    run_pool(&cells, worker_threads(config.threads), Vec::new(), cell, |_| {})
-        .into_iter()
-        .map(|(_, record)| record)
-        .collect()
+        )
+    })
 }
 
 /// Folds index-sorted fault records into a [`FaultCampaignReport`].

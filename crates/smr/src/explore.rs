@@ -14,9 +14,10 @@
 //! # The frontier engine
 //!
 //! Every entry point runs one engine: a level-synchronised breadth-first
-//! frontier over schedule prefixes. Each level runs in three phases on
-//! the worker threads (one by default, see [`Explorer::with_threads`];
-//! at one thread every phase runs on the calling thread):
+//! frontier over schedule prefixes. Each level runs in three phases,
+//! each a [`par_map`] over the workspace's worker pool (one thread by
+//! default, see [`Explorer::with_threads`]; at one thread every phase
+//! runs on the calling thread):
 //!
 //! 1. **Expand.** Workers claim chunks of the frontier in order, take
 //!    ownership of them and free each entry once it is expanded. A
@@ -102,14 +103,14 @@ use crate::error::ModelError;
 use crate::fingerprint::{ConfigHash, FnvStream, KeyHasher};
 use crate::hb::independent;
 use crate::object::{Object, Operation};
+use crate::pool::{par_map, resolve_threads};
 use crate::process::{Poised, Process, ProcessId};
 use crate::system::{Successor, System};
 use crate::value::Value;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Sleep and claim sets are process-id bit masks; systems with more
 /// processes than this fall back to unreduced exploration (the report's
@@ -283,14 +284,6 @@ impl Explorer {
         Ok(())
     }
 
-    fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        }
-    }
-
     /// Whether DPOR is effective for `initial` (configured on and the
     /// process count fits the bit-mask representation).
     fn dpor_for(&self, initial: &System) -> bool {
@@ -345,7 +338,7 @@ impl Explorer {
         collect_terminals: bool,
     ) -> Result<(ExploreReport, Vec<Vec<Value>>), ModelError> {
         self.run_preflight(initial)?;
-        let threads = self.resolved_threads();
+        let threads = resolve_threads(self.threads);
         let dpor = self.dpor_for(initial);
         let matrix = self.matrix_for(initial, dpor);
         let mut report = ExploreReport {
@@ -724,40 +717,6 @@ type VisitedMap = HashMap<u64, StateMeta, BuildHasherDefault<KeyHasher>>;
 /// shard.
 fn shard_of(key: u64, shards: usize) -> usize {
     ((u64::from((key >> 25) as u32) * shards as u64) >> 32) as usize
-}
-
-/// Runs `work` on every item, on up to `threads` workers that claim the
-/// items in order, and returns the results in item order. The calling
-/// thread is one of the workers: with one worker no thread is spawned.
-fn par_map<T: Send, R: Send>(
-    items: Vec<T>,
-    threads: usize,
-    work: impl Fn(T) -> R + Sync,
-) -> Vec<R> {
-    let workers = threads.min(items.len());
-    let queue = Mutex::new(items.into_iter().enumerate());
-    let run = || {
-        let mut done = Vec::new();
-        loop {
-            let next = queue.lock().expect("work queue lock").next();
-            let Some((i, item)) = next else { return done };
-            done.push((i, work(item)));
-        }
-    };
-    let mut done = if workers > 1 {
-        std::thread::scope(|scope| {
-            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(run)).collect();
-            let mut done = run();
-            for worker in spawned {
-                done.extend(worker.join().unwrap_or_else(|panic| resume_unwind(panic)));
-            }
-            done
-        })
-    } else {
-        run()
-    };
-    done.sort_unstable_by_key(|(i, _)| *i);
-    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// The poised-step view of one configuration as process-id bit masks:

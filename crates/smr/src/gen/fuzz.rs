@@ -20,8 +20,8 @@
 //!
 //! Every step is a pure function of the seed range and knobs, so the
 //! JSON report is byte-identical at any `--threads` count: seeds are
-//! fanned over workers but merged in seed order, and each seed's
-//! pipeline is deterministic.
+//! mapped over the workers of [`crate::pool`], which return their
+//! reports in seed order, and each seed's pipeline is deterministic.
 //!
 //! The harness lints with [`lint_config`]: the stock defaults plus
 //! RS-W005 (yield symbol) escalated to deny — the generator never emits
@@ -30,8 +30,6 @@
 
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::analyze::{self, LintCode, LintConfig, Severity};
 use crate::bundle::{tool_id, ReplayBundle, BUNDLE_VERSION};
@@ -39,6 +37,7 @@ use crate::campaign::{replay_run_with, MatrixMemo, SchedulerSpec};
 use crate::error::ModelError;
 use crate::fault::FaultPlan;
 use crate::json::escape;
+use crate::pool::par_map;
 use crate::shrink;
 use crate::system::System;
 use crate::value::Value;
@@ -437,32 +436,8 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
         // Fail late, not here: bundle stores report their own errors.
         let _ = std::fs::create_dir_all(dir);
     }
-    let seeds: Vec<u64> = config.seeds.clone().collect();
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        config.threads
-    }
-    .min(seeds.len().max(1));
-
-    let results: Mutex<Vec<Option<SeedReport>>> = Mutex::new(vec![None; seeds.len()]);
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&seed) = seeds.get(index) else { break };
-                let report = fuzz_seed(seed, config);
-                results.lock().expect("fuzz results lock")[index] = Some(report);
-            });
-        }
-    });
-    let per_seed = results
-        .into_inner()
-        .expect("fuzz results lock")
-        .into_iter()
-        .map(|r| r.expect("every seed processed"))
-        .collect();
+    let seeds = config.seeds.clone().collect();
+    let per_seed = par_map(seeds, config.threads, |seed| fuzz_seed(seed, config));
     FuzzReport { config: config.clone(), per_seed }
 }
 

@@ -35,6 +35,8 @@
 //! * [`campaign`] — seeded randomised campaign runner: many runs across
 //!   protocol families and scheduler mixes, fanned over cores, each run
 //!   replayable from its recorded seed.
+//! * [`pool`] — the one ordered data-parallel worker pool every
+//!   parallel path (explorer, campaigns, fuzz, sweep) fans out through.
 //! * [`service`] — the crash-tolerant multi-process campaign service:
 //!   a journaled crash-safe job queue, leased work units executed by
 //!   worker processes with heartbeats/retry/quarantine, a
@@ -101,6 +103,7 @@ pub mod json;
 pub mod history;
 pub mod linearizability;
 pub mod object;
+pub mod pool;
 pub mod process;
 pub mod sched;
 pub mod service;

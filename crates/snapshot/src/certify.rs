@@ -1,5 +1,5 @@
 //! Non-blocking certification of the augmented snapshot under
-//! deterministic crash placements.
+//! deterministic crash and stall placements.
 //!
 //! §3 of the paper proves the augmented snapshot is non-blocking: a
 //! crash-stopped process can never prevent the survivors from
@@ -7,23 +7,21 @@
 //! leaves behind must still linearize consistently (as a non-atomic
 //! batch, per §3.3).
 //!
-//! [`certify_nonblocking_block_updates`] machine-checks this on
-//! concrete executions. For every victim process and every prefix
-//! length `k` of its [`BLOCK_UPDATE_STEPS`]-step Block-Update sequence,
-//! the victim takes exactly `k` interleaved steps and then
-//! crash-stops; every survivor finishes its own Block-Update and a
-//! final `Scan` under a bounded round-robin schedule, and the finished
-//! run is checked against the §3 specification ([`crate::spec::check`]).
-//! A placement fails certification if any survivor exceeds its step
-//! budget (a blocking violation) or the specification check reports an
-//! error.
-//!
-//! [`certify_block_update_faults`] widens the same victim×step sweep to
-//! *stalls*: the victim pauses at the same prefix points while the
-//! survivors complete everything, then resumes and must itself finish
-//! its Block-Update and a Scan — the wait-free counterpart of the
-//! crash case. Its failures are structured ([`Placement`] + message) so
-//! a failed certification can be packaged into a replay bundle.
+//! [`certify_block_update_faults`] machine-checks this on concrete
+//! executions. For every victim process and every prefix length `k` of
+//! its [`BLOCK_UPDATE_STEPS`]-step Block-Update sequence, the victim
+//! takes exactly `k` interleaved steps and then crashes or stalls;
+//! every survivor finishes its own Block-Update and a final `Scan`
+//! under a bounded round-robin schedule. A crashed victim never moves
+//! again. A stalled one resumes once the survivors are done and must
+//! itself finish its Block-Update and a Scan — the wait-free
+//! counterpart of the crash case. The finished run is checked against
+//! the §3 specification ([`crate::spec::check`]) and the
+//! happens-before window check (lint RS-W007). A placement fails if
+//! any process exceeds its step budget (a blocking violation) or a
+//! check reports an error. Failures are structured ([`Placement`] +
+//! message) so a failed certification can be packaged into a replay
+//! bundle.
 
 use crate::client::AugOp;
 use crate::real::RealSystem;
@@ -33,36 +31,6 @@ use std::fmt;
 
 /// Steps in a full (non-yielding) Block-Update sequence (Lemma 2).
 pub const BLOCK_UPDATE_STEPS: usize = 6;
-
-/// A single-crash placement: `victim` crash-stops after taking exactly
-/// `after_steps` steps of its Block-Update.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CrashPlacement {
-    /// The process that crash-stops.
-    pub victim: usize,
-    /// How many steps of its Block-Update it completes first
-    /// (`0..BLOCK_UPDATE_STEPS`, so the operation never finishes).
-    pub after_steps: usize,
-}
-
-impl fmt::Display for CrashPlacement {
-    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(out, "crash q{} after step {}", self.victim, self.after_steps)
-    }
-}
-
-/// All single-crash placements for an `f`-process system, victim-major
-/// then step order: every victim crashing before each of the
-/// [`BLOCK_UPDATE_STEPS`] steps of its Block-Update.
-pub fn single_crash_placements(f: usize) -> Vec<CrashPlacement> {
-    let mut placements = Vec::with_capacity(f * BLOCK_UPDATE_STEPS);
-    for victim in 0..f {
-        for after_steps in 0..BLOCK_UPDATE_STEPS {
-            placements.push(CrashPlacement { victim, after_steps });
-        }
-    }
-    placements
-}
 
 /// What happens to the victim at its placement point.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -106,76 +74,33 @@ impl fmt::Display for Placement {
     }
 }
 
-/// All single-fault placements for an `f`-process system: the
-/// victim×step sweep of [`single_crash_placements`], once per
-/// [`FaultAction`] (crash first, then stall, within each coordinate).
+/// All single-fault placements for an `f`-process system, victim-major
+/// then step order: every victim crashing, then stalling, before each
+/// of the [`BLOCK_UPDATE_STEPS`] steps of its Block-Update.
 pub fn single_fault_placements(f: usize) -> Vec<Placement> {
     let mut placements = Vec::with_capacity(f * BLOCK_UPDATE_STEPS * 2);
-    for crash in single_crash_placements(f) {
-        for action in [FaultAction::Crash, FaultAction::Stall] {
-            placements.push(Placement {
-                victim: crash.victim,
-                after_steps: crash.after_steps,
-                action,
-            });
+    for victim in 0..f {
+        for after_steps in 0..BLOCK_UPDATE_STEPS {
+            for action in [FaultAction::Crash, FaultAction::Stall] {
+                placements.push(Placement { victim, after_steps, action });
+            }
         }
     }
     placements
 }
 
-/// The outcome of certifying every placement of a crash space.
-#[derive(Clone, Debug)]
-pub struct CertifyReport {
-    /// Number of real processes.
-    pub f: usize,
-    /// Components of the augmented snapshot.
-    pub m: usize,
-    /// Every placement that was checked.
-    pub placements: Vec<CrashPlacement>,
-    /// One entry per failed placement (empty = certified).
-    pub failures: Vec<String>,
-}
-
-impl CertifyReport {
-    /// Did every placement pass?
-    pub fn is_certified(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Runs one crash placement to completion and returns the finished
-/// system, or a description of the blocking violation.
+/// Runs one fault placement (crash *or* stall) to completion and
+/// returns the finished system, or a description of the blocking
+/// violation.
 ///
 /// Schedule: every process begins a Block-Update (process `i` writes
 /// `i + 1` to component `i mod m`); processes are stepped round-robin,
-/// except the victim stops for good after `after_steps` steps. Once
-/// the surviving Block-Updates finish, every survivor performs a
-/// `Scan`, again round-robin. Each phase is bounded by a step budget,
-/// so a blocked survivor is detected rather than looping forever.
-pub fn run_placement(
-    f: usize,
-    m: usize,
-    placement: CrashPlacement,
-) -> Result<RealSystem, String> {
-    run_fault_placement(
-        f,
-        m,
-        Placement {
-            victim: placement.victim,
-            after_steps: placement.after_steps,
-            action: FaultAction::Crash,
-        },
-    )
-}
-
-/// Runs one fault placement (crash *or* stall) to completion.
-///
-/// The crash case is exactly [`run_placement`]. In the stall case the
-/// victim pauses at the same prefix point while the survivors finish
-/// their Block-Updates and Scans, then resumes: it must complete its
-/// own Block-Update and a final Scan within the same per-phase budget,
-/// so a stalled process that can never catch up is detected as a
-/// blocking violation rather than looped on.
+/// except the victim stops after `after_steps` steps. Once the
+/// surviving Block-Updates finish, every survivor performs a `Scan`,
+/// again round-robin. A crashed victim stays stopped. A stalled victim
+/// then resumes alone: it must complete its own Block-Update and a
+/// final Scan. Each phase is bounded by a step budget, so a blocked
+/// process is detected rather than looped on.
 pub fn run_fault_placement(
     f: usize,
     m: usize,
@@ -253,34 +178,6 @@ fn round_robin(
     Err(stuck)
 }
 
-/// Certifies non-blocking progress of the augmented snapshot under
-/// every single-crash placement in the Block-Update sequence: for each
-/// placement, survivors must complete their Block-Updates and Scans,
-/// and the resulting execution must satisfy the §3 specification.
-pub fn certify_nonblocking_block_updates(f: usize, m: usize) -> CertifyReport {
-    let placements = single_crash_placements(f);
-    let mut failures = Vec::new();
-    for &placement in &placements {
-        match run_placement(f, m, placement) {
-            Err(blocked) => failures.push(blocked),
-            Ok(real) => {
-                let report = spec::check(&real, m);
-                for error in &report.errors {
-                    failures.push(format!("{placement}: {error}"));
-                }
-                let expected_scans = f - 1;
-                if report.scans != expected_scans {
-                    failures.push(format!(
-                        "{placement}: {} of {expected_scans} survivor Scans completed",
-                        report.scans
-                    ));
-                }
-            }
-        }
-    }
-    CertifyReport { f, m, placements, failures }
-}
-
 /// The outcome of certifying every crash *and* stall placement.
 ///
 /// Failures are structured — each carries the [`Placement`] that broke
@@ -346,10 +243,9 @@ pub fn check_fault_placement(f: usize, m: usize, placement: Placement) -> Vec<St
 }
 
 /// Certifies the augmented snapshot under every single-fault placement
-/// — the crash sweep of [`certify_nonblocking_block_updates`] plus the
-/// matching stall sweep. Crash placements expect `f - 1` survivor
-/// Scans; stall placements expect all `f` (the victim's own Scan runs
-/// after it resumes).
+/// of [`single_fault_placements`]. Crash placements expect `f - 1`
+/// survivor Scans; stall placements expect all `f` (the victim's own
+/// Scan runs after it resumes).
 pub fn certify_block_update_faults(f: usize, m: usize) -> FaultCertifyReport {
     let placements = single_fault_placements(f);
     let mut failures = Vec::new();
@@ -368,13 +264,15 @@ mod tests {
 
     #[test]
     fn placement_space_is_exhaustive_and_victim_major() {
-        let placements = single_crash_placements(3);
-        assert_eq!(placements.len(), 3 * BLOCK_UPDATE_STEPS);
-        assert_eq!(placements[0], CrashPlacement { victim: 0, after_steps: 0 });
-        assert_eq!(
-            placements[BLOCK_UPDATE_STEPS],
-            CrashPlacement { victim: 1, after_steps: 0 }
-        );
+        let placements = single_fault_placements(3);
+        assert_eq!(placements.len(), 3 * BLOCK_UPDATE_STEPS * 2);
+        let crash = |victim, after_steps| Placement {
+            victim,
+            after_steps,
+            action: FaultAction::Crash,
+        };
+        assert_eq!(placements[0], crash(0, 0));
+        assert_eq!(placements[2 * BLOCK_UPDATE_STEPS], crash(1, 0));
         // Victim-major, then step order.
         let mut sorted = placements.clone();
         sorted.sort_by_key(|p| (p.victim, p.after_steps));
@@ -382,42 +280,25 @@ mod tests {
     }
 
     #[test]
-    fn all_single_crash_placements_certify_for_small_systems() {
-        for f in 1..=3 {
-            for m in 1..=3 {
-                let report = certify_nonblocking_block_updates(f, m);
-                assert!(
-                    report.is_certified(),
-                    "f={f} m={m} failures: {:?}",
-                    report.failures
-                );
-                assert_eq!(report.placements.len(), f * BLOCK_UPDATE_STEPS);
-            }
-        }
-    }
-
-    #[test]
     fn fault_placement_space_doubles_the_crash_sweep() {
+        // Every (victim, step) coordinate is tried as a crash, then as
+        // a stall.
         let placements = single_fault_placements(2);
         assert_eq!(placements.len(), 2 * BLOCK_UPDATE_STEPS * 2);
-        assert_eq!(
-            placements[0],
-            Placement { victim: 0, after_steps: 0, action: FaultAction::Crash }
-        );
-        assert_eq!(
-            placements[1],
-            Placement { victim: 0, after_steps: 0, action: FaultAction::Stall }
-        );
-        // Same victim-major, step order as the crash sweep it reuses.
-        let mut sorted = placements.clone();
-        sorted.sort_by_key(|p| (p.victim, p.after_steps));
-        assert_eq!(placements, sorted);
+        for pair in placements.chunks(2) {
+            assert_eq!(pair[0].action, FaultAction::Crash);
+            assert_eq!(pair[1].action, FaultAction::Stall);
+            assert_eq!(
+                (pair[0].victim, pair[0].after_steps),
+                (pair[1].victim, pair[1].after_steps)
+            );
+        }
     }
 
     #[test]
     fn all_single_fault_placements_certify_for_small_systems() {
         for f in 1..=3 {
-            for m in 1..=2 {
+            for m in 1..=3 {
                 let report = certify_block_update_faults(f, m);
                 assert!(
                     report.is_certified(),
@@ -456,8 +337,9 @@ mod tests {
         // triples to H (its second H-step, Algorithm 4's update); §3.3
         // linearizes them as a non-atomic batch even though the
         // operation never completed.
-        let placement = CrashPlacement { victim: 0, after_steps: 5 };
-        let real = run_placement(2, 2, placement).expect("survivors complete");
+        let placement =
+            Placement { victim: 0, after_steps: 5, action: FaultAction::Crash };
+        let real = run_fault_placement(2, 2, placement).expect("survivors complete");
         let lin = spec::linearize(&real);
         let victim_update = lin.iter().find(|op| {
             matches!(op, LinOp::Update { pid: 0, op_index: None, .. })
@@ -473,8 +355,9 @@ mod tests {
         // A Block-Update appends its triples at its second H-step;
         // crashing after one step means the victim appended nothing,
         // so its batch must not linearize at all.
-        let placement = CrashPlacement { victim: 1, after_steps: 1 };
-        let real = run_placement(3, 2, placement).expect("survivors complete");
+        let placement =
+            Placement { victim: 1, after_steps: 1, action: FaultAction::Crash };
+        let real = run_fault_placement(3, 2, placement).expect("survivors complete");
         let lin = spec::linearize(&real);
         assert!(
             !lin.iter().any(|op| matches!(op, LinOp::Update { pid: 1, .. })),

@@ -26,7 +26,8 @@ perfbench-test:
 
 # Quick seeded campaign: 5 schedulers x 200 seeds over phased racing,
 # then a `--stop-after` truncation at two thread counts, then the
-# campaign-mix matrix against its pinned bytes (mirrors CI).
+# campaign-mix matrix against its pinned bytes, then the simulation
+# sweep at two thread counts (mirrors CI).
 smoke-campaign:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -84,6 +85,17 @@ smoke-campaign:
             | sha256sum -c -
     done
     echo "smoke-campaign: serializable report matches its pinned sha256 at 1 and 4 threads"
+    # `sweep` fans its seeds over the same worker pool as the campaigns:
+    # its table is the same bytes at every thread count.
+    for t in 1 3; do
+        cargo run --release -- sweep --n 4 --m 2 --f 2 --runs 200 \
+            --threads "$t" > "sweep-t$t.txt"
+    done
+    cmp sweep-t1.txt sweep-t3.txt
+    grep -qF 'budgets hold: true' sweep-t1.txt
+    echo "37865e71448e2e67b234c7f84e91226607469abe5490c60845a97238713c03ee  sweep-t1.txt" \
+        | sha256sum -c -
+    echo "smoke-campaign: sweep table identical at 1 and 3 threads and matches its pinned sha256"
 
 # The paper's bound machine-checked at full size: a breadth-first
 # search of 3 racing processes on 2 registers, fewer than the
@@ -306,8 +318,9 @@ bench:
     cargo bench -p rsim-bench
 
 # Quick hot-path benchmark: one sample per arm, machine-readable
-# summary (with baked-in pre-optimisation baselines and speedups) to
-# BENCH_e14.json at the repo root (mirrors CI's bench-smoke job).
+# summary (this host's measurements, with the live legacy and
+# deep-copy arms beside them) to BENCH_e14.json at the repo root
+# (mirrors CI's bench-smoke job).
 bench-smoke: bench-e16
     CRITERION_SAMPLES=1 BENCH_E14_OUT={{justfile_directory()}}/BENCH_e14.json \
         cargo bench -p rsim-bench --bench e14_hotpath

@@ -57,14 +57,15 @@ fn racing3_by_seed(_seed: u64) -> System {
 
 #[test]
 fn augmented_snapshot_certifies_every_placement_for_n_up_to_3() {
-    // The acceptance scenario: all single-crash placements in the
-    // 6-step Block-Update sequence, for every system size n <= 3.
+    // The acceptance scenario: all single-crash and single-stall
+    // placements in the 6-step Block-Update sequence, for every system
+    // size n <= 3.
     for f in 1..=3 {
         for m in 1..=3 {
-            let report = certify::certify_nonblocking_block_updates(f, m);
+            let report = certify::certify_block_update_faults(f, m);
             assert_eq!(
                 report.placements.len(),
-                f * certify::BLOCK_UPDATE_STEPS
+                f * certify::BLOCK_UPDATE_STEPS * 2
             );
             assert!(
                 report.is_certified(),
