@@ -280,6 +280,24 @@ mod tests {
     }
 
     #[test]
+    fn all_single_crash_placements_certify_for_small_systems() {
+        for f in 1..=3 {
+            for m in 1..=3 {
+                let crashes: Vec<Placement> = single_fault_placements(f)
+                    .into_iter()
+                    .filter(|p| p.action == FaultAction::Crash)
+                    .collect();
+                assert_eq!(crashes.len(), f * BLOCK_UPDATE_STEPS);
+                let failures: Vec<String> = crashes
+                    .iter()
+                    .flat_map(|&p| check_fault_placement(f, m, p))
+                    .collect();
+                assert!(failures.is_empty(), "f={f} m={m} failures: {failures:?}");
+            }
+        }
+    }
+
+    #[test]
     fn fault_placement_space_doubles_the_crash_sweep() {
         // Every (victim, step) coordinate is tried as a crash, then as
         // a stall.
