@@ -9,12 +9,13 @@
 //! violation) between the DPOR-on and DPOR-off runs of every arm.
 //! Depth-bounded limits with no config cap keep that comparison exact
 //! (a mid-level cap cuts in visit order and is legitimately
-//! order-dependent). Also re-runs the E14 hot-path workloads with the
+//! order-dependent). Also re-runs the E14 hot-path workload with the
 //! reduction on (the explorer at one worker thread and at
 //! `min(4, available_parallelism())` threads, written to the summary as
-//! `threads`), so states-per-second stays comparable against the
-//! `BENCH_e14.json` baselines. Emits `BENCH_e16.json` (path override
-//! via `BENCH_E16_OUT`) for the `just bench-smoke` target.
+//! `threads`) and reports this host's states-per-second; compare
+//! commits by running both on the same host. Emits `BENCH_e16.json`
+//! (path override via `BENCH_E16_OUT`) for the `just bench-smoke`
+//! target.
 
 use rsim_protocols::racing::racing_system;
 use rsim_protocols::serializable::serializable_system;
@@ -24,14 +25,6 @@ use rsim_smr::system::System;
 use rsim_smr::value::Value;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// The E14 hot-path anchors (states/sec at the pre-optimisation seed
-/// commit) — the reduction must not regress the raw exploration rate.
-mod baseline {
-    /// Measured on the sequential DFS explorer, since removed.
-    pub const E14_SERIAL_STATES_PER_SEC: f64 = 42_682.0;
-    pub const E14_PARALLEL_STATES_PER_SEC: f64 = 23_457.0;
-}
 
 /// The phased-racing family: `procs` processes racing on a 2-component
 /// snapshot, explored breadth-first to `depth` schedule steps. Depths
@@ -247,9 +240,8 @@ fn main() {
     });
     let serial_rate = states as f64 / (serial_ns / 1e9);
     println!(
-        "explore/serial_1_dpor       {:>12.1} ms/run  ({states} states, {serial_rate:.0} states/s, {:.2}x vs e14 baseline)",
+        "explore/serial_1_dpor       {:>12.1} ms/run  ({states} states, {serial_rate:.0} states/s)",
         serial_ns / 1e6,
-        serial_rate / baseline::E14_SERIAL_STATES_PER_SEC,
     );
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
@@ -261,19 +253,16 @@ fn main() {
     });
     let par_rate = pstates as f64 / (par_ns / 1e9);
     println!(
-        "explore/parallel_{threads}_dpor     {:>12.1} ms/run  ({pstates} states, {par_rate:.0} states/s, {:.2}x vs e14 baseline)",
+        "explore/parallel_{threads}_dpor     {:>12.1} ms/run  ({pstates} states, {par_rate:.0} states/s)",
         par_ns / 1e6,
-        par_rate / baseline::E14_PARALLEL_STATES_PER_SEC,
     );
 
     // -- JSON summary ----------------------------------------------------
     let out = std::env::var("BENCH_E16_OUT").unwrap_or_else(|_| "BENCH_e16.json".into());
     let body = format!(
-        "{{\n  \"experiment\": \"e16_dpor\",\n  \"baseline_commit\": \"61aecfe\",\n  \"family\": [\n{}\n  ],\n  \"static_seeding\": [\n{}\n  ],\n  \"headline_reduction_factor\": {headline_factor:.4},\n  \"serializable_reduction_factor\": {serializable_fork_reduction:.4},\n  \"serial_states\": {states},\n  \"serial_states_per_sec\": {serial_rate:.0},\n  \"threads\": {threads},\n  \"parallel_states\": {pstates},\n  \"parallel_states_per_sec\": {par_rate:.0},\n  \"e14_serial_ratio\": {:.2},\n  \"e14_parallel_ratio\": {:.2}\n}}\n",
+        "{{\n  \"experiment\": \"e16_dpor\",\n  \"family\": [\n{}\n  ],\n  \"static_seeding\": [\n{}\n  ],\n  \"headline_reduction_factor\": {headline_factor:.4},\n  \"serializable_reduction_factor\": {serializable_fork_reduction:.4},\n  \"serial_states\": {states},\n  \"serial_states_per_sec\": {serial_rate:.0},\n  \"threads\": {threads},\n  \"parallel_states\": {pstates},\n  \"parallel_states_per_sec\": {par_rate:.0}\n}}\n",
         json.join(",\n"),
         static_json.join(",\n"),
-        serial_rate / baseline::E14_SERIAL_STATES_PER_SEC,
-        par_rate / baseline::E14_PARALLEL_STATES_PER_SEC,
     );
     std::fs::write(&out, body).expect("write BENCH_e16.json");
     println!("{}", "-".repeat(72));

@@ -90,7 +90,8 @@ struct RunStats {
     hidden_steps: usize,
 }
 
-/// Executes one seeded run and measures it.
+/// Executes one seeded run and measures it. A failed run's error is
+/// wrapped in [`ModelError::SeededRun`], naming its seed.
 fn run_one<P: SnapshotProtocol>(
     config: SimulationConfig,
     inputs: &[Value],
@@ -99,6 +100,7 @@ fn run_one<P: SnapshotProtocol>(
     seed: u64,
     max_h_steps: usize,
 ) -> Result<RunStats, ModelError> {
+    let seeded = |error| ModelError::SeededRun { seed, error: Box::new(error) };
     let f = config.f;
     let mut stats = RunStats {
         wait_free: false,
@@ -109,8 +111,8 @@ fn run_one<P: SnapshotProtocol>(
         replay_ok: false,
         hidden_steps: 0,
     };
-    let mut sim = Simulation::new(config, inputs.to_vec(), make_protocol)?;
-    sim.run_random(seed, max_h_steps)?;
+    let mut sim = Simulation::new(config, inputs.to_vec(), make_protocol).map_err(seeded)?;
+    sim.run_random(seed, max_h_steps).map_err(seeded)?;
     if !sim.all_terminated() {
         return Ok(stats);
     }
@@ -200,8 +202,9 @@ fn fold_runs(
 ///
 /// # Errors
 ///
-/// Propagates construction/step errors (infeasible partitions, solo
-/// budget exhaustion).
+/// The first failed run's construction/step error (infeasible
+/// partitions, solo budget exhaustion), as a [`ModelError::SeededRun`]
+/// naming its seed.
 pub fn sweep<P: SnapshotProtocol>(
     config: SimulationConfig,
     inputs: &[Value],
@@ -222,8 +225,8 @@ pub fn sweep<P: SnapshotProtocol>(
 ///
 /// # Errors
 ///
-/// Propagates the error of the lowest-seed failing run, matching what
-/// sequential [`sweep`] would report.
+/// The error of the lowest-seed failing run, naming that seed, as
+/// sequential [`sweep`] reports it.
 pub fn sweep_parallel<P: SnapshotProtocol>(
     config: SimulationConfig,
     inputs: &[Value],
@@ -293,13 +296,15 @@ mod tests {
     #[test]
     fn parallel_sweep_fails_as_sequential_does() {
         // A solo budget of 4 exhausts on seeds 1 and 30 of 0..40 and
-        // suffices on the others.
+        // suffices on the others; the error names the lower seed.
         let mut config = SimulationConfig::new(4, 2, 2, 0);
         config.solo_budget = 4;
         let inputs = vec![Value::Int(1), Value::Int(2)];
         let make = |i: usize| PhasedRacing::new(2, Value::Int([1, 2][i]));
         let seq = sweep(config, &inputs, make, &consensus(), 0..40, 2_000_000)
             .expect_err("a run exhausts its solo budget");
+        assert!(matches!(seq, ModelError::SeededRun { seed: 1, .. }), "{seq:?}");
+        assert!(seq.to_string().starts_with("run of seed 1 failed: step budget 4"), "{seq}");
         for threads in [1, 3, 8] {
             let par = sweep_parallel(
                 config, &inputs, make, &consensus(), 0..40, 2_000_000, threads,

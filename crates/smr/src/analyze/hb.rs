@@ -245,7 +245,7 @@ mod tests {
             .rev()
             .find(|e| matches!(e.op, Operation::Scan { .. }))
             .unwrap();
-        scan.resp = Response::View(vec![Value::Int(99), Value::Int(99)]);
+        scan.resp = Response::View(vec![Value::Int(99), Value::Int(99)].into());
         let findings = check_execution(&initial, &events);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].1.contains("no linearization"), "{}", findings[0].1);
@@ -298,7 +298,7 @@ mod tests {
         let events = vec![Event {
             pid: ProcessId(7),
             op: Operation::Scan { obj: ObjectId(0) },
-            resp: Response::View(vec![Value::Nil, Value::Nil]),
+            resp: Response::View(vec![Value::Nil, Value::Nil].into()),
         }];
         let findings = check_execution(&initial, &events);
         assert_eq!(findings.len(), 1);

@@ -86,6 +86,14 @@ pub enum ModelError {
         /// The conflicting operations, rendered for the report.
         ops: String,
     },
+    /// One seeded run of a batch failed: the seed to replay it with,
+    /// and the run's own error.
+    SeededRun {
+        /// The run's seed.
+        seed: u64,
+        /// What went wrong in the run.
+        error: Box<ModelError>,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -132,6 +140,7 @@ impl fmt::Display for ModelError {
                 "static interference matrix unsound: p{p} and p{q} claimed \
                  independent but observed dependent at {ops}"
             ),
+            ModelError::SeededRun { seed, error } => write!(f, "run of seed {seed} failed: {error}"),
         }
     }
 }
@@ -175,6 +184,10 @@ mod tests {
                 p: 0,
                 q: 2,
                 ops: "Update(obj0.1) vs Scan(obj0)".into(),
+            },
+            ModelError::SeededRun {
+                seed: 1,
+                error: Box::new(ModelError::ProcessTerminated(0)),
             },
         ];
         for e in errs {

@@ -571,6 +571,11 @@ impl Explorer {
 /// the persisted identity of a configuration: coverage sets, bundles,
 /// checkpoints and the golden tests use it.
 ///
+/// The terms of a system with at most eight components (objects plus
+/// processes) are stored inline, so a key, and every key
+/// [`ExploreKey::after`] derives from it, allocates nothing; a larger
+/// system's terms go to one heap block.
+///
 /// # Examples
 ///
 /// ```
@@ -601,7 +606,46 @@ pub struct ExploreKey {
     /// Number of objects: `terms` holds one term per object, then one
     /// per process.
     objects: usize,
-    terms: Box<[u64]>,
+    terms: Terms,
+}
+
+/// How many terms an [`ExploreKey`] stores without a heap block.
+const INLINE_TERMS: usize = 8;
+
+/// An [`ExploreKey`]'s terms: inline up to [`INLINE_TERMS`] of them
+/// (the unused tail stays zero), one boxed slice beyond.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Terms {
+    Inline { len: u8, terms: [u64; INLINE_TERMS] },
+    Heap(Box<[u64]>),
+}
+
+impl Terms {
+    /// The `len` terms `terms` yields.
+    fn new(len: usize, terms: impl Iterator<Item = u64>) -> Terms {
+        if len > INLINE_TERMS {
+            return Terms::Heap(terms.collect());
+        }
+        let mut inline = [0; INLINE_TERMS];
+        for (slot, term) in inline.iter_mut().zip(terms) {
+            *slot = term;
+        }
+        Terms::Inline { len: len as u8, terms: inline }
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            Terms::Inline { len, terms } => &terms[..usize::from(*len)],
+            Terms::Heap(terms) => terms,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u64] {
+        match self {
+            Terms::Inline { len, terms } => &mut terms[..usize::from(*len)],
+            Terms::Heap(terms) => terms,
+        }
+    }
 }
 
 impl ExploreKey {
@@ -610,14 +654,16 @@ impl ExploreKey {
         let objects = sys.objects();
         let processes = (0..sys.process_count())
             .map(|i| sys.process(ProcessId(i)).expect("process index in range"));
-        let terms: Box<[u64]> = objects
-            .iter()
-            .enumerate()
-            .map(|(i, o)| object_term(i, o))
-            .chain(processes.enumerate().map(|(i, p)| process_term(objects.len() + i, p)))
-            .collect();
+        let terms = Terms::new(
+            objects.len() + sys.process_count(),
+            objects
+                .iter()
+                .enumerate()
+                .map(|(i, o)| object_term(i, o))
+                .chain(processes.enumerate().map(|(i, p)| process_term(objects.len() + i, p))),
+        );
         ExploreKey {
-            value: terms.iter().fold(0, |acc, t| acc ^ t),
+            value: terms.as_slice().iter().fold(0, |acc, t| acc ^ t),
             objects: objects.len(),
             terms,
         }
@@ -661,8 +707,9 @@ impl ExploreKey {
     }
 
     fn swap(&mut self, position: usize, term: u64) {
-        self.value ^= self.terms[position] ^ term;
-        self.terms[position] = term;
+        let slot = &mut self.terms.as_mut_slice()[position];
+        self.value ^= *slot ^ term;
+        *slot = term;
     }
 }
 
@@ -721,13 +768,13 @@ fn shard_of(key: u64, shards: usize) -> usize {
 
 /// The poised-step view of one configuration as process-id bit masks:
 /// which processes are live, and which pairs of next operations
-/// commute.
+/// commute. Both live on the stack.
 struct StepMasks {
     /// Live (non-terminated) processes.
     enabled: u32,
     /// Per process `q`: the processes whose next operation commutes
-    /// with `q`'s (empty vector when DPOR is off — never read).
-    indep: Vec<u32>,
+    /// with `q`'s (all zero when DPOR is off — never read).
+    indep: [u32; DPOR_MAX_PROCS],
 }
 
 impl StepMasks {
@@ -745,23 +792,21 @@ impl StepMasks {
         matrix: Option<&InterferenceMatrix>,
         prefilter_hits: &mut usize,
     ) -> Result<StepMasks, ModelError> {
-        let n = sys.process_count();
-        let mut ops: Vec<Option<Operation>> = Vec::with_capacity(n);
+        // DPOR runs only on systems of at most `DPOR_MAX_PROCS`
+        // processes; without it only `enabled` is read.
+        let n = sys.process_count().min(DPOR_MAX_PROCS);
+        let mut ops: [Option<Operation>; DPOR_MAX_PROCS] = [const { None }; DPOR_MAX_PROCS];
         let mut enabled = 0u32;
-        for i in 0..n {
-            match sys.poised(ProcessId(i)) {
-                Poised::Step(op) => {
-                    if i < DPOR_MAX_PROCS {
-                        enabled |= 1 << i;
-                    }
-                    ops.push(Some(op));
+        for (i, slot) in ops.iter_mut().enumerate().take(n) {
+            if let Poised::Step(op) = sys.poised(ProcessId(i)) {
+                enabled |= 1 << i;
+                if dpor {
+                    *slot = Some(op);
                 }
-                Poised::Output(_) => ops.push(None),
             }
         }
-        let mut indep = Vec::new();
+        let mut indep = [0u32; DPOR_MAX_PROCS];
         if dpor {
-            indep = vec![0u32; n];
             for i in 0..n {
                 let Some(op_i) = &ops[i] else { continue };
                 for j in i + 1..n {
@@ -1483,6 +1528,75 @@ mod tests {
         assert!(report.dpor);
         assert!(report.pruned > 0, "no forks pruned: {report:?}");
         assert!(report.reduction_factor() > 1.0);
+    }
+
+    /// `n` processes over one `n`-component snapshot: each writes
+    /// `1 << slot` to its own component, then outputs the sum of the
+    /// view it scans next. One object and `n` processes are `n + 1`
+    /// key terms.
+    fn slot_summers(n: usize) -> System {
+        #[derive(Clone, Debug)]
+        struct Summer {
+            slot: usize,
+            n: usize,
+            wrote: bool,
+        }
+        impl SnapshotProtocol for Summer {
+            fn on_scan(&mut self, view: &[Value]) -> ProtocolStep {
+                if self.wrote {
+                    ProtocolStep::Output(Value::Int(
+                        view.iter().filter_map(Value::as_int).sum(),
+                    ))
+                } else {
+                    self.wrote = true;
+                    ProtocolStep::Update(self.slot, Value::Int(1 << self.slot))
+                }
+            }
+            fn components(&self) -> usize {
+                self.n
+            }
+        }
+        let processes = (0..n)
+            .map(|slot| {
+                Box::new(SnapshotProcess::new(Summer { slot, n, wrote: false }, ObjectId(0)))
+                    as Box<dyn Process>
+            })
+            .collect();
+        System::new(vec![Object::snapshot(n)], processes)
+    }
+
+    #[test]
+    fn keys_past_the_inline_terms_live_on_the_heap_and_stay_exact() {
+        assert!(matches!(ExploreKey::of(&slot_summers(7)).terms, Terms::Inline { len: 8, .. }));
+        let mut sys = slot_summers(9);
+        let mut key = ExploreKey::of(&sys);
+        assert!(matches!(&key.terms, Terms::Heap(terms) if terms.len() == 10));
+        let mut in_place = sys.clone();
+        let mut restepped = key.clone();
+        for pid in [0, 8, 4, 8, 0, 8, 3, 0, 1, 4, 4] {
+            let next = sys.successor(ProcessId(pid)).unwrap();
+            let derived = key.after(&next);
+            sys = sys.with_successor(next);
+            key = ExploreKey::of(&sys);
+            assert_eq!(derived, key, "after p{pid}");
+            in_place.step(ProcessId(pid)).unwrap();
+            restepped.restep(&in_place);
+            assert_eq!(restepped, key, "restep after p{pid}");
+        }
+        assert!(sys.is_terminated(ProcessId(8)));
+
+        let sys = slot_summers(9);
+        let explore = |threads| {
+            Explorer::new(Limits { max_depth: 6, max_configs: usize::MAX })
+                .with_threads(threads)
+                .explore_parallel(&sys, &|_| None)
+                .unwrap()
+        };
+        let base = explore(1);
+        assert!(base.dpor && base.pruned > 0, "{base:?}");
+        for threads in [2, 3] {
+            assert_eq!(format!("{:?}", explore(threads)), format!("{base:?}"), "t={threads}");
+        }
     }
 
     #[test]

@@ -292,7 +292,7 @@ mod tests {
         Event {
             pid: ProcessId(pid),
             op: Operation::Scan { obj: ObjectId(0) },
-            resp: Response::View(vec![]),
+            resp: Response::View(vec![].into()),
         }
     }
 

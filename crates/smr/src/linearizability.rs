@@ -219,7 +219,7 @@ mod tests {
         });
         h.respond(u, Response::Ack);
         let s = h.invoke(1, Operation::Scan { obj: ObjectId(0) });
-        h.respond(s, Response::View(vec![Value::Nil, Value::Int(9)]));
+        h.respond(s, Response::View(vec![Value::Nil, Value::Int(9)].into()));
         assert!(check(&h, Object::snapshot(2)).is_ok());
 
         let mut bad = History::new();
@@ -230,7 +230,7 @@ mod tests {
         });
         bad.respond(u, Response::Ack);
         let s = bad.invoke(1, Operation::Scan { obj: ObjectId(0) });
-        bad.respond(s, Response::View(vec![Value::Nil, Value::Nil]));
+        bad.respond(s, Response::View(vec![Value::Nil, Value::Nil].into()));
         assert!(!check(&bad, Object::snapshot(2)).is_ok());
     }
 

@@ -15,10 +15,19 @@
 //! * [`Object::MaxRegister`], [`Object::FetchAndIncrement`],
 //!   [`Object::Swap`], [`Object::Cas`] — the object families discussed in
 //!   §5.3 (ABA-freedom).
+//!
+//! A snapshot's or max-register's components are one `Arc<[Value]>`,
+//! and a scan's [`Response::View`] is that same `Arc`: the view shares
+//! the object's storage with the trace event that records it and with
+//! the process that receives it, so a scan copies no value. An update
+//! copies the components only while a view or another configuration
+//! still shares them (`Arc::make_mut`), after its bounds check, so a
+//! failed update writes nothing.
 
 use crate::error::ModelError;
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a base object within a [`crate::system::System`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -81,8 +90,9 @@ pub enum Response {
     Ack,
     /// A single value (read, fetch-and-increment, swap).
     Value(Value),
-    /// A full view of a snapshot object.
-    View(Vec<Value>),
+    /// A full view of a snapshot object, sharing the object's
+    /// components as they were at the scan.
+    View(Arc<[Value]>),
     /// Success flag of a compare-and-swap.
     Flag(bool),
 }
@@ -93,9 +103,9 @@ pub enum Object {
     /// A read/write register.
     Register { value: Value },
     /// An m-component snapshot object.
-    Snapshot { components: Vec<Value> },
+    Snapshot { components: Arc<[Value]> },
     /// An m-component max-register (`writemax` keeps the maximum).
-    MaxRegister { components: Vec<Value> },
+    MaxRegister { components: Arc<[Value]> },
     /// A fetch-and-increment counter.
     FetchAndIncrement { counter: i64 },
     /// A swap object.
@@ -130,13 +140,13 @@ impl Object {
 
     /// A fresh m-component snapshot, all components ⊥.
     pub fn snapshot(m: usize) -> Object {
-        Object::Snapshot { components: vec![Value::Nil; m] }
+        Object::Snapshot { components: vec![Value::Nil; m].into() }
     }
 
     /// A fresh m-component max-register, all components ⊥ (⊥ is the
     /// minimum of the value order).
     pub fn max_register(m: usize) -> Object {
-        Object::MaxRegister { components: vec![Value::Nil; m] }
+        Object::MaxRegister { components: vec![Value::Nil; m].into() }
     }
 
     /// Writes exactly the bytes of `format!("{self:?}")` (the derived
@@ -198,22 +208,22 @@ impl Object {
                 Ok(Response::Ack)
             }
             (Object::Snapshot { components }, Operation::Update { component, value, .. }) => {
-                let slot = components.get_mut(*component).ok_or_else(|| {
-                    ModelError::BadOperation(format!(
+                if *component >= components.len() {
+                    return Err(ModelError::BadOperation(format!(
                         "update to nonexistent component {component}"
-                    ))
-                })?;
-                *slot = value.clone();
+                    )));
+                }
+                Arc::make_mut(components)[*component] = value.clone();
                 Ok(Response::Ack)
             }
             (Object::MaxRegister { components }, Operation::WriteMax { component, value, .. }) => {
-                let slot = components.get_mut(*component).ok_or_else(|| {
-                    ModelError::BadOperation(format!(
+                let Some(current) = components.get(*component) else {
+                    return Err(ModelError::BadOperation(format!(
                         "writemax to nonexistent component {component}"
-                    ))
-                })?;
-                if *value > *slot {
-                    *slot = value.clone();
+                    )));
+                };
+                if *value > *current {
+                    Arc::make_mut(components)[*component] = value.clone();
                 }
                 Ok(Response::Ack)
             }
@@ -255,7 +265,7 @@ impl Object {
             }
             (Object::Snapshot { components }, Operation::Scan { .. })
             | (Object::MaxRegister { components }, Operation::Scan { .. }) => {
-                Ok(Response::View(components.clone()))
+                Ok(Response::View(Arc::clone(components)))
             }
             (obj, op) => Err(mismatch(obj, op)),
         }
@@ -298,7 +308,7 @@ mod tests {
         let resp = s.apply(&Operation::Scan { obj: oid() }).unwrap();
         assert_eq!(
             resp,
-            Response::View(vec![Value::Nil, Value::Int(5), Value::Nil])
+            Response::View(vec![Value::Nil, Value::Int(5), Value::Nil].into())
         );
     }
 
@@ -320,7 +330,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             m.apply(&Operation::Scan { obj: oid() }).unwrap(),
-            Response::View(vec![Value::Int(5)])
+            Response::View(vec![Value::Int(5)].into())
         );
     }
 

@@ -370,7 +370,7 @@ mod tests {
             p.poised(),
             Poised::Step(Operation::Scan { .. })
         ));
-        p.receive(Response::View(vec![Value::Nil]));
+        p.receive(Response::View(vec![Value::Nil].into()));
         // update
         assert!(matches!(
             p.poised(),
@@ -379,9 +379,9 @@ mod tests {
         p.receive(Response::Ack);
         // scan again
         assert!(matches!(p.poised(), Poised::Step(Operation::Scan { .. })));
-        p.receive(Response::View(vec![Value::Int(1)]));
+        p.receive(Response::View(vec![Value::Int(1)].into()));
         p.receive(Response::Ack);
-        p.receive(Response::View(vec![Value::Int(0)]));
+        p.receive(Response::View(vec![Value::Int(0)].into()));
         assert_eq!(p.poised(), Poised::Output(Value::Int(0)));
         assert!(p.is_done());
     }
@@ -389,7 +389,7 @@ mod tests {
     #[test]
     fn boxed_clone_preserves_state() {
         let mut p = SnapshotProcess::new(Countdown { remaining: 1 }, ObjectId(0));
-        p.receive(Response::View(vec![Value::Nil]));
+        p.receive(Response::View(vec![Value::Nil].into()));
         let q = p.boxed_clone();
         assert_eq!(p.poised(), q.poised());
         assert_eq!(p.poised(), p.arc_clone().poised());

@@ -5,13 +5,17 @@
 //! of one process atomically — one base-object operation plus the local
 //! transition — and appends an [`Event`] to the execution trace.
 //!
-//! Configurations are copy-on-write: processes, the object vector and
+//! Configurations are copy-on-write: processes, the object slice and
 //! the writer restrictions are `Arc`-shared, so a clone copies pointers.
-//! A step computes its [`Successor`] against the shared state and then
-//! replaces only the process it stepped and, for a mutating operation,
-//! the object it wrote; a read or a scan copies no object at all.
-//! [`System::step`] copies neither when no other configuration shares
-//! it: a campaign's one configuration is stepped in place.
+//! A configuration owns one vector of process slots (each an `Arc`'d
+//! process and its step count) and one `Arc<[Object]>`. A step computes
+//! its [`Successor`] against the shared state and then replaces only the
+//! process it stepped and, for a mutating operation, the object it
+//! wrote; a read or a scan copies no object at all, and its view shares
+//! the snapshot's components with the event and the receiving process
+//! (see [`crate::object`]). [`System::step`] copies neither when no
+//! other configuration shares it: a campaign's one configuration is
+//! stepped in place.
 //!
 //! Single-writer restrictions (single-writer registers and single-writer
 //! snapshots) are configuration-level invariants installed with
@@ -52,16 +56,22 @@ pub struct Event {
 /// ```
 #[derive(Clone, Debug)]
 pub struct System {
-    objects: Arc<Vec<Object>>,
-    processes: Vec<Arc<dyn Process>>,
+    objects: Arc<[Object]>,
+    processes: Vec<Slot>,
     trace: Trace,
-    /// Steps taken per process, maintained on [`System::step`] so fault
-    /// triggers and schedulers can read them in O(1) instead of
-    /// re-scanning the trace.
-    steps_per_process: Vec<usize>,
     /// `(object, component) -> owner` restrictions; `component` is 0 for
     /// plain registers.
     owners: Arc<HashMap<(ObjectId, usize), ProcessId>>,
+}
+
+/// One process of a configuration and the steps it has taken.
+#[derive(Clone, Debug)]
+struct Slot {
+    process: Arc<dyn Process>,
+    /// Steps taken by the process, maintained on [`System::step`] so
+    /// fault triggers and schedulers can read them in O(1) instead of
+    /// re-scanning the trace.
+    steps: usize,
 }
 
 /// The next step of one process, computed against a configuration
@@ -95,12 +105,13 @@ impl Successor {
 impl System {
     /// Creates a system in an initial configuration.
     pub fn new(objects: Vec<Object>, processes: Vec<Box<dyn Process>>) -> Self {
-        let n = processes.len();
         System {
-            objects: Arc::new(objects),
-            processes: processes.into_iter().map(Arc::from).collect(),
+            objects: objects.into(),
+            processes: processes
+                .into_iter()
+                .map(|p| Slot { process: Arc::from(p), steps: 0 })
+                .collect(),
             trace: Trace::new(),
-            steps_per_process: vec![0; n],
             owners: Arc::default(),
         }
     }
@@ -133,7 +144,7 @@ impl System {
 
     /// The processes of the configuration.
     pub fn process(&self, pid: ProcessId) -> Option<&dyn Process> {
-        self.processes.get(pid.0).map(|p| p.as_ref())
+        self.processes.get(pid.0).map(|slot| slot.process.as_ref())
     }
 
     /// The execution trace from the initial configuration.
@@ -152,7 +163,7 @@ impl System {
 
     /// Steps taken by process `pid` so far (0 for unknown ids).
     pub fn steps_of(&self, pid: ProcessId) -> usize {
-        self.steps_per_process.get(pid.0).copied().unwrap_or(0)
+        self.processes.get(pid.0).map_or(0, |slot| slot.steps)
     }
 
     /// Space complexity of the configuration in registers (paper §2: an
@@ -166,22 +177,22 @@ impl System {
     /// `pid` would perform if scheduled — the explorer's partial-order
     /// reduction uses it to compute step commutation per configuration.
     pub fn poised(&self, pid: ProcessId) -> Poised {
-        self.processes[pid.0].poised()
+        self.processes[pid.0].process.poised()
     }
 
     /// Has process `pid` terminated (is it poised to output)?
     pub fn is_terminated(&self, pid: ProcessId) -> bool {
-        self.processes[pid.0].terminated()
+        self.processes[pid.0].process.terminated()
     }
 
     /// Have all processes terminated?
     pub fn all_terminated(&self) -> bool {
-        self.processes.iter().all(|p| p.terminated())
+        self.processes.iter().all(|slot| slot.process.terminated())
     }
 
     /// The output of process `pid`, if it has terminated.
     pub fn output(&self, pid: ProcessId) -> Option<Value> {
-        match self.processes[pid.0].poised() {
+        match self.processes[pid.0].process.poised() {
             Poised::Output(v) => Some(v),
             Poised::Step(_) => None,
         }
@@ -238,12 +249,12 @@ impl System {
             self.replace_object(id, written);
             resp
         };
-        let process = &mut self.processes[pid.0];
-        match Arc::get_mut(process) {
+        let slot = &mut self.processes[pid.0];
+        match Arc::get_mut(&mut slot.process) {
             Some(process) => process.receive(resp.clone()),
-            None => *process = received(process.as_ref(), resp.clone()),
+            None => slot.process = received(slot.process.as_ref(), resp.clone()),
         }
-        self.steps_per_process[pid.0] += 1;
+        slot.steps += 1;
         self.trace.push(Event { pid, op, resp });
         Ok(())
     }
@@ -271,7 +282,7 @@ impl System {
         } else {
             (None, target.observe(&op)?)
         };
-        let process = received(self.processes[pid.0].as_ref(), resp.clone());
+        let process = received(self.processes[pid.0].process.as_ref(), resp.clone());
         Ok(Successor { process, object, event: Event { pid, op, resp } })
     }
 
@@ -283,7 +294,7 @@ impl System {
             .processes
             .get(pid.0)
             .ok_or_else(|| ModelError::BadId(format!("no process {pid}")))?;
-        let op = match current.poised() {
+        let op = match current.process.poised() {
             Poised::Step(op) => op,
             Poised::Output(_) => return Err(ModelError::ProcessTerminated(pid.0)),
         };
@@ -306,8 +317,9 @@ impl System {
         if let Some(object) = object {
             child.replace_object(event.op.object().0, object);
         }
-        child.processes[pid] = process;
-        child.steps_per_process[pid] += 1;
+        let slot = &mut child.processes[pid];
+        slot.process = process;
+        slot.steps += 1;
         child.trace.push_sealed(event);
         child
     }
@@ -317,14 +329,15 @@ impl System {
         match Arc::get_mut(&mut self.objects) {
             Some(objects) => objects[id] = object,
             // Shared with another configuration: copy every object but
-            // the one being replaced.
+            // the one being replaced, into one new block.
             None => {
                 let shared = &self.objects;
-                let mut objects = Vec::with_capacity(shared.len());
-                objects.extend_from_slice(&shared[..id]);
-                objects.push(object);
-                objects.extend_from_slice(&shared[id + 1..]);
-                self.objects = Arc::new(objects);
+                self.objects = shared[..id]
+                    .iter()
+                    .cloned()
+                    .chain(std::iter::once(object))
+                    .chain(shared[id + 1..].iter().cloned())
+                    .collect();
             }
         }
     }
@@ -390,8 +403,8 @@ impl System {
         for o in self.objects.iter() {
             let _ = write!(key, "{o:?};");
         }
-        for p in &self.processes {
-            let _ = write!(key, "{};", p.state_key());
+        for slot in &self.processes {
+            let _ = write!(key, "{};", slot.process.state_key());
         }
         key
     }
@@ -424,8 +437,8 @@ impl System {
         self.processes.iter().zip(&other.processes).all(|(a, b)| {
             let mut ha = FnvStream::new();
             let mut hb = FnvStream::new();
-            a.write_state_key(&mut ha);
-            b.write_state_key(&mut hb);
+            a.process.write_state_key(&mut ha);
+            b.process.write_state_key(&mut hb);
             ha.finish() == hb.finish()
         })
     }
@@ -448,8 +461,8 @@ impl ConfigHash for System {
             o.hash_config(h);
             let _ = h.write_str(";");
         }
-        for p in &self.processes {
-            p.write_state_key(h);
+        for slot in &self.processes {
+            slot.process.write_state_key(h);
             let _ = h.write_str(";");
         }
     }
@@ -583,7 +596,10 @@ mod tests {
             }
         }
         let addr = |sys: &System| {
-            (Arc::as_ptr(&sys.objects), Arc::as_ptr(&sys.processes[0]) as *const ())
+            (
+                Arc::as_ptr(&sys.objects) as *const (),
+                Arc::as_ptr(&sys.processes[0].process) as *const (),
+            )
         };
         let mut sys = small_system();
         let before = addr(&sys);
@@ -610,6 +626,71 @@ mod tests {
             assert_eq!(sys.steps_of(ProcessId(0)), 1);
             drop(fork);
         }
+    }
+
+    #[test]
+    fn step_counts_follow_forks_and_in_place_steps() {
+        let mut parent = small_system();
+        parent.step(ProcessId(0)).unwrap();
+        let sibling = parent.clone();
+        let next = parent.successor(ProcessId(1)).unwrap();
+        let child = parent.with_successor(next);
+        assert_eq!(child.steps_of(ProcessId(0)), 1);
+        assert_eq!(child.steps_of(ProcessId(1)), 1);
+        // The shared parent and its other fork keep their counts.
+        for sys in [&parent, &sibling] {
+            assert_eq!(sys.steps_of(ProcessId(0)), 1);
+            assert_eq!(sys.steps_of(ProcessId(1)), 0);
+        }
+        let mut stepped = child.clone();
+        stepped.step(ProcessId(0)).unwrap();
+        assert_eq!(stepped.steps_of(ProcessId(0)), 2);
+        assert_eq!(child.steps_of(ProcessId(0)), 1, "the fork stepped, not the child");
+        assert_eq!(summarize_counts(&stepped), vec![2, 1]);
+        // Stepped in place, unshared.
+        drop(child);
+        let mut alone = stepped;
+        alone.step(ProcessId(1)).unwrap();
+        assert_eq!(summarize_counts(&alone), vec![2, 2]);
+        assert_eq!(alone.steps_of(ProcessId(1)), 2);
+    }
+
+    #[test]
+    fn scans_share_the_snapshot_until_an_update_copies_it() {
+        fn components(sys: &System) -> &Arc<[Value]> {
+            match &sys.objects()[0] {
+                Object::Snapshot { components } => components,
+                other => panic!("not a snapshot: {other:?}"),
+            }
+        }
+        fn last_view(sys: &System) -> Arc<[Value]> {
+            match &sys.trace()[sys.trace().len() - 1].resp {
+                Response::View(view) => Arc::clone(view),
+                other => panic!("not a scan: {other:?}"),
+            }
+        }
+        let mut sys = small_system();
+        sys.step(ProcessId(0)).unwrap(); // p0 scans
+        let view = last_view(&sys);
+        assert!(Arc::ptr_eq(&view, components(&sys)), "a scan copies no value");
+        let scanned = sys.with_successor(sys.successor(ProcessId(1)).unwrap());
+        assert!(Arc::ptr_eq(&last_view(&scanned), components(&sys)));
+
+        // p0 updates in place: the components are still shared with the
+        // scan's view, so the update copies them and the view keeps the
+        // value it read.
+        sys.step(ProcessId(0)).unwrap();
+        assert!(!Arc::ptr_eq(&view, components(&sys)));
+        assert_eq!(&*view, &[Value::Nil]);
+        assert_eq!(&**components(&sys), &[Value::Int(10)]);
+
+        // An update on one of two forks leaves the other's unchanged.
+        let fork = scanned.clone();
+        let mut updated = scanned;
+        updated.step(ProcessId(1)).unwrap(); // p1 updates
+        assert_eq!(&**components(&updated), &[Value::Int(20)]);
+        assert_eq!(&**components(&fork), &[Value::Nil]);
+        assert!(Arc::ptr_eq(components(&fork), &view));
     }
 
     #[test]

@@ -631,7 +631,7 @@ mod tests {
         );
         assert_eq!(format_resp(&Response::Ack), "ok");
         assert_eq!(
-            format_resp(&Response::View(vec![Value::Nil, Value::Int(1)])),
+            format_resp(&Response::View(vec![Value::Nil, Value::Int(1)].into())),
             "[⊥,1]"
         );
     }

@@ -121,9 +121,9 @@ proptest! {
         };
         let objects = [
             Object::Register { value: x.clone() },
-            Object::Snapshot { components: components.clone() },
-            Object::Snapshot { components: Vec::new() },
-            Object::MaxRegister { components },
+            Object::Snapshot { components: components.clone().into() },
+            Object::Snapshot { components: Vec::new().into() },
+            Object::MaxRegister { components: components.into() },
             Object::FetchAndIncrement { counter: int(counter.0, counter.1) },
             Object::Swap { value: y.clone() },
             Object::Cas { value: x },
@@ -144,11 +144,11 @@ proptest! {
         let protocol = Carry { update: build(&update), output: build(&output), wrote: false };
         let mut p = SnapshotProcess::new(protocol, ObjectId(object));
         prop_assert_eq!(streamed_state_key(&p), p.state_key());
-        p.receive(Response::View(vec![Value::Nil]));
+        p.receive(Response::View(vec![Value::Nil].into()));
         // Poised to update component 0 with the arbitrary value.
         prop_assert_eq!(streamed_state_key(&p), p.state_key());
         p.receive(Response::Ack);
-        p.receive(Response::View(vec![Value::Nil]));
+        p.receive(Response::View(vec![Value::Nil].into()));
         // Done, carrying the arbitrary output.
         prop_assert!(p.terminated());
         prop_assert_eq!(streamed_state_key(&p), p.state_key());

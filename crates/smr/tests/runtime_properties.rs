@@ -74,7 +74,7 @@ proptest! {
             expected[c] = Value::Int(v);
         }
         let got = snap.apply(&Operation::Scan { obj: ObjectId(0) }).unwrap();
-        prop_assert_eq!(got, Response::View(expected));
+        prop_assert_eq!(got, Response::View(expected.into()));
     }
 
     #[test]
@@ -89,7 +89,7 @@ proptest! {
         let got = mr.apply(&Operation::Scan { obj: ObjectId(0) }).unwrap();
         prop_assert_eq!(
             got,
-            Response::View(vec![Value::Int(*writes.iter().max().unwrap())])
+            Response::View(vec![Value::Int(*writes.iter().max().unwrap())].into())
         );
     }
 

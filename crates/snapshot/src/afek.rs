@@ -329,7 +329,7 @@ impl SwsSystem {
                 let op_id = self.open_ops[i].take().expect("operation was open");
                 let resp = match &outcome {
                     SwsOutcome::Ack => Response::Ack,
-                    SwsOutcome::View(v) => Response::View(v.clone()),
+                    SwsOutcome::View(v) => Response::View(v.as_slice().into()),
                 };
                 self.history.respond(op_id, resp);
                 Some(outcome)

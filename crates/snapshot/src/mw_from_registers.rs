@@ -253,7 +253,7 @@ impl MwSystem {
             let op_id = self.open_ops[i].take().expect("open");
             let resp = match out {
                 MwOutcome::Ack => Response::Ack,
-                MwOutcome::View(v) => Response::View(v.clone()),
+                MwOutcome::View(v) => Response::View(v.as_slice().into()),
             };
             self.history.respond(op_id, resp);
         }

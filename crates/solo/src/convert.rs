@@ -186,7 +186,7 @@ impl<M: NondetMachine + 'static> Process for Determinized<M> {
     fn receive(&mut self, resp: Response) {
         let op = self.machine.step(&self.aug.state);
         let machine_resp = match resp {
-            Response::View(view) => MachineResponse::View(view),
+            Response::View(view) => MachineResponse::View(view.to_vec()),
             Response::Ack => MachineResponse::Ack,
             other => panic!("unexpected response {other:?}"),
         };
@@ -319,7 +319,7 @@ mod tests {
             let pid = event.pid.0;
             let op = machine.step(&states[pid].state);
             let resp = match &event.resp {
-                rsim_smr::object::Response::View(v) => MachineResponse::View(v.clone()),
+                rsim_smr::object::Response::View(v) => MachineResponse::View(v.to_vec()),
                 rsim_smr::object::Response::Ack => MachineResponse::Ack,
                 other => panic!("{other:?}"),
             };

@@ -127,19 +127,23 @@ smoke-explore:
             grep -qF "$want" "$out" || { echo "racing6 threads $t: missing $want"; exit 1; }
         done
     done
-    # Each report, timing fields aside, is the same at every thread count.
+    # Each report, timing fields aside, matches its pinned sha256 at
+    # every thread count, so the reports are also equal across them.
     untimed() { grep -vE '^  "(threads|elapsed_ms|states_per_sec)":' "$1"; }
-    for w in racing3 racing6; do
-        for t in 2 3; do
-            cmp <(untimed "explore-$w-t1.json") <(untimed "explore-$w-t$t.json") \
-                || { echo "$w: threads 1 and $t reports differ"; exit 1; }
+    for pin in racing3:795338b9e9ce21fa586f8c834f315e3f5efb4577706694709f5f32827e007bc4 \
+        racing6:ea363195a4beacb10882e1c35f9b201f783cc6bc2662aad174c40f2a7ad22908; do
+        w=${pin%%:*}
+        for t in 1 2 3; do
+            got=$(untimed "explore-$w-t$t.json" | sha256sum | cut -d' ' -f1)
+            [ "$got" = "${pin#*:}" ] \
+                || { echo "$w threads $t: untimed report sha256 $got, pinned ${pin#*:}"; exit 1; }
         done
     done
     cargo run --release --quiet --example model_checking > model-checking.txt || exit 1
     for want in 'racing m=1: VIOLATION after 10 steps' 'racing m=2: VIOLATION after 22 steps'; do
         grep -qF "$want" model-checking.txt || { echo "model_checking: missing $want"; exit 1; }
     done
-    echo "smoke-explore: pinned reports equal at 1, 2 and 3 threads, shortest search witnesses"
+    echo "smoke-explore: reports match their pinned sha256 at 1, 2 and 3 threads, shortest search witnesses"
 
 # Fault-injection certificate: the exhaustive single-crash sweep plus
 # the §3 non-blocking certification (mirrors CI's smoke-faults job).

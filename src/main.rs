@@ -487,7 +487,7 @@ fn cmd_sweep(flags: &Flags) -> ExitCode {
     }
     let threads = flags.get("threads", 0);
     let inputs: Vec<Value> = (1..=f as i64).map(Value::Int).collect();
-    let point = stats::sweep_parallel(
+    let point = match stats::sweep_parallel(
         config,
         &inputs,
         move |i| PhasedRacing::new(m, Value::Int(i as i64 + 1)),
@@ -495,8 +495,10 @@ fn cmd_sweep(flags: &Flags) -> ExitCode {
         0..runs,
         50_000_000,
         threads,
-    )
-    .expect("sweep");
+    ) {
+        Ok(point) => point,
+        Err(e) => return fail(&format!("sweep failed: {e}")),
+    };
     println!("  n   m   f | runs   wf replay  viol |    maxH    meanH | maxBU≤b(i)");
     println!("{}", point.row());
     println!(

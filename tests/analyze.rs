@@ -318,7 +318,7 @@ proptest! {
             .position(|e| matches!(e.resp, Response::View(_)))
         {
             let mut bad = events.clone();
-            bad[pos].resp = Response::View(vec![Value::Int(99), Value::Int(99)]);
+            bad[pos].resp = Response::View(vec![Value::Int(99), Value::Int(99)].into());
             let hb_bad = analyze::check_execution(&initial, &bad);
             prop_assert!(!hb_bad.is_empty(), "hb missed the corrupted view");
             prop_assert!(matches!(
