@@ -21,6 +21,9 @@
 //!   `rsim-smr`: generated bases racing strictly above the bound and
 //!   their paper-aware mutants, bridging the hand-written families and
 //!   the fuzz harness.
+//! * [`iis`] — iterated immediate snapshot (the Borowsky–Gafni level
+//!   algorithm, full information): its Fubini(n)^r terminal output
+//!   vectors are a closed-form oracle for the explorer.
 //! * [`illformed`] — a deliberately ill-formed fixture whose four
 //!   processes each violate a different paper precondition; the
 //!   `rsim-smr::analyze` pre-flight must report every lint code on it.
@@ -47,6 +50,7 @@
 pub mod approx;
 pub mod contrarian;
 pub mod generated;
+pub mod iis;
 pub mod illformed;
 pub mod ladder;
 pub mod racing;
@@ -55,6 +59,7 @@ pub mod serializable;
 pub use approx::{approx_system, compressed_approx_system, MidpointApprox};
 pub use contrarian::{contrarian_system, Contrarian};
 pub use generated::{generated_mutant_system, generated_system};
+pub use iis::{iis_system, IteratedImmediateSnapshot};
 pub use ladder::{ladder_system, LadderConsensus};
 pub use racing::{racing_system, PhasedRacing};
 pub use serializable::{serializable_system, MaxStamp};

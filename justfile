@@ -126,12 +126,18 @@ smoke-explore:
         for want in '"configs_visited": 29689,' '"terminals": 0,' '"pruned": 36080,'; do
             grep -qF "$want" "$out" || { echo "racing6 threads $t: missing $want"; exit 1; }
         done
+        # The closed-form oracle: Fubini(3)^2 = 169 terminal views.
+        out="explore-iis3r2-t$t.json"
+        $bin explore --protocol iis --procs 3 --rounds 2 --threads "$t" --json > "$out" \
+            || { echo "iis threads $t: exit code $?, expected 0"; exit 1; }
+        grep -qF '"terminals": 169,' "$out" || { echo "iis threads $t: not 169 terminals"; exit 1; }
     done
     # Each report, timing fields aside, matches its pinned sha256 at
     # every thread count, so the reports are also equal across them.
     untimed() { grep -vE '^  "(threads|elapsed_ms|states_per_sec)":' "$1"; }
     for pin in racing3:795338b9e9ce21fa586f8c834f315e3f5efb4577706694709f5f32827e007bc4 \
-        racing6:ea363195a4beacb10882e1c35f9b201f783cc6bc2662aad174c40f2a7ad22908; do
+        racing6:ea363195a4beacb10882e1c35f9b201f783cc6bc2662aad174c40f2a7ad22908 \
+        iis3r2:f3326ecacf27a54976aef1bcf4efb493bef7397eeb53ef989c87ec0cd03207bb; do
         w=${pin%%:*}
         for t in 1 2 3; do
             got=$(untimed "explore-$w-t$t.json" | sha256sum | cut -d' ' -f1)

@@ -545,11 +545,12 @@ impl SystemArgs {
 
     /// The inverse of [`SystemArgs::to_system`]. It fails closed: a
     /// missing or malformed field is an error naming it, never a
-    /// default. Only `ladder` reads `rounds`, so other protocols may
-    /// omit it.
+    /// default. Only `ladder` and `iis` read `rounds`, so other
+    /// protocols may omit it.
     fn from_system(system: &[(String, String)]) -> Result<SystemArgs, String> {
         let protocol: String = system_field(system, "protocol")?;
-        let has_rounds = protocol == "ladder" || system.iter().any(|(k, _)| k == "rounds");
+        let has_rounds = matches!(protocol.as_str(), "ladder" | "iis")
+            || system.iter().any(|(k, _)| k == "rounds");
         let rounds = if has_rounds { system_field(system, "rounds")? } else { 0 };
         let (procs, m) = (system_field(system, "procs")?, system_field(system, "m")?);
         Ok(SystemArgs { protocol, procs, m, rounds })
@@ -575,6 +576,7 @@ type ProtocolFactory =
 /// error naming the known ones.
 fn protocol_factory(sys: &SystemArgs) -> Result<ProtocolFactory, String> {
     use revisionist_simulations::protocols::contrarian::contrarian_system;
+    use revisionist_simulations::protocols::iis::iis_system;
     use revisionist_simulations::protocols::illformed::illformed_system;
     use revisionist_simulations::protocols::ladder::ladder_system;
     use revisionist_simulations::protocols::racing::racing_system;
@@ -597,6 +599,9 @@ fn protocol_factory(sys: &SystemArgs) -> Result<ProtocolFactory, String> {
             let bits: Vec<bool> = (0..procs).map(|i| (seed >> i) & 1 == 1).collect();
             contrarian_system(&bits)
         }),
+        // Iterated immediate snapshot: the explorer's closed-form
+        // oracle, Fubini(procs)^rounds terminal output vectors.
+        "iis" => Box::new(move |_seed| iis_system(procs, rounds)),
         // The analyzer's acceptance fixture (fixed shape: 4 processes,
         // one 8-component single-writer snapshot). A campaign over it
         // is rejected by the pre-flight unless --no-preflight is given.
@@ -609,7 +614,7 @@ fn protocol_factory(sys: &SystemArgs) -> Result<ProtocolFactory, String> {
         }),
         _ => {
             return Err(format!(
-                "unknown --protocol {protocol} (racing, contrarian, ladder, illformed, \
+                "unknown --protocol {protocol} (racing, contrarian, ladder, iis, illformed, \
                  serializable, gen:SEED[:MUTATION])"
             ))
         }
@@ -638,6 +643,16 @@ fn protocol_check(sys: &SystemArgs) -> ProtocolCheck {
                 spec.inputs(),
             ));
         }
+    }
+    // Iterated immediate snapshot outputs views, which must have the
+    // immediate snapshot properties.
+    if protocol == "iis" {
+        return Box::new(|sys| {
+            let outs: Vec<Value> = sys.outputs().into_iter().flatten().collect();
+            (outs.len() == sys.process_count())
+                .then(|| revisionist_simulations::protocols::iis::immediate_snapshot_violation(&outs))
+                .flatten()
+        });
     }
     // The contrarian family has no output task; the serializable
     // writers each output their own stamp, so consensus does not apply.
@@ -779,7 +794,9 @@ fn cmd_explore(flags: &Flags) -> ExitCode {
     let protocol = sys.protocol.as_str();
     let depth = flags.get("depth", 64);
     let max_configs = flags.get("max-configs", 200_000);
-    let threads = flags.get("threads", 1).max(1);
+    // `0` means one worker per core, as for `sweep` and `fuzz`; the
+    // report names the count it resolved to.
+    let threads = revisionist_simulations::smr::pool::resolve_threads(flags.get("threads", 1));
     let seed = flags.get::<u64>("seed", 0);
 
     let factory = match protocol_factory(&sys) {

@@ -503,3 +503,33 @@ fn replay_rejects_a_malformed_system_field() {
     assert!(stderr.contains("bad `procs` `3x`"), "stderr was: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `explore --threads 0` runs one worker per core, as `sweep` and
+/// `fuzz` do, names that count in its report, and reports what one
+/// thread does, timing fields aside.
+#[test]
+fn explore_threads_zero_means_one_worker_per_core() {
+    let explore = |threads: &str| {
+        let (stdout, stderr, ok) = run(&[
+            "explore", "--protocol", "iis", "--procs", "3", "--rounds", "1", "--threads", threads,
+            "--json",
+        ]);
+        assert!(ok, "--threads {threads}: stderr was: {stderr}");
+        stdout
+    };
+    let untimed = |report: &str| -> String {
+        report
+            .lines()
+            .filter(|l| !["threads", "elapsed_ms", "states_per_sec"].iter().any(|k| {
+                l.starts_with(&format!("  \"{k}\":"))
+            }))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let (all, one) = (explore("0"), explore("1"));
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    assert!(all.contains(&format!("\"threads\": {cores},")), "report was: {all}");
+    assert!(one.contains("\"threads\": 1,"), "report was: {one}");
+    assert_eq!(untimed(&all), untimed(&one));
+    assert!(one.contains("\"terminals\": 13,") && one.contains("\"violation\": null"), "{one}");
+}
