@@ -11,37 +11,79 @@
 //!   execution terminates ([`Explorer::check_solo_termination`]);
 //! * x-obstruction-freedom via [`Explorer::check_group_termination`].
 //!
+//! # Interned component states
+//!
+//! The explorer's state spaces are built from few distinct parts:
+//! racing3's 210,751 configurations hold 511 distinct component states,
+//! and 97% of its steps repeat a step already taken. So the engine
+//! stores each part once and each step once (SPIN's collapse
+//! compression plus a transition memo):
+//!
+//! * **Intern tables.** Each object position and each process position
+//!   has a table holding each distinct [`Object`] or process state
+//!   once, under an id. A table is keyed on the exact bytes the
+//!   configuration key writes for the component ([`Object::write_key`],
+//!   [`Process::write_state_key`]), never on a hash alone.
+//! * **Poised memo.** A process state is interned with what it is
+//!   poised to do, so step masks, the terminal test and the DPOR
+//!   enabled set read it without asking the process again.
+//! * **Transition memo.** Per process, a memo maps (its state id, the
+//!   id of the object its poised operation accesses) to the state ids
+//!   the step leads to and its [`Event`]. A repeated step is a lookup:
+//!   no process is cloned, no key hashed, no configuration built.
+//! * **Frontier entries.** An entry is a vector of component ids (one
+//!   per object, then one per process, inline up to eight), its step
+//!   counts, its sealed trace, its sleep and claim masks and its check
+//!   verdict. The trace stays: checks, violation schedules and panic
+//!   contexts read it.
+//! * **Exact visited set.** The visited shards are keyed on the id
+//!   vector itself, so two configurations never merge unless they are
+//!   equal.
+//! * **Materialization.** A [`System`] is assembled from the tables
+//!   (`Arc` clones, the entry's step counts and trace) only where one is
+//!   needed: for a check, and to compute a step the memo does not hold
+//!   yet. Each worker refills one configuration, so this allocates
+//!   nothing once it runs.
+//!
 //! # The frontier engine
 //!
 //! Every entry point runs one engine: a level-synchronised breadth-first
-//! frontier over schedule prefixes. Each level runs in three phases,
-//! each a [`par_map`] over the workspace's worker pool (one thread by
-//! default, see [`Explorer::with_threads`]; at one thread every phase
-//! runs on the calling thread):
+//! frontier over schedule prefixes. Each level runs in four phases; the
+//! parallel ones are a [`par_map`] over the workspace's worker pool (one
+//! thread by default, see [`Explorer::with_threads`]; at one thread
+//! every phase runs on the calling thread):
 //!
 //! 1. **Expand.** Workers claim chunks of the frontier in order, take
-//!    ownership of them and free each entry once it is expanded. A
-//!    worker derives each child's [`ExploreKey`] from its parent's key
-//!    and the [`System::successor`] step. It drops the child unbuilt
-//!    when the visited maps of the previous levels already cover it,
-//!    and otherwise builds it, its trace already sealed, with a compact
-//!    head `(key, sleep, enabled)` beside it. A level that holds a
-//!    violation keeps none of its children, and it is known to hold one
-//!    before it is expanded, so it builds none.
-//! 2. **Decide by shard.** The visited set is one map per thread, the
-//!    shard chosen by key bits. One worker per shard walks all heads in
-//!    canonical order and deduplicates the arrivals at its own keys.
-//!    Where the configuration budget may run out inside the level, one
-//!    worker decides over all shards, so the cut falls in canonical
-//!    order.
-//! 3. **Build.** Workers turn the kept children into the next
-//!    frontier and free the others. Each first arrival is checked as it
-//!    becomes a frontier entry, while it is still in cache; the entry
-//!    keeps the verdict, and the frontier the lowest index whose verdict
-//!    is a violation. (The root is checked before the first level.)
+//!    ownership of them and free each entry once it is expanded. They
+//!    read the tables and memos frozen for the level, so a memo hit
+//!    takes no lock. A step the memo lacks is computed by
+//!    [`System::successor`] on the materialized parent, so ownership
+//!    checks and step errors are the configuration's own; its new
+//!    states wait in the chunk for the intern pass. A child whose ids
+//!    are all known is dropped when the visited maps of the previous
+//!    levels already cover it; a child carrying a new state cannot have
+//!    been visited, so it skips that pre-filter. A child is a compact
+//!    head `(ids, sleep, enabled)` plus its parent's trace, its step
+//!    counts and its transition. A level that holds a violation keeps
+//!    none of its children, and it is known to hold one before it is
+//!    expanded, so it builds none.
+//! 2. **Intern.** One pass in canonical chunk order interns the level's
+//!    new states, memoizes its new steps and completes the ids of the
+//!    children that carry them.
+//! 3. **Decide by shard.** The visited set is one map per thread, the
+//!    shard chosen by the ids' hash. One worker per shard walks all
+//!    heads in canonical order and deduplicates the arrivals at its own
+//!    keys. Where the configuration budget may run out inside the
+//!    level, one worker decides over all shards, so the cut falls in
+//!    canonical order.
+//! 4. **Build.** Workers turn the kept children into the next frontier
+//!    and free the others. Each first arrival is materialized and
+//!    checked as it becomes a frontier entry; the entry keeps the
+//!    verdict, and the frontier the lowest index whose verdict is a
+//!    violation. (The root is checked before the first level.)
 //!
 //! Children are ordered by (parent frontier index, process id), and
-//! every arrival at a key is decided in that order, so
+//! every arrival at a configuration is decided in that order, so
 //! `configs_visited`, `pruned`, `truncated` and the first violation are
 //! **bit-for-bit identical at every thread count**. The violation
 //! reported is the first in canonical schedule order (shortest schedule
@@ -49,6 +91,11 @@
 //! thread happened to find it. Because levels are explored in depth
 //! order, every configuration reachable within the depth bound is
 //! visited (unless the configuration budget runs out).
+//!
+//! Step errors and panics are outcomes like any other step: a chunk
+//! memoizes them too, and each is reported at the canonical frontier
+//! index of the entry it happened at. They never reach the shared memo,
+//! because a level with an error ends the search.
 //!
 //! The one exception is the level where a violation stops the search:
 //! each chunk stops at its own first violation while later chunks go on
@@ -105,13 +152,14 @@ use crate::hb::independent;
 use crate::object::{Object, Operation};
 use crate::pool::{par_map, resolve_threads};
 use crate::process::{Poised, Process, ProcessId};
-use crate::system::{Successor, System};
+use crate::system::{Event, Successor, System};
+use crate::trace::Trace;
 use crate::value::Value;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
+use std::sync::Arc;
 /// Sleep and claim sets are process-id bit masks; systems with more
 /// processes than this fall back to unreduced exploration (the report's
 /// `dpor` flag records the fallback).
@@ -327,14 +375,17 @@ impl Explorer {
         initial: &System,
         check: ParallelCheck,
     ) -> Result<ExploreReport, ModelError> {
-        self.explore_parallel_inner(initial, check, false)
+        self.explore_parallel_inner(initial, Some(check), false)
             .map(|(report, _)| report)
     }
 
+    /// The engine behind every entry point: explores from `initial`,
+    /// runs `check` (when given) on every configuration visited, and
+    /// collects the distinct terminal output vectors when asked to.
     fn explore_parallel_inner(
         &self,
         initial: &System,
-        check: ParallelCheck,
+        check: Option<ParallelCheck>,
         collect_terminals: bool,
     ) -> Result<(ExploreReport, Vec<Vec<Value>>), ModelError> {
         self.run_preflight(initial)?;
@@ -356,33 +407,34 @@ impl Explorer {
         let mut terminal_outputs: Vec<Vec<Value>> = Vec::new();
         let mut seen_outputs: HashSet<Vec<Value>> = HashSet::new();
 
-        // One visited shard per thread, chosen by key bits. Expanding
-        // workers read every shard as a duplicate pre-filter; the
-        // decide phase is the only writer, and runs strictly between
-        // expansions.
+        let (mut tables, root_ids) = Tables::new(initial);
+        // One visited shard per thread, chosen by the ids' hash.
+        // Expanding workers read every shard as a duplicate pre-filter;
+        // the decide phase is the only writer, and runs strictly
+        // between expansions.
         let mut visited: Vec<VisitedMap> = (0..threads).map(|_| VisitedMap::default()).collect();
         let root_masks = StepMasks::of(
-            initial,
+            tables.process_states(&root_ids).map(|state| state.poised.operation()),
             dpor,
             matrix.as_ref(),
             &mut report.prefilter_hits,
         )?;
-        let root_key = ExploreKey::of(initial);
-        visited[shard_of(root_key.value(), threads)].insert(
-            root_key.value(),
-            StateMeta { expanded: root_masks.enabled, slept: 0 },
-        );
+        let root_key = Key::new(root_ids);
+        visited[shard_of(root_key.hash, threads)]
+            .insert(root_key.clone(), StateMeta { expanded: root_masks.enabled, slept: 0 });
         report.configs_visited = 1;
         let base_depth = initial.trace().len();
         let mut root = initial.clone();
         root.freeze_trace();
-        let verdict = judge(check, &root);
+        let verdict = check.and_then(|check| judge(check, &root));
+        let steps = (0..root.process_count()).map(|i| root.steps_of(ProcessId(i)) as u32);
         let mut frontier = Frontier {
             chunk_len: 1,
             violation: if is_violation(&verdict) { 0 } else { usize::MAX },
             chunks: vec![vec![vec![Prefix {
-                sys: root,
-                key: root_key,
+                ids: root_key.ids,
+                steps: Row::new(root.process_count(), steps),
+                trace: root.trace().clone(),
                 sleep: 0,
                 claim: root_masks.enabled,
                 first: true,
@@ -399,6 +451,8 @@ impl Explorer {
                 base_depth,
                 max_depth: self.limits.max_depth,
                 visited: &visited,
+                tables: &tables,
+                template: &root,
                 dpor,
                 matrix: matrix.as_ref(),
                 violation: frontier.violation,
@@ -427,21 +481,22 @@ impl Explorer {
                 }
             }
             let violation = violation.map(|(_, sched, msg)| (sched.clone(), msg.clone()));
-            let mut children = Vec::with_capacity(chunks.len());
-            let mut heads = Vec::with_capacity(chunks.len());
-            for chunk in chunks {
+            let mut forks = Vec::with_capacity(chunks.len());
+            for mut chunk in chunks {
                 report.terminals += chunk.terminals;
                 report.truncated |= chunk.truncated;
                 report.prefilter_hits += chunk.prefilter_hits;
                 if collect_terminals {
-                    for outs in chunk.terminal_outputs {
+                    for outs in chunk.terminal_outputs.drain(..) {
                         if seen_outputs.insert(outs.clone()) {
                             terminal_outputs.push(outs);
                         }
                     }
                 }
-                children.push(chunk.children);
-                heads.push(chunk.heads);
+                // Intern: the level's new states and steps, in
+                // canonical chunk order.
+                tables.absorb(&mut chunk);
+                forks.push((chunk.heads, chunk.children));
             }
             if violation.is_some() {
                 // The level built no children: it was known to hold a
@@ -464,7 +519,8 @@ impl Explorer {
             // the cut depend on all keys at once: then one worker
             // decides over every shard.
             let budget = self.limits.max_configs.saturating_sub(report.configs_visited);
-            let arrivals: usize = heads.iter().map(Vec::len).sum();
+            let heads: Vec<&[Head]> = forks.iter().map(|(heads, _)| heads.as_slice()).collect();
+            let arrivals: usize = heads.iter().map(|h| h.len()).sum();
             let owners: Vec<(usize, &mut [VisitedMap])> = if arrivals > budget {
                 vec![(0, &mut visited[..])]
             } else {
@@ -474,7 +530,7 @@ impl Explorer {
                 decide(&heads, shards, first_shard, threads, dpor, budget)
             });
             drop(heads);
-            let mut kept: Vec<Vec<Vec<Kept>>> = children.iter().map(|_| Vec::new()).collect();
+            let mut kept: Vec<Vec<Vec<Kept>>> = forks.iter().map(|_| Vec::new()).collect();
             let mut pruned: isize = 0;
             for d in decided {
                 report.configs_visited += d.fresh;
@@ -491,7 +547,7 @@ impl Explorer {
 
             // Build: workers turn the kept children into the next
             // frontier, check each first arrival, and free the rest.
-            frontier = build_level(children, kept, threads, check);
+            frontier = build_level(forks, kept, threads, check, &tables, &root);
         }
         Ok((report, terminal_outputs))
     }
@@ -508,7 +564,7 @@ impl Explorer {
         initial: &System,
     ) -> Result<(Vec<Vec<Value>>, ExploreReport), ModelError> {
         let (report, outputs) =
-            self.explore_parallel_inner(initial, &|_| None, true)?;
+            self.explore_parallel_inner(initial, None, true)?;
         Ok((outputs, report))
     }
 
@@ -552,8 +608,13 @@ impl Explorer {
     }
 }
 
-/// The explorer's in-memory configuration key, kept per
-/// component so a step re-hashes only what it touched.
+/// An in-memory configuration key, kept per component so a step
+/// re-hashes only what it touched. Campaigns key their fingerprint
+/// memo and their interference-matrix memo on it; the explorer no
+/// longer does: it keys its visited set on exact component ids (see
+/// the [module docs](self#interned-component-states)), so only the
+/// campaign memos take the 2⁻⁶⁴-per-pair risk of two configurations
+/// sharing a key.
 ///
 /// The key is the XOR of one term per object and one per process. A
 /// term is the FNV hash of the component's key bytes (the bytes
@@ -606,47 +667,12 @@ pub struct ExploreKey {
     /// Number of objects: `terms` holds one term per object, then one
     /// per process.
     objects: usize,
-    terms: Terms,
+    terms: Row<u64>,
 }
 
-/// How many terms an [`ExploreKey`] stores without a heap block.
+/// How many terms an [`ExploreKey`], and how many component ids and
+/// step counts a frontier entry, store without a heap block.
 const INLINE_TERMS: usize = 8;
-
-/// An [`ExploreKey`]'s terms: inline up to [`INLINE_TERMS`] of them
-/// (the unused tail stays zero), one boxed slice beyond.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Terms {
-    Inline { len: u8, terms: [u64; INLINE_TERMS] },
-    Heap(Box<[u64]>),
-}
-
-impl Terms {
-    /// The `len` terms `terms` yields.
-    fn new(len: usize, terms: impl Iterator<Item = u64>) -> Terms {
-        if len > INLINE_TERMS {
-            return Terms::Heap(terms.collect());
-        }
-        let mut inline = [0; INLINE_TERMS];
-        for (slot, term) in inline.iter_mut().zip(terms) {
-            *slot = term;
-        }
-        Terms::Inline { len: len as u8, terms: inline }
-    }
-
-    fn as_slice(&self) -> &[u64] {
-        match self {
-            Terms::Inline { len, terms } => &terms[..usize::from(*len)],
-            Terms::Heap(terms) => terms,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [u64] {
-        match self {
-            Terms::Inline { len, terms } => &mut terms[..usize::from(*len)],
-            Terms::Heap(terms) => terms,
-        }
-    }
-}
 
 impl ExploreKey {
     /// Computes the key of `sys` from scratch.
@@ -654,7 +680,7 @@ impl ExploreKey {
         let objects = sys.objects();
         let processes = (0..sys.process_count())
             .map(|i| sys.process(ProcessId(i)).expect("process index in range"));
-        let terms = Terms::new(
+        let terms = Row::new(
             objects.len() + sys.process_count(),
             objects
                 .iter()
@@ -740,8 +766,288 @@ fn low_bits(q: usize) -> u32 {
     (1u32 << q) - 1
 }
 
+/// A short row of plain values, inline up to [`INLINE_TERMS`] of them
+/// (the unused tail stays at its default), one boxed slice beyond: an
+/// [`ExploreKey`]'s terms, and a frontier entry's component ids and
+/// step counts.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Row<T> {
+    Inline { len: u8, items: [T; INLINE_TERMS] },
+    Heap(Box<[T]>),
+}
+
+impl<T: Copy + Default> Row<T> {
+    /// The `len` items `items` yields.
+    fn new(len: usize, items: impl Iterator<Item = T>) -> Row<T> {
+        if len > INLINE_TERMS {
+            return Row::Heap(items.collect());
+        }
+        let mut inline = [T::default(); INLINE_TERMS];
+        for (slot, item) in inline.iter_mut().zip(items) {
+            *slot = item;
+        }
+        Row::Inline { len: len as u8, items: inline }
+    }
+
+    fn as_slice(&self) -> &[T] {
+        match self {
+            Row::Inline { len, items } => &items[..usize::from(*len)],
+            Row::Heap(items) => items,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        match self {
+            Row::Inline { len, items } => &mut items[..usize::from(*len)],
+            Row::Heap(items) => items,
+        }
+    }
+}
+
+/// A configuration as component ids: one per object, then one per
+/// process, each an index into that position's [`Table`].
+type Ids = Row<u32>;
+
+/// Marks a component id, or a transition index, that a chunk created
+/// and the intern pass has not yet replaced by its shared one.
+const PENDING: u32 = 1 << 31;
+
+fn is_pending(id: u32) -> bool {
+    id & PENDING != 0
+}
+
+/// A configuration's exact key in the visited set: its ids, with their
+/// hash computed once.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Key {
+    hash: u64,
+    ids: Ids,
+}
+
+impl Key {
+    fn new(ids: Ids) -> Key {
+        Key { hash: hash_ids(ids.as_slice()), ids }
+    }
+}
+
+impl std::hash::Hash for Key {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// A well-mixed hash of component ids, for the visited shards.
+fn hash_ids(ids: &[u32]) -> u64 {
+    let h = ids.iter().fold(0u64, |h, &id| {
+        (h.rotate_left(26) ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    });
+    salted(ids.len(), h)
+}
+
+/// The distinct states one component position takes, each stored once
+/// under its id, and the exact key bytes each was interned under.
+struct Table<T> {
+    states: Vec<T>,
+    ids: HashMap<Box<str>, u32>,
+}
+
+impl<T> Table<T> {
+    fn new() -> Table<T> {
+        Table { states: Vec::new(), ids: HashMap::new() }
+    }
+
+    fn find(&self, key: &str) -> Option<u32> {
+        self.ids.get(key).copied()
+    }
+
+    /// The id of the state with key bytes `key`, storing `state` under
+    /// a new id if none has them yet.
+    fn intern(&mut self, key: Box<str>, state: T) -> u32 {
+        let states = &mut self.states;
+        *self.ids.entry(key).or_insert_with(|| {
+            let id = u32::try_from(states.len()).ok().filter(|id| !is_pending(*id));
+            states.push(state);
+            id.expect("fewer than 2^31 states per component")
+        })
+    }
+}
+
+/// An interned process state, with what it is poised to do.
+struct ProcessState {
+    process: Arc<dyn Process>,
+    poised: Poised,
+}
+
+impl ProcessState {
+    fn new(process: Arc<dyn Process>) -> ProcessState {
+        let poised = process.poised();
+        ProcessState { process, poised }
+    }
+
+    fn terminated(&self) -> bool {
+        matches!(self.poised, Poised::Output(_))
+    }
+}
+
+/// One memoized step: the ids it leads to and the event it records.
+struct Transition {
+    /// The stepped process's new state.
+    process: u32,
+    /// The written object's new state; `None` for a read or a scan.
+    object: Option<u32>,
+    event: Event,
+}
+
+/// A process's transition memo: from [`memo_key`] to an index into
+/// [`Tables::transitions`].
+type MemoMap = HashMap<u64, u32, BuildHasherDefault<KeyHasher>>;
+
+/// The memo key of a step from process state `state` on object state
+/// `object` (`u32::MAX` when the operation names no object of the
+/// system). Both ids fit in 32 bits and the mixer is a bijection, so
+/// the key is exact.
+fn memo_key(state: u32, object: u32) -> u64 {
+    salted(0, (u64::from(state) << 32) | u64::from(object))
+}
+
+/// Every component state and step one exploration has met.
+struct Tables {
+    objects: Vec<Table<Object>>,
+    processes: Vec<Table<ProcessState>>,
+    transitions: Vec<Transition>,
+    /// One transition memo per process.
+    memo: Vec<MemoMap>,
+}
+
+impl Tables {
+    /// The tables of `initial`'s components, and its ids.
+    fn new(initial: &System) -> (Tables, Ids) {
+        let count = initial.process_count();
+        let mut tables = Tables {
+            objects: initial.objects().iter().map(|_| Table::new()).collect(),
+            processes: (0..count).map(|_| Table::new()).collect(),
+            transitions: Vec::new(),
+            memo: (0..count).map(|_| MemoMap::default()).collect(),
+        };
+        let mut key = String::new();
+        let mut ids = Vec::with_capacity(tables.objects.len() + count);
+        for (table, object) in tables.objects.iter_mut().zip(initial.objects()) {
+            ids.push(table.intern(object_key(object, &mut key).into(), object.clone()));
+        }
+        for (i, table) in tables.processes.iter_mut().enumerate() {
+            let process = initial.process(ProcessId(i)).expect("process index in range");
+            let state = ProcessState::new(process.arc_clone());
+            ids.push(table.intern(process_key(process, &mut key).into(), state));
+        }
+        let ids = Row::new(ids.len(), ids.into_iter());
+        (tables, ids)
+    }
+
+    fn process(&self, pid: usize, id: u32) -> &ProcessState {
+        &self.processes[pid].states[id as usize]
+    }
+
+    /// The process states of configuration `ids`, in process order.
+    fn process_states<'a>(&'a self, ids: &'a Ids) -> impl Iterator<Item = &'a ProcessState> {
+        let ids = &ids.as_slice()[self.objects.len()..];
+        ids.iter().enumerate().map(|(pid, &id)| self.process(pid, id))
+    }
+
+    /// Assembles configuration `ids`, with its step counts and trace,
+    /// into `sys` (a configuration of the explored system).
+    fn materialize(&self, sys: &mut System, ids: &Ids, steps: &Row<u32>, trace: &Trace) {
+        let (objects, processes) = ids.as_slice().split_at(self.objects.len());
+        sys.assemble(
+            self.objects.iter().zip(objects).map(|(table, &id)| &table.states[id as usize]),
+            self.processes
+                .iter()
+                .zip(processes)
+                .zip(steps.as_slice())
+                .map(|((table, &id), &steps)| (&table.states[id as usize].process, steps as usize)),
+            trace,
+        );
+    }
+
+    /// Interns the new states a chunk met, memoizes its new steps, and
+    /// completes the ids of the children that carry them.
+    fn absorb(&mut self, chunk: &mut LevelChunk) {
+        let fresh = std::mem::take(&mut chunk.fresh);
+        let processes: Vec<u32> = fresh
+            .processes
+            .into_iter()
+            .map(|new| self.processes[new.position].intern(new.key, new.state))
+            .collect();
+        let objects: Vec<u32> = fresh
+            .objects
+            .into_iter()
+            .map(|new| self.objects[new.position].intern(new.key, new.state))
+            .collect();
+        let transitions: Vec<u32> = fresh
+            .steps
+            .into_iter()
+            .map(|step| match step.outcome {
+                Outcome::Stepped(Transition { process, object, event }) => {
+                    let transitions = &mut self.transitions;
+                    *self.memo[step.pid].entry(step.key).or_insert_with(|| {
+                        transitions.push(Transition {
+                            process: resolve(process, &processes),
+                            object: object.map(|id| resolve(id, &objects)),
+                            event,
+                        });
+                        (transitions.len() - 1) as u32
+                    })
+                }
+                // A level with an error ends the search before this pass.
+                Outcome::Failed(_) | Outcome::Panicked(_) => u32::MAX,
+            })
+            .collect();
+        for at in fresh.children {
+            let child = &mut chunk.children[at];
+            child.transition = transitions[(child.transition & !PENDING) as usize];
+            let key = &mut chunk.heads[at].key;
+            if key.ids.as_slice().iter().any(|&id| is_pending(id)) {
+                let (objects_ids, process_ids) =
+                    key.ids.as_mut_slice().split_at_mut(self.objects.len());
+                for id in objects_ids {
+                    *id = resolve(*id, &objects);
+                }
+                for id in process_ids {
+                    *id = resolve(*id, &processes);
+                }
+                key.hash = hash_ids(key.ids.as_slice());
+            }
+        }
+    }
+}
+
+/// The shared id `id` stands for: itself, or the id the intern pass
+/// gave the chunk's pending state it names.
+fn resolve(id: u32, interned: &[u32]) -> u32 {
+    if is_pending(id) {
+        interned[(id & !PENDING) as usize]
+    } else {
+        id
+    }
+}
+
+/// The key bytes of `object` (what [`Object::hash_config`] hashes),
+/// written into `buf`.
+fn object_key<'b>(object: &Object, buf: &'b mut String) -> &'b str {
+    buf.clear();
+    let _ = object.write_key(buf);
+    buf
+}
+
+/// The key bytes of `process` (its [`Process::write_state_key`]),
+/// written into `buf`.
+fn process_key<'b>(process: &dyn Process, buf: &'b mut String) -> &'b str {
+    buf.clear();
+    process.write_state_key(buf);
+    buf
+}
+
 /// Per-configuration bookkeeping for sleep-set pruning with state
-/// matching, keyed by [`ExploreKey`] value.
+/// matching.
 #[derive(Clone, Copy)]
 struct StateMeta {
     /// Processes already branched on from this configuration, over all
@@ -753,17 +1059,16 @@ struct StateMeta {
     slept: u32,
 }
 
-/// The visited-state map of one shard, keyed by [`ExploreKey`] value.
-/// Keys are already mixed (see [`salted`]), so the map uses them as
-/// their own hashes.
-type VisitedMap = HashMap<u64, StateMeta, BuildHasherDefault<KeyHasher>>;
+/// The visited-state map of one shard, keyed by exact component ids.
+/// The ids' hash is already mixed, so the map uses it as is.
+type VisitedMap = HashMap<Key, StateMeta, BuildHasherDefault<KeyHasher>>;
 
-/// The visited shard, of `shards`, that owns `key`: key bits 25..57,
+/// The visited shard, of `shards`, that owns `hash`: hash bits 25..57,
 /// scaled to the shard count. The map takes its bucket from the low
 /// bits and its tag from the top seven, so both stay uniform within a
 /// shard.
-fn shard_of(key: u64, shards: usize) -> usize {
-    ((u64::from((key >> 25) as u32) * shards as u64) >> 32) as usize
+fn shard_of(hash: u64, shards: usize) -> usize {
+    ((u64::from((hash >> 25) as u32) * shards as u64) >> 32) as usize
 }
 
 /// The poised-step view of one configuration as process-id bit masks:
@@ -778,39 +1083,39 @@ struct StepMasks {
 }
 
 impl StepMasks {
-    /// Computes the masks for one configuration. With a `matrix`
-    /// present, every enabled pair the matrix calls statically
-    /// independent is audited against the dynamic oracle: a confirmed
-    /// answer bumps `prefilter_hits`, a contradicted one fails closed
-    /// with [`ModelError::StaticUnsound`] (the static pass may
+    /// Computes the masks for one configuration from what each process
+    /// is poised to do, in process order (`None` once it terminated).
+    /// With a `matrix` present, every enabled pair the matrix calls
+    /// statically independent is audited against the dynamic oracle: a
+    /// confirmed answer bumps `prefilter_hits`, a contradicted one fails
+    /// closed with [`ModelError::StaticUnsound`] (the static pass may
     /// over-approximate dependence, never independence). The masks
     /// actually used are always the dynamic oracle's answers, so the
     /// exploration is identical with or without the matrix.
-    fn of(
-        sys: &System,
+    fn of<'o>(
+        poised: impl Iterator<Item = Option<&'o Operation>>,
         dpor: bool,
         matrix: Option<&InterferenceMatrix>,
         prefilter_hits: &mut usize,
     ) -> Result<StepMasks, ModelError> {
         // DPOR runs only on systems of at most `DPOR_MAX_PROCS`
         // processes; without it only `enabled` is read.
-        let n = sys.process_count().min(DPOR_MAX_PROCS);
-        let mut ops: [Option<Operation>; DPOR_MAX_PROCS] = [const { None }; DPOR_MAX_PROCS];
+        let mut ops: [Option<&Operation>; DPOR_MAX_PROCS] = [None; DPOR_MAX_PROCS];
         let mut enabled = 0u32;
-        for (i, slot) in ops.iter_mut().enumerate().take(n) {
-            if let Poised::Step(op) = sys.poised(ProcessId(i)) {
+        let mut n = 0;
+        for (i, op) in poised.take(DPOR_MAX_PROCS).enumerate() {
+            n = i + 1;
+            if op.is_some() {
                 enabled |= 1 << i;
-                if dpor {
-                    *slot = Some(op);
-                }
+                ops[i] = op;
             }
         }
         let mut indep = [0u32; DPOR_MAX_PROCS];
         if dpor {
             for i in 0..n {
-                let Some(op_i) = &ops[i] else { continue };
+                let Some(op_i) = ops[i] else { continue };
                 for j in i + 1..n {
-                    let Some(op_j) = &ops[j] else { continue };
+                    let Some(op_j) = ops[j] else { continue };
                     let dynamic = independent(op_i, op_j);
                     if matrix.is_some_and(|m| m.independent(i, j)) {
                         if dynamic {
@@ -837,9 +1142,11 @@ impl StepMasks {
 /// One schedule prefix awaiting expansion in the frontier, checked when
 /// it was built.
 struct Prefix {
-    sys: System,
-    /// Explorer key of `sys`, kept per component for its children.
-    key: ExploreKey,
+    ids: Ids,
+    /// Steps taken by each process.
+    steps: Row<u32>,
+    /// The sealed trace that reached this configuration.
+    trace: Trace,
     /// Sleep set this arrival carries (always 0 with DPOR off).
     sleep: u32,
     /// Processes to branch on from this entry, claimed canonically at
@@ -889,20 +1196,24 @@ struct Frontier {
     chunks: Vec<Vec<Vec<Prefix>>>,
 }
 
-/// One freshly forked, sealed configuration travelling from the
-/// worker that built it to the worker that keeps or frees it.
-struct Child {
-    sys: System,
-    key: ExploreKey,
-}
-
-/// What the decide phase reads of one [`Child`].
+/// What the decide phase reads of one child.
 struct Head {
-    key: u64,
+    key: Key,
     /// Sleep set the fork inherited (0 with DPOR off).
     sleep: u32,
     /// Live processes of the fork (0 with DPOR off — never read).
     enabled: u32,
+}
+
+/// The rest of one child, travelling from the worker that forked it to
+/// the worker that keeps or frees it.
+struct Child {
+    /// The parent's trace, which the kept child extends.
+    trace: Trace,
+    steps: Row<u32>,
+    /// Index of the step's [`Transition`] (tagged [`PENDING`] until the
+    /// intern pass).
+    transition: u32,
 }
 
 /// A child the decide phase keeps for the next frontier.
@@ -914,7 +1225,50 @@ struct Kept {
     first: bool,
 }
 
+/// A process state a chunk met that the frozen tables lack.
+struct NewProcess {
+    position: usize,
+    key: Box<str>,
+    state: ProcessState,
+}
+
+/// An object state a chunk met that the frozen tables lack.
+struct NewObject {
+    position: usize,
+    key: Box<str>,
+    state: Object,
+}
+
+/// What one step not in the shared memo came to.
+enum Outcome {
+    /// Its ids may name the chunk's pending states.
+    Stepped(Transition),
+    Failed(ModelError),
+    Panicked(String),
+}
+
+/// A step one chunk computed, memoized for the rest of the chunk.
+struct FreshStep {
+    pid: usize,
+    key: u64,
+    outcome: Outcome,
+}
+
+/// What a chunk met that the frozen tables and memos lack; the intern
+/// pass absorbs it.
+#[derive(Default)]
+struct Fresh {
+    processes: Vec<NewProcess>,
+    objects: Vec<NewObject>,
+    steps: Vec<FreshStep>,
+    /// `(pid, memo key)` to index into `steps`.
+    index: HashMap<(usize, u64), usize>,
+    /// The children whose transition, and maybe ids, are pending.
+    children: Vec<usize>,
+}
+
 /// One worker chunk's share of a frontier level.
+#[derive(Default)]
 struct LevelChunk {
     terminals: usize,
     truncated: bool,
@@ -922,14 +1276,25 @@ struct LevelChunk {
     violation: Option<(usize, Vec<ProcessId>, String)>,
     /// Children in (parent index, process id) order, with their heads
     /// beside them.
-    children: Vec<Child>,
     heads: Vec<Head>,
+    children: Vec<Child>,
     /// Output vectors of terminal configurations in this chunk.
     terminal_outputs: Vec<Vec<Value>>,
     /// Lowest-index step error within the chunk.
     error: Option<(usize, ModelError)>,
     /// Static-prefilter confirmations across the chunk's entries.
     prefilter_hits: usize,
+    fresh: Fresh,
+}
+
+/// A step of one process from one entry, as ids that may be pending.
+#[derive(Clone, Copy)]
+struct Stepped {
+    process: u32,
+    object: Option<u32>,
+    transition: u32,
+    /// Position of the object the step accessed.
+    position: usize,
 }
 
 /// What every worker expanding one frontier level shares.
@@ -940,6 +1305,10 @@ struct Level<'a> {
     max_depth: usize,
     /// The visited shards of all previous levels.
     visited: &'a [VisitedMap],
+    /// The tables and memos of all previous levels.
+    tables: &'a Tables,
+    /// A configuration of the explored system, to materialize into.
+    template: &'a System,
     dpor: bool,
     matrix: Option<&'a InterferenceMatrix>,
     /// The frontier's [`Frontier::violation`]: entries past it are not
@@ -951,31 +1320,23 @@ impl Level<'_> {
     /// Expands one chunk of frontier entries, the first at frontier
     /// index `start`, freeing each entry once expanded.
     fn expand(&self, start: usize, entries: Vec<Vec<Prefix>>) -> LevelChunk {
-        let mut out = LevelChunk {
-            terminals: 0,
-            truncated: false,
-            violation: None,
-            children: Vec::new(),
-            heads: Vec::new(),
-            terminal_outputs: Vec::new(),
-            error: None,
-            prefilter_hits: 0,
-        };
-        // Past the level's violation nothing an entry does is reported;
-        // before it, only a step error is.
-        let build = self.violation == usize::MAX;
+        let mut out = LevelChunk::default();
+        // The parent a step the memo lacks is computed on, refilled per
+        // entry, and the key bytes of the states it leads to.
+        let mut parent = Scratch { sys: self.template.clone(), holds: usize::MAX };
+        let mut key = String::new();
         for (offset, entry) in entries.into_iter().flatten().enumerate() {
             let idx = start + offset;
-            let sys = &entry.sys;
-            match entry.verdict.map(|verdict| *verdict) {
+            match entry.verdict.as_deref() {
                 Some(Verdict::Violation(msg)) => {
-                    out.violation = Some((idx, schedule_since(sys, self.base_depth), msg));
+                    out.violation =
+                        Some((idx, schedule_since(&entry.trace, self.base_depth), msg.clone()));
                     // Later entries in the chunk cannot improve on this
                     // index.
                     break;
                 }
                 Some(Verdict::Panic(message)) => {
-                    out.panicked(idx, sys, self.base_depth, message);
+                    out.panicked(idx, &entry.trace, self.base_depth, message.clone());
                     continue;
                 }
                 None => {}
@@ -985,138 +1346,266 @@ impl Level<'_> {
             // instead of tearing down the worker and hanging the level
             // barrier.
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                if entry.first && sys.all_terminated() {
-                    out.terminals += 1;
-                    out.terminal_outputs
-                        .push(sys.outputs().into_iter().map(Option::unwrap).collect());
-                    return;
-                }
-                if sys.trace().len() - self.base_depth >= self.max_depth {
-                    out.truncated = true;
-                    return;
-                }
-                let masks = if self.dpor {
-                    match StepMasks::of(sys, true, self.matrix, &mut out.prefilter_hits) {
-                        Ok(masks) => Some(masks),
-                        Err(err) => {
-                            // An unsound matrix fails the entry closed;
-                            // the canonical merge picks the lowest-index
-                            // error across chunks, keeping the outcome
-                            // identical at every thread count.
-                            if out.error.is_none() {
-                                out.error = Some((idx, err));
-                            }
-                            return;
-                        }
-                    }
-                } else {
-                    None
-                };
-                if idx > self.violation {
-                    return;
-                }
-                if let Some(masks) = masks {
-                    let mut remaining = entry.claim;
-                    while remaining != 0 {
-                        let q = remaining.trailing_zeros() as usize;
-                        remaining &= remaining - 1;
-                        let Some(next) = out.successor(sys, ProcessId(q), idx, build) else {
-                            continue;
-                        };
-                        let key = entry.key.after(&next);
-                        let sleep =
-                            masks.indep[q] & (entry.sleep | (entry.claim & low_bits(q)));
-                        // Only stepping q can change liveness: the
-                        // child's enabled set is the parent's, minus q
-                        // if it just terminated.
-                        let enabled = if next.process().terminated() {
-                            masks.enabled & !(1 << q)
-                        } else {
-                            masks.enabled
-                        };
-                        // Concurrent pre-filter against the previous
-                        // levels' visited shards: drop the child, before
-                        // it is ever built, when the merge could not
-                        // possibly claim anything from it. (`expanded`
-                        // can only have grown since the shards were
-                        // frozen, so this never drops a live claim.)
-                        if let Some(meta) = self.seen(key.value()) {
-                            if enabled & !sleep & !meta.expanded == 0 {
-                                continue;
-                            }
-                        }
-                        out.push_child(sys, key, next, sleep, enabled);
-                    }
-                } else {
-                    for i in 0..sys.process_count() {
-                        let pid = ProcessId(i);
-                        if sys.is_terminated(pid) {
-                            continue;
-                        }
-                        let Some(next) = out.successor(sys, pid, idx, build) else {
-                            continue;
-                        };
-                        let key = entry.key.after(&next);
-                        // Concurrent pre-filter: configurations
-                        // deduplicated at an earlier level are never
-                        // built. Within-level duplicates are resolved
-                        // canonically by the merge itself.
-                        if self.seen(key.value()).is_none() {
-                            out.push_child(sys, key, next, 0, 0);
-                        }
-                    }
-                }
+                self.expand_entry(&mut out, &mut parent, &mut key, &entry, idx)
             }));
-            if let Err(payload) = attempt {
-                out.panicked(idx, sys, self.base_depth, panic_message(payload.as_ref()));
-            }
+            let message = match attempt {
+                Ok(Ok(())) => continue,
+                Ok(Err(message)) => message,
+                Err(payload) => panic_message(payload.as_ref()),
+            };
+            out.panicked(idx, &entry.trace, self.base_depth, message);
         }
         out
     }
 
+    /// Expands `entry`, at frontier index `idx`. `Err` carries the
+    /// message of a step that panicked.
+    fn expand_entry(
+        &self,
+        out: &mut LevelChunk,
+        parent: &mut Scratch,
+        key: &mut String,
+        entry: &Prefix,
+        idx: usize,
+    ) -> Result<(), String> {
+        let tables = self.tables;
+        if entry.first && tables.process_states(&entry.ids).all(ProcessState::terminated) {
+            out.terminals += 1;
+            let outputs = tables.process_states(&entry.ids).map(|state| {
+                state.poised.output().cloned().expect("a terminated process has output")
+            });
+            out.terminal_outputs.push(outputs.collect());
+            return Ok(());
+        }
+        if entry.trace.len() - self.base_depth >= self.max_depth {
+            out.truncated = true;
+            return Ok(());
+        }
+        let masks = if self.dpor {
+            let poised = tables.process_states(&entry.ids).map(|state| state.poised.operation());
+            match StepMasks::of(poised, true, self.matrix, &mut out.prefilter_hits) {
+                Ok(masks) => Some(masks),
+                Err(err) => {
+                    // An unsound matrix fails the entry closed; the
+                    // canonical merge picks the lowest-index error
+                    // across chunks, keeping the outcome identical at
+                    // every thread count.
+                    if out.error.is_none() {
+                        out.error = Some((idx, err));
+                    }
+                    return Ok(());
+                }
+            }
+        } else {
+            None
+        };
+        if idx > self.violation {
+            return Ok(());
+        }
+        if let Some(masks) = masks {
+            let mut remaining = entry.claim;
+            while remaining != 0 {
+                let q = remaining.trailing_zeros() as usize;
+                remaining &= remaining - 1;
+                let Some(step) = self.step(out, parent, key, entry, idx, q)? else {
+                    continue;
+                };
+                let sleep = masks.indep[q] & (entry.sleep | (entry.claim & low_bits(q)));
+                // Only stepping q can change liveness: the child's
+                // enabled set is the parent's, minus q if it just
+                // terminated.
+                let enabled = if self.terminated(out, q, step.process) {
+                    masks.enabled & !(1 << q)
+                } else {
+                    masks.enabled
+                };
+                // The pre-filter drops the child when the merge could
+                // not possibly claim anything from it. (`expanded` can
+                // only have grown since the shards were frozen, so this
+                // never drops a live claim.)
+                let live = |meta: &StateMeta| enabled & !sleep & !meta.expanded != 0;
+                self.push(out, entry, q, step, (sleep, enabled), live);
+            }
+        } else {
+            for (pid, state) in tables.process_states(&entry.ids).enumerate() {
+                if state.terminated() {
+                    continue;
+                }
+                let Some(step) = self.step(out, parent, key, entry, idx, pid)? else {
+                    continue;
+                };
+                // Configurations deduplicated at an earlier level are
+                // never kept; within-level duplicates are resolved
+                // canonically by the merge itself.
+                self.push(out, entry, pid, step, (0, 0), |_| false);
+            }
+        }
+        Ok(())
+    }
+
+    /// The step of process `q` from `entry` (at frontier index `idx`)
+    /// when its child is to be built. A step error is recorded against `idx` instead (the
+    /// chunk's first error wins); `Err` carries a panic's message.
+    fn step(
+        &self,
+        out: &mut LevelChunk,
+        parent: &mut Scratch,
+        key: &mut String,
+        entry: &Prefix,
+        idx: usize,
+        q: usize,
+    ) -> Result<Option<Stepped>, String> {
+        let tables = self.tables;
+        let ids = entry.ids.as_slice();
+        let state = ids[tables.objects.len() + q];
+        let position = tables.process(q, state).poised.operation().map_or(usize::MAX, |op| op.object().0);
+        let object = if position < tables.objects.len() { ids[position] } else { u32::MAX };
+        let memo = memo_key(state, object);
+        let build = self.violation == usize::MAX;
+        if let Some(&t) = tables.memo[q].get(&memo) {
+            let Transition { process, object, .. } = tables.transitions[t as usize];
+            return Ok(build.then_some(Stepped { process, object, transition: t, position }));
+        }
+        let at = match out.fresh.index.get(&(q, memo)) {
+            Some(&at) => at,
+            None => {
+                let outcome = self.compute(&mut out.fresh, parent, key, entry, idx, q);
+                out.fresh.steps.push(FreshStep { pid: q, key: memo, outcome });
+                out.fresh.index.insert((q, memo), out.fresh.steps.len() - 1);
+                out.fresh.steps.len() - 1
+            }
+        };
+        match &out.fresh.steps[at].outcome {
+            Outcome::Stepped(Transition { process, object, .. }) => {
+                let (process, object, transition) = (*process, *object, PENDING | at as u32);
+                Ok(build.then_some(Stepped { process, object, transition, position }))
+            }
+            Outcome::Failed(err) => {
+                if out.error.is_none() {
+                    out.error = Some((idx, err.clone()));
+                }
+                Ok(None)
+            }
+            Outcome::Panicked(message) => Err(message.clone()),
+        }
+    }
+
+    /// Computes the step of process `q` from `entry` on the
+    /// materialized parent. The states it leads to get their shared id
+    /// when the frozen tables hold them, and a pending one otherwise.
+    fn compute(
+        &self,
+        fresh: &mut Fresh,
+        parent: &mut Scratch,
+        key: &mut String,
+        entry: &Prefix,
+        idx: usize,
+        q: usize,
+    ) -> Outcome {
+        let tables = self.tables;
+        if parent.holds != idx {
+            tables.materialize(&mut parent.sys, &entry.ids, &entry.steps, &entry.trace);
+            parent.holds = idx;
+        }
+        let next = match catch_unwind(AssertUnwindSafe(|| parent.sys.successor(ProcessId(q)))) {
+            Ok(Ok(next)) => next,
+            Ok(Err(err)) => return Outcome::Failed(err),
+            Err(payload) => return Outcome::Panicked(panic_message(payload.as_ref())),
+        };
+        let (process, object, event) = next.into_parts();
+        let process = match tables.processes[q].find(process_key(&*process, key)) {
+            Some(id) => id,
+            None => {
+                let state = ProcessState::new(process);
+                fresh.processes.push(NewProcess { position: q, key: key.as_str().into(), state });
+                PENDING | (fresh.processes.len() - 1) as u32
+            }
+        };
+        let object = object.map(|object| {
+            let position = event.op.object().0;
+            match tables.objects[position].find(object_key(&object, key)) {
+                Some(id) => id,
+                None => {
+                    let key = key.as_str().into();
+                    fresh.objects.push(NewObject { position, key, state: object });
+                    PENDING | (fresh.objects.len() - 1) as u32
+                }
+            }
+        });
+        Outcome::Stepped(Transition { process, object, event })
+    }
+
+    /// Whether process `q` in state `id` (shared or pending) has
+    /// terminated.
+    fn terminated(&self, out: &LevelChunk, q: usize, id: u32) -> bool {
+        if is_pending(id) {
+            out.fresh.processes[(id & !PENDING) as usize].state.terminated()
+        } else {
+            self.tables.process(q, id).terminated()
+        }
+    }
+
+    /// Forks the child `step` of process `q` leads to from `entry`,
+    /// with its `(sleep, enabled)` masks, unless the previous levels
+    /// visited it and `live` says its bookkeeping there leaves nothing
+    /// to claim.
+    fn push(
+        &self,
+        out: &mut LevelChunk,
+        entry: &Prefix,
+        q: usize,
+        step: Stepped,
+        (sleep, enabled): (u32, u32),
+        live: impl Fn(&StateMeta) -> bool,
+    ) {
+        let mut ids = entry.ids.clone();
+        let slots = ids.as_mut_slice();
+        slots[self.tables.objects.len() + q] = step.process;
+        if let Some(object) = step.object {
+            slots[step.position] = object;
+        }
+        let key = if is_pending(step.process) || step.object.is_some_and(is_pending) {
+            // A new state: no earlier level can have visited it. The
+            // intern pass gives it its id and hash.
+            Key { hash: 0, ids }
+        } else {
+            let key = Key::new(ids);
+            if self.seen(&key).is_some_and(|meta| !live(meta)) {
+                return;
+            }
+            key
+        };
+        if is_pending(step.transition) {
+            out.fresh.children.push(out.heads.len());
+        }
+        out.heads.push(Head { key, sleep, enabled });
+        let mut steps = entry.steps.clone();
+        steps.as_mut_slice()[q] += 1;
+        out.children.push(Child { trace: entry.trace.clone(), steps, transition: step.transition });
+    }
+
     /// The previous levels' bookkeeping for `key`, if it was visited.
-    fn seen(&self, key: u64) -> Option<&StateMeta> {
-        self.visited[shard_of(key, self.visited.len())].get(&key)
+    fn seen(&self, key: &Key) -> Option<&StateMeta> {
+        self.visited[shard_of(key.hash, self.visited.len())].get(key)
     }
 }
 
+/// A worker's one configuration, refilled to materialize others.
+struct Scratch {
+    sys: System,
+    /// The frontier index of the entry `sys` holds (`usize::MAX`: none).
+    holds: usize,
+}
+
 impl LevelChunk {
-    /// The step of `pid` from `sys` when its child is to be built. A
-    /// step error is recorded against frontier index `idx` instead
-    /// (the chunk's first error wins).
-    fn successor(
-        &mut self,
-        sys: &System,
-        pid: ProcessId,
-        idx: usize,
-        build: bool,
-    ) -> Option<Successor> {
-        match sys.successor(pid) {
-            Ok(next) => build.then_some(next),
-            Err(err) => {
-                if self.error.is_none() {
-                    self.error = Some((idx, err));
-                }
-                None
-            }
-        }
-    }
-
-    /// Builds the child `next` leads to (sealed by
-    /// [`System::with_successor`]), with its head.
-    fn push_child(&mut self, sys: &System, key: ExploreKey, next: Successor, sleep: u32, enabled: u32) {
-        self.heads.push(Head { key: key.value(), sleep, enabled });
-        self.children.push(Child { sys: sys.with_successor(next), key });
-    }
-
-    /// Records a panic at frontier index `idx`, on configuration `sys`,
-    /// as a [`ModelError::WorkerPanic`] naming the entry and its
-    /// schedule (the chunk's lowest-index error wins).
-    fn panicked(&mut self, idx: usize, sys: &System, base_depth: usize, message: String) {
+    /// Records a panic at frontier index `idx`, on the configuration
+    /// `trace` reached, as a [`ModelError::WorkerPanic`] naming the
+    /// entry and its schedule (the chunk's lowest-index error wins).
+    fn panicked(&mut self, idx: usize, trace: &Trace, base_depth: usize, message: String) {
         if self.error.as_ref().is_some_and(|(best, _)| *best <= idx) {
             return;
         }
-        let schedule: Vec<usize> = schedule_since(sys, base_depth).iter().map(|p| p.0).collect();
+        let schedule: Vec<usize> = schedule_since(trace, base_depth).iter().map(|p| p.0).collect();
         let context = format!("frontier entry {idx} (schedule {schedule:?})");
         self.error = Some((idx, ModelError::WorkerPanic { context, message }));
     }
@@ -1142,7 +1631,7 @@ struct Decided {
 /// updated either way. At most `budget` first arrivals are admitted;
 /// the first one past it stops the walk.
 fn decide(
-    heads: &[Vec<Head>],
+    heads: &[&[Head]],
     shards: &mut [VisitedMap],
     first_shard: usize,
     shard_count: usize,
@@ -1156,10 +1645,11 @@ fn decide(
         kept: heads.iter().map(|_| Vec::new()).collect(),
     };
     'walk: for (chunk, kept) in heads.iter().zip(&mut out.kept) {
-        for (at, &Head { key, sleep, enabled }) in chunk.iter().enumerate() {
-            let shard = shard_of(key, shard_count).wrapping_sub(first_shard);
+        for (at, Head { key, sleep, enabled }) in chunk.iter().enumerate() {
+            let (sleep, enabled) = (*sleep, *enabled);
+            let shard = shard_of(key.hash, shard_count).wrapping_sub(first_shard);
             let Some(visited) = shards.get_mut(shard) else { continue };
-            match visited.entry(key) {
+            match visited.entry(key.clone()) {
                 Entry::Vacant(slot) => {
                     if out.fresh >= budget {
                         out.truncated = true;
@@ -1196,30 +1686,33 @@ fn decide(
 }
 
 /// Turns each chunk's kept children (`kept[c]`: one list per decide
-/// worker) into the next frontier, checking each first arrival as it
-/// becomes a [`Prefix`], and frees the rest, on up to `threads`
-/// workers. The next frontier is cut into chunks at multiples of
-/// ⌈len / (4 · threads)⌉, as a flat frontier always was: the counts of
-/// a level that ends in a violation depend on those boundaries.
+/// worker) into the next frontier, materializing and checking each
+/// first arrival as it becomes a [`Prefix`], and frees the rest, on up
+/// to `threads` workers. The next frontier is cut into chunks at
+/// multiples of ⌈len / (4 · threads)⌉, as a flat frontier always was:
+/// the counts of a level that ends in a violation depend on those
+/// boundaries.
 fn build_level(
-    children: Vec<Vec<Child>>,
+    forks: Vec<(Vec<Head>, Vec<Child>)>,
     kept: Vec<Vec<Vec<Kept>>>,
     threads: usize,
-    check: ParallelCheck,
+    check: Option<ParallelCheck>,
+    tables: &Tables,
+    template: &System,
 ) -> Frontier {
     let len: usize = kept.iter().flatten().map(Vec::len).sum();
     let chunk_len = len.div_ceil(threads * 4).max(1);
     let mut offset = 0;
-    let items: Vec<_> = children
+    let items: Vec<_> = forks
         .into_iter()
         .zip(kept)
-        .map(|(children, kept)| {
+        .map(|(forks, kept)| {
             let start = offset;
             offset += kept.iter().map(Vec::len).sum::<usize>();
-            (children, kept, start)
+            (forks, kept, start)
         })
         .collect();
-    let built = par_map(items, threads, |(children, kept, start)| {
+    let built = par_map(items, threads, |((heads, children), kept, start)| {
         let mut slots: Vec<Option<Kept>> = children.iter().map(|_| None).collect();
         for k in kept.into_iter().flatten() {
             let at = k.at;
@@ -1231,9 +1724,19 @@ fn build_level(
         let mut segments: Vec<(usize, Vec<Prefix>)> = Vec::new();
         let mut violation = usize::MAX;
         let mut rank = start;
-        for (Child { sys, key }, slot) in children.into_iter().zip(slots) {
+        let mut scratch: Option<System> = None;
+        for ((head, child), slot) in heads.into_iter().zip(children).zip(slots) {
             let Some(Kept { sleep, claim, first, .. }) = slot else { continue };
-            let verdict = if first { judge(check, &sys) } else { None };
+            let Child { mut trace, steps, transition } = child;
+            trace.push_sealed(tables.transitions[transition as usize].event.clone());
+            let verdict = match check {
+                Some(check) if first => {
+                    let sys = scratch.get_or_insert_with(|| template.clone());
+                    tables.materialize(sys, &head.key.ids, &steps, &trace);
+                    judge(check, sys)
+                }
+                _ => None,
+            };
             if is_violation(&verdict) {
                 violation = violation.min(rank);
             }
@@ -1243,7 +1746,8 @@ fn build_level(
                 segments.push((target, Vec::new()));
             }
             let (_, segment) = segments.last_mut().expect("segment just pushed");
-            segment.push(Prefix { sys, key, sleep, claim, first, verdict });
+            let ids = head.key.ids;
+            segment.push(Prefix { ids, steps, trace, sleep, claim, first, verdict });
         }
         (segments, violation)
     });
@@ -1259,10 +1763,10 @@ fn build_level(
     Frontier { chunk_len, violation, chunks }
 }
 
-/// The schedule that produced `sys`: the process ids of its trace
-/// events past the initial configuration's `base_depth` events.
-fn schedule_since(sys: &System, base_depth: usize) -> Vec<ProcessId> {
-    sys.trace().events_from(base_depth).map(|e| e.pid).collect()
+/// The schedule `trace` records past the initial configuration's
+/// `base_depth` events: the process ids of its steps.
+fn schedule_since(trace: &Trace, base_depth: usize) -> Vec<ProcessId> {
+    trace.events_from(base_depth).map(|e| e.pid).collect()
 }
 
 /// The x-obstruction-freedom check run on one configuration: every
@@ -1567,10 +2071,10 @@ mod tests {
 
     #[test]
     fn keys_past_the_inline_terms_live_on_the_heap_and_stay_exact() {
-        assert!(matches!(ExploreKey::of(&slot_summers(7)).terms, Terms::Inline { len: 8, .. }));
+        assert!(matches!(ExploreKey::of(&slot_summers(7)).terms, Row::Inline { len: 8, .. }));
         let mut sys = slot_summers(9);
         let mut key = ExploreKey::of(&sys);
-        assert!(matches!(&key.terms, Terms::Heap(terms) if terms.len() == 10));
+        assert!(matches!(&key.terms, Row::Heap(terms) if terms.len() == 10));
         let mut in_place = sys.clone();
         let mut restepped = key.clone();
         for pid in [0, 8, 4, 8, 0, 8, 3, 0, 1, 4, 4] {
@@ -1918,6 +2422,118 @@ mod tests {
         assert!(panics.iter().all(|m| m == &panics[0]), "{panics:?}");
     }
 
+    /// Waits for register 0 (the flag) to be set, then fails its next
+    /// step: a panicking `receive` for the flag itself, or a write to
+    /// register 1, which writer p1 owns.
+    #[derive(Clone, Debug)]
+    struct Trespasser {
+        panics: bool,
+        flagged: bool,
+    }
+
+    impl Process for Trespasser {
+        fn poised(&self) -> Poised {
+            if self.flagged {
+                Poised::Step(Operation::Write { obj: ObjectId(1), value: Value::Int(0) })
+            } else {
+                Poised::Step(Operation::Read { obj: ObjectId(0) })
+            }
+        }
+        fn receive(&mut self, resp: Response) {
+            if resp == Response::Value(Value::Int(1)) {
+                assert!(!self.panics, "injected receive panic");
+                self.flagged = true;
+            }
+        }
+        fn boxed_clone(&self) -> Box<dyn Process> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Sets the flag, then outputs.
+    #[derive(Clone, Debug)]
+    struct Flagger {
+        done: bool,
+    }
+
+    impl Process for Flagger {
+        fn poised(&self) -> Poised {
+            if self.done {
+                Poised::Output(Value::Int(1))
+            } else {
+                Poised::Step(Operation::Write { obj: ObjectId(0), value: Value::Int(1) })
+            }
+        }
+        fn receive(&mut self, _resp: Response) {
+            self.done = true;
+        }
+        fn boxed_clone(&self) -> Box<dyn Process> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// A trespasser and eight flaggers: every flagger's first step
+    /// leads to a configuration where the trespasser's failing step is
+    /// the same (its state, the flag's state), so one level holds that
+    /// step at several entries, in one chunk and across chunks.
+    fn trespass_system(panics: bool) -> System {
+        let mut processes = vec![Box::new(Trespasser { panics, flagged: false }) as Box<dyn Process>];
+        processes.extend((0..8).map(|_| Box::new(Flagger { done: false }) as Box<dyn Process>));
+        let mut sys = System::new(vec![Object::register(), Object::register()], processes);
+        sys.restrict_writer(ObjectId(1), 0, ProcessId(1));
+        sys
+    }
+
+    #[test]
+    fn failed_steps_keep_their_canonical_index_across_chunks() {
+        // The configuration where exactly the flaggers in `done` have
+        // set the flag and the trespasser has (`read`) or has not seen
+        // it.
+        let after = |sys: &System, done: &[usize], read: bool| {
+            (1..9).all(|p| sys.is_terminated(ProcessId(p)) == done.contains(&p))
+                && matches!(sys.poised(ProcessId(0)), Poised::Step(Operation::Write { .. })) == read
+        };
+        let explore = |panics: bool, threads: usize, dpor: bool, done: &[usize], read: bool| {
+            let done = done.to_vec();
+            Explorer::default()
+                .with_preflight(false)
+                .with_threads(threads)
+                .with_dpor(dpor)
+                .explore_parallel(&trespass_system(panics), &move |sys: &System| {
+                    after(sys, &done, read).then(|| "flagged".to_string())
+                })
+        };
+        for threads in 1..=4 {
+            for dpor in [true, false] {
+                let at = format!("threads = {threads}, dpor = {dpor}");
+                // Level 1 is [1], [2], … [8]: the trespasser's read
+                // panics from each, first at entry 0, which precedes a
+                // violation at entry 1 and follows one at entry 0.
+                let err = explore(true, threads, dpor, &[2], false).unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    "worker panic during frontier entry 0 (schedule [1]): injected receive panic",
+                    "{at}"
+                );
+                let report = explore(true, threads, dpor, &[1], false).unwrap();
+                assert_eq!(report.violation, Some((vec![ProcessId(1)], "flagged".into())), "{at}");
+
+                // Level 2 begins [1, 0], [1, 2], and the trespass fails
+                // from every entry the trespasser has read the flag in:
+                // first at entry 0, which precedes a violation at entry
+                // 1 and follows one at entry 0.
+                let err = explore(false, threads, dpor, &[1, 2], false).unwrap_err();
+                assert!(
+                    matches!(err, ModelError::WriterViolation { process: 0, component: 0 }),
+                    "{at}: {err:?}"
+                );
+                let report = explore(false, threads, dpor, &[1], true).unwrap();
+                let schedule = vec![ProcessId(1), ProcessId(0)];
+                assert_eq!(report.violation, Some((schedule, "flagged".into())), "{at}");
+            }
+        }
+    }
+
     #[test]
     fn unlimited_explorations_carry_no_truncation_notice() {
         let report = Explorer::default()
@@ -2009,8 +2625,10 @@ mod tests {
         let mut sys = two_process_system();
         sys.step(ProcessId(0)).unwrap();
         let unsound = InterferenceMatrix::from_relation(2, |_, _| true);
+        let poised: Vec<Poised> = (0..2).map(|i| sys.poised(ProcessId(i))).collect();
+        let ops = || poised.iter().map(Poised::operation);
         let mut hits = 0usize;
-        let err = match StepMasks::of(&sys, true, Some(&unsound), &mut hits) {
+        let err = match StepMasks::of(ops(), true, Some(&unsound), &mut hits) {
             Ok(_) => panic!("unsound matrix was not caught"),
             Err(err) => err,
         };
@@ -2024,6 +2642,6 @@ mod tests {
         // The genuine matrix for the same configuration passes.
         let sound = InterferenceMatrix::build(&sys, 64);
         let mut hits = 0usize;
-        StepMasks::of(&sys, true, Some(&sound), &mut hits).unwrap();
+        StepMasks::of(ops(), true, Some(&sound), &mut hits).unwrap();
     }
 }

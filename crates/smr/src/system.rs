@@ -100,6 +100,12 @@ impl Successor {
     pub fn event(&self) -> &Event {
         &self.event
     }
+
+    /// The stepped process's new state, the written object and the
+    /// event, by value.
+    pub(crate) fn into_parts(self) -> (Arc<dyn Process>, Option<Object>, Event) {
+        (self.process, self.object, self.event)
+    }
 }
 
 impl System {
@@ -322,6 +328,32 @@ impl System {
         slot.steps += 1;
         child.trace.push_sealed(event);
         child
+    }
+
+    /// Makes this configuration the one of `objects` and `processes`
+    /// (each with its step count) reached along `trace`, keeping the
+    /// writer restrictions. The object and process blocks are reused
+    /// when no other configuration shares them, so refilling one
+    /// configuration again and again allocates nothing. This is how the
+    /// explorer materializes a configuration it stores as component ids.
+    pub(crate) fn assemble<'a>(
+        &mut self,
+        objects: impl ExactSizeIterator<Item = &'a Object>,
+        processes: impl Iterator<Item = (&'a Arc<dyn Process>, usize)>,
+        trace: &Trace,
+    ) {
+        match Arc::get_mut(&mut self.objects) {
+            Some(slots) if slots.len() == objects.len() => {
+                for (slot, object) in slots.iter_mut().zip(objects) {
+                    slot.clone_from(object);
+                }
+            }
+            _ => self.objects = objects.cloned().collect(),
+        }
+        self.processes.clear();
+        self.processes
+            .extend(processes.map(|(process, steps)| Slot { process: Arc::clone(process), steps }));
+        self.trace.clone_from(trace);
     }
 
     /// Puts `object` in place of object `id`.
