@@ -609,12 +609,12 @@ impl Explorer {
 }
 
 /// An in-memory configuration key, kept per component so a step
-/// re-hashes only what it touched. Campaigns key their fingerprint
-/// memo and their interference-matrix memo on it; the explorer no
-/// longer does: it keys its visited set on exact component ids (see
+/// re-hashes only what it touched. Campaigns key on it: their
+/// coverage key memo and their interference-matrix memo. The explorer
+/// no longer does; it keys its visited set on exact component ids (see
 /// the [module docs](self#interned-component-states)), so only the
-/// campaign memos take the 2⁻⁶⁴-per-pair risk of two configurations
-/// sharing a key.
+/// campaign key memo takes the 2⁻⁶⁴-per-pair risk of two
+/// configurations sharing a key.
 ///
 /// The key is the XOR of one term per object and one per process. A
 /// term is the FNV hash of the component's key bytes (the bytes
@@ -1225,18 +1225,12 @@ struct Kept {
     first: bool,
 }
 
-/// A process state a chunk met that the frozen tables lack.
-struct NewProcess {
+/// A component state a chunk met that the frozen tables lack, with its
+/// position and key bytes.
+struct New<T> {
     position: usize,
     key: Box<str>,
-    state: ProcessState,
-}
-
-/// An object state a chunk met that the frozen tables lack.
-struct NewObject {
-    position: usize,
-    key: Box<str>,
-    state: Object,
+    state: T,
 }
 
 /// What one step not in the shared memo came to.
@@ -1258,8 +1252,8 @@ struct FreshStep {
 /// pass absorbs it.
 #[derive(Default)]
 struct Fresh {
-    processes: Vec<NewProcess>,
-    objects: Vec<NewObject>,
+    processes: Vec<New<ProcessState>>,
+    objects: Vec<New<Object>>,
     steps: Vec<FreshStep>,
     /// `(pid, memo key)` to index into `steps`.
     index: HashMap<(usize, u64), usize>,
@@ -1321,10 +1315,8 @@ impl Level<'_> {
     /// index `start`, freeing each entry once expanded.
     fn expand(&self, start: usize, entries: Vec<Vec<Prefix>>) -> LevelChunk {
         let mut out = LevelChunk::default();
-        // The parent a step the memo lacks is computed on, refilled per
-        // entry, and the key bytes of the states it leads to.
-        let mut parent = Scratch { sys: self.template.clone(), holds: usize::MAX };
-        let mut key = String::new();
+        let mut scratch =
+            Scratch { parent: self.template.clone(), holds: usize::MAX, key: String::new() };
         for (offset, entry) in entries.into_iter().flatten().enumerate() {
             let idx = start + offset;
             match entry.verdict.as_deref() {
@@ -1346,7 +1338,7 @@ impl Level<'_> {
             // instead of tearing down the worker and hanging the level
             // barrier.
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.expand_entry(&mut out, &mut parent, &mut key, &entry, idx)
+                self.expand_entry(&mut out, &mut scratch, &entry, idx)
             }));
             let message = match attempt {
                 Ok(Ok(())) => continue,
@@ -1363,8 +1355,7 @@ impl Level<'_> {
     fn expand_entry(
         &self,
         out: &mut LevelChunk,
-        parent: &mut Scratch,
-        key: &mut String,
+        scratch: &mut Scratch,
         entry: &Prefix,
         idx: usize,
     ) -> Result<(), String> {
@@ -1407,7 +1398,7 @@ impl Level<'_> {
             while remaining != 0 {
                 let q = remaining.trailing_zeros() as usize;
                 remaining &= remaining - 1;
-                let Some(step) = self.step(out, parent, key, entry, idx, q)? else {
+                let Some(step) = self.step(out, scratch, entry, idx, q)? else {
                     continue;
                 };
                 let sleep = masks.indep[q] & (entry.sleep | (entry.claim & low_bits(q)));
@@ -1431,7 +1422,7 @@ impl Level<'_> {
                 if state.terminated() {
                     continue;
                 }
-                let Some(step) = self.step(out, parent, key, entry, idx, pid)? else {
+                let Some(step) = self.step(out, scratch, entry, idx, pid)? else {
                     continue;
                 };
                 // Configurations deduplicated at an earlier level are
@@ -1444,13 +1435,13 @@ impl Level<'_> {
     }
 
     /// The step of process `q` from `entry` (at frontier index `idx`)
-    /// when its child is to be built. A step error is recorded against `idx` instead (the
+    /// when its child is to be built: a memo lookup, or computed once
+    /// per chunk. A step error is recorded against `idx` instead (the
     /// chunk's first error wins); `Err` carries a panic's message.
     fn step(
         &self,
         out: &mut LevelChunk,
-        parent: &mut Scratch,
-        key: &mut String,
+        scratch: &mut Scratch,
         entry: &Prefix,
         idx: usize,
         q: usize,
@@ -1458,7 +1449,8 @@ impl Level<'_> {
         let tables = self.tables;
         let ids = entry.ids.as_slice();
         let state = ids[tables.objects.len() + q];
-        let position = tables.process(q, state).poised.operation().map_or(usize::MAX, |op| op.object().0);
+        let poised = &tables.process(q, state).poised;
+        let position = poised.operation().map_or(usize::MAX, |op| op.object().0);
         let object = if position < tables.objects.len() { ids[position] } else { u32::MAX };
         let memo = memo_key(state, object);
         let build = self.violation == usize::MAX;
@@ -1469,7 +1461,7 @@ impl Level<'_> {
         let at = match out.fresh.index.get(&(q, memo)) {
             Some(&at) => at,
             None => {
-                let outcome = self.compute(&mut out.fresh, parent, key, entry, idx, q);
+                let outcome = self.compute(&mut out.fresh, scratch, entry, idx, q);
                 out.fresh.steps.push(FreshStep { pid: q, key: memo, outcome });
                 out.fresh.index.insert((q, memo), out.fresh.steps.len() - 1);
                 out.fresh.steps.len() - 1
@@ -1496,18 +1488,18 @@ impl Level<'_> {
     fn compute(
         &self,
         fresh: &mut Fresh,
-        parent: &mut Scratch,
-        key: &mut String,
+        scratch: &mut Scratch,
         entry: &Prefix,
         idx: usize,
         q: usize,
     ) -> Outcome {
         let tables = self.tables;
-        if parent.holds != idx {
-            tables.materialize(&mut parent.sys, &entry.ids, &entry.steps, &entry.trace);
-            parent.holds = idx;
+        if scratch.holds != idx {
+            tables.materialize(&mut scratch.parent, &entry.ids, &entry.steps, &entry.trace);
+            scratch.holds = idx;
         }
-        let next = match catch_unwind(AssertUnwindSafe(|| parent.sys.successor(ProcessId(q)))) {
+        let key = &mut scratch.key;
+        let next = match catch_unwind(AssertUnwindSafe(|| scratch.parent.successor(ProcessId(q)))) {
             Ok(Ok(next)) => next,
             Ok(Err(err)) => return Outcome::Failed(err),
             Err(payload) => return Outcome::Panicked(panic_message(payload.as_ref())),
@@ -1517,7 +1509,7 @@ impl Level<'_> {
             Some(id) => id,
             None => {
                 let state = ProcessState::new(process);
-                fresh.processes.push(NewProcess { position: q, key: key.as_str().into(), state });
+                fresh.processes.push(New { position: q, key: key.as_str().into(), state });
                 PENDING | (fresh.processes.len() - 1) as u32
             }
         };
@@ -1527,7 +1519,7 @@ impl Level<'_> {
                 Some(id) => id,
                 None => {
                     let key = key.as_str().into();
-                    fresh.objects.push(NewObject { position, key, state: object });
+                    fresh.objects.push(New { position, key, state: object });
                     PENDING | (fresh.objects.len() - 1) as u32
                 }
             }
@@ -1590,11 +1582,16 @@ impl Level<'_> {
     }
 }
 
-/// A worker's one configuration, refilled to materialize others.
+/// What an expanding worker reuses from step to step.
 struct Scratch {
-    sys: System,
-    /// The frontier index of the entry `sys` holds (`usize::MAX`: none).
+    /// The parent a step the memo lacks is computed on, refilled per
+    /// entry.
+    parent: System,
+    /// The frontier index of the entry `parent` holds (`usize::MAX`:
+    /// none).
     holds: usize,
+    /// The key bytes of the states such a step leads to.
+    key: String,
 }
 
 impl LevelChunk {
@@ -2477,7 +2474,8 @@ mod tests {
     /// the same (its state, the flag's state), so one level holds that
     /// step at several entries, in one chunk and across chunks.
     fn trespass_system(panics: bool) -> System {
-        let mut processes = vec![Box::new(Trespasser { panics, flagged: false }) as Box<dyn Process>];
+        let trespasser = Trespasser { panics, flagged: false };
+        let mut processes = vec![Box::new(trespasser) as Box<dyn Process>];
         processes.extend((0..8).map(|_| Box::new(Flagger { done: false }) as Box<dyn Process>));
         let mut sys = System::new(vec![Object::register(), Object::register()], processes);
         sys.restrict_writer(ObjectId(1), 0, ProcessId(1));

@@ -458,8 +458,8 @@ impl System {
     /// Object values are compared exactly; process states are compared
     /// by streamed 64-bit state fingerprints (no allocation), so a
     /// collision — probability 2⁻⁶⁴ per process pair, the same
-    /// fingerprint-identity semantics the explorer's deduplication
-    /// already relies on — could equate distinct states.
+    /// fingerprint-identity semantics the campaign key memo relies on —
+    /// could equate distinct states.
     pub fn indistinguishable(&self, other: &System) -> bool {
         if self.objects != other.objects
             || self.processes.len() != other.processes.len()
