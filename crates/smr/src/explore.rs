@@ -33,17 +33,25 @@
 //!   no process is cloned, no key hashed, no configuration built.
 //! * **Frontier entries.** An entry is a vector of component ids (one
 //!   per object, then one per process, inline up to eight), its step
-//!   counts, its sealed trace, its sleep and claim masks and its check
-//!   verdict. The trace stays: checks, violation schedules and panic
-//!   contexts read it.
+//!   counts, its sleep and claim masks, its check verdict, and a handle
+//!   to its trace: two integers naming a node of one of the level's
+//!   trace blocks. Every trace the search builds is a tree of one-event
+//!   nodes. The build phase stores one block of nodes per chunk (one
+//!   allocation for all its kept children), and a node names its parent
+//!   node and the memoized [`Event`] of its step, which the tables store
+//!   once. So an entry owns no heap block and no reference count for its
+//!   trace, and no event is copied. A check receives a [`Trace`] that
+//!   points into the building worker's own block; violation schedules
+//!   and panic contexts are read from the handle.
 //! * **Exact visited set.** The visited shards are keyed on the id
 //!   vector itself, so two configurations never merge unless they are
 //!   equal.
 //! * **Materialization.** A [`System`] is assembled from the tables
-//!   (`Arc` clones, the entry's step counts and trace) only where one is
-//!   needed: for a check, and to compute a step the memo does not hold
-//!   yet. Each worker refills one configuration, so this allocates
-//!   nothing once it runs.
+//!   (`Arc` clones and the entry's step counts) only where one is
+//!   needed: for a check, with the trace pointed at the entry's node,
+//!   and to compute a step the memo does not hold yet, without a trace,
+//!   since [`System::successor`] reads none. Each worker refills one
+//!   configuration, so this allocates nothing once it runs.
 //!
 //! # The frontier engine
 //!
@@ -63,7 +71,7 @@
 //!    are all known is dropped when the visited maps of the previous
 //!    levels already cover it; a child carrying a new state cannot have
 //!    been visited, so it skips that pre-filter. A child is a compact
-//!    head `(ids, sleep, enabled)` plus its parent's trace, its step
+//!    head `(ids, sleep, enabled)` plus its parent's trace handle, its step
 //!    counts and its transition. A level that holds a violation keeps
 //!    none of its children, and it is known to hold one before it is
 //!    expanded, so it builds none.
@@ -77,10 +85,17 @@
 //!    level, one worker decides over all shards, so the cut falls in
 //!    canonical order.
 //! 4. **Build.** Workers turn the kept children into the next frontier
-//!    and free the others. Each first arrival is materialized and
-//!    checked as it becomes a frontier entry; the entry keeps the
-//!    verdict, and the frontier the lowest index whose verdict is a
-//!    violation. (The root is checked before the first level.)
+//!    and free the others. Each worker first appends one trace node per
+//!    kept child to a block of its own. Each first arrival is then
+//!    materialized and checked as it becomes a frontier entry; the entry
+//!    keeps the verdict, and the frontier the lowest index whose verdict
+//!    is a violation. (The root is checked before the first level.) At
+//!    the depth bound the children are settled here, as expanding them
+//!    would: a first arrival whose processes all terminated is a
+//!    terminal, and any other child sets `truncated`. The search then
+//!    ends without expanding that level, unless a check flagged one of
+//!    its children: then it is expanded as any other level, which
+//!    reports the flag and counts as always.
 //!
 //! Children are ordered by (parent frontier index, process id), and
 //! every arrival at a configuration is decided in that order, so
@@ -153,7 +168,7 @@ use crate::object::{Object, Operation};
 use crate::pool::{par_map, resolve_threads};
 use crate::process::{Poised, Process, ProcessId};
 use crate::system::{Event, Successor, System};
-use crate::trace::Trace;
+use crate::trace::{EventStore, Node, Parents, Tip, Trace};
 use crate::value::Value;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -434,14 +449,16 @@ impl Explorer {
             chunks: vec![vec![vec![Prefix {
                 ids: root_key.ids,
                 steps: Row::new(root.process_count(), steps),
-                trace: root.trace().clone(),
+                trace: Tip::default(),
                 sleep: 0,
                 claim: root_masks.enabled,
                 first: true,
                 verdict,
             }]]],
+            traces: Parents::root(root.trace()),
         };
 
+        let mut depth = 0;
         while !frontier.chunks.is_empty() {
             // Expand: each worker owns the chunks it claims and frees
             // every parent once expanded. Results come back in frontier
@@ -449,7 +466,9 @@ impl Explorer {
             // scheduling.
             let level = Level {
                 base_depth,
+                depth,
                 max_depth: self.limits.max_depth,
+                traces: &frontier.traces,
                 visited: &visited,
                 tables: &tables,
                 template: &root,
@@ -487,11 +506,8 @@ impl Explorer {
                 report.truncated |= chunk.truncated;
                 report.prefilter_hits += chunk.prefilter_hits;
                 if collect_terminals {
-                    for outs in chunk.terminal_outputs.drain(..) {
-                        if seen_outputs.insert(outs.clone()) {
-                            terminal_outputs.push(outs);
-                        }
-                    }
+                    let outputs = std::mem::take(&mut chunk.terminal_outputs);
+                    collect_new(&mut terminal_outputs, &mut seen_outputs, outputs);
                 }
                 // Intern: the level's new states and steps, in
                 // canonical chunk order.
@@ -546,8 +562,23 @@ impl Explorer {
                 .expect("the pruned tally stays non-negative");
 
             // Build: workers turn the kept children into the next
-            // frontier, check each first arrival, and free the rest.
-            frontier = build_level(forks, kept, threads, check, &tables, &root);
+            // frontier, check each first arrival, and free the rest. At
+            // the depth bound the children are settled there instead.
+            let bound = depth + 1 >= self.limits.max_depth;
+            match build_level(forks, kept, threads, check, &tables, &root, &frontier.traces, bound)
+            {
+                Ok(next) => frontier = next,
+                Err(settled) => {
+                    report.terminals += settled.terminals;
+                    report.truncated |= settled.truncated;
+                    if collect_terminals {
+                        let outputs = settled.terminal_outputs;
+                        collect_new(&mut terminal_outputs, &mut seen_outputs, outputs);
+                    }
+                    break;
+                }
+            }
+            depth += 1;
         }
         Ok((report, terminal_outputs))
     }
@@ -889,13 +920,14 @@ impl ProcessState {
     }
 }
 
-/// One memoized step: the ids it leads to and the event it records.
+/// One memoized step: the ids it leads to. Its event is stored under
+/// the same index in [`Tables::events`].
+#[derive(Clone, Copy)]
 struct Transition {
     /// The stepped process's new state.
     process: u32,
     /// The written object's new state; `None` for a read or a scan.
     object: Option<u32>,
-    event: Event,
 }
 
 /// A process's transition memo: from [`memo_key`] to an index into
@@ -915,6 +947,8 @@ struct Tables {
     objects: Vec<Table<Object>>,
     processes: Vec<Table<ProcessState>>,
     transitions: Vec<Transition>,
+    /// The event of each transition, which trace nodes name by index.
+    events: Arc<EventStore>,
     /// One transition memo per process.
     memo: Vec<MemoMap>,
 }
@@ -927,6 +961,7 @@ impl Tables {
             objects: initial.objects().iter().map(|_| Table::new()).collect(),
             processes: (0..count).map(|_| Table::new()).collect(),
             transitions: Vec::new(),
+            events: Arc::default(),
             memo: (0..count).map(|_| MemoMap::default()).collect(),
         };
         let mut key = String::new();
@@ -953,9 +988,22 @@ impl Tables {
         ids.iter().enumerate().map(|(pid, &id)| self.process(pid, id))
     }
 
-    /// Assembles configuration `ids`, with its step counts and trace,
-    /// into `sys` (a configuration of the explored system).
-    fn materialize(&self, sys: &mut System, ids: &Ids, steps: &Row<u32>, trace: &Trace) {
+    /// The outputs of configuration `ids`, when all its processes have
+    /// terminated.
+    fn terminal(&self, ids: &Ids) -> Option<Vec<Value>> {
+        let outputs = || {
+            let output = |state: &ProcessState| state.poised.output().cloned();
+            self.process_states(ids)
+                .map(|state| output(state).expect("a terminated process has output"))
+                .collect()
+        };
+        self.process_states(ids).all(ProcessState::terminated).then(outputs)
+    }
+
+    /// Assembles configuration `ids`, with its step counts, into `sys`
+    /// (a configuration of the explored system); its trace is left as
+    /// it was.
+    fn materialize(&self, sys: &mut System, ids: &Ids, steps: &Row<u32>) {
         let (objects, processes) = ids.as_slice().split_at(self.objects.len());
         sys.assemble(
             self.objects.iter().zip(objects).map(|(table, &id)| &table.states[id as usize]),
@@ -964,7 +1012,6 @@ impl Tables {
                 .zip(processes)
                 .zip(steps.as_slice())
                 .map(|((table, &id), &steps)| (&table.states[id as usize].process, steps as usize)),
-            trace,
         );
     }
 
@@ -982,18 +1029,19 @@ impl Tables {
             .into_iter()
             .map(|new| self.objects[new.position].intern(new.key, new.state))
             .collect();
+        let mut events = Vec::new();
         let transitions: Vec<u32> = fresh
             .steps
             .into_iter()
             .map(|step| match step.outcome {
-                Outcome::Stepped(Transition { process, object, event }) => {
+                Outcome::Stepped(Transition { process, object }, event) => {
                     let transitions = &mut self.transitions;
                     *self.memo[step.pid].entry(step.key).or_insert_with(|| {
                         transitions.push(Transition {
                             process: resolve(process, &processes),
                             object: object.map(|id| resolve(id, &objects)),
-                            event,
                         });
+                        events.push(event);
                         (transitions.len() - 1) as u32
                     })
                 }
@@ -1001,6 +1049,10 @@ impl Tables {
                 Outcome::Failed(_) | Outcome::Panicked(_) => u32::MAX,
             })
             .collect();
+        if !events.is_empty() {
+            Arc::make_mut(&mut self.events).append(events);
+        }
+        debug_assert_eq!(self.events.len(), self.transitions.len());
         for at in fresh.children {
             let child = &mut chunk.children[at];
             child.transition = transitions[(child.transition & !PENDING) as usize];
@@ -1145,8 +1197,9 @@ struct Prefix {
     ids: Ids,
     /// Steps taken by each process.
     steps: Row<u32>,
-    /// The sealed trace that reached this configuration.
-    trace: Trace,
+    /// Where the trace that reached this configuration ends, in the
+    /// frontier's [`Frontier::traces`].
+    trace: Tip,
     /// Sleep set this arrival carries (always 0 with DPOR off).
     sleep: u32,
     /// Processes to branch on from this entry, claimed canonically at
@@ -1194,6 +1247,9 @@ struct Frontier {
     /// kept and none is built.
     violation: usize,
     chunks: Vec<Vec<Vec<Prefix>>>,
+    /// The traces the entries end at: the root's, or one block per
+    /// build chunk.
+    traces: Parents,
 }
 
 /// What the decide phase reads of one child.
@@ -1208,8 +1264,8 @@ struct Head {
 /// The rest of one child, travelling from the worker that forked it to
 /// the worker that keeps or frees it.
 struct Child {
-    /// The parent's trace, which the kept child extends.
-    trace: Trace,
+    /// Where the parent's trace ends; a kept child extends it.
+    parent: Tip,
     steps: Row<u32>,
     /// Index of the step's [`Transition`] (tagged [`PENDING`] until the
     /// intern pass).
@@ -1236,7 +1292,7 @@ struct New<T> {
 /// What one step not in the shared memo came to.
 enum Outcome {
     /// Its ids may name the chunk's pending states.
-    Stepped(Transition),
+    Stepped(Transition, Event),
     Failed(ModelError),
     Panicked(String),
 }
@@ -1296,7 +1352,11 @@ struct Level<'a> {
     /// Trace length of the initial configuration: the schedule of any
     /// entry is its trace suffix past that point.
     base_depth: usize,
+    /// The level's schedule length, the same for every entry.
+    depth: usize,
     max_depth: usize,
+    /// The traces the level's entries end at.
+    traces: &'a Parents,
     /// The visited shards of all previous levels.
     visited: &'a [VisitedMap],
     /// The tables and memos of all previous levels.
@@ -1321,14 +1381,15 @@ impl Level<'_> {
             let idx = start + offset;
             match entry.verdict.as_deref() {
                 Some(Verdict::Violation(msg)) => {
-                    out.violation =
-                        Some((idx, schedule_since(&entry.trace, self.base_depth), msg.clone()));
+                    let schedule = schedule_since(&self.traces.trace(entry.trace), self.base_depth);
+                    out.violation = Some((idx, schedule, msg.clone()));
                     // Later entries in the chunk cannot improve on this
                     // index.
                     break;
                 }
                 Some(Verdict::Panic(message)) => {
-                    out.panicked(idx, &entry.trace, self.base_depth, message.clone());
+                    let trace = self.traces.trace(entry.trace);
+                    out.panicked(idx, &trace, self.base_depth, message.clone());
                     continue;
                 }
                 None => {}
@@ -1345,7 +1406,7 @@ impl Level<'_> {
                 Ok(Err(message)) => message,
                 Err(payload) => panic_message(payload.as_ref()),
             };
-            out.panicked(idx, &entry.trace, self.base_depth, message);
+            out.panicked(idx, &self.traces.trace(entry.trace), self.base_depth, message);
         }
         out
     }
@@ -1360,15 +1421,12 @@ impl Level<'_> {
         idx: usize,
     ) -> Result<(), String> {
         let tables = self.tables;
-        if entry.first && tables.process_states(&entry.ids).all(ProcessState::terminated) {
+        if let Some(outputs) = entry.first.then(|| tables.terminal(&entry.ids)).flatten() {
             out.terminals += 1;
-            let outputs = tables.process_states(&entry.ids).map(|state| {
-                state.poised.output().cloned().expect("a terminated process has output")
-            });
-            out.terminal_outputs.push(outputs.collect());
+            out.terminal_outputs.push(outputs);
             return Ok(());
         }
-        if entry.trace.len() - self.base_depth >= self.max_depth {
+        if self.depth >= self.max_depth {
             out.truncated = true;
             return Ok(());
         }
@@ -1455,7 +1513,7 @@ impl Level<'_> {
         let memo = memo_key(state, object);
         let build = self.violation == usize::MAX;
         if let Some(&t) = tables.memo[q].get(&memo) {
-            let Transition { process, object, .. } = tables.transitions[t as usize];
+            let Transition { process, object } = tables.transitions[t as usize];
             return Ok(build.then_some(Stepped { process, object, transition: t, position }));
         }
         let at = match out.fresh.index.get(&(q, memo)) {
@@ -1468,7 +1526,7 @@ impl Level<'_> {
             }
         };
         match &out.fresh.steps[at].outcome {
-            Outcome::Stepped(Transition { process, object, .. }) => {
+            Outcome::Stepped(Transition { process, object }, _) => {
                 let (process, object, transition) = (*process, *object, PENDING | at as u32);
                 Ok(build.then_some(Stepped { process, object, transition, position }))
             }
@@ -1485,6 +1543,7 @@ impl Level<'_> {
     /// Computes the step of process `q` from `entry` on the
     /// materialized parent. The states it leads to get their shared id
     /// when the frozen tables hold them, and a pending one otherwise.
+    /// The parent is materialized without its trace: a step reads none.
     fn compute(
         &self,
         fresh: &mut Fresh,
@@ -1495,7 +1554,7 @@ impl Level<'_> {
     ) -> Outcome {
         let tables = self.tables;
         if scratch.holds != idx {
-            tables.materialize(&mut scratch.parent, &entry.ids, &entry.steps, &entry.trace);
+            tables.materialize(&mut scratch.parent, &entry.ids, &entry.steps);
             scratch.holds = idx;
         }
         let key = &mut scratch.key;
@@ -1524,7 +1583,7 @@ impl Level<'_> {
                 }
             }
         });
-        Outcome::Stepped(Transition { process, object, event })
+        Outcome::Stepped(Transition { process, object }, event)
     }
 
     /// Whether process `q` in state `id` (shared or pending) has
@@ -1573,7 +1632,7 @@ impl Level<'_> {
         out.heads.push(Head { key, sleep, enabled });
         let mut steps = entry.steps.clone();
         steps.as_mut_slice()[q] += 1;
-        out.children.push(Child { trace: entry.trace.clone(), steps, transition: step.transition });
+        out.children.push(Child { parent: entry.trace, steps, transition: step.transition });
     }
 
     /// The previous levels' bookkeeping for `key`, if it was visited.
@@ -1682,13 +1741,30 @@ fn decide(
     out
 }
 
+/// What the kept children of a level at the depth bound come to when
+/// no check flagged any of them: what expanding them would find.
+#[derive(Default)]
+struct Settled {
+    terminals: usize,
+    truncated: bool,
+    /// Output vectors of the terminal ones, in canonical order.
+    terminal_outputs: Vec<Vec<Value>>,
+}
+
 /// Turns each chunk's kept children (`kept[c]`: one list per decide
 /// worker) into the next frontier, materializing and checking each
 /// first arrival as it becomes a [`Prefix`], and frees the rest, on up
-/// to `threads` workers. The next frontier is cut into chunks at
-/// multiples of ⌈len / (4 · threads)⌉, as a flat frontier always was:
-/// the counts of a level that ends in a violation depend on those
-/// boundaries.
+/// to `threads` workers. Each chunk first appends one trace node per
+/// kept child to one block of its own, extending `parents`, then checks
+/// each first arrival on a trace that ends in that block. The next
+/// frontier is cut into chunks at multiples of ⌈len / (4 · threads)⌉,
+/// as a flat frontier always was: the counts of a level that ends in a
+/// violation depend on those boundaries.
+///
+/// When the children are at the depth bound (`bound`), and no check
+/// flags any of them, they are settled here instead: the search ends
+/// with the [`Settled`] counts, without expanding them.
+#[allow(clippy::too_many_arguments)]
 fn build_level(
     forks: Vec<(Vec<Head>, Vec<Child>)>,
     kept: Vec<Vec<Vec<Kept>>>,
@@ -1696,44 +1772,69 @@ fn build_level(
     check: Option<ParallelCheck>,
     tables: &Tables,
     template: &System,
-) -> Frontier {
+    parents: &Parents,
+    bound: bool,
+) -> Result<Frontier, Settled> {
     let len: usize = kept.iter().flatten().map(Vec::len).sum();
     let chunk_len = len.div_ceil(threads * 4).max(1);
     let mut offset = 0;
     let items: Vec<_> = forks
         .into_iter()
         .zip(kept)
-        .map(|(forks, kept)| {
+        .enumerate()
+        .map(|(c, (forks, kept))| {
             let start = offset;
             offset += kept.iter().map(Vec::len).sum::<usize>();
-            (forks, kept, start)
+            (c, forks, kept, start)
         })
         .collect();
-    let built = par_map(items, threads, |((heads, children), kept, start)| {
+    let built = par_map(items, threads, |(c, (heads, children), kept, start)| {
         let mut slots: Vec<Option<Kept>> = children.iter().map(|_| None).collect();
+        let mut count = 0;
         for k in kept.into_iter().flatten() {
             let at = k.at;
             slots[at] = Some(k);
+            count += 1;
         }
+        let mut nodes = Vec::with_capacity(count);
+        nodes.extend(children.iter().zip(&slots).filter(|(_, slot)| slot.is_some()).map(
+            |(child, _)| Node { parent: child.parent, event: child.transition },
+        ));
+        let block = parents.extend(&tables.events, nodes);
         // Segments of this chunk's kept children, one per next-level
         // chunk they fall in, and the lowest index among them whose
         // verdict is a violation.
         let mut segments: Vec<(usize, Vec<Prefix>)> = Vec::new();
         let mut violation = usize::MAX;
+        let mut settled = Settled::default();
+        let mut flagged = false;
         let mut rank = start;
         let mut scratch: Option<System> = None;
         for ((head, child), slot) in heads.into_iter().zip(children).zip(slots) {
             let Some(Kept { sleep, claim, first, .. }) = slot else { continue };
-            let Child { mut trace, steps, transition } = child;
-            trace.push_sealed(tables.transitions[transition as usize].event.clone());
+            let node = (rank - start) as u32;
             let verdict = match check {
                 Some(check) if first => {
                     let sys = scratch.get_or_insert_with(|| template.clone());
-                    tables.materialize(sys, &head.key.ids, &steps, &trace);
+                    tables.materialize(sys, &head.key.ids, &child.steps);
+                    sys.trace_mut().point_at(&block, node);
                     judge(check, sys)
                 }
                 _ => None,
             };
+            if bound {
+                // As expanding the child would: a first arrival whose
+                // processes all terminated is a terminal, and any other
+                // child is cut off by the bound.
+                match first.then(|| tables.terminal(&head.key.ids)).flatten() {
+                    Some(outputs) => {
+                        settled.terminals += 1;
+                        settled.terminal_outputs.push(outputs);
+                    }
+                    None => settled.truncated = true,
+                }
+                flagged |= verdict.is_some();
+            }
             if is_violation(&verdict) {
                 violation = violation.min(rank);
             }
@@ -1743,21 +1844,52 @@ fn build_level(
                 segments.push((target, Vec::new()));
             }
             let (_, segment) = segments.last_mut().expect("segment just pushed");
-            let ids = head.key.ids;
+            let (ids, steps, trace) = (head.key.ids, child.steps, Tip { block: c as u32, node });
             segment.push(Prefix { ids, steps, trace, sleep, claim, first, verdict });
         }
-        (segments, violation)
+        (segments, violation, block, (!flagged).then_some(settled))
     });
     let mut chunks: Vec<Vec<Vec<Prefix>>> =
         (0..len.div_ceil(chunk_len)).map(|_| Vec::new()).collect();
     let mut violation = usize::MAX;
-    for (segments, first_violation) in built {
+    let mut blocks = Vec::with_capacity(built.len());
+    let mut settled = bound.then(Settled::default);
+    for (segments, first_violation, block, chunk_settled) in built {
         violation = violation.min(first_violation);
         for (target, segment) in segments {
             chunks[target].push(segment);
         }
+        blocks.push(block);
+        settled = settled.zip(chunk_settled).map(|(mut all, chunk)| {
+            all.terminals += chunk.terminals;
+            all.truncated |= chunk.truncated;
+            all.terminal_outputs.extend(chunk.terminal_outputs);
+            all
+        });
     }
-    Frontier { chunk_len, violation, chunks }
+    match settled {
+        // A flagged child goes through expand, which reports it and
+        // counts as it always has.
+        Some(settled) => Err(settled),
+        None => {
+            let traces = Parents::Blocks(Arc::new(blocks));
+            Ok(Frontier { chunk_len, violation, chunks, traces })
+        }
+    }
+}
+
+/// Appends to `outputs` each of `new` that `seen` does not hold yet, in
+/// order.
+fn collect_new(
+    outputs: &mut Vec<Vec<Value>>,
+    seen: &mut HashSet<Vec<Value>>,
+    new: Vec<Vec<Value>>,
+) {
+    for outs in new {
+        if seen.insert(outs.clone()) {
+            outputs.push(outs);
+        }
+    }
 }
 
 /// The schedule `trace` records past the initial configuration's

@@ -331,16 +331,16 @@ impl System {
     }
 
     /// Makes this configuration the one of `objects` and `processes`
-    /// (each with its step count) reached along `trace`, keeping the
-    /// writer restrictions. The object and process blocks are reused
-    /// when no other configuration shares them, so refilling one
-    /// configuration again and again allocates nothing. This is how the
-    /// explorer materializes a configuration it stores as component ids.
+    /// (each with its step count), keeping the writer restrictions and
+    /// the trace; set the trace with [`System::trace_mut`]. The object
+    /// and process blocks are reused when no other configuration shares
+    /// them, so refilling one configuration again and again allocates
+    /// nothing. This is how the explorer materializes a configuration it
+    /// stores as component ids.
     pub(crate) fn assemble<'a>(
         &mut self,
         objects: impl ExactSizeIterator<Item = &'a Object>,
         processes: impl Iterator<Item = (&'a Arc<dyn Process>, usize)>,
-        trace: &Trace,
     ) {
         match Arc::get_mut(&mut self.objects) {
             Some(slots) if slots.len() == objects.len() => {
@@ -353,7 +353,11 @@ impl System {
         self.processes.clear();
         self.processes
             .extend(processes.map(|(process, steps)| Slot { process: Arc::clone(process), steps }));
-        self.trace.clone_from(trace);
+    }
+
+    /// The trace, to set on a configuration [`System::assemble`] filled.
+    pub(crate) fn trace_mut(&mut self) -> &mut Trace {
+        &mut self.trace
     }
 
     /// Puts `object` in place of object `id`.

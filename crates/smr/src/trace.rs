@@ -19,19 +19,31 @@ use std::sync::Arc;
 /// events) and the segment-chain length (≥ one event per segment).
 const SEAL_THRESHOLD: usize = 32;
 
-/// An immutable, `Arc`-shared run of consecutive events. Segments form
-/// a parent chain: `parent` holds events `[0, start)`, this segment
-/// holds `[start, start + events().len())`.
+/// The last link of a trace's sealed chain. A chain mixes two kinds:
+/// a [`Segment`] owns a run of events, and is what [`Trace::push`],
+/// [`Trace::freeze`] and [`crate::system::System::with_successor`]
+/// seal; node `.1` of a [`Block`] owns one index into the explorer's
+/// stored events, and is what the explorer builds.
+#[derive(Clone, Debug)]
+enum Link {
+    Segment(Arc<Segment>),
+    Node(Arc<Block>, u32),
+}
+
+/// An immutable, `Arc`-shared run of consecutive events. `parent`
+/// holds events `[0, start)`, this segment holds
+/// `[start, start + events().len())`.
 #[derive(Debug)]
 struct Segment {
-    parent: Option<Arc<Segment>>,
+    parent: Option<Link>,
     start: usize,
     events: Events,
 }
 
-/// A segment's events. The explorer seals every configuration it builds
-/// one step past a sealed parent, so a one-event segment keeps its event
-/// inline: one heap block for the segment and its event together.
+/// A segment's events. [`crate::system::System::with_successor`] seals
+/// each child one step past a sealed parent, so a one-event segment
+/// keeps its event inline: one heap block for the segment and its event
+/// together.
 #[derive(Debug)]
 enum Events {
     One(Event),
@@ -49,15 +61,204 @@ impl Segment {
 
 impl Drop for Segment {
     fn drop(&mut self) {
-        // Unlink the parent chain iteratively: a recursive drop would
-        // blow the stack on traces with hundreds of thousands of
-        // events (one frame per segment).
-        let mut parent = self.parent.take();
-        while let Some(seg) = parent {
-            match Arc::try_unwrap(seg) {
-                Ok(mut owned) => parent = owned.parent.take(),
-                Err(_) => break, // still shared: someone else drops it
+        unlink(self.parent.take(), Vec::new());
+    }
+}
+
+/// Events stored once each, in append-only `Arc`-shared batches: the
+/// explorer's memoized steps, which its trace nodes name by index.
+/// Appending to a store that blocks still share copies its batch
+/// pointers, never an event.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct EventStore {
+    /// Index of each batch's first event.
+    starts: Vec<usize>,
+    batches: Vec<Arc<[Event]>>,
+    len: usize,
+}
+
+impl EventStore {
+    /// Number of events stored.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Appends `events` as one batch, under the indices from
+    /// [`EventStore::len`] on.
+    pub(crate) fn append(&mut self, events: Vec<Event>) {
+        if events.is_empty() {
+            return;
+        }
+        self.starts.push(self.len);
+        self.len += events.len();
+        self.batches.push(events.into());
+    }
+
+    fn get(&self, i: u32) -> &Event {
+        let i = i as usize;
+        let batch = self.starts.partition_point(|&start| start <= i) - 1;
+        &self.batches[batch][i - self.starts[batch]]
+    }
+}
+
+/// Where a trace of one explorer level ends: node `node` of block
+/// `block` of the level's [`Parents`] (unread at the root).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Tip {
+    pub(crate) block: u32,
+    pub(crate) node: u32,
+}
+
+/// One node of a [`Block`]: the trace `parent` names in the block's
+/// [`Parents`], extended by event `event` of the block's
+/// [`EventStore`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Node {
+    pub(crate) parent: Tip,
+    pub(crate) event: u32,
+}
+
+/// The traces one explorer level's entries end at, which the next
+/// level's blocks extend: every trace of a level has the same length.
+#[derive(Clone, Debug)]
+pub(crate) enum Parents {
+    /// The sealed trace of the configuration the search started from.
+    Root(Trace),
+    /// The level's blocks, one per build chunk.
+    Blocks(Arc<Vec<Arc<Block>>>),
+}
+
+impl Parents {
+    /// The parents of the first level: `trace`, which must be sealed
+    /// (see [`Trace::freeze`]).
+    pub(crate) fn root(trace: &Trace) -> Parents {
+        assert!(trace.tail.is_empty(), "a root trace is sealed");
+        Parents::Root(trace.clone())
+    }
+
+    /// The trace that ends at `tip`.
+    pub(crate) fn trace(&self, tip: Tip) -> Trace {
+        match self {
+            Parents::Root(trace) => trace.clone(),
+            Parents::Blocks(blocks) => Trace::at(&blocks[tip.block as usize], tip.node),
+        }
+    }
+
+    /// One block of `nodes`, each naming its parent trace here and its
+    /// event in `events`: one allocation for all of them.
+    pub(crate) fn extend(&self, events: &Arc<EventStore>, nodes: Vec<Node>) -> Arc<Block> {
+        let len = match self {
+            Parents::Root(trace) => trace.len(),
+            Parents::Blocks(blocks) => blocks.first().map_or(0, |block| block.len),
+        } + 1;
+        debug_assert!(nodes.iter().all(|node| (node.event as usize) < events.len()));
+        Arc::new(Block { len, events: Arc::clone(events), parents: self.clone(), nodes })
+    }
+}
+
+/// An `Arc`-shared block of one-event trace nodes, all one step past
+/// the same level's [`Parents`]. The explorer builds one block per build
+/// chunk, so a kept child costs a 12-byte node, not an allocation, and
+/// its event is the memoized one, not a copy.
+#[derive(Debug)]
+pub(crate) struct Block {
+    /// The trace length at every node.
+    len: usize,
+    events: Arc<EventStore>,
+    parents: Parents,
+    nodes: Vec<Node>,
+}
+
+impl Block {
+    /// Hands over the links this block holds: a root's sealed link, or
+    /// the parent blocks when nothing else shares their list.
+    fn take_parents(&mut self) -> (Option<Link>, Vec<Arc<Block>>) {
+        match std::mem::replace(&mut self.parents, Parents::Root(Trace::new())) {
+            Parents::Root(mut trace) => (trace.sealed.take(), Vec::new()),
+            Parents::Blocks(blocks) => (None, Arc::into_inner(blocks).unwrap_or_default()),
+        }
+    }
+}
+
+impl Drop for Block {
+    fn drop(&mut self) {
+        let (link, blocks) = self.take_parents();
+        unlink(link, blocks);
+    }
+}
+
+/// Drops the links `link` and `blocks` iteratively: a recursive drop
+/// would blow the stack on traces with hundreds of thousands of events
+/// (one frame per link). A link still shared elsewhere ends its branch
+/// of the walk; one held only here hands its own parents over first.
+fn unlink(mut link: Option<Link>, mut blocks: Vec<Arc<Block>>) {
+    loop {
+        let next = match link.take() {
+            Some(next) => next,
+            None => match blocks.pop() {
+                Some(block) => Link::Node(block, 0),
+                None => return,
+            },
+        };
+        match next {
+            Link::Segment(segment) => {
+                if let Some(mut owned) = Arc::into_inner(segment) {
+                    link = owned.parent.take();
+                }
             }
+            Link::Node(block, _) => {
+                if let Some(mut owned) = Arc::into_inner(block) {
+                    let (parent, parents) = owned.take_parents();
+                    link = parent;
+                    blocks.extend(parents);
+                }
+            }
+        }
+    }
+}
+
+/// A borrowed link of a sealed chain.
+#[derive(Clone, Copy)]
+enum Cursor<'a> {
+    Segment(&'a Segment),
+    Node(&'a Block, u32),
+}
+
+impl<'a> Cursor<'a> {
+    fn of(link: &'a Link) -> Cursor<'a> {
+        match link {
+            Link::Segment(segment) => Cursor::Segment(segment),
+            Link::Node(block, node) => Cursor::Node(block, *node),
+        }
+    }
+
+    /// The trace index of the link's first event.
+    fn start(self) -> usize {
+        match self {
+            Cursor::Segment(segment) => segment.start,
+            Cursor::Node(block, _) => block.len - 1,
+        }
+    }
+
+    fn events(self) -> &'a [Event] {
+        match self {
+            Cursor::Segment(segment) => segment.events(),
+            Cursor::Node(block, node) => {
+                std::slice::from_ref(block.events.get(block.nodes[node as usize].event))
+            }
+        }
+    }
+
+    fn parent(self) -> Option<Cursor<'a>> {
+        match self {
+            Cursor::Segment(segment) => segment.parent.as_ref().map(Cursor::of),
+            Cursor::Node(block, node) => match &block.parents {
+                Parents::Root(trace) => trace.sealed.as_ref().map(Cursor::of),
+                Parents::Blocks(blocks) => {
+                    let Tip { block, node } = block.nodes[node as usize].parent;
+                    Some(Cursor::Node(&blocks[block as usize], node))
+                }
+            },
         }
     }
 }
@@ -68,10 +269,16 @@ impl Drop for Segment {
 /// Forking a configuration used to deep-copy the whole event log,
 /// making every explorer fork O(depth). `Clone` here copies one `Arc`
 /// pointer and at most `SEAL_THRESHOLD` (32) tail events; after
-/// [`Trace::freeze`], or on the sealed trace of a configuration
-/// [`crate::system::System::with_successor`] built, a clone copies
-/// nothing at all. Pushes still amortise to O(1): the
-/// tail is sealed into a shared segment once it reaches the threshold.
+/// [`Trace::freeze`], on the sealed trace of a configuration
+/// [`crate::system::System::with_successor`] built, or on a trace the
+/// explorer hands a check, a clone copies nothing at all. Pushes still
+/// amortise to O(1): the tail is sealed into a shared segment once it
+/// reaches the threshold.
+///
+/// The sealed prefix is a chain of links that reads as one sequence of
+/// events whatever its layout: segments of events, and the explorer's
+/// one-event nodes, which name events it stores once in its transition
+/// memo. Equality compares events, never layout.
 ///
 /// # Examples
 ///
@@ -85,7 +292,7 @@ impl Drop for Segment {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
-    sealed: Option<Arc<Segment>>,
+    sealed: Option<Link>,
     /// Total events in the sealed chain.
     sealed_len: usize,
     tail: Vec<Event>,
@@ -95,6 +302,25 @@ impl Trace {
     /// An empty trace.
     pub fn new() -> Self {
         Trace::default()
+    }
+
+    /// The trace that ends at node `node` of `block`.
+    pub(crate) fn at(block: &Arc<Block>, node: u32) -> Trace {
+        let mut trace = Trace::new();
+        trace.point_at(block, node);
+        trace
+    }
+
+    /// Makes this the trace that ends at node `node` of `block`. A trace
+    /// that already points into `block` only moves its index: refilling
+    /// one configuration along a block touches no reference count.
+    pub(crate) fn point_at(&mut self, block: &Arc<Block>, node: u32) {
+        self.tail.clear();
+        self.sealed_len = block.len;
+        match &mut self.sealed {
+            Some(Link::Node(held, at)) if Arc::ptr_eq(held, block) => *at = node,
+            sealed => *sealed = Some(Link::Node(Arc::clone(block), node)),
+        }
     }
 
     /// Number of events.
@@ -143,7 +369,12 @@ impl Trace {
     fn seal(&mut self, events: Events) {
         let segment = Segment { parent: self.sealed.take(), start: self.sealed_len, events };
         self.sealed_len += segment.events().len();
-        self.sealed = Some(Arc::new(segment));
+        self.sealed = Some(Link::Segment(Arc::new(segment)));
+    }
+
+    /// The sealed chain, last link first.
+    fn links(&self) -> impl Iterator<Item = Cursor<'_>> {
+        std::iter::successors(self.sealed.as_ref().map(Cursor::of), |link| link.parent())
     }
 
     /// Iterates the events in execution order.
@@ -152,20 +383,16 @@ impl Trace {
     }
 
     /// Iterates the events from index `start` (clamped to the length)
-    /// in execution order; whole segments before `start` are skipped
+    /// in execution order; whole links before `start` are skipped
     /// without being walked.
     pub fn events_from(&self, start: usize) -> TraceIter<'_> {
-        let mut slices: Vec<&[Event]> = Vec::new();
-        let mut cursor = self.sealed.as_deref();
-        while let Some(seg) = cursor {
-            let events = seg.events();
-            if seg.start + events.len() <= start {
-                break; // this segment (and all parents) precede `start`
-            }
-            let skip = start.saturating_sub(seg.start);
-            slices.push(&events[skip..]);
-            cursor = seg.parent.as_deref();
-        }
+        let mut slices: Vec<&[Event]> = self
+            .links()
+            // Stop at the first link that (with all its parents)
+            // precedes `start`.
+            .take_while(|link| link.start() + link.events().len() > start)
+            .map(|link| &link.events()[start.saturating_sub(link.start())..])
+            .collect();
         slices.reverse();
         let tail_skip = start.saturating_sub(self.sealed_len).min(self.tail.len());
         slices.push(&self.tail[tail_skip..]);
@@ -177,14 +404,8 @@ impl Trace {
         if i >= self.sealed_len {
             return self.tail.get(i - self.sealed_len);
         }
-        let mut cursor = self.sealed.as_deref();
-        while let Some(seg) = cursor {
-            if i >= seg.start {
-                return seg.events().get(i - seg.start);
-            }
-            cursor = seg.parent.as_deref();
-        }
-        None
+        let link = self.links().find(|link| link.start() <= i)?;
+        link.events().get(i - link.start())
     }
 
     /// Copies the events into a contiguous vector.
@@ -616,6 +837,136 @@ mod tests {
         }
         assert_eq!(trace.len(), 200_000);
         assert_eq!(trace.get(123_456), Some(&event(0, 123_456)));
+        drop(trace);
+    }
+
+    /// Checks `trace` against `expected` through every reading method.
+    fn assert_reads_like(trace: &Trace, expected: &[Event]) {
+        let flat: Trace = expected.iter().cloned().collect();
+        let n = expected.len();
+        assert_eq!(trace.len(), n);
+        for i in 0..=n {
+            assert_eq!(trace.get(i), expected.get(i), "get({i})");
+        }
+        assert!(trace.iter().eq(expected.iter()));
+        assert_eq!(trace.iter().len(), n);
+        for k in 0..=n + 1 {
+            assert!(trace.events_from(k).eq(flat.events_from(k)), "events_from({k})");
+            assert_eq!(trace.events_from(k).len(), n.saturating_sub(k));
+        }
+        assert_eq!(trace.to_vec(), expected);
+        assert_eq!(*trace, flat);
+        assert_eq!(flat, *trace);
+        let clone = trace.clone();
+        assert_eq!(clone, flat);
+        assert_eq!(flat, clone);
+    }
+
+    #[test]
+    fn block_built_traces_read_like_flat_ones() {
+        // A root of a sealed run, an inline event and an open tail
+        // (frozen), then five levels of two blocks each. Every node of
+        // a level has a child in each block of the next, and names an
+        // event of any batch appended so far.
+        let mut root = Trace::new();
+        let mut root_events = Vec::new();
+        for i in 0..40 {
+            let e = event(i % 2, i as i64);
+            if i == 35 {
+                root.push_sealed(e.clone());
+            } else {
+                root.push(e.clone());
+            }
+            root_events.push(e);
+        }
+        root.freeze();
+        let mut store = EventStore::default();
+        let mut parents = Parents::root(&root);
+        let mut flat: Vec<Vec<Vec<Event>>> = vec![vec![root_events]];
+        let mut kept: Vec<(Trace, Vec<Event>)> = Vec::new();
+        for level in 0..5 {
+            store.append((0..3).map(|j| event(j, (100 * level + j) as i64)).collect());
+            let events = Arc::new(store.clone());
+            let mut blocks = Vec::new();
+            let mut next = Vec::new();
+            for b in 0..2 {
+                let mut nodes = Vec::new();
+                let mut flat_nodes = Vec::new();
+                for (pb, parent_nodes) in flat.iter().enumerate() {
+                    for (pn, parent) in parent_nodes.iter().enumerate() {
+                        let e = (7 * pn + 3 * pb + b + level) % store.len();
+                        let parent_tip = Tip { block: pb as u32, node: pn as u32 };
+                        nodes.push(Node { parent: parent_tip, event: e as u32 });
+                        let mut events = parent.clone();
+                        events.push(store.get(e as u32).clone());
+                        flat_nodes.push(events);
+                    }
+                }
+                blocks.push(parents.extend(&events, nodes));
+                next.push(flat_nodes);
+            }
+            parents = Parents::Blocks(Arc::new(blocks));
+            flat = next;
+            for (b, nodes) in flat.iter().enumerate() {
+                for (n, expected) in nodes.iter().enumerate() {
+                    let trace = parents.trace(Tip { block: b as u32, node: n as u32 });
+                    assert_reads_like(&trace, expected);
+                    if n % 5 == 0 {
+                        kept.push((trace, expected.clone()));
+                    }
+                }
+            }
+        }
+        // Retargeting one trace along a block reads like a fresh one.
+        let Parents::Blocks(blocks) = &parents else { unreachable!() };
+        let mut moving = Trace::at(&blocks[1], 0);
+        for n in [3, 0, 9] {
+            moving.point_at(&blocks[1], n);
+            assert_reads_like(&moving, &flat[1][n as usize]);
+        }
+        moving.point_at(&blocks[0], 2);
+        assert_reads_like(&moving, &flat[0][2]);
+        // Pushing onto a node-built trace seals segments over it.
+        let mut longer = moving.clone();
+        let mut expected = flat[0][2].clone();
+        for i in 0..40 {
+            longer.push(event(2, -i));
+            expected.push(event(2, -i));
+        }
+        longer.push_sealed(event(0, -100));
+        expected.push(event(0, -100));
+        assert_reads_like(&longer, &expected);
+        assert_reads_like(&moving, &flat[0][2]);
+        // Kept traces outlive the blocks' list and the store.
+        drop((parents, store, moving, longer));
+        for (trace, expected) in &kept {
+            assert_reads_like(trace, expected);
+        }
+    }
+
+    #[test]
+    fn deep_block_chain_drops_without_stack_overflow() {
+        // 100,000 single-node blocks, each the only block of its level,
+        // over a root of 1,000 one-event segments: a recursive drop
+        // would take a frame per link.
+        let mut root = Trace::new();
+        for i in 0..1_000 {
+            root.push_sealed(event(0, i));
+        }
+        let mut store = EventStore::default();
+        store.append(vec![event(1, 7)]);
+        let store = Arc::new(store);
+        let mut parents = Parents::root(&root);
+        drop(root);
+        for _ in 0..100_000 {
+            let block = parents.extend(&store, vec![Node { parent: Tip::default(), event: 0 }]);
+            parents = Parents::Blocks(Arc::new(vec![block]));
+        }
+        let trace = parents.trace(Tip::default());
+        assert_eq!(trace.len(), 101_000);
+        assert_eq!(trace.get(999), Some(&event(0, 999)));
+        assert_eq!(trace.get(54_321), Some(&event(1, 7)));
+        drop(parents);
         drop(trace);
     }
 

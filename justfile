@@ -131,13 +131,29 @@ smoke-explore:
         $bin explore --protocol iis --procs 3 --rounds 2 --threads "$t" --json > "$out" \
             || { echo "iis threads $t: exit code $?, expected 0"; exit 1; }
         grep -qF '"terminals": 169,' "$out" || { echo "iis threads $t: not 169 terminals"; exit 1; }
+        # The same racing search without the reduction.
+        out="explore-racing3nd-t$t.json"
+        $bin explore --protocol racing --procs 3 \
+            --m 2 --depth 64 --max-configs 400000 --no-dpor --threads "$t" --json > "$out"
+        code=$?
+        [ "$code" -eq 1 ] || { echo "racing3 --no-dpor threads $t: exit code $code, expected 1"; exit 1; }
+        # Depth 25 ends among the terminals: the bound level holds 72
+        # of the 133 and cuts the other executions off.
+        out="explore-iis3r2d25-t$t.json"
+        $bin explore --protocol iis --procs 3 --rounds 2 --depth 25 --threads "$t" --json > "$out" \
+            || { echo "iis depth 25 threads $t: exit code $?, expected 0"; exit 1; }
+        for want in '"configs_visited": 9666,' '"terminals": 133,' '"truncated": true,'; do
+            grep -qF "$want" "$out" || { echo "iis depth 25 threads $t: missing $want"; exit 1; }
+        done
     done
     # Each report, timing fields aside, matches its pinned sha256 at
     # every thread count, so the reports are also equal across them.
     untimed() { grep -vE '^  "(threads|elapsed_ms|states_per_sec)":' "$1"; }
     for pin in racing3:795338b9e9ce21fa586f8c834f315e3f5efb4577706694709f5f32827e007bc4 \
         racing6:ea363195a4beacb10882e1c35f9b201f783cc6bc2662aad174c40f2a7ad22908 \
-        iis3r2:f3326ecacf27a54976aef1bcf4efb493bef7397eeb53ef989c87ec0cd03207bb; do
+        iis3r2:f3326ecacf27a54976aef1bcf4efb493bef7397eeb53ef989c87ec0cd03207bb \
+        racing3nd:162142c6cedff48217a903c04e580e891c5e34e9b5e4f09a8957e5e9b1ecdea2 \
+        iis3r2d25:e413b23b9263d06b9bf12ac6beeccf056446f8f5713bdd356fd2a8443ff17fc4; do
         w=${pin%%:*}
         for t in 1 2 3; do
             got=$(untimed "explore-$w-t$t.json" | sha256sum | cut -d' ' -f1)
