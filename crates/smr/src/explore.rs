@@ -89,13 +89,7 @@
 //!    kept child to a block of its own. Each first arrival is then
 //!    materialized and checked as it becomes a frontier entry; the entry
 //!    keeps the verdict, and the frontier the lowest index whose verdict
-//!    is a violation. (The root is checked before the first level.) At
-//!    the depth bound the children are settled here, as expanding them
-//!    would: a first arrival whose processes all terminated is a
-//!    terminal, and any other child sets `truncated`. The search then
-//!    ends without expanding that level, unless a check flagged one of
-//!    its children: then it is expanded as any other level, which
-//!    reports the flag and counts as always.
+//!    is a violation. (The root is checked before the first level.)
 //!
 //! Children are ordered by (parent frontier index, process id), and
 //! every arrival at a configuration is decided in that order, so
@@ -506,8 +500,11 @@ impl Explorer {
                 report.truncated |= chunk.truncated;
                 report.prefilter_hits += chunk.prefilter_hits;
                 if collect_terminals {
-                    let outputs = std::mem::take(&mut chunk.terminal_outputs);
-                    collect_new(&mut terminal_outputs, &mut seen_outputs, outputs);
+                    for outs in chunk.terminal_outputs.drain(..) {
+                        if seen_outputs.insert(outs.clone()) {
+                            terminal_outputs.push(outs);
+                        }
+                    }
                 }
                 // Intern: the level's new states and steps, in
                 // canonical chunk order.
@@ -562,22 +559,8 @@ impl Explorer {
                 .expect("the pruned tally stays non-negative");
 
             // Build: workers turn the kept children into the next
-            // frontier, check each first arrival, and free the rest. At
-            // the depth bound the children are settled there instead.
-            let bound = depth + 1 >= self.limits.max_depth;
-            match build_level(forks, kept, threads, check, &tables, &root, &frontier.traces, bound)
-            {
-                Ok(next) => frontier = next,
-                Err(settled) => {
-                    report.terminals += settled.terminals;
-                    report.truncated |= settled.truncated;
-                    if collect_terminals {
-                        let outputs = settled.terminal_outputs;
-                        collect_new(&mut terminal_outputs, &mut seen_outputs, outputs);
-                    }
-                    break;
-                }
-            }
+            // frontier, check each first arrival, and free the rest.
+            frontier = build_level(forks, kept, threads, check, &tables, &root, &frontier.traces);
             depth += 1;
         }
         Ok((report, terminal_outputs))
@@ -986,18 +969,6 @@ impl Tables {
     fn process_states<'a>(&'a self, ids: &'a Ids) -> impl Iterator<Item = &'a ProcessState> {
         let ids = &ids.as_slice()[self.objects.len()..];
         ids.iter().enumerate().map(|(pid, &id)| self.process(pid, id))
-    }
-
-    /// The outputs of configuration `ids`, when all its processes have
-    /// terminated.
-    fn terminal(&self, ids: &Ids) -> Option<Vec<Value>> {
-        let outputs = || {
-            let output = |state: &ProcessState| state.poised.output().cloned();
-            self.process_states(ids)
-                .map(|state| output(state).expect("a terminated process has output"))
-                .collect()
-        };
-        self.process_states(ids).all(ProcessState::terminated).then(outputs)
     }
 
     /// Assembles configuration `ids`, with its step counts, into `sys`
@@ -1421,9 +1392,12 @@ impl Level<'_> {
         idx: usize,
     ) -> Result<(), String> {
         let tables = self.tables;
-        if let Some(outputs) = entry.first.then(|| tables.terminal(&entry.ids)).flatten() {
+        if entry.first && tables.process_states(&entry.ids).all(ProcessState::terminated) {
             out.terminals += 1;
-            out.terminal_outputs.push(outputs);
+            let outputs = tables.process_states(&entry.ids).map(|state| {
+                state.poised.output().cloned().expect("a terminated process has output")
+            });
+            out.terminal_outputs.push(outputs.collect());
             return Ok(());
         }
         if self.depth >= self.max_depth {
@@ -1741,16 +1715,6 @@ fn decide(
     out
 }
 
-/// What the kept children of a level at the depth bound come to when
-/// no check flagged any of them: what expanding them would find.
-#[derive(Default)]
-struct Settled {
-    terminals: usize,
-    truncated: bool,
-    /// Output vectors of the terminal ones, in canonical order.
-    terminal_outputs: Vec<Vec<Value>>,
-}
-
 /// Turns each chunk's kept children (`kept[c]`: one list per decide
 /// worker) into the next frontier, materializing and checking each
 /// first arrival as it becomes a [`Prefix`], and frees the rest, on up
@@ -1760,11 +1724,6 @@ struct Settled {
 /// frontier is cut into chunks at multiples of ⌈len / (4 · threads)⌉,
 /// as a flat frontier always was: the counts of a level that ends in a
 /// violation depend on those boundaries.
-///
-/// When the children are at the depth bound (`bound`), and no check
-/// flags any of them, they are settled here instead: the search ends
-/// with the [`Settled`] counts, without expanding them.
-#[allow(clippy::too_many_arguments)]
 fn build_level(
     forks: Vec<(Vec<Head>, Vec<Child>)>,
     kept: Vec<Vec<Vec<Kept>>>,
@@ -1773,8 +1732,7 @@ fn build_level(
     tables: &Tables,
     template: &System,
     parents: &Parents,
-    bound: bool,
-) -> Result<Frontier, Settled> {
+) -> Frontier {
     let len: usize = kept.iter().flatten().map(Vec::len).sum();
     let chunk_len = len.div_ceil(threads * 4).max(1);
     let mut offset = 0;
@@ -1806,8 +1764,6 @@ fn build_level(
         // verdict is a violation.
         let mut segments: Vec<(usize, Vec<Prefix>)> = Vec::new();
         let mut violation = usize::MAX;
-        let mut settled = Settled::default();
-        let mut flagged = false;
         let mut rank = start;
         let mut scratch: Option<System> = None;
         for ((head, child), slot) in heads.into_iter().zip(children).zip(slots) {
@@ -1822,19 +1778,6 @@ fn build_level(
                 }
                 _ => None,
             };
-            if bound {
-                // As expanding the child would: a first arrival whose
-                // processes all terminated is a terminal, and any other
-                // child is cut off by the bound.
-                match first.then(|| tables.terminal(&head.key.ids)).flatten() {
-                    Some(outputs) => {
-                        settled.terminals += 1;
-                        settled.terminal_outputs.push(outputs);
-                    }
-                    None => settled.truncated = true,
-                }
-                flagged |= verdict.is_some();
-            }
             if is_violation(&verdict) {
                 violation = violation.min(rank);
             }
@@ -1847,49 +1790,21 @@ fn build_level(
             let (ids, steps, trace) = (head.key.ids, child.steps, Tip { block: c as u32, node });
             segment.push(Prefix { ids, steps, trace, sleep, claim, first, verdict });
         }
-        (segments, violation, block, (!flagged).then_some(settled))
+        (segments, violation, block)
     });
     let mut chunks: Vec<Vec<Vec<Prefix>>> =
         (0..len.div_ceil(chunk_len)).map(|_| Vec::new()).collect();
     let mut violation = usize::MAX;
     let mut blocks = Vec::with_capacity(built.len());
-    let mut settled = bound.then(Settled::default);
-    for (segments, first_violation, block, chunk_settled) in built {
+    for (segments, first_violation, block) in built {
         violation = violation.min(first_violation);
         for (target, segment) in segments {
             chunks[target].push(segment);
         }
         blocks.push(block);
-        settled = settled.zip(chunk_settled).map(|(mut all, chunk)| {
-            all.terminals += chunk.terminals;
-            all.truncated |= chunk.truncated;
-            all.terminal_outputs.extend(chunk.terminal_outputs);
-            all
-        });
     }
-    match settled {
-        // A flagged child goes through expand, which reports it and
-        // counts as it always has.
-        Some(settled) => Err(settled),
-        None => {
-            let traces = Parents::Blocks(Arc::new(blocks));
-            Ok(Frontier { chunk_len, violation, chunks, traces })
-        }
-    }
-}
-
-/// Appends to `outputs` each of `new` that `seen` does not hold yet, in
-/// order.
-fn collect_new(
-    outputs: &mut Vec<Vec<Value>>,
-    seen: &mut HashSet<Vec<Value>>,
-    new: Vec<Vec<Value>>,
-) {
-    for outs in new {
-        if seen.insert(outs.clone()) {
-            outputs.push(outs);
-        }
-    }
+    let traces = Parents::Blocks(Arc::new(blocks));
+    Frontier { chunk_len, violation, chunks, traces }
 }
 
 /// The schedule `trace` records past the initial configuration's
@@ -2393,6 +2308,65 @@ mod tests {
                 violation: Some((vec![ProcessId(0), ProcessId(1)], "p0 and p1 wrote".into())),
             };
             assert_eq!(format!("{report:?}"), format!("{pinned:?}"), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn checks_flagging_the_depth_bound_level_are_reported() {
+        // The check first flags configurations at exactly the depth
+        // bound: with violations, with panics, or with both. The level
+        // at the bound must report the same violation or check panic,
+        // with the same counts, as the search one level deeper, where
+        // that level is not the bound. Depth 9 is summing_writers(3)'s
+        // terminal level, and the bound cuts depth 6 off mid-run.
+        let sys = summing_writers(3);
+        for depth in [6, 9] {
+            for (violations, panics) in [(true, false), (false, true), (true, true)] {
+                let check = move |sys: &System| {
+                    if sys.trace().len() != depth {
+                        return None;
+                    }
+                    match sys.config_fingerprint() % 3 {
+                        0 if violations => Some("flagged at the bound".to_string()),
+                        1 if panics => panic!("check panic at the bound"),
+                        _ => None,
+                    }
+                };
+                let mut outcomes = Vec::new();
+                for threads in 1..=4 {
+                    for dpor in [true, false] {
+                        let at = format!(
+                            "depth {depth}, violations {violations}, panics {panics}, \
+                             threads {threads}, dpor {dpor}"
+                        );
+                        let explore = |max_depth| {
+                            Explorer::new(Limits { max_depth, max_configs: usize::MAX })
+                                .with_threads(threads)
+                                .with_dpor(dpor)
+                                .explore_parallel(&sys, &check)
+                        };
+                        let outcome = match (explore(depth), explore(depth + 1)) {
+                            (Ok(bound), Ok(deeper)) => {
+                                let counts = |r: &ExploreReport| {
+                                    (r.configs_visited, r.terminals, r.pruned, r.violation.clone())
+                                };
+                                assert_eq!(counts(&bound), counts(&deeper), "{at}");
+                                let (schedule, message) = bound.violation.expect(&at);
+                                assert_eq!(schedule.len(), depth, "{at}");
+                                format!("{schedule:?} {message}")
+                            }
+                            (Err(bound), Err(deeper)) => {
+                                assert_eq!(bound.to_string(), deeper.to_string(), "{at}");
+                                assert!(panics, "{at}: {bound}");
+                                bound.to_string()
+                            }
+                            other => panic!("{at}: {other:?}"),
+                        };
+                        outcomes.push(outcome);
+                    }
+                }
+                assert!(outcomes.iter().all(|o| *o == outcomes[0]), "{outcomes:?}");
+            }
         }
     }
 

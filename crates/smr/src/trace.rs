@@ -120,6 +120,9 @@ pub(crate) struct Node {
 
 /// The traces one explorer level's entries end at, which the next
 /// level's blocks extend: every trace of a level has the same length.
+/// Each block of the next level holds this whole list, so a block, and
+/// any trace ending in it, keeps every block of every earlier level
+/// alive.
 #[derive(Clone, Debug)]
 pub(crate) enum Parents {
     /// The sealed trace of the configuration the search started from.
@@ -159,7 +162,10 @@ impl Parents {
 /// An `Arc`-shared block of one-event trace nodes, all one step past
 /// the same level's [`Parents`]. The explorer builds one block per build
 /// chunk, so a kept child costs a 12-byte node, not an allocation, and
-/// its event is the memoized one, not a copy.
+/// its event is the memoized one, not a copy. A block holds its level's
+/// whole [`Parents`] and the [`EventStore`], so one trace kept past the
+/// search holds the tree of every level up to its own, not only its
+/// chain.
 #[derive(Debug)]
 pub(crate) struct Block {
     /// The trace length at every node.
